@@ -44,7 +44,6 @@ from .forcing import (
     derived_set,
     enumerate_forcing_schedules,
     forcing_schedule,
-    is_zfs,
 )
 from .graphs import ConsistencyError, CyclicError
 from .oracle import ltv_gramian_rank, schedule_from_edges, verify_ssc_numeric
@@ -127,7 +126,7 @@ def cmd_check(args) -> int:
     g = doc.graph()
     z = _require_controls(doc)
     derived = derived_set(g, z)
-    if not is_zfs(g, z):
+    if len(derived) < g.n:
         stalled = sorted(set(g.nodes) - derived)
         payload = {
             "command": "check",
@@ -431,31 +430,33 @@ def cmd_schedules(args) -> int:
         except NotZfsError as exc:
             print(f"not a zero forcing set: {exc}", file=sys.stderr)
             return EXIT_NEGATIVE
-        payload = {
-            "command": "schedules",
-            "kind": "forcing",
-            "count": len(records),
-            "schedules": [
-                {
-                    "forces": [[doc.name_of(u), doc.name_of(v)] for u, v in r.forces],
-                    "intervals": {
-                        doc.name_of(v): list(TimeFunction.from_record(r).interval(v))
-                        for v in sorted(r.times)
-                    },
-                }
-                for r in records
-            ],
-        }
+        tfs = [TimeFunction.from_record(r) for r in records]
+        if args.format == "machine":
+            payload = {
+                "command": "schedules",
+                "kind": "forcing",
+                "count": len(records),
+                "schedules": [
+                    {
+                        "forces": [[doc.name_of(u), doc.name_of(v)] for u, v in r.forces],
+                        "intervals": {
+                            doc.name_of(v): list(tf.interval(v)) for v in sorted(r.times)
+                        },
+                    }
+                    for r, tf in zip(records, tfs)
+                ],
+            }
+            _emit(args, payload, "")
+            return EXIT_OK
         lines = [f"forcing schedules: {len(records)}"]
-        for r in records:
-            tf = TimeFunction.from_record(r)
+        for r, tf in zip(records, tfs):
             lines.append(
                 "  "
                 + " ".join(doc.name_of(u) + ">" + doc.name_of(v) for u, v in r.forces)
                 + "  |  "
                 + _intervals_text(doc, tf)
             )
-        _emit(args, payload, "\n".join(lines))
+        _emit(args, {}, "\n".join(lines))
         return EXIT_OK
     if args.mode == "dag":
         counts = [len(doc.names) for doc in docs]

@@ -12,6 +12,7 @@ removing self-loops.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Union
 
 from .graphs import Chain, ChainSet, DiGraph, Edge, control_set
@@ -41,25 +42,32 @@ class NotZfsError(ValueError):
         self.stalled_white = stalled_white
 
 
-def _closure(masks, black: int, full: int) -> int:
+def _closure(masks, order, black: int, full: int) -> int:
     """Bitmask fixed point of the color-change rule.
 
-    ``masks[u]`` holds u's out-neighbors with self-loops dropped.  The
-    derived set does not depend on the order forces are applied, so a
-    greedy sweep is sound.
+    ``masks[u]`` holds u's out-neighbors with self-loops dropped, and
+    ``order`` lists every node once as ``(node, bit)`` pairs.  Each sweep
+    visits the nodes in that order, so a node blackened early in a sweep
+    may force later in the same sweep.  The derived set does not depend on
+    the order forces are applied, so the order sets only the number of
+    sweeps, never the result.
     """
     changed = True
     while changed and black != full:
         changed = False
-        scan = black
-        while scan:
-            low = scan & -scan
-            scan ^= low
-            w = masks[low.bit_length()] & ~black
-            if w and not w & (w - 1):  # exactly one white out-neighbor
-                black |= w
-                changed = True
+        for u, bit in order:
+            if black & bit:
+                w = masks[u] & ~black
+                if w and not w & (w - 1):  # exactly one white out-neighbor
+                    black |= w
+                    changed = True
     return black
+
+
+@lru_cache(maxsize=16)
+def _id_order(n: int) -> tuple[tuple[int, int], ...]:
+    """The sweep order ``1..n`` as the ``(node, bit)`` pairs :func:`_closure` takes."""
+    return tuple((v, 1 << (v - 1)) for v in range(1, n + 1))
 
 
 def _mask_of(nodes: Iterable[int]) -> int:
@@ -81,7 +89,7 @@ def _nodes_of(mask: int) -> frozenset[int]:
 def derived_set(g: DiGraph, controls: Iterable[int]) -> frozenset[int]:
     """The final black set reached from ``controls`` under repeated forcing."""
     z = control_set(controls, g.n)
-    return _nodes_of(_closure(g.force_masks, _mask_of(z), g.full_mask))
+    return _nodes_of(_closure(g.force_masks, _id_order(g.n), _mask_of(z), g.full_mask))
 
 
 def is_zfs(g: DiGraph, controls: Iterable[int]) -> bool:
@@ -91,7 +99,7 @@ def is_zfs(g: DiGraph, controls: Iterable[int]) -> bool:
     network on ``g`` with inputs at ``controls``.
     """
     z = control_set(controls, g.n)
-    return _closure(g.force_masks, _mask_of(z), g.full_mask) == g.full_mask
+    return _closure(g.force_masks, _id_order(g.n), _mask_of(z), g.full_mask) == g.full_mask
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ is checked through explicitly constructed witnesses.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -21,7 +20,6 @@ from scipy.linalg import expm
 
 from .forcing import is_zfs
 from .graphs import DiGraph, Edge, control_set
-from .runtime import worker_count
 from .synthesis import (
     TimeFunction,
     optional_edges,
@@ -177,13 +175,11 @@ def verify_ssc_numeric(
     controls: Iterable[int],
     trials: int = 100,
     seed: int = 0,
-    threads: int | None = None,
 ) -> OracleReport:
     """Sample the qualitative class and compare Kalman ranks with forcing.
 
     Draws cycle through the three diagonal modes; each trial owns a
-    random stream derived from (seed, trial index), so the report does
-    not depend on worker count or execution order.
+    random stream derived from (seed, trial index).
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -195,13 +191,7 @@ def verify_ssc_numeric(
         a = sample_matrix(g, rng, _DIAG_MODES[trial % len(_DIAG_MODES)])
         return kalman_rank(a, z) == g.n
 
-    workers = worker_count(threads)
-    if workers <= 1:
-        outcomes = [run(t) for t in range(trials)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run, range(trials)))
-    full = sum(outcomes)
+    full = sum(run(t) for t in range(trials))
 
     stalled: frozenset[int] = frozenset()
     witness = witness_rank = None

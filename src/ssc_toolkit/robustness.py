@@ -9,16 +9,26 @@ the current one, removals at everything except one chain skeleton.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .forcing import LOWEST_FORCER, TieBreakPolicy, _closure, _mask_of, forcing_schedule
+from .forcing import (
+    LOWEST_FORCER,
+    TieBreakPolicy,
+    _closure,
+    _id_order,
+    _mask_of,
+    forcing_schedule,
+)
 from .graphs import ConsistencyError, DiGraph, Edge, control_set
-from .runtime import worker_count
-from .synthesis import TimeFunction, perfect_edge_count, perfect_graph
+from .synthesis import (
+    TimeFunction,
+    perfect_edge_count,
+    perfect_graph,
+    validate_time_function,
+)
 
 ADDITIVE = "additive"
 SUBTRACTIVE = "subtractive"
@@ -115,16 +125,21 @@ class VerificationOutcome:
     counterexample: frozenset[Edge] | None = None
 
 
-def _gray_masks(g: DiGraph, edges: list[Edge], subset_index: int) -> list[int]:
-    """Forcing masks of ``g`` with the gray-coded ``subset_index`` applied."""
-    masks = list(g.force_masks)
-    gray = subset_index ^ (subset_index >> 1)
-    for pos in range(len(edges)):
-        if gray >> pos & 1:
-            u, v = edges[pos]
-            if u != v:
-                masks[u] ^= 1 << (v - 1)
-    return masks
+def _sweep_order(g: DiGraph, tf: TimeFunction | None) -> tuple[tuple[int, int], ...]:
+    """Closure order for the subsets: the witness's forcers by ``tmax``, then
+    the remaining nodes by id.
+
+    On a member of the witness's family every forcer has exactly one white
+    out-neighbor by the time the sweep reaches it, so one sweep blackens
+    the graph.  The order changes only the speed: closures reach the same
+    fixed point in any order.  Without a valid witness on exactly ``g``'s
+    nodes the sweep runs in id order.
+    """
+    if tf is None or tf.chains.nodes != frozenset(g.nodes) or validate_time_function(tf):
+        return _id_order(g.n)
+    forcers = sorted(tf.chains.successor, key=tf.tmax.__getitem__)
+    rest = [v for v in g.nodes if v not in tf.chains.successor]
+    return tuple((v, 1 << (v - 1)) for v in forcers + rest)
 
 
 def _subset_from_index(edges: list[Edge], subset_index: int) -> frozenset[Edge]:
@@ -132,27 +147,23 @@ def _subset_from_index(edges: list[Edge], subset_index: int) -> frozenset[Edge]:
     return frozenset(e for pos, e in enumerate(edges) if gray >> pos & 1)
 
 
-def _scan_range(
-    g: DiGraph, z_mask: int, edges: list[Edge], start: int, stop: int
+def _scan(
+    g: DiGraph, order, z_mask: int, toggles: list[tuple[int, int]]
 ) -> tuple[int, int | None]:
-    """Exhaustively test subset indices ``[start, stop)`` in gray order.
+    """Exhaustively test every subset of the toggles in gray order.
 
     Toggling one edge per step keeps the per-subset cost at a single
     forcing closure.  Returns (subsets tested, first failing index).
     """
     full = g.full_mask
-    masks = _gray_masks(g, edges, start)
-    tested = 0
-    for i in range(start, stop):
-        if i > start:
-            flip = ((i - 1) ^ i) & i  # bit that gray(i) toggles vs gray(i-1)
-            u, v = edges[flip.bit_length() - 1]
-            if u != v:
-                masks[u] ^= 1 << (v - 1)
-        tested += 1
-        if _closure(masks, z_mask, full) != full:
-            return tested, i
-    return tested, None
+    masks = list(g.force_masks)
+    for i in range(2 ** len(toggles)):
+        if i:
+            u, bit = toggles[(i & -i).bit_length() - 1]  # gray(i) ^ gray(i - 1)
+            masks[u] ^= bit
+        if _closure(masks, order, z_mask, full) != full:
+            return i + 1, i
+    return 2 ** len(toggles), None
 
 
 def verify_edge_set(
@@ -161,7 +172,6 @@ def verify_edge_set(
     report: EdgeSetReport,
     budget: int = DEFAULT_BUDGET,
     seed: int = 0,
-    threads: int | None = None,
 ) -> VerificationOutcome:
     """Check that applying any subset of ``report.edges`` keeps the controls
     a zero forcing set.
@@ -170,7 +180,8 @@ def verify_edge_set(
     subsets removed.  Exhaustive when ``2**len(edges) <= budget``;
     otherwise the singletons, the full set, and 10,000 seeded random
     subsets are tested.  Self-loop toggles never affect forcing, so they
-    are counted but cost nothing.
+    are counted but cost nothing.  Every subset gets its own full closure;
+    the report's witness only orders the closure's sweep.
     """
     z = control_set(controls, g.n)
     z_mask = _mask_of(z)
@@ -179,54 +190,37 @@ def verify_edge_set(
         present = report.edges & g.edges
         if present:
             raise ValueError(f"additive edges {sorted(present)} are already in the graph")
-        base = g
     elif report.kind == SUBTRACTIVE:
         missing = report.edges - g.edges
         if missing:
             raise ValueError(f"subtractive edges {sorted(missing)} are not in the graph")
-        base = g
     else:  # pragma: no cover - kinds are closed
         raise ValueError(report.kind)
     # XOR-toggling covers both directions: additive subsets turn bits on,
-    # subtractive subsets turn them off, starting from the same base graph.
+    # subtractive subsets turn them off, starting from the same graph.
+    # A self-loop toggles bit 0, which changes no mask.
+    toggles = [(u, 0 if u == v else 1 << (v - 1)) for u, v in edges]
+    order = _sweep_order(g, report.witness)
     k = len(edges)
-    if k == 0:
-        ok = _closure(list(base.force_masks), z_mask, base.full_mask) == base.full_mask
-        return VerificationOutcome(ok, True, 1, None if ok else frozenset())
-
-    if 2**k <= budget:
-        total = 2**k
-        workers = worker_count(threads)
-        fail_index: int | None = None
-        tested = 0
-        if workers <= 1:
-            tested, fail_index = _scan_range(base, z_mask, edges, 0, total)
-        else:
-            chunk = -(-total // workers)
-            ranges = [(a, min(a + chunk, total)) for a in range(0, total, chunk)]
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(
-                    pool.map(lambda r: _scan_range(base, z_mask, edges, *r), ranges)
-                )
-            tested = sum(t for t, _ in results)
-            fails = [f for _, f in results if f is not None]
-            fail_index = min(fails) if fails else None
+    if k == 0 or 2**k <= budget:
+        tested, fail_index = _scan(g, order, z_mask, toggles)
         if fail_index is None:
             return VerificationOutcome(True, True, tested)
         return VerificationOutcome(False, True, tested, _subset_from_index(edges, fail_index))
 
+    full = g.full_mask
     rng = np.random.default_rng(seed)
-    picks: list[frozenset[Edge]] = [frozenset([e]) for e in edges]
-    picks.append(frozenset(edges))
-    for _ in range(SAMPLED_SUBSETS):
-        keep = rng.random(k) < 0.5
-        picks.append(frozenset(e for e, kp in zip(edges, keep) if kp))
-    full = base.full_mask
-    for tested, subset in enumerate(picks, start=1):
-        masks = list(base.force_masks)
-        for u, v in subset:
-            if u != v:
-                masks[u] ^= 1 << (v - 1)
-        if _closure(masks, z_mask, full) != full:
-            return VerificationOutcome(False, False, tested, subset)
+    picks = [[pos == i for pos in range(k)] for i in range(k)]
+    picks.append([True] * k)
+    # One draw of SAMPLED_SUBSETS rows yields the same stream as one draw per row.
+    picks.extend((rng.random((SAMPLED_SUBSETS, k)) < 0.5).tolist())
+    for tested, keep in enumerate(picks, start=1):
+        masks = list(g.force_masks)
+        for (u, bit), kp in zip(toggles, keep):
+            if kp:
+                masks[u] ^= bit
+        if _closure(masks, order, z_mask, full) != full:
+            return VerificationOutcome(
+                False, False, tested, frozenset(e for e, kp in zip(edges, keep) if kp)
+            )
     return VerificationOutcome(True, False, len(picks))

@@ -11,6 +11,9 @@ from ssc_toolkit.forcing import (
     LOWEST_FORCER,
     ExplicitForces,
     NotZfsError,
+    _closure,
+    _mask_of,
+    _nodes_of,
     derived_set,
     enumerate_forcing_schedules,
     forcing_schedule,
@@ -63,6 +66,14 @@ class TestDerivedSet:
         z = data.draw(st.frozensets(st.sampled_from(range(1, g.n + 1)), min_size=1))
         assert derived_set(g, z) == naive_derived_set(g, z)
         assert is_zfs(g, z) == naive_is_zfs(g, z)
+
+    @given(digraphs(max_n=8), st.data())
+    def test_closure_result_is_independent_of_sweep_order(self, g: DiGraph, data):
+        z = data.draw(st.frozensets(st.sampled_from(range(1, g.n + 1)), min_size=1))
+        perm = data.draw(st.permutations(range(1, g.n + 1)))
+        order = [(v, 1 << (v - 1)) for v in perm]
+        black = _closure(g.force_masks, order, _mask_of(z), g.full_mask)
+        assert _nodes_of(black) == naive_derived_set(g, z)
 
 
 class TestIsZfs:

@@ -104,12 +104,6 @@ class TestVerifySscNumeric:
         assert report.stalled_white == {1, 2}
         assert report.witness is not None and report.witness_rank < 3
 
-    def test_parallel_matches_sequential(self, ring6, monkeypatch):
-        seq = verify_ssc_numeric(ring6, {1, 2}, trials=30, seed=4)
-        monkeypatch.setenv("SSC_TOOLKIT_THREADS", "4")
-        par = verify_ssc_numeric(ring6, {1, 2}, trials=30, seed=4, threads=4)
-        assert (seq.full_rank, seq.consistent) == (par.full_rank, par.consistent)
-
     @given(digraphs(max_n=4), st.data())
     @settings(max_examples=40)
     def test_forcing_verdict_predicts_full_rank(self, g: DiGraph, data):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -16,8 +18,11 @@ from ssc_toolkit.forcing import (
 from ssc_toolkit.graphs import DiGraph
 from ssc_toolkit.robustness import (
     ADDITIVE,
+    DEFAULT_BUDGET,
+    SAMPLED_SUBSETS,
     SUBTRACTIVE,
     EdgeSetReport,
+    VerificationOutcome,
     critical_additive_number,
     critical_additive_set,
     critical_subtractive_number,
@@ -33,7 +38,7 @@ from ssc_toolkit.synthesis import (
 )
 
 from conftest import timed_partitions
-from reference import brute_force_additive
+from reference import brute_force_additive, naive_is_zfs
 
 
 class TestAdditiveNumber:
@@ -149,29 +154,97 @@ class TestVerifyEdgeSet:
         assert outcome.passed and not outcome.exhaustive
         assert outcome.subsets_tested == 16 + 1 + 10_000
 
-    def test_parallel_scan_agrees(self, ring6, ring6_policy, monkeypatch):
-        monkeypatch.setenv("SSC_TOOLKIT_THREADS", "3")
-        report = critical_additive_set(ring6, {1, 2}, ring6_policy)
-        outcome = verify_edge_set(ring6, {1, 2}, report, threads=3)
-        assert outcome.passed and outcome.exhaustive and outcome.subsets_tested == 2**16
-
     def test_report_bound_mismatch_rejected(self):
         with pytest.raises(ValueError, match="bound"):
             EdgeSetReport(ADDITIVE, frozenset({(1, 2)}), 2)
-
-    def test_parallel_counterexample_matches_sequential(self, path3, monkeypatch):
-        report = critical_additive_set(path3, {1})
-        bogus = EdgeSetReport(ADDITIVE, report.edges | {(1, 3)}, report.bound + 1)
-        sequential = verify_edge_set(path3, {1}, bogus, budget=2**10)
-        monkeypatch.setenv("SSC_TOOLKIT_THREADS", "4")
-        parallel = verify_edge_set(path3, {1}, bogus, budget=2**10, threads=4)
-        assert not sequential.passed and not parallel.passed
-        assert parallel.counterexample == sequential.counterexample
 
     def test_additive_report_must_be_new_edges(self, path3):
         report = EdgeSetReport(ADDITIVE, frozenset({(1, 2)}), 1)
         with pytest.raises(ValueError, match="already"):
             verify_edge_set(path3, {1}, report)
+
+
+def _naive_verification(g, z, report, budget) -> VerificationOutcome:
+    """verify_edge_set from first principles: the same subsets in the same
+    order, each applied to the edge set and tested with the reference."""
+    edges = sorted(report.edges)
+    k = len(edges)
+    apply = g.remove_edges if report.kind == SUBTRACTIVE else g.add_edges
+    exhaustive = 2**k <= budget
+    if exhaustive:
+        subsets = [
+            frozenset(e for pos, e in enumerate(edges) if (i ^ i >> 1) >> pos & 1)
+            for i in range(2**k)
+        ]
+    else:
+        rng = np.random.default_rng(0)  # verify_edge_set's default seed
+        subsets = [frozenset([e]) for e in edges] + [frozenset(edges)]
+        for _ in range(SAMPLED_SUBSETS):
+            keep = rng.random(k) < 0.5
+            subsets.append(frozenset(e for e, kp in zip(edges, keep) if kp))
+    for tested, subset in enumerate(subsets, start=1):
+        if not naive_is_zfs(apply(subset), z):
+            return VerificationOutcome(False, exhaustive, tested, subset)
+    return VerificationOutcome(True, exhaustive, len(subsets))
+
+
+# {2, 3} forces this graph under either tie-break policy, but the two
+# policies pick different chains, so the other policy's witness orders the
+# closure against the forcing and subsets need more than one sweep.
+MISORDERED = DiGraph(5, frozenset({
+    (1, 2), (1, 3), (1, 4), (2, 3), (2, 5), (3, 2),
+    (3, 3), (3, 4), (3, 5), (4, 1), (4, 2), (5, 1),
+}))
+
+
+def _misordered_report(make):
+    own = make(MISORDERED, {2, 3}, LOWEST_FORCED)
+    other = make(MISORDERED, {2, 3}, LOWEST_FORCER)
+    assert own.edges != other.edges
+    return MISORDERED, {2, 3}, replace(own, witness=other.witness)
+
+
+def _bogus_path3():
+    path3 = DiGraph(3, frozenset({(1, 2), (2, 3)}))
+    report = critical_additive_set(path3, {1})
+    return path3, {1}, replace(report, edges=report.edges | {(1, 3)}, bound=report.bound + 1)
+
+
+def _bogus_pair():
+    # each added edge alone keeps {1, 4, 5} forcing, and so do all three,
+    # but (1, 3) and (4, 2) together stall: the sampled scan first meets
+    # that subset at its 41st random draw
+    g = DiGraph(5, frozenset({(1, 2), (4, 3)}))
+    witness = critical_additive_set(g, {1, 4, 5}).witness
+    report = EdgeSetReport(ADDITIVE, frozenset({(1, 3), (4, 2), (5, 2)}), 3, witness)
+    return g, {1, 4, 5}, report
+
+
+class TestVerifyWithMisleadingWitness:
+    """The witness orders the closure sweeps; it must never change the outcome."""
+
+    @pytest.mark.parametrize(
+        "case, budget",
+        [
+            (lambda: _misordered_report(critical_additive_set), DEFAULT_BUDGET),
+            (lambda: _misordered_report(critical_subtractive_set), DEFAULT_BUDGET),
+            (lambda: _misordered_report(critical_additive_set), 2**5),
+            (_bogus_path3, DEFAULT_BUDGET),
+            (_bogus_path3, 2**6),
+            (_bogus_pair, DEFAULT_BUDGET),
+            (_bogus_pair, 2**2),
+        ],
+        ids=[
+            "misordered-add", "misordered-sub", "misordered-add-sampled",
+            "bogus-path3", "bogus-path3-sampled", "bogus-pair", "bogus-pair-sampled",
+        ],
+    )
+    def test_same_outcome_as_witness_free_and_naive_scans(self, case, budget):
+        g, z, report = case()
+        assert report.witness is not None
+        outcome = verify_edge_set(g, z, report, budget=budget)
+        no_witness = verify_edge_set(g, z, replace(report, witness=None), budget=budget)
+        assert outcome == no_witness == _naive_verification(g, z, report, budget)
 
 
 class TestMaximality:
