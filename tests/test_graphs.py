@@ -49,12 +49,6 @@ class TestDiGraph:
         g.remove_edges({(1, 2)})
         assert g.edges == {(1, 2)}
 
-    def test_neighbor_queries(self, ring6):
-        assert ring6.out_neighbors(1) == (2, 6)
-        assert ring6.out_neighbors(2) == (1, 3, 6)
-        assert ring6.has_edge(2, 6) and not ring6.has_edge(1, 3)
-        assert ring6.out_map[6] == (1, 2, 5)
-
     def test_worked_ring_plus_critical_set_has_30_edges(self, ring6):
         extra = {
             (3, 6), (6, 3), (4, 6), (6, 4), (1, 1), (2, 2), (3, 3), (4, 4),
