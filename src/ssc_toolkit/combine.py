@@ -14,10 +14,20 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .graphs import Chain, ChainSet, ConsistencyError, CyclicError, DiGraph, Edge, topological_order
+from .graphs import (
+    Chain,
+    ChainSet,
+    ConsistencyError,
+    CyclicError,
+    DiGraph,
+    Edge,
+    mask_nodes,
+    topological_order,
+)
 from .robustness import INTER_NETWORK, EdgeSetReport
 from .synthesis import (
     TimeFunction,
+    _admissible_rows,
     is_ct_constructed,
     perfect_edge_count,
     validate_time_function,
@@ -130,7 +140,22 @@ class CombinedNetwork:
         return self.times.chains
 
 
+# The CLI asks for the same merge twice, through combine_networks and then
+# max_inter_edges, whose signatures are public; the latest merge is kept with
+# its inputs so that it is built once.  Blocks are immutable values and the
+# inputs are held, so an identity match always returns the right merge.
+_last_merge: tuple[tuple[Block, ...], CombineSequence, CombinedNetwork] | None = None
+
+
 def _merge_blocks(blocks: Sequence[Block], seq: CombineSequence) -> CombinedNetwork:
+    global _last_merge
+    blocks = tuple(blocks)
+    if _last_merge is not None:
+        last_blocks, last_seq, merged = _last_merge
+        if last_seq == seq and len(last_blocks) == len(blocks) and all(
+            g is lg and tf is ltf for (g, tf), (lg, ltf) in zip(blocks, last_blocks)
+        ):
+            return merged
     counts = [g.n - tf.m for g, tf in blocks]
     if not seq.matches_counts(counts):
         raise ValueError(
@@ -144,16 +169,18 @@ def _merge_blocks(blocks: Sequence[Block], seq: CombineSequence) -> CombinedNetw
     offsets = tuple(sum(sizes[:i]) for i in range(len(blocks)))
     chains: list[Chain] = []
     times: dict[int, int] = {}
-    edges: set[Edge] = set()
+    rows = [0]
     for i, (g, tf) in enumerate(blocks):
         off = offsets[i]
         remapped = remap_time(seq, i, tf)
         times.update({v + off: t for v, t in remapped.items()})
         chains.extend(Chain(tuple(v + off for v in c.nodes)) for c in tf.chains.chains)
-        edges.update((u + off, v + off) for u, v in g.edges)
+        rows.extend(row << off for row in g.rows[1:])
     merged_tf = TimeFunction(ChainSet(tuple(chains)), times)
-    graph = DiGraph(sum(sizes), frozenset(edges))
-    return CombinedNetwork(graph, merged_tf, frozenset(), offsets, sizes)
+    graph = DiGraph.from_rows(sum(sizes), rows)
+    merged = CombinedNetwork(graph, merged_tf, frozenset(), offsets, sizes)
+    _last_merge = (blocks, seq, merged)
+    return merged
 
 
 def combine_networks(
@@ -197,16 +224,12 @@ def max_inter_edges(blocks: Sequence[Block], seq: CombineSequence) -> EdgeSetRep
     """
     merged = _merge_blocks(blocks, seq)
     tf = merged.times
-    nodes_by_block = [
-        range(merged.offsets[i] + 1, merged.offsets[i] + merged.block_sizes[i] + 1)
-        for i in range(len(blocks))
-    ]
+    admissible = _admissible_rows(tf)
     edges = set()
-    for bi, us in enumerate(nodes_by_block):
-        for bj, vs in enumerate(nodes_by_block):
-            if bi == bj:
-                continue
-            edges.update((u, v) for u in us for v in vs if tf.tmax[u] >= tf.times[v])
+    for off, size in zip(merged.offsets, merged.block_sizes):
+        outside = ~(((1 << size) - 1) << off)
+        for u in range(off + 1, off + size + 1):
+            edges.update((u, v) for v in mask_nodes(admissible[u] & outside))
     n = merged.graph.n
     m = tf.m
     bound = perfect_edge_count(n, m) - sum(
@@ -322,17 +345,16 @@ def combine_dags(dags: Sequence[DiGraph], seq: CombineSequence) -> DagCombinatio
     node_maps = tuple(
         {orig: idx + 1 for idx, orig in enumerate(order)} for order in orders
     )
-    edges: set[Edge] = set()
-    for i, g in enumerate(dags):
-        off = offsets[i]
-        nm = node_maps[i]
-        edges.update((nm[u] + off, nm[v] + off) for u, v in g.edges)
+    rows = [0]
+    for g, order, off in zip(dags, orders, offsets):
+        rows.extend(row << off for row in g.relabeled(order).rows[1:])
     occurrence = [0] * len(dags)
     spine: list[int] = []
     for entry in seq.entries:
         occurrence[entry] += 1
         spine.append(offsets[entry] + occurrence[entry])
-    edges.update(zip(spine, spine[1:]))
-    graph = DiGraph(sum(sizes), frozenset(edges))
+    for u, v in zip(spine, spine[1:]):
+        rows[u] |= 1 << (v - 1)
+    graph = DiGraph.from_rows(sum(sizes), rows)
     times = {v: k for k, v in enumerate(spine, start=1)}
     return DagCombination(graph, spine[0], tuple(spine), times, offsets, node_maps)

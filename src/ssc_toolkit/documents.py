@@ -22,6 +22,12 @@ Sections may appear in any order; ``NODES`` is mandatory.  Names are
 whitespace-free tokens, unique, and everything else must reference them.
 Parsing reports the offending line number; emission is canonical, so
 ``emit(parse(text))`` is a fixed point.
+
+The parser builds the network's :class:`~ssc_toolkit.graphs.DiGraph` as
+it reads: each ``EDGES`` line sets one bit of its source's row, and a bit
+already set is a duplicate edge.  The document keeps that graph, so the
+annotation checks and every caller of :meth:`NetworkDocument.graph` share
+one build.
 """
 from __future__ import annotations
 
@@ -31,7 +37,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .forcing import ExplicitForces
-from .graphs import Chain, ChainSet, DiGraph, Edge
+from .graphs import Chain, ChainSet, DiGraph, Edge, mask_nodes
 from .synthesis import TimeFunction, validate_time_function
 
 SECTIONS = ("NODES", "EDGES", "CONTROLS", "CHAINS", "TIMES")
@@ -62,9 +68,18 @@ class NetworkDocument:
     def name_of(self, node: int) -> str:
         return self.names[node - 1]
 
-    def graph(self) -> DiGraph:
+    @cached_property
+    def _graph(self) -> DiGraph:
         ids = self.node_ids
-        return DiGraph(len(self.names), frozenset((ids[a], ids[b]) for a, b in self.edges))
+        return DiGraph(len(self.names), ((ids[a], ids[b]) for a, b in self.edges))
+
+    def graph(self) -> DiGraph:
+        """The network as a :class:`DiGraph`, built once per document.
+
+        :func:`parse_document` builds it while it reads the EDGES lines;
+        a document constructed directly builds it on first use.
+        """
+        return self._graph
 
     def control_ids(self) -> frozenset[int]:
         ids = self.node_ids
@@ -140,74 +155,86 @@ class NetworkDocument:
             times = tuple((name(v), t) for v, t in sorted(tf.times.items()))
         return cls(
             names=tuple(names),
-            edges=tuple((name(u), name(v)) for u, v in sorted(g.edges)),
+            edges=tuple(
+                (name(u), name(v)) for u in g.nodes for v in mask_nodes(g.rows[u])
+            ),
             controls=tuple(name(v) for v in sorted(controls)),
             chains=chains,
             times=times,
-        ).normalize()
+        )  # canonical already: edges, controls and times in node-id order
 
 
 def _content_lines(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line.split()
+        if "#" in raw:
+            raw = raw[: raw.index("#")]
+        tokens = raw.split()
+        if tokens:
+            yield lineno, tokens
 
 
 def parse_document(text: str) -> NetworkDocument:
     """Parse the text format; raises :class:`DocumentError` with a line number."""
     sections: dict[str, list[tuple[int, list[str]]]] = {}
-    current: str | None = None
+    body: list[tuple[int, list[str]]] | None = None  # the current section's lines
     for lineno, tokens in _content_lines(text):
         if len(tokens) == 1 and tokens[0] in SECTIONS:
             name = tokens[0]
             if name in sections:
                 raise DocumentError(f"duplicate section {name}", lineno)
-            sections[name] = []
-            current = name
+            body = sections[name] = []
             continue
-        if current is None:
+        if body is None:
             raise DocumentError(f"content before any section: {' '.join(tokens)}", lineno)
-        sections[current].append((lineno, tokens))
+        body.append((lineno, tokens))
 
     if "NODES" not in sections:
         raise DocumentError("document has no NODES section")
 
     names: list[str] = []
-    seen: dict[str, int] = {}
+    ids: dict[str, int] = {}
     for lineno, tokens in sections["NODES"]:
         for tok in tokens:
             if tok in SECTIONS:
                 raise DocumentError(f"node name {tok!r} collides with a section keyword", lineno)
-            if tok in seen:
+            if tok in ids:
                 raise DocumentError(f"duplicate node name {tok!r}", lineno)
-            seen[tok] = lineno
             names.append(tok)
+            ids[tok] = len(names)
     if not names:
         raise DocumentError("NODES section declares no nodes")
 
     def known(tok: str, lineno: int) -> str:
-        if tok not in seen:
+        if tok not in ids:
             raise DocumentError(f"unknown node name {tok!r}", lineno)
         return tok
 
+    # Each edge line goes straight into the graph's rows; a bit already set
+    # is a duplicate edge.
     edges: list[tuple[str, str]] = []
-    edge_seen: set[tuple[str, str]] = set()
-    for lineno, tokens in sections.get("EDGES", []):
+    rows = [0] * (len(names) + 1)
+    node_id = ids.get
+    for lineno, tokens in sections.get("EDGES", ()):
         if len(tokens) != 2:
             raise DocumentError("an edge line needs exactly two node names", lineno)
-        e = (known(tokens[0], lineno), known(tokens[1], lineno))
-        if e in edge_seen:
-            raise DocumentError(f"duplicate edge {e[0]} -> {e[1]}", lineno)
-        edge_seen.add(e)
-        edges.append(e)
+        a, b = tokens
+        u, v = node_id(a), node_id(b)
+        if u is None or v is None:
+            raise DocumentError(f"unknown node name {a if u is None else b!r}", lineno)
+        row, bit = rows[u], 1 << (v - 1)
+        if row & bit:
+            raise DocumentError(f"duplicate edge {a} -> {b}", lineno)
+        rows[u] = row | bit
+        edges.append((a, b))
 
     controls: list[str] = []
+    control_seen: set[str] = set()
     for lineno, tokens in sections.get("CONTROLS", []):
         for tok in tokens:
             known(tok, lineno)
-            if tok in controls:
+            if tok in control_seen:
                 raise DocumentError(f"duplicate control node {tok!r}", lineno)
+            control_seen.add(tok)
             controls.append(tok)
 
     chains = None
@@ -243,6 +270,9 @@ def parse_document(text: str) -> NetworkDocument:
         times = tuple(times_list)
 
     doc = NetworkDocument(tuple(names), tuple(edges), tuple(controls), chains, times)
+    # Fill the document's cached properties with what parsing built.
+    doc.__dict__["node_ids"] = ids
+    doc.__dict__["_graph"] = DiGraph.from_rows(len(names), rows)
     _validate_annotations(doc)
     return doc
 
@@ -260,7 +290,7 @@ def _validate_annotations(doc: NetworkDocument) -> None:
         missing = sorted(set(doc.names) - {doc.name_of(v) for v in cs.nodes})
         raise DocumentError(f"chains must cover every node; missing {missing}")
     g = doc.graph()
-    stray = cs.chain_edges - g.edges
+    stray = [(u, v) for u, v in cs.chain_edges if not g.has_edge(u, v)]
     if stray:
         named = sorted((doc.name_of(u), doc.name_of(v)) for u, v in stray)
         raise DocumentError(f"chain edges {named} are not edges of the network")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Union
 
-from .graphs import Chain, ChainSet, DiGraph, Edge, control_set
+from .graphs import Chain, ChainSet, DiGraph, Edge, control_set, mask_nodes
 
 LOWEST_FORCER = "lowest-forcer"
 LOWEST_FORCED = "lowest-forced"
@@ -78,12 +78,7 @@ def _mask_of(nodes: Iterable[int]) -> int:
 
 
 def _nodes_of(mask: int) -> frozenset[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        out.append(low.bit_length())
-    return frozenset(out)
+    return frozenset(mask_nodes(mask))
 
 
 def derived_set(g: DiGraph, controls: Iterable[int]) -> frozenset[int]:
@@ -123,48 +118,72 @@ class ForcingRecord:
         return self.chains.sources
 
 
-class _Frontier:
-    """White-out-neighbor sets maintained incrementally across forces.
+def _single(mask: int) -> bool:
+    """True iff exactly one bit of ``mask`` is set."""
+    return mask != 0 and not mask & (mask - 1)
 
-    Each force updates only the forced node's in-neighbors, so a whole
-    run costs O(n^2) instead of rescanning the adjacency every step.
-    Self-loops are dropped up front.
+
+class _Frontier:
+    """Black set, white out-neighbor masks and ready forcers, kept across forces.
+
+    ``white[u]``, kept for black nodes only, is u's out-neighbor row
+    (self-loops dropped) minus the black nodes; ``ready`` holds the black
+    nodes with exactly one white out-neighbor, i.e. the forcers of the
+    currently possible forces.  A force touches only the black
+    in-neighbors of the forced node, so listing the possible forces costs
+    only the ready forcers.
     """
 
     def __init__(self, g: DiGraph, black: Iterable[int]):
-        self.black: set[int] = set(black)
-        self.white_out: dict[int, set[int]] = {v: set() for v in g.nodes}
-        self._in: dict[int, list[int]] = {v: [] for v in g.nodes}
-        for u, v in g.edges:
-            if u != v:
-                self._in[v].append(u)
-                if v not in self.black:
-                    self.white_out[u].add(v)
+        self.n = g.n
+        self._out = g.force_masks
+        self._in = g.in_masks
+        self.black = _mask_of(black)
+        self.white = [0] * (g.n + 1)
+        self.ready: set[int] = set()
+        for u in mask_nodes(self.black):
+            self._blacken(u)
+
+    def _blacken(self, u: int) -> None:
+        self.white[u] = w = self._out[u] & ~self.black
+        if _single(w):
+            self.ready.add(u)
 
     def applicable(self) -> list[Edge]:
         """All currently possible forces, sorted by (forcer, forced)."""
-        out = []
-        for w in sorted(self.black):
-            targets = self.white_out[w]
-            if len(targets) == 1:
-                out.append((w, next(iter(targets))))
-        return out
+        return [(w, self.white[w].bit_length()) for w in sorted(self.ready)]
 
     def is_applicable(self, force: Edge) -> bool:
         w, u = force
-        return w in self.black and self.white_out[w] == {u}
+        return w in self.ready and 1 <= u <= self.n and self.white[w] == 1 << (u - 1)
 
     def apply(self, force: Edge) -> None:
         u = force[1]
-        self.black.add(u)
-        for p in self._in[u]:
-            self.white_out[p].discard(u)
+        self._recolor(u)
+        self.black |= 1 << (u - 1)
+        self._blacken(u)
 
     def undo(self, force: Edge) -> None:
         u = force[1]
-        self.black.discard(u)
-        for p in self._in[u]:
-            self.white_out[p].add(u)
+        self.black &= ~(1 << (u - 1))
+        self.ready.discard(u)
+        self._recolor(u)
+
+    def _recolor(self, u: int) -> None:
+        """Flip u's bit in the white masks of u's black in-neighbors, as u
+        changes color, and re-rate those forcers."""
+        bit = 1 << (u - 1)
+        white, ready = self.white, self.ready
+        black_in = self._in[u] & self.black
+        while black_in:
+            low = black_in & -black_in
+            black_in ^= low
+            p = low.bit_length()
+            w = white[p] = white[p] ^ bit
+            if w and not w & (w - 1):
+                ready.add(p)
+            else:
+                ready.discard(p)
 
 
 def _build_record(g: DiGraph, z: frozenset[int], forces: list[Edge]) -> ForcingRecord:
@@ -212,24 +231,22 @@ def forcing_schedule(
                 raise ValueError(f"force {force} is not possible at step {step + 1}")
             state.apply(force)
             forces.append(force)
-        if state.applicable():
+        if state.ready:
             raise ValueError("explicit force list ends while forces are still possible")
     elif policy in (LOWEST_FORCER, LOWEST_FORCED):
-        while True:
-            apps = state.applicable()
-            if not apps:
-                break
+        while state.ready:
             if policy == LOWEST_FORCED:
-                choice = min(apps, key=lambda e: (e[1], e[0]))
+                choice = min(state.applicable(), key=lambda e: (e[1], e[0]))
             else:
-                choice = apps[0]  # sorted by (forcer, forced) already
+                w = min(state.ready)
+                choice = (w, state.white[w].bit_length())
             state.apply(choice)
             forces.append(choice)
     else:
         raise ValueError(f"unknown tie-break policy {policy!r}")
 
-    if len(state.black) < g.n:
-        stalled = frozenset(v for v in g.nodes if v not in state.black)
+    if state.black != g.full_mask:
+        stalled = _nodes_of(g.full_mask & ~state.black)
         raise NotZfsError(
             f"forcing stalled with white nodes {sorted(stalled)}", stalled_white=stalled
         )
@@ -257,26 +274,31 @@ def enumerate_forcing_schedules(
             f"controls {sorted(z)} are not a zero forcing set", stalled_white=stalled
         )
 
-    records: list[ForcingRecord] = []
+    # Once the controls force everything, no branch can stall: every
+    # maximal force list ends with the whole graph black.  The search keeps
+    # an explicit stack of the forces still to try at each depth, so its
+    # depth (one level per force) is not bounded by the interpreter's
+    # recursion limit.
     state = _Frontier(g, z)
     forces: list[Edge] = []
-
-    # Once the controls force everything, no branch can stall: every
-    # maximal force list ends with the whole graph black.
-    def dfs() -> bool:
-        apps = state.applicable()
-        if not apps:
-            records.append(_build_record(g, z, forces))
-            return limit is not None and len(records) >= limit
-        for force in apps:
-            state.apply(force)
-            forces.append(force)
-            done = dfs()
-            forces.pop()
-            state.undo(force)
-            if done:
-                return True
-        return False
-
-    dfs()
+    if not state.ready:  # the controls are every node
+        return [_build_record(g, z, forces)]
+    pending = [iter(state.applicable())]
+    records: list[ForcingRecord] = []
+    while pending:
+        force = next(pending[-1], None)
+        if force is None:
+            pending.pop()
+            if forces:
+                state.undo(forces.pop())
+            continue
+        state.apply(force)
+        forces.append(force)
+        if state.ready:
+            pending.append(iter(state.applicable()))
+            continue
+        records.append(_build_record(g, z, forces))
+        if limit is not None and len(records) >= limit:
+            break
+        state.undo(forces.pop())
     return records

@@ -1,16 +1,20 @@
 """Directed-graph value types, chain partitions, and topological ordering.
 
 Nodes are dense integers ``1..n``; external names are mapped at the I/O
-layer.  All values are immutable: edits return new values, so the
-perturbation analyses can fan out over many variants without copying
-defensively.
+layer.  A graph is stored as one out-neighbor bitmask per node (its
+*rows*), which is also the form the forcing rule and the time-ordered
+prefix sets of the synthesis layer work on.  All values are immutable:
+edits return new values, so the perturbation analyses can fan out over
+many variants without copying defensively.
 """
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Sequence
+
+import numpy as np
 
 Edge = tuple[int, int]
 
@@ -27,42 +31,109 @@ class ConsistencyError(RuntimeError):
     """
 
 
-def _as_edge(e) -> Edge:
-    u, v = e
-    return (int(u), int(v))
+def mask_nodes(mask: int) -> list[int]:
+    """The nodes whose bits are set in ``mask`` (bit ``v-1`` for node ``v``), ascending."""
+    bits = bin(mask)[:1:-1]  # least significant bit first
+    out = []
+    i = bits.find("1")
+    while i >= 0:
+        out.append(i + 1)
+        i = bits.find("1", i + 1)
+    return out
 
 
-@dataclass(frozen=True)
+def _unpack(rows: Sequence[int], n: int) -> np.ndarray:
+    """Rows as an ``len(rows) x n`` 0/1 matrix; column ``v-1`` holds bit ``v-1``."""
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in rows), np.uint8)
+    return np.unpackbits(packed.reshape(len(rows), width), axis=1, bitorder="little")[:, :n]
+
+
+# Rows are unpacked this many at a time (a multiple of 8), so the one byte
+# per bit matrix covers at most this many rows: about 10 MB at n = 10^4
+# instead of 100 MB.
+_CHUNK = 1024
+
+
+def _transpose(rows: Sequence[int], n: int) -> list[int]:
+    """Column masks of the ``n x n`` bit matrix whose rows are ``rows``."""
+    columns = np.zeros((n, (n + 7) // 8), np.uint8)
+    for i in range(0, n, _CHUNK):
+        bits = np.ascontiguousarray(_unpack(rows[i : i + _CHUNK], n).T)
+        columns[:, i // 8 : (i + bits.shape[1] + 7) // 8] = np.packbits(
+            bits, axis=1, bitorder="little"
+        )
+    return [int.from_bytes(c.tobytes(), "little") for c in columns]
+
+
+def _select_bits(rows: Sequence[int], n: int, at: np.ndarray) -> list[int]:
+    """Each row rebuilt so that its bit ``j`` is its old bit ``at[j]``."""
+    out = []
+    for i in range(0, len(rows), _CHUNK):
+        packed = np.packbits(_unpack(rows[i : i + _CHUNK], n)[:, at], axis=1, bitorder="little")
+        out.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
+    return out
+
+
+def _require_node_count(n) -> None:
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"node count must be a positive integer, got {n!r}")
+
+
+@dataclass(frozen=True, init=False, repr=False)
 class DiGraph:
-    """Immutable directed graph on nodes ``1..n``; self-loops allowed."""
+    """Immutable directed graph on nodes ``1..n``; self-loops allowed.
+
+    The only state is ``rows``: ``rows[u]`` is an int whose bit ``v-1``
+    marks the edge ``(u, v)`` (``rows[0]`` is 0).  Equality, hashing, edge
+    counts and forcing masks come from the rows; the edge set is derived
+    on first use, for I/O and set algebra.
+    """
 
     n: int
-    edges: frozenset[Edge] = field(default_factory=frozenset)
+    rows: tuple[int, ...]
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"node count must be a positive integer, got {self.n!r}")
-        edges = frozenset(_as_edge(e) for e in self.edges)
-        object.__setattr__(self, "edges", edges)
+    def __init__(self, n: int, edges: Iterable[Edge] = ()):
+        object.__setattr__(self, "n", n)
+        self.__post_init__(edges)
+
+    def __post_init__(self, edges: Iterable[Edge]) -> None:
+        """Validate the node count and every edge, then fill the rows."""
+        n = self.n
+        _require_node_count(n)
+        rows = [0] * (n + 1)
         for u, v in edges:
-            if not (1 <= u <= self.n and 1 <= v <= self.n):
-                raise ValueError(f"edge ({u}, {v}) leaves the node range [1, {self.n}]")
+            u, v = int(u), int(v)
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise ValueError(f"edge ({u}, {v}) leaves the node range [1, {n}]")
+            rows[u] |= 1 << (v - 1)
+        object.__setattr__(self, "rows", tuple(rows))
+
+    @classmethod
+    def from_rows(cls, n: int, rows: Iterable[int]) -> "DiGraph":
+        """The graph whose ``rows[u]`` holds u's out-neighbors (``rows[0]`` is 0)."""
+        _require_node_count(n)
+        rows = tuple(rows)
+        if len(rows) != n + 1 or rows[0] or any(r < 0 or r >> n for r in rows):
+            raise ValueError(f"rows must be n + 1 = {n + 1} masks of n bits with rows[0] = 0")
+        g = cls.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "rows", rows)
+        return g
 
     # -- edits (pure) --------------------------------------------------
 
     def add_edges(self, extra: Iterable[Edge]) -> "DiGraph":
         """Return the graph with ``extra`` unioned into the edge set."""
-        extra = frozenset(_as_edge(e) for e in extra)
-        if not extra:
-            return self
-        return DiGraph(self.n, self.edges | extra)
+        extra = DiGraph(self.n, extra).rows
+        rows = tuple(row | more for row, more in zip(self.rows, extra))
+        return self if rows == self.rows else DiGraph.from_rows(self.n, rows)
 
     def remove_edges(self, gone: Iterable[Edge]) -> "DiGraph":
         """Return the graph without ``gone``; absent edges are ignored."""
-        gone = frozenset(_as_edge(e) for e in gone)
-        if not gone & self.edges:
-            return self
-        return DiGraph(self.n, self.edges - gone)
+        gone = DiGraph(self.n, (e for e in gone if self.has_edge(*e))).rows
+        rows = tuple(row & ~less for row, less in zip(self.rows, gone))
+        return self if rows == self.rows else DiGraph.from_rows(self.n, rows)
 
     # -- queries -------------------------------------------------------
 
@@ -70,9 +141,18 @@ class DiGraph:
     def nodes(self) -> range:
         return range(1, self.n + 1)
 
-    @property
+    def has_edge(self, u: int, v: int) -> bool:
+        """True iff ``(u, v)`` is an edge; endpoints outside ``1..n`` give False."""
+        u, v = int(u), int(v)
+        return 1 <= u <= self.n and 1 <= v <= self.n and bool(self.rows[u] >> (v - 1) & 1)
+
+    @cached_property
+    def edges(self) -> frozenset[Edge]:
+        return frozenset((u, v) for u, row in enumerate(self.rows) if row for v in mask_nodes(row))
+
+    @cached_property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(row.bit_count() for row in self.rows)
 
     @cached_property
     def force_masks(self) -> tuple[int, ...]:
@@ -80,11 +160,19 @@ class DiGraph:
 
         A node is never its own out-neighbor for forcing purposes.
         """
-        masks = [0] * (self.n + 1)
-        for u, v in self.edges:
-            if u != v:
-                masks[u] |= 1 << (v - 1)
-        return tuple(masks)
+        return (0, *(row & ~(1 << u) for u, row in enumerate(self.rows[1:])))
+
+    @cached_property
+    def in_masks(self) -> tuple[int, ...]:
+        """In-neighbor bitmasks, self-loops dropped: the transpose of :attr:`force_masks`."""
+        return (0, *_transpose(self.force_masks[1:], self.n))
+
+    def relabeled(self, order: Sequence[int]) -> "DiGraph":
+        """The same graph with node ``order[i]`` renamed ``i + 1``."""
+        if sorted(order) != list(self.nodes):
+            raise ValueError(f"order must list the nodes 1..{self.n} once each")
+        rows = [self.rows[v] for v in order]
+        return DiGraph.from_rows(self.n, (0, *_select_bits(rows, self.n, np.asarray(order) - 1)))
 
     @cached_property
     def full_mask(self) -> int:
@@ -196,7 +284,7 @@ def is_chain_partition(g: DiGraph, cs: ChainSet) -> bool:
         return False
     if cs.node_count != g.n or cs.nodes != frozenset(g.nodes):
         return False
-    return cs.chain_edges <= g.edges
+    return all(g.has_edge(u, v) for u, v in cs.chain_edges)
 
 
 def topological_order(g: DiGraph) -> tuple[int, ...]:
@@ -209,18 +297,14 @@ def topological_order(g: DiGraph) -> tuple[int, ...]:
     Raises:
         CyclicError: the graph has a directed cycle (a self-loop counts).
     """
-    pending_out = [0] * (g.n + 1)
-    in_adj: list[list[int]] = [[] for _ in range(g.n + 1)]
-    for u, v in g.edges:
-        pending_out[u] += 1
-        in_adj[v].append(u)
+    pending_out = [row.bit_count() for row in g.rows]  # a self-loop never clears
     ready = [v for v in g.nodes if pending_out[v] == 0]
     heapq.heapify(ready)
     order: list[int] = []
     while ready:
         v = heapq.heappop(ready)
         order.append(v)
-        for u in in_adj[v]:
+        for u in mask_nodes(g.in_masks[v]):
             pending_out[u] -= 1
             if pending_out[u] == 0:
                 heapq.heappush(ready, u)

@@ -22,7 +22,7 @@ from .forcing import (
     _mask_of,
     forcing_schedule,
 )
-from .graphs import ConsistencyError, DiGraph, Edge, control_set
+from .graphs import ConsistencyError, DiGraph, Edge, control_set, mask_nodes
 from .synthesis import (
     TimeFunction,
     perfect_edge_count,
@@ -92,9 +92,11 @@ def critical_additive_set(
     record = forcing_schedule(g, z, policy)
     tf = TimeFunction.from_record(record)
     perf = perfect_graph(tf)
-    if not g.edges <= perf.edges:
+    if any(row & ~p for row, p in zip(g.rows, perf.rows)):
         raise ConsistencyError("graph is not contained in its own maximal member")
-    edges = perf.edges - g.edges
+    edges = frozenset(
+        (u, v) for u in g.nodes for v in mask_nodes(perf.rows[u] & ~g.rows[u])
+    )
     bound = perfect_edge_count(g.n, len(z)) - g.edge_count
     if len(edges) != bound:
         raise ConsistencyError(f"additive set has {len(edges)} edges, bound is {bound}")
@@ -108,7 +110,10 @@ def critical_subtractive_set(
     z = control_set(controls, g.n)
     record = forcing_schedule(g, z, policy)
     tf = TimeFunction.from_record(record)
-    edges = g.edges - record.chains.chain_edges
+    rows = list(g.rows)
+    for u, v in record.chains.successor.items():
+        rows[u] &= ~(1 << (v - 1))
+    edges = frozenset((u, v) for u in g.nodes for v in mask_nodes(rows[u]))
     bound = g.edge_count - g.n + len(z)
     if len(edges) != bound:
         raise ConsistencyError(f"subtractive set has {len(edges)} edges, bound is {bound}")
@@ -187,13 +192,13 @@ def verify_edge_set(
     z_mask = _mask_of(z)
     edges = sorted(report.edges)
     if report.kind in (ADDITIVE, INTER_NETWORK):
-        present = report.edges & g.edges
+        present = [e for e in edges if g.has_edge(*e)]
         if present:
-            raise ValueError(f"additive edges {sorted(present)} are already in the graph")
+            raise ValueError(f"additive edges {present} are already in the graph")
     elif report.kind == SUBTRACTIVE:
-        missing = report.edges - g.edges
+        missing = [e for e in edges if not g.has_edge(*e)]
         if missing:
-            raise ValueError(f"subtractive edges {sorted(missing)} are not in the graph")
+            raise ValueError(f"subtractive edges {missing} are not in the graph")
     else:  # pragma: no cover - kinds are closed
         raise ValueError(report.kind)
     # XOR-toggling covers both directions: additive subsets turn bits on,

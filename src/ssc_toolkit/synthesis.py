@@ -15,7 +15,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .graphs import Chain, ChainSet, ConsistencyError, DiGraph, Edge, control_set
+from .graphs import Chain, ChainSet, ConsistencyError, DiGraph, Edge, control_set, mask_nodes
 from .forcing import (
     LOWEST_FORCER,
     ForcingRecord,
@@ -117,6 +117,37 @@ def _require_valid(tf: TimeFunction) -> None:
         raise ValueError("invalid time function: " + "; ".join(problems))
 
 
+def _admissible_rows(tf: TimeFunction) -> dict[int, int]:
+    """For every node ``u``, the nodes ``v`` with ``tmax(u) >= t(v)`` as a bitmask.
+
+    In time order those targets are a prefix of the nodes, so one pass
+    over the time order builds every row.  ``tf`` must be valid: then
+    every ``tmax`` value is some node's time.
+    """
+    t = tf.times
+    upto: dict[int, int] = {}  # time T -> the nodes with t(v) <= T
+    mask = 0
+    for v in sorted(t, key=t.__getitem__):
+        mask |= 1 << (v - 1)
+        upto[t[v]] = mask
+    return {u: upto[T] for u, T in tf.tmax.items()}
+
+
+def _member_rows(tf: TimeFunction) -> list[int]:
+    """Rows of the maximal member: every admissible pair plus the chain edges.
+
+    ``tf`` must be valid.
+    """
+    if tf.chains.nodes != frozenset(range(1, tf.n + 1)):
+        raise ValueError(f"chain nodes must be exactly 1..{tf.n}")
+    rows = [0] * (tf.n + 1)
+    for u, row in _admissible_rows(tf).items():
+        rows[u] = row
+    for u, v in tf.chains.successor.items():
+        rows[u] |= 1 << (v - 1)
+    return rows
+
+
 def optional_edges(tf: TimeFunction) -> frozenset[Edge]:
     """Every admissible non-chain edge: the pairs with ``tmax(u) >= t(v)``.
 
@@ -125,33 +156,31 @@ def optional_edges(tf: TimeFunction) -> frozenset[Edge]:
     ``tmax(u) = t(v) - 1``.
     """
     _require_valid(tf)
-    t, tmax = tf.times, tf.tmax
-    nodes = sorted(tf.chains.nodes)
-    return frozenset((u, v) for u in nodes for v in nodes if tmax[u] >= t[v])
+    return frozenset(
+        (u, v) for u, row in _admissible_rows(tf).items() for v in mask_nodes(row)
+    )
 
 
 def is_ct_constructed(g: DiGraph, tf: TimeFunction) -> bool:
     """True iff ``g`` belongs to the family defined by ``tf``.
 
     Requires the chains to partition ``g`` with every chain edge present,
-    and forbids any non-chain edge (u, v) with ``tmax(u) < t(v)``.
+    and forbids any non-chain edge (u, v) with ``tmax(u) < t(v)``: every
+    row of ``g`` must lie inside the maximal member's row.
     """
     _require_valid(tf)
     if tf.chains.node_count != g.n or tf.chains.nodes != frozenset(g.nodes):
         return False
-    if not tf.chains.chain_edges <= g.edges:
+    if not all(g.has_edge(u, v) for u, v in tf.chains.successor.items()):
         return False
-    t, tmax = tf.times, tf.tmax
-    chain_edges = tf.chains.chain_edges
-    return all(tmax[u] >= t[v] for u, v in g.edges if (u, v) not in chain_edges)
+    return not any(row & ~member for row, member in zip(g.rows, _member_rows(tf)))
 
 
 def perfect_graph(tf: TimeFunction) -> DiGraph:
     """The unique maximal member of the family: chain edges plus every
     admissible pair.  Its edge count equals :func:`perfect_edge_count`."""
     _require_valid(tf)
-    edges = tf.chains.chain_edges | optional_edges(tf)
-    g = DiGraph(tf.n, edges)
+    g = DiGraph.from_rows(tf.n, _member_rows(tf))
     expect = perfect_edge_count(tf.n, tf.m)
     if g.edge_count != expect:
         raise ConsistencyError(
@@ -187,7 +216,7 @@ def is_perfect(
         return None
     record = forcing_schedule(g, z, policy)
     tf = TimeFunction.from_record(record)
-    if perfect_graph(tf).edges != g.edges:
+    if perfect_graph(tf) != g:
         return None
     return record.chains, tf
 
@@ -197,12 +226,16 @@ def is_perfect(
 
 def sample_member(tf: TimeFunction, rng: np.random.Generator) -> DiGraph:
     """Uniform member of the family: chain edges plus an independent
-    coin flip per admissible edge."""
-    opts = sorted(optional_edges(tf))
-    keep = rng.random(len(opts)) < 0.5
-    edges = set(tf.chains.chain_edges)
-    edges.update(e for e, k in zip(opts, keep) if k)
-    return DiGraph(tf.n, frozenset(edges))
+    coin flip per admissible edge, drawn in sorted edge order."""
+    _require_valid(tf)
+    admissible = _admissible_rows(tf)
+    opts = [(u, v) for u in sorted(admissible) for v in mask_nodes(admissible[u])]
+    keep = (rng.random(len(opts)) < 0.5).tolist()
+    rows = list(DiGraph(tf.n, tf.chains.chain_edges).rows)
+    for (u, v), k in zip(opts, keep):
+        if k:
+            rows[u] |= 1 << (v - 1)
+    return DiGraph.from_rows(tf.n, rows)
 
 
 def random_chain_set(n: int, m: int, rng: np.random.Generator) -> ChainSet:

@@ -187,6 +187,52 @@ class TestMaxInterEdges:
         assert is_zfs(combined.graph, combined.sources)
 
 
+class TestOneMerge:
+    def random_blocks(self, rng, count):
+        blocks = []
+        for _ in range(count):
+            n = int(rng.integers(1, 7))
+            tf = random_time_function(random_chain_set(n, int(rng.integers(1, n + 1)), rng), rng)
+            blocks.append((sample_member(tf, rng), tf))
+        return blocks
+
+    @given(st.integers(0, 100_000))
+    def test_max_inter_edges_is_the_cross_block_definition(self, seed):
+        rng = np.random.default_rng(seed)
+        blocks = self.random_blocks(rng, int(rng.integers(2, 4)))
+        seqs = enumerate_sequences([g.n - tf.m for g, tf in blocks], limit=20)
+        seq = seqs[int(rng.integers(len(seqs)))]
+        merged = combine_networks(blocks, seq, set())
+        t, tmax = merged.times.times, merged.times.tmax
+        expect = {
+            (u, v)
+            for u in merged.graph.nodes
+            for v in merged.graph.nodes
+            if merged.block_of(u) != merged.block_of(v) and tmax[u] >= t[v]
+        }
+        assert max_inter_edges(blocks, seq).edges == expect
+
+    def test_combine_then_max_inter_merges_once(self, block_path3, block_ring4, monkeypatch):
+        import ssc_toolkit.combine as combine
+
+        calls = []
+        real = combine.remap_time
+        monkeypatch.setattr(combine, "remap_time", lambda *a: calls.append(a) or real(*a))
+        blocks = [block_path3, block_ring4]
+        combine_networks(blocks, SEQ, dashed_inter())
+        max_inter_edges(blocks, SEQ)
+        assert len(calls) == len(blocks)
+
+    def test_a_different_merge_is_not_reused(self, block_path3, block_ring4):
+        blocks = [block_path3, block_ring4]
+        other = CombineSequence((0, 1, 1, 0))
+        first = max_inter_edges(blocks, SEQ)
+        second = max_inter_edges(blocks, other)
+        assert first.edges != second.edges
+        assert max_inter_edges(blocks, SEQ) == first
+        assert combine_networks(blocks, other, set()).times == second.witness
+
+
 class TestEnumerateSequences:
     def test_multinomial_count(self):
         assert len(enumerate_sequences([2, 2])) == 6

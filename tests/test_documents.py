@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ssc_toolkit.documents import (
     DocumentError,
@@ -15,6 +17,7 @@ from ssc_toolkit.documents import (
     parse_inter_edges,
     parse_schedule_file,
 )
+from ssc_toolkit.graphs import DiGraph
 
 RING = """\
 # ring with chord
@@ -88,6 +91,10 @@ class TestParse:
             ("NODES\na\nCHAINS\na a\n", 4, "repeats a node"),
             ("stray\nNODES\na\n", 1, "before any section"),
             ("NODES\na\nNODES\nb\n", 3, "duplicate section"),
+            ("NODES\na b\nEDGES\na c\n", 4, "unknown node name 'c'"),
+            ("EDGES\nb a\nNODES\na\n", 2, "unknown node name 'b'"),
+            ("NODES\na\nEDGES\na a\n# again\na a\n", 6, "duplicate edge a -> a"),
+            ("NODES\na b\nCONTROLS\na b\nb\n", 5, "duplicate control node 'b'"),
         ],
     )
     def test_errors_carry_line_numbers(self, text, line, fragment):
@@ -114,6 +121,54 @@ class TestParse:
         text = "NODES\na b\nEDGES\na b\nCHAINS\na b\nTIMES\na 1\nb 5\n"
         with pytest.raises(DocumentError, match="invalid times"):
             parse_document(text)
+
+
+@st.composite
+def documents(draw):
+    """Text of a random document, its node names and its edge lines in order.
+
+    Sections come in either order, with blank lines, comments and uneven
+    whitespace between the tokens.
+    """
+    n = draw(st.integers(1, 8))
+    names = draw(st.lists(st.from_regex(r"[a-z][a-z0-9_.]{0,4}", fullmatch=True),
+                          min_size=n, max_size=n, unique=True))
+    edges = draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)),
+                          unique=True, max_size=20))
+    gap = st.sampled_from([" ", "  ", "\t", " \t "])
+    node_lines = ["NODES", *(" ".join(names[i:i + 3]) for i in range(0, len(names), 3))]
+    edge_lines = ["EDGES"]
+    for a, b in edges:
+        line = f"{a}{draw(gap)}{b}"
+        if draw(st.booleans()):
+            line += f"{draw(gap)}# {a} to {b}"
+        edge_lines.append(line)
+        if draw(st.integers(0, 4)) == 0:
+            edge_lines.append(draw(st.sampled_from(["", "# note", "   "])))
+    sections = [node_lines, edge_lines]
+    if draw(st.booleans()):
+        sections.reverse()
+    text = "\n".join(line for section in sections for line in section) + "\n"
+    return text, names, edges
+
+
+class TestParsedGraph:
+    @given(documents())
+    def test_graph_is_the_name_mapped_edge_set(self, case):
+        text, names, edges = case
+        doc = parse_document(text)
+        ids = {name: i for i, name in enumerate(names, start=1)}
+        assert doc.names == tuple(names)
+        assert doc.edges == tuple(edges)
+        assert doc.graph() == DiGraph(len(names), [(ids[a], ids[b]) for a, b in edges])
+        assert doc.graph().edges == {(ids[a], ids[b]) for a, b in edges}
+
+    def test_graph_is_built_once(self):
+        doc = parse_document(RING)
+        assert doc.graph() is doc.graph()
+        direct = NetworkDocument(doc.names, doc.edges, doc.controls)
+        assert direct.graph() is direct.graph()
+        assert direct.graph() == doc.graph()
 
 
 class TestRoundTrip:

@@ -32,6 +32,40 @@ from reference import (
 )
 
 
+def naive_forces(g: DiGraph, black: set[int]) -> list[tuple[int, int]]:
+    """Every currently possible force, by a rescan of the edge set, sorted."""
+    out = []
+    for w in sorted(black):
+        whites = sorted(v for u, v in g.edges if u == w and v != w and v not in black)
+        if len(whites) == 1:
+            out.append((w, whites[0]))
+    return out
+
+
+def naive_schedule(g: DiGraph, z, policy: str) -> list[tuple[int, int]]:
+    black, forces = set(z), []
+    while apps := naive_forces(g, black):
+        force = apps[0] if policy == LOWEST_FORCER else min(apps, key=lambda e: (e[1], e[0]))
+        black.add(force[1])
+        forces.append(force)
+    return forces
+
+
+def recursive_enumeration(g: DiGraph, z, limit: int) -> list[tuple[tuple[int, int], ...]]:
+    """Depth-first force lists, by plain recursion over rescans."""
+    out: list[tuple[tuple[int, int], ...]] = []
+
+    def dfs(black: set[int], forces: list) -> bool:
+        apps = naive_forces(g, black)
+        if not apps:
+            out.append(tuple(forces))
+            return len(out) >= limit
+        return any(dfs(black | {f[1]}, forces + [f]) for f in apps)
+
+    dfs(set(z), [])
+    return out
+
+
 class TestDerivedSet:
     def test_path_forces_forward(self, path3):
         assert derived_set(path3, {1}) == {1, 2, 3}
@@ -146,6 +180,19 @@ class TestForcingSchedule:
                 assert len(rec.forces) == g.n - len(z)
 
     @given(digraphs(max_n=8), st.data())
+    def test_policies_match_a_naive_rescan(self, g: DiGraph, data):
+        z = frozenset(
+            data.draw(st.frozensets(st.sampled_from(range(1, g.n + 1)), min_size=1))
+        )
+        for policy in (LOWEST_FORCER, LOWEST_FORCED):
+            expect = naive_schedule(g, z, policy)
+            if len(expect) < g.n - len(z):
+                with pytest.raises(NotZfsError):
+                    forcing_schedule(g, z, policy)
+            else:
+                assert list(forcing_schedule(g, z, policy).forces) == expect
+
+    @given(digraphs(max_n=8), st.data())
     def test_record_chain_invariants(self, g: DiGraph, data):
         z = frozenset(
             data.draw(st.frozensets(st.sampled_from(range(1, g.n + 1)), min_size=1))
@@ -187,6 +234,24 @@ class TestEnumerateSchedules:
         assert ((1, 6, 5, 4), (2, 3)) in chain_shapes
         assert ((1, 6, 5, 4, 3), (2,)) in chain_shapes
         assert ((1, 6, 5), (2, 3, 4)) in chain_shapes
+
+    @given(digraphs(max_n=6), st.data())
+    def test_same_records_in_the_same_order_as_recursion(self, g: DiGraph, data):
+        z = frozenset(
+            data.draw(st.frozensets(st.sampled_from(range(1, g.n + 1)), min_size=1))
+        )
+        if not is_zfs(g, z):
+            return
+        limit = data.draw(st.integers(1, 30))
+        got = [r.forces for r in enumerate_forcing_schedules(g, z, limit=limit)]
+        assert got == recursive_enumeration(g, z, limit)
+
+    def test_depth_is_not_bounded_by_the_recursion_limit(self):
+        n = 3000
+        path = DiGraph(n, [(v, v + 1) for v in range(1, n)] + [(v + 1, v) for v in range(1, n)])
+        (rec,) = enumerate_forcing_schedules(path, {1}, limit=5)
+        assert rec.forces == tuple((v, v + 1) for v in range(1, n))
+        assert rec == forcing_schedule(path, {1})
 
     def test_limit_truncates(self, ring6):
         assert len(enumerate_forcing_schedules(ring6, {1, 2}, limit=3)) == 3

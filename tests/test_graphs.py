@@ -12,6 +12,7 @@ from ssc_toolkit.graphs import (
     DiGraph,
     control_set,
     is_chain_partition,
+    mask_nodes,
     topological_order,
 )
 
@@ -64,6 +65,113 @@ class TestDiGraph:
         ]
         extra = data.draw(st.frozensets(st.sampled_from(absent))) if absent else frozenset()
         assert g.add_edges(extra).remove_edges(extra) == g
+
+
+@st.composite
+def edge_sets(draw, max_n: int = 9):
+    """A node count and a random edge set on it, self-loops included."""
+    n = draw(st.integers(1, max_n))
+    pairs = st.tuples(st.integers(1, n), st.integers(1, n))
+    return n, draw(st.frozensets(pairs, max_size=n * n))
+
+
+def rows_of(n: int, edges) -> list[int]:
+    rows = [0] * (n + 1)
+    for u, v in edges:
+        rows[u] |= 1 << (v - 1)
+    return rows
+
+
+class TestRowStorage:
+    """Graphs built from edges and from rows are the same value."""
+
+    @given(edge_sets())
+    def test_edges_and_rows_agree(self, case):
+        n, edges = case
+        from_edges = DiGraph(n, edges)
+        from_rows = DiGraph.from_rows(n, rows_of(n, edges))
+        assert from_edges.rows == from_rows.rows == tuple(rows_of(n, edges))
+        for g in (from_edges, from_rows):
+            assert g.edges == edges
+            assert g.edge_count == len(edges)
+        assert from_edges == from_rows
+        assert hash(from_edges) == hash(from_rows)
+        assert (from_edges == DiGraph(n, edges | {(1, 1)})) == ((1, 1) in edges)
+
+    @given(edge_sets())
+    def test_force_masks_drop_self_loops(self, case):
+        n, edges = case
+        expect = [0] * (n + 1)
+        for u, v in edges:
+            if u != v:
+                expect[u] |= 1 << (v - 1)
+        g = DiGraph(n, edges)
+        assert g.force_masks == tuple(expect)
+        transposed = [0] * (n + 1)
+        for u, v in edges:
+            if u != v:
+                transposed[v] |= 1 << (u - 1)
+        assert g.in_masks == tuple(transposed)
+
+    @given(edge_sets(), st.data())
+    def test_add_and_remove_round_trip(self, case, data):
+        n, edges = case
+        g = DiGraph(n, edges)
+        pairs = st.tuples(st.integers(1, n), st.integers(1, n))
+        extra = data.draw(st.frozensets(pairs, max_size=8))
+        grown = g.add_edges(extra)
+        assert grown.edges == edges | extra
+        assert grown.edge_count == len(edges | extra)
+        assert grown.remove_edges(extra - edges) == g
+        assert g.remove_edges(extra).edges == edges - extra
+        assert g.remove_edges(extra).add_edges(extra & edges) == g
+
+    @given(edge_sets())
+    def test_has_edge_is_membership(self, case):
+        n, edges = case
+        g = DiGraph(n, edges)
+        for u in range(0, n + 2):
+            for v in range(0, n + 2):
+                assert g.has_edge(u, v) == ((u, v) in edges)
+
+    @given(edge_sets(), st.data())
+    def test_relabeled_renames_every_edge(self, case, data):
+        n, edges = case
+        order = data.draw(st.permutations(range(1, n + 1)))
+        new_id = {v: i for i, v in enumerate(order, start=1)}
+        relabeled = DiGraph(n, edges).relabeled(order)
+        assert relabeled == DiGraph(n, {(new_id[u], new_id[v]) for u, v in edges})
+        with pytest.raises(ValueError):
+            DiGraph(n, edges).relabeled(list(order) + [n + 1])
+
+    def test_bit_matrix_work_spans_several_chunks(self):
+        # the transpose and the relabeling unpack 1024 rows at a time
+        rng = np.random.default_rng(5)
+        n = 2100
+        edges = {(int(u), int(v)) for u, v in rng.integers(1, n + 1, size=(4 * n, 2))}
+        g = DiGraph(n, edges)
+        assert g.in_masks == tuple(rows_of(n, {(v, u) for u, v in edges if u != v}))
+        order = [int(v) for v in rng.permutation(n) + 1]
+        new_id = {v: i for i, v in enumerate(order, start=1)}
+        assert g.relabeled(order) == DiGraph(n, {(new_id[u], new_id[v]) for u, v in edges})
+
+    def test_from_rows_rejects_malformed_rows(self):
+        with pytest.raises(ValueError):
+            DiGraph.from_rows(0, [0])
+        with pytest.raises(ValueError):
+            DiGraph.from_rows(2, [0, 1])  # too few rows
+        with pytest.raises(ValueError):
+            DiGraph.from_rows(2, [1, 0, 0])  # row 0 must be empty
+        with pytest.raises(ValueError):
+            DiGraph.from_rows(2, [0, 0b100, 0])  # node 3 does not exist
+        with pytest.raises(ValueError):
+            DiGraph.from_rows(2, [0, -1, 0])
+
+    def test_mask_nodes_lists_bits_ascending(self):
+        assert mask_nodes(0) == []
+        assert mask_nodes(0b1) == [1]
+        assert mask_nodes(0b101100) == [3, 4, 6]
+        assert mask_nodes(1 << 2999 | 1 << 1500) == [1501, 3000]
 
 
 class TestControlSet:

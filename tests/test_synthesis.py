@@ -141,6 +141,47 @@ class TestPerfectGraph:
                     assert perfect_graph(tf).edge_count == perfect_edge_count(n, m)
 
 
+def admissible_pairs(tf: TimeFunction) -> set[tuple[int, int]]:
+    """The definition, pair by pair: every (u, v) with tmax(u) >= t(v)."""
+    return {(u, v) for u in tf.times for v in tf.times if tf.tmax[u] >= tf.times[v]}
+
+
+class TestAgainstTheDefinition:
+    """The prefix-mask constructions equal the pairwise definitions."""
+
+    @given(timed_partitions(max_n=12))
+    def test_optional_edges(self, tf: TimeFunction):
+        assert optional_edges(tf) == admissible_pairs(tf)
+
+    @given(timed_partitions(max_n=12))
+    def test_perfect_graph(self, tf: TimeFunction):
+        g = perfect_graph(tf)
+        assert g.n == tf.n
+        assert g.edges == admissible_pairs(tf) | tf.chains.chain_edges
+
+    @given(timed_partitions(max_n=12), st.data())
+    def test_is_ct_constructed(self, tf: TimeFunction, data):
+        pairs = sorted((u, v) for u in tf.times for v in tf.times)
+        chain = tf.chains.chain_edges
+        drop = data.draw(st.frozensets(st.sampled_from(sorted(chain)))) if chain else frozenset()
+        extra = data.draw(st.frozensets(st.sampled_from(pairs), max_size=2 * tf.n))
+        g = DiGraph(tf.n, (chain - drop) | extra)
+        allowed = admissible_pairs(tf) | chain
+        expect = chain <= g.edges and g.edges <= allowed
+        assert is_ct_constructed(g, tf) == expect
+
+    def test_perfect_graph_at_n_2000(self):
+        tf = random_time_function(random_chain_set(2000, 1, np.random.default_rng(1)),
+                                  np.random.default_rng(2))
+        g = perfect_graph(tf)
+        assert g.edge_count == perfect_edge_count(2000, 1)
+        t, tmax = tf.times, tf.tmax
+        for u in (1, 777, 2000):
+            targets = {v for v in tf.times if tmax[u] >= t[v]} | {
+                v for w, v in tf.chains.chain_edges if w == u}
+            assert {v for v in range(1, 2001) if g.has_edge(u, v)} == targets
+
+
 class TestIsPerfect:
     def test_ring_is_not_perfect(self, ring6):
         assert is_perfect(ring6, {1, 2}) is None  # 14 != 30
