@@ -51,6 +51,7 @@ from .forcing import (
 from .graphs import ConsistencyError, CyclicError
 from .oracle import ltv_gramian_rank, schedule_from_edges, verify_ssc_numeric
 from .robustness import (
+    DEFAULT_BUDGET,
     critical_additive_set,
     critical_subtractive_set,
     verify_edge_set,
@@ -504,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("document")
     p.add_argument("--mode", choices=("add", "sub"), required=True)
     p.add_argument("--policy", default="lowest-forcer")
-    p.add_argument("--budget", type=int, default=2**20)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--no-verify", action="store_true")
     common(p)

@@ -253,6 +253,15 @@ def forcing_schedule(
     return _build_record(g, z, forces)
 
 
+def _require_all_black(g: DiGraph, z: frozenset[int], state: _Frontier) -> None:
+    """Raise :class:`NotZfsError` unless the search's leaf is all black."""
+    if state.black != g.full_mask:
+        stalled = _nodes_of(g.full_mask & ~state.black)
+        raise NotZfsError(
+            f"controls {sorted(z)} are not a zero forcing set", stalled_white=stalled
+        )
+
+
 def enumerate_forcing_schedules(
     g: DiGraph, controls: Iterable[int], limit: int | None = None
 ) -> list[ForcingRecord]:
@@ -268,20 +277,15 @@ def enumerate_forcing_schedules(
     if limit is not None and limit < 1:
         raise ValueError("limit must be at least 1")
     z = control_set(controls, g.n)
-    if not is_zfs(g, z):
-        stalled = frozenset(g.nodes) - derived_set(g, z)
-        raise NotZfsError(
-            f"controls {sorted(z)} are not a zero forcing set", stalled_white=stalled
-        )
-
-    # Once the controls force everything, no branch can stall: every
-    # maximal force list ends with the whole graph black.  The search keeps
-    # an explicit stack of the forces still to try at each depth, so its
-    # depth (one level per force) is not bounded by the interpreter's
-    # recursion limit.
+    # The search keeps an explicit stack of the forces still to try at each
+    # depth, so its depth (one level per force) is not bounded by the
+    # interpreter's recursion limit.  Derived sets do not depend on the
+    # order of the forces, so every leaf ends on the same black set: the
+    # whole graph, or else the stalled derived set the first leaf reports.
     state = _Frontier(g, z)
     forces: list[Edge] = []
-    if not state.ready:  # the controls are every node
+    if not state.ready:  # the controls force nothing
+        _require_all_black(g, z, state)
         return [_build_record(g, z, forces)]
     pending = [iter(state.applicable())]
     records: list[ForcingRecord] = []
@@ -297,6 +301,8 @@ def enumerate_forcing_schedules(
         if state.ready:
             pending.append(iter(state.applicable()))
             continue
+        if not records:
+            _require_all_black(g, z, state)
         records.append(_build_record(g, z, forces))
         if limit is not None and len(records) >= limit:
             break

@@ -10,6 +10,7 @@ the current one, removals at everything except one chain skeleton.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -17,8 +18,6 @@ import numpy as np
 from .forcing import (
     LOWEST_FORCER,
     TieBreakPolicy,
-    _closure,
-    _id_order,
     _mask_of,
     forcing_schedule,
 )
@@ -36,6 +35,12 @@ INTER_NETWORK = "inter-network"
 
 DEFAULT_BUDGET = 2**20
 SAMPLED_SUBSETS = 10_000
+
+# Subsets are verified this many at a time, one bit lane each of the ints
+# a shared closure works on: O((n + k) * _LANES / 8) bytes for k toggles.
+_LANES = 1 << 14
+# The sampled scan draws at most about this many uniforms at once.
+_DRAW = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -56,7 +61,14 @@ class EdgeSetReport:
     def __post_init__(self):
         if self.kind not in (ADDITIVE, SUBTRACTIVE, INTER_NETWORK):
             raise ValueError(f"unknown report kind {self.kind!r}")
-        object.__setattr__(self, "edges", frozenset((int(u), int(v)) for u, v in self.edges))
+        edges = self.edges
+        # Producers here already pass frozensets of Python-int pairs; other
+        # ints (numpy's) are converted, as ``1 << np.int64(v)`` overflows.
+        if type(edges) is not frozenset or not all(
+            type(e) is tuple and len(e) == 2 and type(e[0]) is int and type(e[1]) is int
+            for e in edges
+        ):
+            object.__setattr__(self, "edges", frozenset((int(u), int(v)) for u, v in edges))
         if len(self.edges) != self.bound:
             raise ValueError(
                 f"report carries {len(self.edges)} edges but claims a bound of {self.bound}"
@@ -130,7 +142,7 @@ class VerificationOutcome:
     counterexample: frozenset[Edge] | None = None
 
 
-def _sweep_order(g: DiGraph, tf: TimeFunction | None) -> tuple[tuple[int, int], ...]:
+def _sweep_order(g: DiGraph, tf: TimeFunction | None) -> tuple[int, ...]:
     """Closure order for the subsets: the witness's forcers by ``tmax``, then
     the remaining nodes by id.
 
@@ -141,34 +153,154 @@ def _sweep_order(g: DiGraph, tf: TimeFunction | None) -> tuple[tuple[int, int], 
     nodes the sweep runs in id order.
     """
     if tf is None or tf.chains.nodes != frozenset(g.nodes) or validate_time_function(tf):
-        return _id_order(g.n)
+        return tuple(g.nodes)
     forcers = sorted(tf.chains.successor, key=tf.tmax.__getitem__)
-    rest = [v for v in g.nodes if v not in tf.chains.successor]
-    return tuple((v, 1 << (v - 1)) for v in forcers + rest)
+    return (*forcers, *(v for v in g.nodes if v not in tf.chains.successor))
 
 
-def _subset_from_index(edges: list[Edge], subset_index: int) -> frozenset[Edge]:
-    gray = subset_index ^ (subset_index >> 1)
-    return frozenset(e for pos, e in enumerate(edges) if gray >> pos & 1)
+def _failing_lanes(g: DiGraph, order, z_mask: int, toggles, columns, full: int) -> int:
+    """The lanes in which ``z_mask`` stops forcing ``g``, all lanes in one closure.
 
-
-def _scan(
-    g: DiGraph, order, z_mask: int, toggles: list[tuple[int, int]]
-) -> tuple[int, int | None]:
-    """Exhaustively test every subset of the toggles in gray order.
-
-    Toggling one edge per step keeps the per-subset cost at a single
-    forcing closure.  Returns (subsets tested, first failing index).
+    Lane ``i`` (bit ``i`` of ``full``) is one variant of ``g``: toggle
+    ``(u, bit)`` flips the edge ``bit`` of u's forcing mask in the lanes set
+    in its column.  ``white[v]`` holds the lanes in which v is still white,
+    and each sweep applies the color-change rule to every lane at once: a
+    forcer's white out-neighbors are counted in two accumulators, ``one``
+    (at least one) and ``two`` (at least two).  Lanes evolve exactly as
+    separate closures would, and sweeps repeat until no lane changes.
     """
-    full = g.full_mask
-    masks = list(g.force_masks)
-    for i in range(2 ** len(toggles)):
-        if i:
-            u, bit = toggles[(i & -i).bit_length() - 1]  # gray(i) ^ gray(i - 1)
-            masks[u] ^= bit
-        if _closure(masks, order, z_mask, full) != full:
-            return i + 1, i
-    return 2 ** len(toggles), None
+    n = g.n
+    rows = list(g.force_masks)
+    toggled: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    for (u, bit), lanes in zip(toggles, columns):
+        if not bit or not lanes:
+            continue
+        if lanes == full:
+            rows[u] ^= bit
+            continue
+        # the edge is present where it was toggled on, or where it was in
+        # g and not toggled off
+        toggled[u].append((bit.bit_length(), full ^ lanes if rows[u] & bit else lanes))
+        rows[u] &= ~bit
+    fixed = [mask_nodes(r) for r in rows]
+    white = [0] + [full] * n
+    for v in mask_nodes(z_mask):
+        white[v] = 0
+    changed = True
+    while changed and any(white):
+        changed = False
+        for u in order:
+            black = full ^ white[u]
+            if not black:
+                continue
+            one = two = 0
+            for v in fixed[u]:
+                w = white[v]
+                two |= one & w
+                one |= w
+            for v, present in toggled[u]:
+                w = white[v] & present
+                two |= one & w
+                one |= w
+            force = black & (one ^ two)  # exactly one white out-neighbor
+            if force:
+                changed = True
+                keep = full ^ force
+                for v in fixed[u]:
+                    white[v] &= keep
+                for v, present in toggled[u]:
+                    white[v] &= full ^ (force & present)
+    fails = 0
+    for w in white:
+        fails |= w
+    return fails
+
+
+@lru_cache(maxsize=16)
+def _gray_lanes(b: int) -> tuple[int, ...]:
+    """Column ``pos`` (for ``pos < b``) of the gray codes ``0..2**b - 1``:
+    bit ``l`` is set iff ``gray(l)`` has bit ``pos``."""
+    lanes = np.arange(1 << b)
+    gray = lanes ^ lanes >> 1
+    return tuple(
+        int.from_bytes(np.packbits(gray >> pos & 1, bitorder="little").tobytes(), "little")
+        for pos in range(b)
+    )
+
+
+def _gray_blocks(k: int):
+    """The subsets of k toggles in gray order, as ``(width, columns)`` blocks.
+
+    Subset ``i`` toggles position ``pos`` iff ``gray(i) = i ^ (i >> 1)`` has
+    bit ``pos``.  With ``width = 2**b`` lanes per block, lane ``l`` of block
+    ``j`` is subset ``i = j * width + l``, and ``gray(i)`` is ``gray(l)``
+    with bit ``b - 1`` flipped when j is odd, above ``gray(j) << b``: the
+    low columns are fixed lane patterns and the high ones are constant per
+    block.
+    """
+    width = min(2**k, _LANES)
+    b = width.bit_length() - 1
+    full = (1 << width) - 1
+    low = _gray_lanes(b)
+    for j in range(2**k >> b):
+        columns = list(low)
+        if j & 1:
+            columns[b - 1] ^= full
+        high = j ^ j >> 1
+        columns.extend(full if high >> pos & 1 else 0 for pos in range(k - b))
+        yield width, columns
+
+
+def _draw_columns(rng: np.random.Generator, rows: int, k: int) -> list[int]:
+    """The next ``rows`` random subsets of k toggles as k packed columns:
+    bit ``r`` of column ``pos`` says whether subset ``r`` keeps ``pos``.
+
+    Row chunks of the ``(rows, k)`` draw consume the generator's stream
+    exactly as one draw does, and hold at most about ``_DRAW`` uniforms.
+    """
+    packed = np.zeros((k, (rows + 7) // 8), np.uint8)
+    step = max(8, _DRAW // k // 8 * 8)
+    for r in range(0, rows, step):
+        keep = rng.random((min(step, rows - r), k)) < 0.5
+        packed[:, r // 8 : (r + len(keep) + 7) // 8] = np.packbits(
+            keep.T, axis=1, bitorder="little"
+        )
+    return [int.from_bytes(c.tobytes(), "little") for c in packed]
+
+
+def _sampled_blocks(k: int, rng: np.random.Generator):
+    """The k singletons, the full set, then ``SAMPLED_SUBSETS`` seeded random
+    subsets, as ``(width, columns)`` blocks of consecutive lanes."""
+    total = k + 1 + SAMPLED_SUBSETS
+    for lo in range(0, total, _LANES):
+        hi = min(lo + _LANES, total)
+        columns = [1 << (t - lo) if lo <= t < hi else 0 for t in range(k)]
+        if lo <= k < hi:
+            columns = [c | 1 << (k - lo) for c in columns]
+        first = max(lo, k + 1)
+        if first < hi:
+            drawn = _draw_columns(rng, hi - first, k)
+            columns = [c | d << (first - lo) for c, d in zip(columns, drawn)]
+        yield hi - lo, columns
+
+
+def _scan(g: DiGraph, order, z_mask: int, toggles, blocks) -> tuple[int, list[int] | None]:
+    """Test the subsets of ``blocks`` in order, one shared closure per block.
+
+    Every subset is one bit lane of the block's closure, so a block costs
+    about as much as one closure on ints of ``width`` bits.  The scan stops
+    at the first block with a failing lane and reports its lowest one, the
+    subset a one-by-one scan would have met first.  Returns (subsets
+    tested, the toggle positions of the first failing subset or None).
+    """
+    tested = 0
+    for width, columns in blocks:
+        fails = _failing_lanes(g, order, z_mask, toggles, columns, (1 << width) - 1)
+        if fails:
+            lane = (fails & -fails).bit_length() - 1
+            return tested + lane + 1, [pos for pos, c in enumerate(columns) if c >> lane & 1]
+        tested += width
+    return tested, None
 
 
 def verify_edge_set(
@@ -182,11 +314,13 @@ def verify_edge_set(
     a zero forcing set.
 
     Additive and inter-network subsets are added to ``g``, subtractive
-    subsets removed.  Exhaustive when ``2**len(edges) <= budget``;
-    otherwise the singletons, the full set, and 10,000 seeded random
+    subsets removed.  Exhaustive when ``2**len(edges) <= budget``, in gray
+    order; otherwise the singletons, the full set, and 10,000 seeded random
     subsets are tested.  Self-loop toggles never affect forcing, so they
-    are counted but cost nothing.  Every subset gets its own full closure;
-    the report's witness only orders the closure's sweep.
+    are counted but cost nothing.  Every subset gets its own lane of a
+    closure shared by a block of subsets, so each subset's verdict is that
+    of its own full closure; the report's witness sets only the number of
+    sweeps the closure takes.
     """
     z = control_set(controls, g.n)
     z_mask = _mask_of(z)
@@ -207,25 +341,14 @@ def verify_edge_set(
     toggles = [(u, 0 if u == v else 1 << (v - 1)) for u, v in edges]
     order = _sweep_order(g, report.witness)
     k = len(edges)
-    if k == 0 or 2**k <= budget:
-        tested, fail_index = _scan(g, order, z_mask, toggles)
-        if fail_index is None:
-            return VerificationOutcome(True, True, tested)
-        return VerificationOutcome(False, True, tested, _subset_from_index(edges, fail_index))
-
-    full = g.full_mask
-    rng = np.random.default_rng(seed)
-    picks = [[pos == i for pos in range(k)] for i in range(k)]
-    picks.append([True] * k)
-    # One draw of SAMPLED_SUBSETS rows yields the same stream as one draw per row.
-    picks.extend((rng.random((SAMPLED_SUBSETS, k)) < 0.5).tolist())
-    for tested, keep in enumerate(picks, start=1):
-        masks = list(g.force_masks)
-        for (u, bit), kp in zip(toggles, keep):
-            if kp:
-                masks[u] ^= bit
-        if _closure(masks, order, z_mask, full) != full:
-            return VerificationOutcome(
-                False, False, tested, frozenset(e for e, kp in zip(edges, keep) if kp)
-            )
-    return VerificationOutcome(True, False, len(picks))
+    exhaustive = k == 0 or 2**k <= budget
+    if exhaustive:
+        blocks = _gray_blocks(k)
+    else:
+        blocks = _sampled_blocks(k, np.random.default_rng(seed))
+    tested, failing = _scan(g, order, z_mask, toggles, blocks)
+    if failing is None:
+        return VerificationOutcome(True, exhaustive, tested)
+    return VerificationOutcome(
+        False, exhaustive, tested, frozenset(edges[pos] for pos in failing)
+    )

@@ -34,6 +34,28 @@ def naive_is_zfs(g: DiGraph, start) -> bool:
     return naive_derived_set(g, start) == set(g.nodes)
 
 
+def swept_derived_set(n: int, edges, start) -> set[int]:
+    """Fixed point of the color-change rule on nodes ``1..n`` with the raw
+    edge set ``edges``: sweep the nodes in id order, letting every black
+    node with exactly one white out-neighbor (self-loops ignored) force
+    it, until a sweep forces nothing."""
+    out: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
+    for u, v in edges:
+        if u != v:
+            out[u].add(v)
+    black = set(start)
+    changed = True
+    while changed:
+        changed = False
+        for w in range(1, n + 1):
+            if w in black:
+                whites = out[w] - black
+                if len(whites) == 1:
+                    black |= whites
+                    changed = True
+    return black
+
+
 def has_cycle(g: DiGraph) -> bool:
     """Three-color DFS cycle detection."""
     WHITE, GRAY, BLACK = 0, 1, 2

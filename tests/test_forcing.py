@@ -260,6 +260,20 @@ class TestEnumerateSchedules:
         with pytest.raises(NotZfsError):
             enumerate_forcing_schedules(path3, {3}, limit=5)
 
+    @given(digraphs(max_n=6), st.data())
+    def test_stall_reports_the_derived_set(self, g: DiGraph, data):
+        z = frozenset(
+            data.draw(st.frozensets(st.sampled_from(range(1, g.n + 1)), min_size=1))
+        )
+        derived = naive_derived_set(g, z)
+        if derived == set(g.nodes):
+            assert enumerate_forcing_schedules(g, z, limit=1)
+            return
+        with pytest.raises(NotZfsError) as raised:
+            enumerate_forcing_schedules(g, z, limit=1)
+        assert str(raised.value) == f"controls {sorted(z)} are not a zero forcing set"
+        assert raised.value.stalled_white == set(g.nodes) - derived
+
     def test_limit_must_be_positive(self, path3):
         with pytest.raises(ValueError, match="at least 1"):
             enumerate_forcing_schedules(path3, {1}, limit=0)

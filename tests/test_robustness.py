@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import chain
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from ssc_toolkit.forcing import (
     enumerate_forcing_schedules,
     is_zfs,
 )
+from ssc_toolkit import robustness
 from ssc_toolkit.graphs import DiGraph
 from ssc_toolkit.robustness import (
     ADDITIVE,
@@ -37,8 +40,8 @@ from ssc_toolkit.synthesis import (
     sample_member,
 )
 
-from conftest import timed_partitions
-from reference import brute_force_additive, naive_is_zfs
+from conftest import digraphs, timed_partitions
+from reference import brute_force_additive, swept_derived_set
 
 
 class TestAdditiveNumber:
@@ -164,28 +167,33 @@ class TestVerifyEdgeSet:
             verify_edge_set(path3, {1}, report)
 
 
-def _naive_verification(g, z, report, budget) -> VerificationOutcome:
+def _naive_verification(g, z, report, budget, seed=0) -> VerificationOutcome:
     """verify_edge_set from first principles: the same subsets in the same
-    order, each applied to the edge set and tested with the reference."""
+    order, one at a time, each applied to the raw edge set and tested with
+    the reference closure."""
     edges = sorted(report.edges)
     k = len(edges)
-    apply = g.remove_edges if report.kind == SUBTRACTIVE else g.add_edges
-    exhaustive = 2**k <= budget
+    exhaustive = k == 0 or 2**k <= budget
     if exhaustive:
-        subsets = [
+        subsets = (
             frozenset(e for pos, e in enumerate(edges) if (i ^ i >> 1) >> pos & 1)
             for i in range(2**k)
-        ]
+        )
     else:
-        rng = np.random.default_rng(0)  # verify_edge_set's default seed
-        subsets = [frozenset([e]) for e in edges] + [frozenset(edges)]
-        for _ in range(SAMPLED_SUBSETS):
-            keep = rng.random(k) < 0.5
-            subsets.append(frozenset(e for e, kp in zip(edges, keep) if kp))
-    for tested, subset in enumerate(subsets, start=1):
-        if not naive_is_zfs(apply(subset), z):
+        rng = np.random.default_rng(seed)
+        drawn = (rng.random(k) < 0.5 for _ in range(SAMPLED_SUBSETS))
+        subsets = chain(
+            (frozenset([e]) for e in edges),
+            [frozenset(edges)],
+            (frozenset(e for e, kp in zip(edges, keep) if kp) for keep in drawn),
+        )
+    tested = 0
+    for subset in subsets:
+        tested += 1
+        applied = g.edges - subset if report.kind == SUBTRACTIVE else g.edges | subset
+        if swept_derived_set(g.n, applied, z) != set(g.nodes):
             return VerificationOutcome(False, exhaustive, tested, subset)
-    return VerificationOutcome(True, exhaustive, len(subsets))
+    return VerificationOutcome(True, exhaustive, tested)
 
 
 # {2, 3} forces this graph under either tie-break policy, but the two
@@ -245,6 +253,136 @@ class TestVerifyWithMisleadingWitness:
         outcome = verify_edge_set(g, z, report, budget=budget)
         no_witness = verify_edge_set(g, z, replace(report, witness=None), budget=budget)
         assert outcome == no_witness == _naive_verification(g, z, report, budget)
+
+
+@st.composite
+def perturbations(draw, max_n: int = 6, max_k: int = 7):
+    """A network of 3 or more nodes, controls, and a report of 3 to ``max_k``
+    edges to toggle (fewer where the graph has fewer candidates).
+
+    Half the networks are family members, with or without the family's
+    witness (their chain sources force them), half arbitrary graphs with
+    arbitrary control sets, every node included.  Candidate edges include
+    self-loops.
+    """
+    if draw(st.booleans()):
+        tf = draw(timed_partitions(max_n=max_n).filter(lambda tf: len(tf.times) >= 3))
+        g = sample_member(tf, np.random.default_rng(draw(st.integers(0, 5000))))
+        z = tf.chains.sources
+        witness = draw(st.sampled_from([tf, None]))
+    else:
+        g = draw(digraphs(max_n=max_n).filter(lambda g: g.n >= 3))
+        z = draw(st.frozensets(st.sampled_from(range(1, g.n + 1)), min_size=1))
+        witness = None
+    kind = draw(st.sampled_from([ADDITIVE, SUBTRACTIVE]))
+    if kind == SUBTRACTIVE:
+        pool = sorted(g.edges)
+    else:
+        pool = [(u, v) for u in g.nodes for v in g.nodes if not g.has_edge(u, v)]
+    k = draw(st.integers(min(3, len(pool)), min(max_k, len(pool))))
+    edges = frozenset(draw(st.permutations(pool))[:k])
+    return g, z, EdgeSetReport(kind, edges, k, witness)
+
+
+def _lanes(width):
+    """Run the lane scan with ``width`` subsets per block."""
+    return mock.patch.object(robustness, "_LANES", width)
+
+
+class TestLaneScan:
+    """Every subset is one lane of a shared closure; the outcome must be
+    that of testing the subsets one at a time, for any block width."""
+
+    @pytest.mark.parametrize("width", [2, 8, robustness._LANES])
+    @given(perturbations())
+    def test_exhaustive_matches_sequential_scan(self, width, case):
+        g, z, report = case
+        with _lanes(width):
+            outcome = verify_edge_set(g, z, report)
+        assert outcome == _naive_verification(g, z, report, DEFAULT_BUDGET)
+        assert outcome.exhaustive and outcome.subsets_tested <= 2 ** len(report.edges)
+
+    @pytest.mark.parametrize("width", [8, robustness._LANES])
+    @given(perturbations(max_k=9), st.integers(0, 3))
+    def test_sampled_matches_sequential_scan(self, width, case, seed):
+        g, z, report = case
+        budget = 2 ** len(report.edges) // 2
+        with _lanes(width):
+            outcome = verify_edge_set(g, z, report, budget=budget, seed=seed)
+        assert outcome == _naive_verification(g, z, report, budget, seed)
+
+    @pytest.mark.parametrize("budget", [DEFAULT_BUDGET, 2])
+    @pytest.mark.parametrize(
+        "kind, edges",
+        [
+            (ADDITIVE, frozenset()),
+            (ADDITIVE, frozenset({(1, 1), (3, 3), (1, 3), (3, 1)})),
+            (SUBTRACTIVE, frozenset({(2, 2), (1, 2), (2, 3)})),
+        ],
+        ids=["k0", "add", "sub"],
+    )
+    def test_controls_on_every_node_always_pass(self, kind, edges, budget):
+        g = DiGraph(3, frozenset({(1, 2), (2, 2), (2, 3)}))
+        report = EdgeSetReport(kind, edges, len(edges))
+        outcome = verify_edge_set(g, {1, 2, 3}, report, budget=budget)
+        assert outcome == _naive_verification(g, {1, 2, 3}, report, budget)
+        assert outcome.passed
+
+    @pytest.mark.parametrize(
+        "n, controls, skeleton, breaking, counterexample",
+        [
+            # only the last toggle, (14, 16), breaks the path: subset 2**14
+            # is the first of the second block, where gray bit 14 is folded
+            # into the block's rows
+            (16, {1}, [(v, v + 1) for v in range(1, 16)], [(14, 16)],
+             {(14, 14), (14, 16)}),
+            # 16 has two forcers and (14, 17), (15, 17) block one each: only
+            # both together break, first in subset 2**14 = gray 0b11 << 13,
+            # where gray bit 13 has flipped with the block's parity
+            (17, set(range(1, 16)), [(14, 16), (15, 16), (16, 17)], [(14, 17), (15, 17)],
+             {(14, 17), (15, 17)}),
+        ],
+        ids=["last-toggle", "block-parity"],
+    )
+    def test_first_failure_in_a_later_block(
+        self, n, controls, skeleton, breaking, counterexample
+    ):
+        g = DiGraph(n, frozenset(skeleton))
+        edges = frozenset({(v, v) for v in range(1, 16 - len(breaking))} | set(breaking))
+        report = EdgeSetReport(ADDITIVE, edges, 15)
+        assert robustness._LANES == 2**14 < 2**15
+        outcome = verify_edge_set(g, controls, report)
+        assert outcome == VerificationOutcome(False, True, 2**14 + 1, frozenset(counterexample))
+        assert outcome == _naive_verification(g, controls, report, DEFAULT_BUDGET)
+
+    @pytest.mark.parametrize("width", [64, robustness._LANES])
+    def test_sampled_failure_at_a_late_draw(self, width):
+        # controls 1..10 all force 12, 11 forces nothing; 12 forces 13.
+        # Each of 1..10 is blocked by its own edge to 13, and (11, 13) lets
+        # 11 force 13 first: only every block without the rescue stalls,
+        # one subset in 2**11 of the random draws
+        m = 10
+        g = DiGraph(m + 3, frozenset({(c, m + 2) for c in range(1, m + 1)} | {(m + 2, m + 3)}))
+        report = EdgeSetReport(ADDITIVE, frozenset((c, m + 3) for c in range(1, m + 2)), m + 1)
+        controls = set(range(1, m + 2))
+        with _lanes(width):
+            outcome = verify_edge_set(g, controls, report, budget=2**m)
+        assert outcome == _naive_verification(g, controls, report, 2**m)
+        assert not outcome.passed and not outcome.exhaustive
+        assert outcome.subsets_tested > 1000
+        assert outcome.counterexample == {(c, m + 3) for c in range(1, m + 1)}
+
+
+class TestReportEdges:
+    def test_python_int_pairs_are_kept_as_given(self):
+        edges = frozenset({(1, 2), (2, 3)})
+        assert EdgeSetReport(ADDITIVE, edges, 2).edges is edges
+
+    def test_numpy_int_pairs_become_python_ints(self):
+        edges = frozenset({(np.int64(1), np.int64(70)), (2, np.int32(3))})
+        report = EdgeSetReport(ADDITIVE, edges, 2)
+        assert report.edges == {(1, 70), (2, 3)}
+        assert all(type(x) is int for e in report.edges for x in e)
 
 
 class TestMaximality:
