@@ -28,6 +28,7 @@ from .forcing import (
     enumerate_forcing_schedules,
     forcing_schedule,
     is_zfs,
+    stalled_white_set,
 )
 from .synthesis import (
     TimeFunction,
@@ -39,7 +40,6 @@ from .synthesis import (
     random_chain_set,
     random_time_function,
     sample_member,
-    stalled_white_set,
     validate_time_function,
 )
 from .robustness import (

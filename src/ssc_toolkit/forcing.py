@@ -5,6 +5,12 @@ black.  A control set whose repeated forcing blackens the whole graph
 certifies strong structural controllability of the network, so the
 functions here are the combinatorial SSC test.
 
+One worklist engine, :class:`_Frontier`, backs every single-graph
+verdict: derived sets and the ZFS test drain it in any order, schedules
+pick from it by policy, and the enumeration walks it depth first with
+undo.  A force costs about one bit operation per in-edge of the forced
+node, so a whole closure costs about one bit operation per edge.
+
 Self-loops never participate: a node is not its own out-neighbor for
 forcing purposes, which keeps every verdict invariant under adding or
 removing self-loops.
@@ -12,7 +18,6 @@ removing self-loops.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Union
 
 from .graphs import Chain, ChainSet, DiGraph, Edge, control_set, mask_nodes
@@ -42,34 +47,6 @@ class NotZfsError(ValueError):
         self.stalled_white = stalled_white
 
 
-def _closure(masks, order, black: int, full: int) -> int:
-    """Bitmask fixed point of the color-change rule.
-
-    ``masks[u]`` holds u's out-neighbors with self-loops dropped, and
-    ``order`` lists every node once as ``(node, bit)`` pairs.  Each sweep
-    visits the nodes in that order, so a node blackened early in a sweep
-    may force later in the same sweep.  The derived set does not depend on
-    the order forces are applied, so the order sets only the number of
-    sweeps, never the result.
-    """
-    changed = True
-    while changed and black != full:
-        changed = False
-        for u, bit in order:
-            if black & bit:
-                w = masks[u] & ~black
-                if w and not w & (w - 1):  # exactly one white out-neighbor
-                    black |= w
-                    changed = True
-    return black
-
-
-@lru_cache(maxsize=16)
-def _id_order(n: int) -> tuple[tuple[int, int], ...]:
-    """The sweep order ``1..n`` as the ``(node, bit)`` pairs :func:`_closure` takes."""
-    return tuple((v, 1 << (v - 1)) for v in range(1, n + 1))
-
-
 def _mask_of(nodes: Iterable[int]) -> int:
     m = 0
     for v in nodes:
@@ -79,22 +56,6 @@ def _mask_of(nodes: Iterable[int]) -> int:
 
 def _nodes_of(mask: int) -> frozenset[int]:
     return frozenset(mask_nodes(mask))
-
-
-def derived_set(g: DiGraph, controls: Iterable[int]) -> frozenset[int]:
-    """The final black set reached from ``controls`` under repeated forcing."""
-    z = control_set(controls, g.n)
-    return _nodes_of(_closure(g.force_masks, _id_order(g.n), _mask_of(z), g.full_mask))
-
-
-def is_zfs(g: DiGraph, controls: Iterable[int]) -> bool:
-    """True iff ``controls`` force the whole graph black.
-
-    This is the strong-structural-controllability verdict for the LTI
-    network on ``g`` with inputs at ``controls``.
-    """
-    z = control_set(controls, g.n)
-    return _closure(g.force_masks, _id_order(g.n), _mask_of(z), g.full_mask) == g.full_mask
 
 
 @dataclass(frozen=True)
@@ -118,24 +79,20 @@ class ForcingRecord:
         return self.chains.sources
 
 
-def _single(mask: int) -> bool:
-    """True iff exactly one bit of ``mask`` is set."""
-    return mask != 0 and not mask & (mask - 1)
-
-
 class _Frontier:
     """Black set, white out-neighbor masks and ready forcers, kept across forces.
 
-    ``white[u]``, kept for black nodes only, is u's out-neighbor row
-    (self-loops dropped) minus the black nodes; ``ready`` holds the black
-    nodes with exactly one white out-neighbor, i.e. the forcers of the
-    currently possible forces.  A force touches only the black
-    in-neighbors of the forced node, so listing the possible forces costs
-    only the ready forcers.
+    This is the package's one forcing engine.  ``white[u]``, kept for black
+    nodes only, is u's out-neighbor row (self-loops dropped) minus the
+    black nodes; ``ready`` holds the black nodes with exactly one white
+    out-neighbor, i.e. the forcers of the currently possible forces.  A
+    force (or its undo) flips one bit in the white mask of each black
+    in-neighbor of the forced node and re-rates that forcer, so it costs
+    about one bit operation per in-edge, and listing the possible forces
+    costs only the ready forcers.
     """
 
     def __init__(self, g: DiGraph, black: Iterable[int]):
-        self.n = g.n
         self._out = g.force_masks
         self._in = g.in_masks
         self.black = _mask_of(black)
@@ -146,7 +103,7 @@ class _Frontier:
 
     def _blacken(self, u: int) -> None:
         self.white[u] = w = self._out[u] & ~self.black
-        if _single(w):
+        if w and not w & (w - 1):  # exactly one white out-neighbor
             self.ready.add(u)
 
     def applicable(self) -> list[Edge]:
@@ -155,7 +112,7 @@ class _Frontier:
 
     def is_applicable(self, force: Edge) -> bool:
         w, u = force
-        return w in self.ready and 1 <= u <= self.n and self.white[w] == 1 << (u - 1)
+        return w in self.ready and u >= 1 and self.white[w] == 1 << (u - 1)
 
     def apply(self, force: Edge) -> None:
         u = force[1]
@@ -184,6 +141,46 @@ class _Frontier:
                 ready.add(p)
             else:
                 ready.discard(p)
+
+
+def _drain(g: DiGraph, z: frozenset[int]) -> int:
+    """The black mask once forcing from ``z`` stops.  The derived set does not
+    depend on the order of the forces, so ready forcers pop in any order."""
+    state = _Frontier(g, z)
+    ready, white, apply = state.ready, state.white, state.apply
+    while ready:
+        w = ready.pop()
+        apply((w, white[w].bit_length()))
+    return state.black
+
+
+def _require_all_black(g: DiGraph, black: int, controls: frozenset[int] | None = None) -> None:
+    """Raise :class:`NotZfsError` unless ``black`` covers every node of ``g``;
+    the message names ``controls`` when given, else the stalled white nodes."""
+    if black != g.full_mask:
+        stalled = _nodes_of(g.full_mask & ~black)
+        if controls is None:
+            raise NotZfsError(f"forcing stalled with white nodes {sorted(stalled)}", stalled)
+        raise NotZfsError(f"controls {sorted(controls)} are not a zero forcing set", stalled)
+
+
+def derived_set(g: DiGraph, controls: Iterable[int]) -> frozenset[int]:
+    """The final black set reached from ``controls`` under repeated forcing."""
+    return _nodes_of(_drain(g, control_set(controls, g.n)))
+
+
+def stalled_white_set(g: DiGraph, controls: Iterable[int]) -> frozenset[int]:
+    """The white nodes left when forcing from ``controls`` stops."""
+    return _nodes_of(g.full_mask & ~_drain(g, control_set(controls, g.n)))
+
+
+def is_zfs(g: DiGraph, controls: Iterable[int]) -> bool:
+    """True iff ``controls`` force the whole graph black.
+
+    This is the strong-structural-controllability verdict for the LTI
+    network on ``g`` with inputs at ``controls``.
+    """
+    return _drain(g, control_set(controls, g.n)) == g.full_mask
 
 
 def _build_record(g: DiGraph, z: frozenset[int], forces: list[Edge]) -> ForcingRecord:
@@ -245,21 +242,8 @@ def forcing_schedule(
     else:
         raise ValueError(f"unknown tie-break policy {policy!r}")
 
-    if state.black != g.full_mask:
-        stalled = _nodes_of(g.full_mask & ~state.black)
-        raise NotZfsError(
-            f"forcing stalled with white nodes {sorted(stalled)}", stalled_white=stalled
-        )
+    _require_all_black(g, state.black)
     return _build_record(g, z, forces)
-
-
-def _require_all_black(g: DiGraph, z: frozenset[int], state: _Frontier) -> None:
-    """Raise :class:`NotZfsError` unless the search's leaf is all black."""
-    if state.black != g.full_mask:
-        stalled = _nodes_of(g.full_mask & ~state.black)
-        raise NotZfsError(
-            f"controls {sorted(z)} are not a zero forcing set", stalled_white=stalled
-        )
 
 
 def enumerate_forcing_schedules(
@@ -285,7 +269,7 @@ def enumerate_forcing_schedules(
     state = _Frontier(g, z)
     forces: list[Edge] = []
     if not state.ready:  # the controls force nothing
-        _require_all_black(g, z, state)
+        _require_all_black(g, state.black, z)
         return [_build_record(g, z, forces)]
     pending = [iter(state.applicable())]
     records: list[ForcingRecord] = []
@@ -302,7 +286,7 @@ def enumerate_forcing_schedules(
             pending.append(iter(state.applicable()))
             continue
         if not records:
-            _require_all_black(g, z, state)
+            _require_all_black(g, state.black, z)
         records.append(_build_record(g, z, forces))
         if limit is not None and len(records) >= limit:
             break

@@ -24,14 +24,13 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
+from .forcing import stalled_white_set
 from .graphs import DiGraph, Edge, control_set
 from .synthesis import (
     TimeFunction,
     optional_edges,
     sample_member,
-    stalled_white_set,
     validate_time_function,
 )
 
@@ -368,6 +367,8 @@ def _clip_pieces(schedule: LtvSchedule, t_from: float, t_to: float):
 def transition_matrix(schedule: LtvSchedule, t_from: float, t_to: float) -> np.ndarray:
     """State propagator over [t_from, t_to]: the ordered product of the
     per-interval matrix exponentials (exact for constant pieces)."""
+    from scipy.linalg import expm  # loaded on first use: most commands never need scipy
+
     phi = np.eye(schedule.n)
     for a, start, stop in _clip_pieces(schedule, t_from, t_to):
         phi = expm(a * (stop - start)) @ phi
@@ -382,6 +383,8 @@ def ltv_gramian_rank(schedule: LtvSchedule, controls: Iterable[int]) -> int:
     constant piece of length h_k:
     ``R_k = expm(A_k h_k) R_(k-1) + Krylov(A_k, B)``.
     """
+    from scipy.linalg import expm
+
     n = schedule.n
     b = input_matrix(n, controls)
     basis = np.empty((0, n))

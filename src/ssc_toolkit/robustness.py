@@ -18,7 +18,9 @@ import numpy as np
 from .forcing import (
     LOWEST_FORCER,
     TieBreakPolicy,
+    _drain,
     _mask_of,
+    _require_all_black,
     forcing_schedule,
 )
 from .graphs import ConsistencyError, DiGraph, Edge, control_set, mask_nodes
@@ -82,14 +84,14 @@ class EdgeSetReport:
 def critical_additive_number(g: DiGraph, controls: Iterable[int]) -> int:
     """Maximum number of edges whose every subset can be added safely."""
     z = control_set(controls, g.n)
-    forcing_schedule(g, z)  # raises NotZfsError when the precondition fails
+    _require_all_black(g, _drain(g, z))
     return perfect_edge_count(g.n, len(z)) - g.edge_count
 
 
 def critical_subtractive_number(g: DiGraph, controls: Iterable[int]) -> int:
     """Maximum number of edges whose every subset can be removed safely."""
     z = control_set(controls, g.n)
-    forcing_schedule(g, z)
+    _require_all_black(g, _drain(g, z))
     return g.edge_count - g.n + len(z)
 
 
@@ -168,6 +170,9 @@ def _failing_lanes(g: DiGraph, order, z_mask: int, toggles, columns, full: int) 
     forcer's white out-neighbors are counted in two accumulators, ``one``
     (at least one) and ``two`` (at least two).  Lanes evolve exactly as
     separate closures would, and sweeps repeat until no lane changes.
+    This is the one closure kept apart from :mod:`.forcing`'s worklist on
+    purpose: a worklist follows the ready forcers of one graph, while every
+    lane here is a different graph, and a sweep shares each bit operation.
     """
     n = g.n
     rows = list(g.force_masks)

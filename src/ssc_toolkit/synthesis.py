@@ -19,11 +19,10 @@ from .graphs import Chain, ChainSet, ConsistencyError, DiGraph, Edge, control_se
 from .forcing import (
     LOWEST_FORCER,
     ForcingRecord,
-    NotZfsError,
     TieBreakPolicy,
-    derived_set,
+    _drain,
+    _require_all_black,
     forcing_schedule,
-    is_zfs,
 )
 
 
@@ -210,8 +209,7 @@ def is_perfect(
         NotZfsError: ``controls`` is not a zero forcing set of ``g``.
     """
     z = control_set(controls, g.n)
-    if not is_zfs(g, z):
-        raise NotZfsError(f"controls {sorted(z)} are not a zero forcing set")
+    _require_all_black(g, _drain(g, z), z)
     if g.edge_count != perfect_edge_count(g.n, len(z)):
         return None
     record = forcing_schedule(g, z, policy)
@@ -268,8 +266,3 @@ def random_time_function(cs: ChainSet, rng: np.random.Generator) -> TimeFunction
         times[cs.chains[i].nodes[progress[i]]] = step + 2
         progress[i] += 1
     return TimeFunction(cs, times)
-
-
-def stalled_white_set(g: DiGraph, controls: Iterable[int]) -> frozenset[int]:
-    """The white nodes left when forcing from ``controls`` stops."""
-    return frozenset(g.nodes) - derived_set(g, controls)

@@ -69,6 +69,14 @@ CASES.update({
     "oracle-chain3-ltv": [
         "oracle", "{samples}/chain3.net", "--ltv", "--schedule", "{samples}/chain3_varying.sched",
     ],
+    # a control set that is not a zero forcing set: the negative verdicts
+    "check-ring6_stalled": ["check", "{samples}/ring6_stalled.net"],
+    "robustness-add-ring6_stalled": ["robustness", "{samples}/ring6_stalled.net", "--mode", "add"],
+    "robustness-sub-ring6_stalled": ["robustness", "{samples}/ring6_stalled.net", "--mode", "sub"],
+    "schedules-ring6_stalled": ["schedules", "{samples}/ring6_stalled.net"],
+    "oracle-ring6_stalled": [
+        "oracle", "{samples}/ring6_stalled.net", "--trials", "50", "--seed", "2",
+    ],
 })
 
 

@@ -299,3 +299,22 @@ class TestSchedules:
     def test_unknown_command_exits_3(self, capsys):
         assert main(["frobnicate"]) == 3
         capsys.readouterr()
+
+
+class TestRepeatedCalls:
+    """``main`` reuses one parser per process; no call may see another's options."""
+
+    def test_options_do_not_leak_into_the_next_call(self, capsys):
+        doc = str(SAMPLES / "ring6_chord.net")
+        rc, out = run(
+            capsys, "robustness", doc, "--mode", "sub", "--no-verify", "--format", "machine"
+        )
+        assert rc == 0 and "verification" not in json.loads(out)
+        rc, out = run(capsys, "robustness", doc, "--mode", "sub", "--format", "machine")
+        assert rc == 0 and json.loads(out)["verification"]["passed"] is True
+
+    def test_usage_error_after_a_successful_call_exits_3(self, capsys):
+        assert run(capsys, "check", str(SAMPLES / "chain3.net"))[0] == 0
+        assert main(["robustness", str(SAMPLES / "chain3.net")]) == 3
+        assert "--mode" in capsys.readouterr().err
+        assert run(capsys, "check", str(SAMPLES / "chain3.net"))[0] == 0

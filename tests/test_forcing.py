@@ -3,7 +3,7 @@ from __future__ import annotations
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from ssc_toolkit.forcing import (
@@ -11,16 +11,15 @@ from ssc_toolkit.forcing import (
     LOWEST_FORCER,
     ExplicitForces,
     NotZfsError,
-    _closure,
-    _mask_of,
-    _nodes_of,
     derived_set,
     enumerate_forcing_schedules,
     forcing_schedule,
     is_zfs,
+    stalled_white_set,
 )
 from ssc_toolkit.graphs import DiGraph, is_chain_partition
-from ssc_toolkit.synthesis import TimeFunction, is_ct_constructed
+from ssc_toolkit.robustness import critical_additive_number, critical_subtractive_number
+from ssc_toolkit.synthesis import TimeFunction, is_ct_constructed, is_perfect
 
 from conftest import digraphs
 from reference import (
@@ -101,13 +100,38 @@ class TestDerivedSet:
         assert derived_set(g, z) == naive_derived_set(g, z)
         assert is_zfs(g, z) == naive_is_zfs(g, z)
 
-    @given(digraphs(max_n=8), st.data())
-    def test_closure_result_is_independent_of_sweep_order(self, g: DiGraph, data):
+    @given(digraphs(max_n=12), st.data())
+    def test_result_is_independent_of_the_order_forces_are_taken(self, g: DiGraph, data):
+        # Relabeling the nodes changes the order in which the closure pops
+        # its ready forcers; the derived set, mapped back, must not change.
         z = data.draw(st.frozensets(st.sampled_from(range(1, g.n + 1)), min_size=1))
         perm = data.draw(st.permutations(range(1, g.n + 1)))
-        order = [(v, 1 << (v - 1)) for v in perm]
-        black = _closure(g.force_masks, order, _mask_of(z), g.full_mask)
-        assert _nodes_of(black) == naive_derived_set(g, z)
+        new_id = {v: i + 1 for i, v in enumerate(perm)}
+        derived = derived_set(g.relabeled(perm), {new_id[v] for v in z})
+        assert {perm[v - 1] for v in derived} == naive_derived_set(g, z)
+
+
+class TestNotZfsError:
+    @given(digraphs(max_n=8), st.data())
+    def test_every_precondition_reports_the_stalled_white_set(self, g: DiGraph, data):
+        z = data.draw(st.frozensets(st.sampled_from(range(1, g.n + 1)), min_size=1))
+        stalled = stalled_white_set(g, z)
+        assume(stalled)
+        assert stalled == set(g.nodes) - naive_derived_set(g, z)
+        stall_message = f"forcing stalled with white nodes {sorted(stalled)}"
+        controls_message = f"controls {sorted(z)} are not a zero forcing set"
+        calls = (
+            (forcing_schedule, stall_message),
+            (enumerate_forcing_schedules, controls_message),
+            (is_perfect, controls_message),
+            (critical_additive_number, stall_message),
+            (critical_subtractive_number, stall_message),
+        )
+        for call, message in calls:
+            with pytest.raises(NotZfsError) as info:
+                call(g, z)
+            assert info.value.stalled_white == stalled, call.__name__
+            assert str(info.value) == message, call.__name__
 
 
 class TestIsZfs:

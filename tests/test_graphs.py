@@ -144,6 +144,17 @@ class TestRowStorage:
         with pytest.raises(ValueError):
             DiGraph(n, edges).relabeled(list(order) + [n + 1])
 
+    def test_sparse_and_dense_transposes_agree(self):
+        # up to two edges per node on average, bits move one at a time;
+        # denser graphs go through the unpacked bit matrix
+        rng = np.random.default_rng(6)
+        n = 300
+        for m in (n // 2, 2 * n, 2 * n + 1, 8 * n):
+            pairs = rng.choice(n * n, size=m, replace=False)
+            edges = {(int(k) // n + 1, int(k) % n + 1) for k in pairs}
+            g = DiGraph(n, edges)
+            assert g.in_masks == tuple(rows_of(n, {(v, u) for u, v in edges if u != v}))
+
     def test_bit_matrix_work_spans_several_chunks(self):
         # the transpose and the relabeling unpack 1024 rows at a time
         rng = np.random.default_rng(5)

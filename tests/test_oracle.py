@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssc_toolkit.forcing import is_zfs
+from ssc_toolkit.forcing import is_zfs, stalled_white_set
 from ssc_toolkit.graphs import Chain, ChainSet, DiGraph
 from ssc_toolkit.oracle import (
     DIAG_MIXED,
@@ -29,7 +29,6 @@ from ssc_toolkit.synthesis import (
     random_chain_set,
     random_time_function,
     sample_member,
-    stalled_white_set,
 )
 
 from conftest import digraphs, timed_partitions
