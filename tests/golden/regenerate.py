@@ -6,7 +6,8 @@ become the reference:
     PYTHONPATH=src python tests/golden/regenerate.py
 
 Every case runs ``ssc_toolkit.cli.main`` in-process on the bundled
-``samples/`` in machine format.  Its standard output goes to
+``samples/``, in machine format unless its arguments name a format.  Its
+standard output goes to
 ``<name>.out``; ``cases.json`` lists each case's arguments (``{samples}``
 stands for the samples directory), its exit code and its standard error.  ``test_golden.py``
 replays the cases and compares the output byte for byte, so regenerate
@@ -25,6 +26,10 @@ HERE = Path(__file__).resolve().parent
 SAMPLES = HERE.parent.parent / "samples"
 
 NETS = ("chain3", "path3_bidir", "ring4_chord", "ring6_chord")
+# named12's names sort apart from their ids (v10 before v2), and one of
+# them holds a quote, a backslash and a non-ASCII letter
+ALL_NETS = (*NETS, "named12")
+TEXT = ["--format", "text"]
 
 CASES: dict[str, list[str]] = {}
 for net in NETS:
@@ -77,12 +82,61 @@ CASES.update({
     "oracle-ring6_stalled": [
         "oracle", "{samples}/ring6_stalled.net", "--trials", "50", "--seed", "2",
     ],
+    # the policy is read only once the controls are known to force everything
+    "check-ring6_stalled-unknown-policy": [
+        "check", "{samples}/ring6_stalled.net", "--policy", "bogus",
+    ],
+    "check-ring6_stalled-explicit": [
+        "check", "{samples}/ring6_stalled.net",
+        "--policy", "explicit:{samples}/ring6_chord_forces.txt",
+    ],
+    "check-ring6_chord-unknown-policy": ["check", "{samples}/ring6_chord.net", "--policy", "bogus"],
 })
+named = "{samples}/named12.net"
+CASES.update({
+    "check-named12": ["check", named],
+    "check-named12-lowest-forced": ["check", named, "--policy", "lowest-forced"],
+    "robustness-add-named12": ["robustness", named, "--mode", "add"],
+    "robustness-sub-named12": ["robustness", named, "--mode", "sub"],
+    "robustness-add-named12-no-verify": ["robustness", named, "--mode", "add", "--no-verify"],
+    "robustness-sub-named12-no-verify": ["robustness", named, "--mode", "sub", "--no-verify"],
+    "schedules-named12": ["schedules", named, "--limit", "20"],
+    "combine-general-named12": ["combine", named, named],
+    "combine-general-named12-path3": ["combine", named, "{samples}/path3_bidir.net"],
+    "combine-dag-named12": ["combine", named, named, "--mode", "dag"],
+    "combine-dag-named12-chain3": [
+        "combine", "{samples}/chain3.net", named, named, "--mode", "dag",
+    ],
+})
+# The same calls in text format, where the rows are written as lines.
+for net in (*ALL_NETS, "ring6_stalled"):
+    doc = f"{{samples}}/{net}.net"
+    CASES[f"check-{net}-text"] = ["check", doc, *TEXT]
+    for mode in ("add", "sub"):
+        CASES[f"robustness-{mode}-{net}-text"] = ["robustness", doc, "--mode", mode, *TEXT]
+        CASES[f"robustness-{mode}-{net}-no-verify-text"] = [
+            "robustness", doc, "--mode", mode, "--no-verify", *TEXT,
+        ]
+for name in (
+    "combine-general-default", "combine-general-inter", "combine-dag-default",
+    "combine-dag-explicit", "combine-dag-cyclic", "combine-general-named12",
+    "combine-general-named12-path3", "combine-dag-named12", "combine-dag-named12-chain3",
+    "check-ring6_chord-explicit", "check-ring6_stalled-unknown-policy",
+    "schedules-named12", "schedules-ring6_stalled", "schedules-sequences-general",
+    "schedules-sequences-dag", "oracle-ring6_chord", "oracle-ring6_stalled", "oracle-chain3-ltv",
+):
+    CASES[f"{name}-text"] = [*CASES[name], *TEXT]
+
+
+def case_args(argv: list[str], samples: Path) -> list[str]:
+    """A case's command line: machine format unless the case names one."""
+    args = [a.replace("{samples}", str(samples)) for a in argv]
+    return args if "--format" in args else [*args, "--format", "machine"]
 
 
 def run_case(argv: list[str]) -> tuple[int, str, str]:
-    """Exit code, stdout and stderr of one machine-format CLI call."""
-    args = [a.replace("{samples}", str(SAMPLES)) for a in argv] + ["--format", "machine"]
+    """Exit code, stdout and stderr of one CLI call."""
+    args = case_args(argv, SAMPLES)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(args)

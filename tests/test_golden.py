@@ -16,6 +16,8 @@ import pytest
 
 from ssc_toolkit.cli import main
 
+from golden.regenerate import case_args
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SAMPLES = GOLDEN.parent.parent / "samples"
 CASES = json.loads((GOLDEN / "cases.json").read_text())
@@ -32,10 +34,9 @@ def test_every_subcommand_is_covered():
 
 @pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
 def test_output_matches_snapshot(case):
-    argv = [a.replace("{samples}", str(SAMPLES)) for a in case["argv"]]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([*argv, "--format", "machine"])
+        code = main(case_args(case["argv"], SAMPLES))
     assert code == case["exit"]
     assert err.getvalue() == case["stderr"]
     assert out.getvalue() == (GOLDEN / f"{case['name']}.out").read_text()
