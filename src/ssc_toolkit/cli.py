@@ -17,6 +17,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterable, Iterator
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
 
@@ -34,7 +36,8 @@ from .combine import (
 from .documents import (
     DocumentError,
     NetworkDocument,
-    emit_document,
+    document_chunks,
+    edge_lines,
     parse_document,
     parse_force_list,
     parse_inter_edges,
@@ -44,11 +47,11 @@ from .forcing import (
     LOWEST_FORCED,
     LOWEST_FORCER,
     NotZfsError,
-    derived_set,
     enumerate_forcing_schedules,
     forcing_schedule,
+    stalled_white_set,
 )
-from .graphs import ConsistencyError, CyclicError
+from .graphs import ConsistencyError, CyclicError, DiGraph, mask_nodes
 from .oracle import ltv_gramian_rank, schedule_from_edges, verify_ssc_numeric
 from .robustness import (
     DEFAULT_BUDGET,
@@ -115,11 +118,69 @@ def _chains_text(doc: NetworkDocument, tf: TimeFunction) -> str:
     )
 
 
-def _emit(args, payload: dict, text: str) -> None:
-    if args.format == "machine":
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(text, end="" if text.endswith("\n") else "\n")
+def _write(chunks: Iterable[str]) -> None:
+    """Write the output chunk by chunk, so that a large one is never held whole."""
+    sys.stdout.writelines(chunks)
+
+
+def _json(payload: dict) -> Iterator[str]:
+    """``json.dumps(payload, sort_keys=True)`` and a newline, in chunks: a
+    value that is an iterator is written as the JSON chunks it yields."""
+    sep = "{"
+    for key in sorted(payload):
+        value = payload[key]
+        yield f"{sep}{encode_basestring_ascii(key)}: "
+        if isinstance(value, Iterator):
+            yield from value
+        else:
+            yield json.dumps(value, sort_keys=True)
+        sep = ", "
+    yield "}\n"
+
+
+def _written_names(names: Sequence[str], machine: bool) -> tuple[str, ...]:
+    """``("", *names)`` as written: JSON-encoded, once each, in machine
+    format.  Index v holds node v's name."""
+    return ("", *map(encode_basestring_ascii, names)) if machine else ("", *names)
+
+
+def _sorted_pairs(
+    rows: Sequence[int], names: Sequence[str], written: Sequence[str], machine: bool
+) -> Iterator[str]:
+    """The edges of ``rows`` as name pairs sorted by name: a JSON list of
+    pairs, or one ``  u v`` line each.
+
+    The names are ranked once, the rows relabeled into rank order, and the
+    pairs written straight from them, so no pair is sorted.  ``names[v - 1]``
+    names node v, and ``written`` is from :func:`_written_names`.
+    """
+    n = len(names)
+    order = sorted(range(1, n + 1), key=lambda v: names[v - 1])
+    ranked = rows = (*rows, *(0,) * (n + 1 - len(rows)))
+    if order != list(range(1, n + 1)):  # the names do not sort in id order
+        ranked = DiGraph.from_rows(n, rows).relabeled(order).rows
+    table = ("", *(written[v] for v in order))
+    if not machine:
+        yield from edge_lines(ranked, table, "  ")
+        return
+    yield "["
+    sep = ""
+    for u, row in enumerate(ranked):
+        if row:
+            head = "[" + table[u] + ", "
+            yield sep + head + ("], " + head).join([table[v] for v in mask_nodes(row)]) + "]"
+            sep = ", "
+    yield "]"
+
+
+def _document(written: Sequence[str], machine: bool, *parts) -> Iterator[str]:
+    """:func:`document_chunks` of ``parts``, in machine format as a JSON string."""
+    if not machine:
+        yield from document_chunks(written, *parts)
+        return
+    yield '"'
+    yield from document_chunks([q[1:-1] for q in written], *parts, newline="\\n")
+    yield '"'
 
 
 # -- check -----------------------------------------------------------------
@@ -129,41 +190,52 @@ def cmd_check(args) -> int:
     doc = _load_document(args.document)
     g = doc.graph()
     z = _require_controls(doc)
-    derived = derived_set(g, z)
-    if len(derived) < g.n:
-        stalled = sorted(set(g.nodes) - derived)
-        payload = {
-            "command": "check",
-            "zfs": False,
-            "derived": [doc.name_of(v) for v in sorted(derived)],
-            "stalled_white": [doc.name_of(v) for v in stalled],
-        }
-        text = (
-            "ZFS: no\n"
-            f"derived set: {' '.join(doc.name_of(v) for v in sorted(derived))}\n"
-            f"stalled white set = {{{' '.join(doc.name_of(v) for v in stalled)}}}\n"
-        )
-        _emit(args, payload, text)
-        return EXIT_NEGATIVE
-    record = forcing_schedule(g, z, _policy(args.policy, doc))
+    policy = args.policy
+    try:
+        if policy not in (LOWEST_FORCER, LOWEST_FORCED):
+            # another policy is read only once the controls force everything
+            stalled = stalled_white_set(g, z)
+            if stalled:
+                return _check_stalled(args, doc, stalled)
+            policy = _policy(policy, doc)
+        record = forcing_schedule(g, z, policy)
+    except NotZfsError as exc:
+        return _check_stalled(args, doc, exc.stalled_white)
     tf = TimeFunction.from_record(record)
-    payload = {
-        "command": "check",
-        "zfs": True,
-        "derived": [doc.name_of(v) for v in sorted(derived)],
-        "intervals": {doc.name_of(v): list(tf.interval(v)) for v in sorted(tf.times)},
-        "chains": [[doc.name_of(v) for v in c.nodes] for c in tf.chains.chains],
-        "forces": [[doc.name_of(u), doc.name_of(v)] for u, v in record.forces],
-    }
-    text = (
+    if args.format == "machine":
+        _write(_json({
+            "command": "check",
+            "zfs": True,
+            "derived": list(doc.names),
+            "intervals": {doc.name_of(v): list(tf.interval(v)) for v in sorted(tf.times)},
+            "chains": [[doc.name_of(v) for v in c.nodes] for c in tf.chains.chains],
+            "forces": [[doc.name_of(u), doc.name_of(v)] for u, v in record.forces],
+        }))
+        return EXIT_OK
+    _write([
         "ZFS: yes\n"
-        f"derived set: {' '.join(doc.name_of(v) for v in sorted(derived))}\n"
+        f"derived set: {' '.join(doc.names)}\n"
         f"intervals: {_intervals_text(doc, tf)}\n"
         f"chains: {_chains_text(doc, tf)}\n"
         f"forces: {' '.join(doc.name_of(u) + '>' + doc.name_of(v) for u, v in record.forces)}\n"
-    )
-    _emit(args, payload, text)
+    ])
     return EXIT_OK
+
+
+def _check_stalled(args, doc: NetworkDocument, stalled: frozenset[int]) -> int:
+    derived = [doc.name_of(v) for v in doc.graph().nodes if v not in stalled]
+    stalled_names = [doc.name_of(v) for v in sorted(stalled)]
+    if args.format == "machine":
+        _write(_json({
+            "command": "check", "zfs": False, "derived": derived, "stalled_white": stalled_names,
+        }))
+    else:
+        _write([
+            "ZFS: no\n"
+            f"derived set: {' '.join(derived)}\n"
+            f"stalled white set = {{{' '.join(stalled_names)}}}\n"
+        ])
+    return EXIT_NEGATIVE
 
 
 # -- robustness --------------------------------------------------------------
@@ -182,46 +254,48 @@ def cmd_robustness(args) -> int:
     except NotZfsError as exc:
         print(f"not a zero forcing set: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
-    named = sorted(
-        (doc.name_of(u), doc.name_of(v)) for u, v in report.edges
-    )
-    payload = {
-        "command": "robustness",
-        "mode": args.mode,
-        "seed": args.seed,
-        "count": report.cardinality,
-        "bound": report.bound,
-        "edges": [list(e) for e in named],
-        "intervals": {
-            doc.name_of(v): list(report.witness.interval(v))
-            for v in sorted(report.witness.times)
-        },
-    }
-    lines = [
-        f"critical {'additive' if args.mode == 'add' else 'subtractive'} edge-set",
-        f"seed: {args.seed}",
-        f"count: {report.cardinality} (bound {report.bound})",
-        f"intervals: {_intervals_text(doc, report.witness)}",
-        "edges:",
-    ]
-    lines.extend(f"  {a} {b}" for a, b in named)
+    outcome = None
     if not args.no_verify:
         outcome = verify_edge_set(g, z, report, budget=args.budget, seed=args.seed)
-        payload["verification"] = {
-            "passed": outcome.passed,
-            "exhaustive": outcome.exhaustive,
-            "subsets_tested": outcome.subsets_tested,
+    code = EXIT_INTERNAL if outcome is not None and not outcome.passed else EXIT_OK
+    machine = args.format == "machine"
+    pairs = _sorted_pairs(report.rows, doc.names, _written_names(doc.names, machine), machine)
+    if machine:
+        payload = {
+            "command": "robustness",
+            "mode": args.mode,
+            "seed": args.seed,
+            "count": report.cardinality,
+            "bound": report.bound,
+            "edges": pairs,
+            "intervals": {
+                doc.name_of(v): list(report.witness.interval(v))
+                for v in sorted(report.witness.times)
+            },
         }
-        lines.append(
+        if outcome is not None:
+            payload["verification"] = {
+                "passed": outcome.passed,
+                "exhaustive": outcome.exhaustive,
+                "subsets_tested": outcome.subsets_tested,
+            }
+        _write(_json(payload))
+        return code
+    _write([
+        f"critical {'additive' if args.mode == 'add' else 'subtractive'} edge-set\n"
+        f"seed: {args.seed}\n"
+        f"count: {report.cardinality} (bound {report.bound})\n"
+        f"intervals: {_intervals_text(doc, report.witness)}\n"
+        "edges:\n"
+    ])
+    _write(pairs)
+    if outcome is not None:
+        _write([
             f"verification: {'pass' if outcome.passed else 'FAIL'} "
             f"({'exhaustive' if outcome.exhaustive else 'sampled'}, "
-            f"{outcome.subsets_tested} subsets)"
-        )
-        if not outcome.passed:
-            _emit(args, payload, "\n".join(lines))
-            return EXIT_INTERNAL
-    _emit(args, payload, "\n".join(lines))
-    return EXIT_OK
+            f"{outcome.subsets_tested} subsets)\n"
+        ])
+    return code
 
 
 # -- combine -----------------------------------------------------------------
@@ -240,6 +314,10 @@ def _parse_sequence(spec: str | None, counts: list[int], mode: str) -> CombineSe
             idx = int(tok)
         except ValueError:
             raise DocumentError(f"bad sequence entry {tok!r}") from None
+        if not 1 <= idx <= len(counts):
+            raise DocumentError(
+                f"sequence entry {idx} is not a document number in 1..{len(counts)}"
+            )
         entries.append(idx - 1)
     return CombineSequence(tuple(entries))
 
@@ -279,31 +357,36 @@ def cmd_combine(args) -> int:
             file=sys.stderr,
         )
         return EXIT_NEGATIVE
-    out_doc = NetworkDocument.from_graph(
-        combined.graph, names, sorted(combined.sources), combined.times
-    )
     report = max_inter_edges(blocks, seq)
-    named_max = sorted((names[u - 1], names[v - 1]) for u, v in report.edges)
-    payload = {
-        "command": "combine",
-        "mode": "general",
-        "sequence": [i + 1 for i in seq.entries],
-        "accepted": True,
-        "installed_inter_edges": len(inter),
-        "max_inter_count": report.cardinality,
-        "max_inter_bound": report.bound,
-        "max_inter": [list(e) for e in named_max],
-        "document": emit_document(out_doc),
-    }
-    lines = [
-        f"sequence: {','.join(str(i + 1) for i in seq.entries) or '-'}",
-        f"installed inter edges: {len(inter)}",
-        f"largest admissible inter edge-set: {report.cardinality} (bound {report.bound})",
-    ]
-    lines.extend(f"  {a} {b}" for a, b in named_max)
-    lines.append("combined document:")
-    lines.append(emit_document(out_doc))
-    _emit(args, payload, "\n".join(lines))
+    machine = args.format == "machine"
+    written = _written_names(names, machine)
+    pairs = _sorted_pairs(report.rows, names, written, machine)
+    tf = combined.times
+    document = _document(
+        written, machine, combined.graph.rows, sorted(combined.sources),
+        [c.nodes for c in tf.chains.chains], sorted(tf.times.items()),
+    )
+    if machine:
+        _write(_json({
+            "command": "combine",
+            "mode": "general",
+            "sequence": [i + 1 for i in seq.entries],
+            "accepted": True,
+            "installed_inter_edges": len(inter),
+            "max_inter_count": report.cardinality,
+            "max_inter_bound": report.bound,
+            "max_inter": pairs,
+            "document": document,
+        }))
+        return EXIT_OK
+    _write([
+        f"sequence: {','.join(str(i + 1) for i in seq.entries) or '-'}\n"
+        f"installed inter edges: {len(inter)}\n"
+        f"largest admissible inter edge-set: {report.cardinality} (bound {report.bound})\n"
+    ])
+    _write(pairs)
+    _write(["combined document:\n"])
+    _write(document)
     return EXIT_OK
 
 
@@ -322,22 +405,26 @@ def _combine_dag(args, docs: Sequence[NetworkDocument]) -> int:
     for i, doc in enumerate(docs, start=1):
         inverse = {idx: orig for orig, idx in combo.node_maps[i - 1].items()}
         names.extend(f"{i}.{doc.name_of(inverse[k])}" for k in range(1, dags[i - 1].n + 1))
-    out_doc = NetworkDocument.from_graph(
-        combo.graph, names, [combo.control], combo.time_function()
+    machine = args.format == "machine"
+    document = _document(
+        _written_names(names, machine), machine, combo.graph.rows, [combo.control],
+        [combo.spine], sorted(combo.times.items()),
     )
-    payload = {
-        "command": "combine",
-        "mode": "dag",
-        "sequence": [i + 1 for i in seq.entries],
-        "control": names[combo.control - 1],
-        "document": emit_document(out_doc),
-    }
-    text = (
+    if machine:
+        _write(_json({
+            "command": "combine",
+            "mode": "dag",
+            "sequence": [i + 1 for i in seq.entries],
+            "control": names[combo.control - 1],
+            "document": document,
+        }))
+        return EXIT_OK
+    _write([
         f"sequence: {','.join(str(i + 1) for i in seq.entries)}\n"
         f"control node: {names[combo.control - 1]}\n"
-        "combined document:\n" + emit_document(out_doc)
-    )
-    _emit(args, payload, text)
+        "combined document:\n"
+    ])
+    _write(document)
     return EXIT_OK
 
 
@@ -351,16 +438,19 @@ def cmd_oracle(args) -> int:
     if args.ltv:
         return _oracle_ltv(args, doc, z)
     report = verify_ssc_numeric(g, z, trials=args.trials, seed=args.seed)
-    payload = {
-        "command": "oracle",
-        "seed": args.seed,
-        "zfs": report.expected_zfs,
-        "trials": report.trials,
-        "full_rank": report.full_rank,
-        "consistent": report.consistent,
-        "stalled_white": [doc.name_of(v) for v in sorted(report.stalled_white)],
-        "witness_rank": report.witness_rank,
-    }
+    code = EXIT_OK if report.consistent else EXIT_INTERNAL
+    if args.format == "machine":
+        _write(_json({
+            "command": "oracle",
+            "seed": args.seed,
+            "zfs": report.expected_zfs,
+            "trials": report.trials,
+            "full_rank": report.full_rank,
+            "consistent": report.consistent,
+            "stalled_white": [doc.name_of(v) for v in sorted(report.stalled_white)],
+            "witness_rank": report.witness_rank,
+        }))
+        return code
     lines = [
         f"seed: {args.seed}",
         f"combinatorial verdict: {'ZFS' if report.expected_zfs else 'not a ZFS'}",
@@ -374,8 +464,8 @@ def cmd_oracle(args) -> int:
             + "}"
         )
         lines.append(f"rank-deficient witness found (rank {report.witness_rank})")
-    _emit(args, payload, "\n".join(lines))
-    return EXIT_OK if report.consistent else EXIT_INTERNAL
+    _write(line + "\n" for line in lines)
+    return code
 
 
 def _oracle_ltv(args, doc: NetworkDocument, z: frozenset[int]) -> int:
@@ -395,22 +485,23 @@ def _oracle_ltv(args, doc: NetworkDocument, z: frozenset[int]) -> int:
     # sources-covering controls are guaranteed full rank; anything else is
     # schedule-specific, so only report it
     consistent = rank == n or not covers
-    payload = {
-        "command": "oracle",
-        "ltv": True,
-        "seed": args.seed,
-        "gramian_rank": rank,
-        "nodes": n,
-        "controls_cover_sources": covers,
-        "consistent": consistent,
-    }
-    text = (
-        f"seed: {args.seed}\n"
-        f"gramian rank: {rank}/{n}\n"
-        f"controls cover the chain sources: {'yes' if covers else 'no'}\n"
-        f"consistent: {'yes' if consistent else 'NO'}\n"
-    )
-    _emit(args, payload, text)
+    if args.format == "machine":
+        _write(_json({
+            "command": "oracle",
+            "ltv": True,
+            "seed": args.seed,
+            "gramian_rank": rank,
+            "nodes": n,
+            "controls_cover_sources": covers,
+            "consistent": consistent,
+        }))
+    else:
+        _write([
+            f"seed: {args.seed}\n"
+            f"gramian rank: {rank}/{n}\n"
+            f"controls cover the chain sources: {'yes' if covers else 'no'}\n"
+            f"consistent: {'yes' if consistent else 'NO'}\n"
+        ])
     return EXIT_OK if consistent else EXIT_INTERNAL
 
 
@@ -430,7 +521,7 @@ def cmd_schedules(args) -> int:
             return EXIT_NEGATIVE
         tfs = [TimeFunction.from_record(r) for r in records]
         if args.format == "machine":
-            payload = {
+            _write(_json({
                 "command": "schedules",
                 "kind": "forcing",
                 "count": len(records),
@@ -443,18 +534,17 @@ def cmd_schedules(args) -> int:
                     }
                     for r, tf in zip(records, tfs)
                 ],
-            }
-            _emit(args, payload, "")
+            }))
             return EXIT_OK
-        lines = [f"forcing schedules: {len(records)}"]
-        for r, tf in zip(records, tfs):
-            lines.append(
-                "  "
-                + " ".join(doc.name_of(u) + ">" + doc.name_of(v) for u, v in r.forces)
-                + "  |  "
-                + _intervals_text(doc, tf)
-            )
-        _emit(args, {}, "\n".join(lines))
+        _write([f"forcing schedules: {len(records)}\n"])
+        _write(
+            "  "
+            + " ".join(doc.name_of(u) + ">" + doc.name_of(v) for u, v in r.forces)
+            + "  |  "
+            + _intervals_text(doc, tf)
+            + "\n"
+            for r, tf in zip(records, tfs)
+        )
         return EXIT_OK
     if args.mode == "dag":
         counts = [len(doc.names) for doc in docs]
@@ -472,16 +562,17 @@ def cmd_schedules(args) -> int:
     except InfeasibleSequenceError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
-    payload = {
-        "command": "schedules",
-        "kind": "sequences",
-        "mode": args.mode,
-        "count": len(seqs),
-        "sequences": [[i + 1 for i in s.entries] for s in seqs],
-    }
-    lines = [f"sequences: {len(seqs)}"]
-    lines.extend("  " + ",".join(str(i + 1) for i in s.entries) for s in seqs)
-    _emit(args, payload, "\n".join(lines))
+    if args.format == "machine":
+        _write(_json({
+            "command": "schedules",
+            "kind": "sequences",
+            "mode": args.mode,
+            "count": len(seqs),
+            "sequences": [[i + 1 for i in s.entries] for s in seqs],
+        }))
+        return EXIT_OK
+    _write([f"sequences: {len(seqs)}\n"])
+    _write("  " + ",".join(str(i + 1) for i in s.entries) + "\n" for s in seqs)
     return EXIT_OK
 
 

@@ -21,7 +21,6 @@ from .graphs import (
     CyclicError,
     DiGraph,
     Edge,
-    mask_nodes,
     topological_order,
 )
 from .robustness import INTER_NETWORK, EdgeSetReport
@@ -140,22 +139,7 @@ class CombinedNetwork:
         return self.times.chains
 
 
-# The CLI asks for the same merge twice, through combine_networks and then
-# max_inter_edges, whose signatures are public; the latest merge is kept with
-# its inputs so that it is built once.  Blocks are immutable values and the
-# inputs are held, so an identity match always returns the right merge.
-_last_merge: tuple[tuple[Block, ...], CombineSequence, CombinedNetwork] | None = None
-
-
 def _merge_blocks(blocks: Sequence[Block], seq: CombineSequence) -> CombinedNetwork:
-    global _last_merge
-    blocks = tuple(blocks)
-    if _last_merge is not None:
-        last_blocks, last_seq, merged = _last_merge
-        if last_seq == seq and len(last_blocks) == len(blocks) and all(
-            g is lg and tf is ltf for (g, tf), (lg, ltf) in zip(blocks, last_blocks)
-        ):
-            return merged
     counts = [g.n - tf.m for g, tf in blocks]
     if not seq.matches_counts(counts):
         raise ValueError(
@@ -178,9 +162,7 @@ def _merge_blocks(blocks: Sequence[Block], seq: CombineSequence) -> CombinedNetw
         rows.extend(row << off for row in g.rows[1:])
     merged_tf = TimeFunction(ChainSet(tuple(chains)), times)
     graph = DiGraph.from_rows(sum(sizes), rows)
-    merged = CombinedNetwork(graph, merged_tf, frozenset(), offsets, sizes)
-    _last_merge = (blocks, seq, merged)
-    return merged
+    return CombinedNetwork(graph, merged_tf, frozenset(), offsets, sizes)
 
 
 def combine_networks(
@@ -218,28 +200,28 @@ def combine_networks(
 def max_inter_edges(blocks: Sequence[Block], seq: CombineSequence) -> EdgeSetReport:
     """The largest installable inter-block edge set and its closed form.
 
-    Enumerates every cross-block pair with ``tmax(u) >= t(v)`` under the
-    merged times and checks the count against the closed form: the merged
+    Every row is the merged admissible row of a node (all v with
+    ``tmax(u) >= t(v)`` under the merged times) minus its own block's
+    bits; the count is checked against the closed form: the merged
     maximal-member count minus the per-block ones.
     """
     merged = _merge_blocks(blocks, seq)
     tf = merged.times
     admissible = _admissible_rows(tf)
-    edges = set()
+    rows = [0] * (merged.graph.n + 1)
     for off, size in zip(merged.offsets, merged.block_sizes):
         outside = ~(((1 << size) - 1) << off)
         for u in range(off + 1, off + size + 1):
-            edges.update((u, v) for v in mask_nodes(admissible[u] & outside))
-    n = merged.graph.n
-    m = tf.m
-    bound = perfect_edge_count(n, m) - sum(
+            rows[u] = admissible[u] & outside
+    bound = perfect_edge_count(merged.graph.n, tf.m) - sum(
         perfect_edge_count(g.n, btf.m) for g, btf in blocks
     )
-    if len(edges) != bound:
+    count = sum(row.bit_count() for row in rows)
+    if count != bound:
         raise ConsistencyError(
-            f"enumerated {len(edges)} admissible inter edges, closed form says {bound}"
+            f"enumerated {count} admissible inter edges, closed form says {bound}"
         )
-    return EdgeSetReport(INTER_NETWORK, frozenset(edges), bound, witness=tf)
+    return EdgeSetReport.from_rows(INTER_NETWORK, rows, bound, witness=tf)
 
 
 def enumerate_sequences(

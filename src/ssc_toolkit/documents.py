@@ -23,24 +23,37 @@ whitespace-free tokens, unique, and everything else must reference them.
 Parsing reports the offending line number; emission is canonical, so
 ``emit(parse(text))`` is a fixed point.
 
-The parser builds the network's :class:`~ssc_toolkit.graphs.DiGraph` as
-it reads: each ``EDGES`` line sets one bit of its source's row, and a bit
-already set is a duplicate edge.  The document keeps that graph, so the
-annotation checks and every caller of :meth:`NetworkDocument.graph` share
-one build.
+Rows are the storage.  The parser builds the network's
+:class:`~ssc_toolkit.graphs.DiGraph` rows as it reads: section headers are
+found by a scan for their keywords, and the ``EDGES`` block is split in
+one pass and mapped through a name-to-bit table, each edge setting one
+bit of its source's row.  Only a block that fails a check is read again
+line by line, to report the first bad line.  The document keeps that
+graph, so the annotation checks and every caller of
+:meth:`NetworkDocument.graph` share one build; ``edges`` keeps the name
+pairs in document order.  :func:`document_chunks` writes the canonical
+text straight from rows, one chunk per row, in plain text or as the
+inside of a JSON string.
 """
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .forcing import ExplicitForces
-from .graphs import Chain, ChainSet, DiGraph, Edge, mask_nodes
+from .graphs import Chain, ChainSet, ConsistencyError, DiGraph, Edge, mask_nodes
 from .synthesis import TimeFunction, validate_time_function
 
 SECTIONS = ("NODES", "EDGES", "CONTROLS", "CHAINS", "TIMES")
+
+_KEYWORD = re.compile("|".join(SECTIONS))
+# A header line: one section keyword and nothing else before any comment.
+# ``\s`` is exactly ``str.split``'s whitespace.
+_HEADER = re.compile(r"\s*(%s)\s*(?:#.*)?" % "|".join(SECTIONS))
+_COMMENT = re.compile("#.*")
 
 
 class DocumentError(ValueError):
@@ -164,8 +177,10 @@ class NetworkDocument:
         )  # canonical already: edges, controls and times in node-id order
 
 
-def _content_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+def _content_lines(lines: Sequence[str], first: int = 1):
+    """(line number, tokens) of every line with tokens; ``lines[0]`` is line
+    ``first`` and everything after a ``#`` is a comment."""
+    for lineno, raw in enumerate(lines, start=first):
         if "#" in raw:
             raw = raw[: raw.index("#")]
         tokens = raw.split()
@@ -173,27 +188,88 @@ def _content_lines(text: str):
             yield lineno, tokens
 
 
+def _section_heads(lines: Sequence[str]) -> list[tuple[int, str]]:
+    """(index into ``lines``, keyword) of every section header line.
+
+    Only the lines holding a keyword are looked at, so the cost of the
+    rest is one scan of the text.
+    """
+    text = "\n".join(lines)
+    heads = []
+    index = pos = 0
+    while match := _KEYWORD.search(text, pos):
+        start = text.rfind("\n", 0, match.start()) + 1
+        end = text.find("\n", match.end())
+        end = len(text) if end < 0 else end
+        index += text.count("\n", pos, start)
+        header = _HEADER.fullmatch(text, start, end)
+        if header:
+            heads.append((index, header.group(1)))
+        pos = end
+    return heads
+
+
+def _parse_edges(
+    lines: Sequence[str], first: int, ids: dict[str, int]
+) -> tuple[list[int], tuple[tuple[str, str], ...]]:
+    """The graph's rows and the name pairs of an EDGES block whose first
+    line is line ``first``.
+
+    The block is split in one pass and every pair goes through a
+    name-to-bit table; a line without exactly two tokens stops the pass,
+    and a duplicate edge shows as a bit count short of the pair count.  A
+    block that fails any check is read again line by line only to raise
+    the error of its first bad line.
+    """
+    block = "\n".join(lines)
+    split = map(str.split, _COMMENT.sub("", block).split("\n") if "#" in block else lines)
+    pairs = list(filter(None, split))  # the token lists of the lines with tokens
+    rows = [0] * (len(ids) + 1)
+    bits = {name: 1 << (i - 1) for name, i in ids.items()}
+    try:
+        for a, b in pairs:  # a ValueError here is a line without exactly two tokens
+            rows[ids[a]] |= bits[b]
+    except (KeyError, ValueError):
+        pass
+    else:
+        if sum(map(int.bit_count, rows)) == len(pairs):
+            return rows, tuple(map(tuple, pairs))
+    seen: set[tuple[str, str]] = set()
+    for lineno, tokens in _content_lines(lines, first):
+        if len(tokens) != 2:
+            raise DocumentError("an edge line needs exactly two node names", lineno)
+        for tok in tokens:
+            if tok not in ids:
+                raise DocumentError(f"unknown node name {tok!r}", lineno)
+        edge = (tokens[0], tokens[1])
+        if edge in seen:
+            raise DocumentError(f"duplicate edge {edge[0]} -> {edge[1]}", lineno)
+        seen.add(edge)
+    raise ConsistencyError("the EDGES block failed a check that none of its lines fails")
+
+
 def parse_document(text: str) -> NetworkDocument:
     """Parse the text format; raises :class:`DocumentError` with a line number."""
-    sections: dict[str, list[tuple[int, list[str]]]] = {}
-    body: list[tuple[int, list[str]]] | None = None  # the current section's lines
-    for lineno, tokens in _content_lines(text):
-        if len(tokens) == 1 and tokens[0] in SECTIONS:
-            name = tokens[0]
-            if name in sections:
-                raise DocumentError(f"duplicate section {name}", lineno)
-            body = sections[name] = []
-            continue
-        if body is None:
-            raise DocumentError(f"content before any section: {' '.join(tokens)}", lineno)
-        body.append((lineno, tokens))
+    lines = text.splitlines()
+    heads = _section_heads(lines)
+    for lineno, tokens in _content_lines(lines[: heads[0][0] if heads else len(lines)]):
+        raise DocumentError(f"content before any section: {' '.join(tokens)}", lineno)
+    spans: dict[str, tuple[int, int]] = {}  # section -> its body's lines[start:stop]
+    for k, (index, name) in enumerate(heads):
+        if name in spans:
+            raise DocumentError(f"duplicate section {name}", index + 1)
+        spans[name] = (index + 1, heads[k + 1][0] if k + 1 < len(heads) else len(lines))
 
-    if "NODES" not in sections:
+    def section(name: str):
+        start, stop = spans.get(name, (0, 0))
+        return _content_lines(lines[start:stop], start + 1)
+
+    if "NODES" not in spans:
         raise DocumentError("document has no NODES section")
 
     names: list[str] = []
     ids: dict[str, int] = {}
-    for lineno, tokens in sections["NODES"]:
+    for lineno, tokens in section("NODES"):
         for tok in tokens:
             if tok in SECTIONS:
                 raise DocumentError(f"node name {tok!r} collides with a section keyword", lineno)
@@ -209,27 +285,12 @@ def parse_document(text: str) -> NetworkDocument:
             raise DocumentError(f"unknown node name {tok!r}", lineno)
         return tok
 
-    # Each edge line goes straight into the graph's rows; a bit already set
-    # is a duplicate edge.
-    edges: list[tuple[str, str]] = []
-    rows = [0] * (len(names) + 1)
-    node_id = ids.get
-    for lineno, tokens in sections.get("EDGES", ()):
-        if len(tokens) != 2:
-            raise DocumentError("an edge line needs exactly two node names", lineno)
-        a, b = tokens
-        u, v = node_id(a), node_id(b)
-        if u is None or v is None:
-            raise DocumentError(f"unknown node name {a if u is None else b!r}", lineno)
-        row, bit = rows[u], 1 << (v - 1)
-        if row & bit:
-            raise DocumentError(f"duplicate edge {a} -> {b}", lineno)
-        rows[u] = row | bit
-        edges.append((a, b))
+    start, stop = spans.get("EDGES", (0, 0))
+    rows, edges = _parse_edges(lines[start:stop], start + 1, ids)
 
     controls: list[str] = []
     control_seen: set[str] = set()
-    for lineno, tokens in sections.get("CONTROLS", []):
+    for lineno, tokens in section("CONTROLS"):
         for tok in tokens:
             known(tok, lineno)
             if tok in control_seen:
@@ -238,9 +299,9 @@ def parse_document(text: str) -> NetworkDocument:
             controls.append(tok)
 
     chains = None
-    if "CHAINS" in sections:
+    if "CHAINS" in spans:
         chains_list = []
-        for lineno, tokens in sections["CHAINS"]:
+        for lineno, tokens in section("CHAINS"):
             chain = tuple(known(tok, lineno) for tok in tokens)
             if len(set(chain)) != len(chain):
                 raise DocumentError("a chain repeats a node", lineno)
@@ -250,10 +311,10 @@ def parse_document(text: str) -> NetworkDocument:
         chains = tuple(chains_list)
 
     times = None
-    if "TIMES" in sections:
+    if "TIMES" in spans:
         times_list = []
         stamped: set[str] = set()
-        for lineno, tokens in sections["TIMES"]:
+        for lineno, tokens in section("TIMES"):
             if len(tokens) != 2:
                 raise DocumentError("a times line needs a node name and an integer", lineno)
             node = known(tokens[0], lineno)
@@ -269,7 +330,7 @@ def parse_document(text: str) -> NetworkDocument:
             times_list.append((node, t))
         times = tuple(times_list)
 
-    doc = NetworkDocument(tuple(names), tuple(edges), tuple(controls), chains, times)
+    doc = NetworkDocument(tuple(names), edges, tuple(controls), chains, times)
     # Fill the document's cached properties with what parsing built.
     doc.__dict__["node_ids"] = ids
     doc.__dict__["_graph"] = DiGraph.from_rows(len(names), rows)
@@ -301,21 +362,57 @@ def _validate_annotations(doc: NetworkDocument) -> None:
             raise DocumentError("invalid times: " + "; ".join(problems))
 
 
+def edge_lines(
+    rows: Sequence[int], names: Sequence[str], indent: str = "", newline: str = "\n"
+) -> Iterator[str]:
+    """``indent + names[u] + " " + names[v] + newline`` for every edge (u, v)
+    of ``rows`` (``rows[u]`` holding u's out-neighbors), in row order and
+    then by v; one chunk per nonempty row.  ``names[v]`` names node v,
+    ``names[0]`` is unused."""
+    for u, row in enumerate(rows):
+        if row:
+            head = indent + names[u] + " "
+            yield head + (newline + head).join([names[v] for v in mask_nodes(row)]) + newline
+
+
+def document_chunks(
+    names: Sequence[str],
+    rows: Sequence[int],
+    controls: Iterable[int] = (),
+    chains: Iterable[Sequence[int]] | None = None,
+    times: Iterable[tuple[int, int]] | None = None,
+    newline: str = "\n",
+) -> Iterator[str]:
+    """The canonical text of a document, in chunks, straight from rows.
+
+    ``names[v]`` names node v (``names[0]`` is unused), ``rows`` are the
+    graph's rows, ``controls`` are node ids in id order, ``chains`` node id
+    sequences and ``times`` (node, time) pairs in id order.  JSON-escaped
+    names with ``newline="\\n"`` write the inside of the text's JSON
+    string instead.
+    """
+    nl = newline
+    yield "NODES" + nl + " ".join(names[1:]) + nl + "EDGES" + nl
+    yield from edge_lines(rows, names, "", nl)
+    controls = [names[v] for v in controls]
+    if controls:
+        yield "CONTROLS" + nl + " ".join(controls) + nl
+    if chains is not None:
+        yield "CHAINS" + nl + "".join(" ".join(names[v] for v in c) + nl for c in chains)
+    if times is not None:
+        yield "TIMES" + nl + "".join(f"{names[v]} {t}{nl}" for v, t in times)
+
+
 def emit_document(doc: NetworkDocument) -> str:
     """Canonical text for a document; a fixed point of ``emit o parse``."""
-    doc = doc.normalize()
-    lines = ["NODES", " ".join(doc.names), "EDGES"]
-    lines.extend(f"{a} {b}" for a, b in doc.edges)
-    if doc.controls:
-        lines.append("CONTROLS")
-        lines.append(" ".join(doc.controls))
-    if doc.chains is not None:
-        lines.append("CHAINS")
-        lines.extend(" ".join(c) for c in doc.chains)
-    if doc.times is not None:
-        lines.append("TIMES")
-        lines.extend(f"{name} {t}" for name, t in doc.times)
-    return "\n".join(lines) + "\n"
+    ids = doc.node_ids
+    return "".join(document_chunks(
+        ("", *doc.names),
+        doc.graph().rows,
+        sorted(ids[c] for c in doc.controls),
+        None if doc.chains is None else [[ids[v] for v in c] for c in doc.chains],
+        None if doc.times is None else sorted((ids[v], t) for v, t in doc.times),
+    ))
 
 
 def document_to_json(doc: NetworkDocument) -> str:
@@ -337,7 +434,7 @@ def parse_force_list(text: str, doc: NetworkDocument) -> ExplicitForces:
     """Explicit forcing schedule: one ``forcer forced`` name pair per line."""
     ids = doc.node_ids
     forces: list[Edge] = []
-    for lineno, tokens in _content_lines(text):
+    for lineno, tokens in _content_lines(text.splitlines()):
         if len(tokens) != 2:
             raise DocumentError("a force line needs exactly two node names", lineno)
         for tok in tokens:
@@ -367,7 +464,7 @@ def parse_inter_edges(
         return idx - 1, name
 
     out = []
-    for lineno, tokens in _content_lines(text):
+    for lineno, tokens in _content_lines(text.splitlines()):
         if len(tokens) != 2:
             raise DocumentError("an inter-edge line needs exactly two endpoints", lineno)
         out.append((endpoint(tokens[0], lineno), endpoint(tokens[1], lineno)))
@@ -383,7 +480,7 @@ def parse_schedule_file(
     breakpoints: list[float] | None = None
     intervals: list[list[Edge]] = []
     mode: str | None = None
-    for lineno, tokens in _content_lines(text):
+    for lineno, tokens in _content_lines(text.splitlines()):
         if tokens == ["BREAKPOINTS"]:
             if breakpoints is not None:
                 raise DocumentError("duplicate BREAKPOINTS section", lineno)

@@ -31,8 +31,17 @@ class ConsistencyError(RuntimeError):
     """
 
 
+# Above this many set bits, mask_nodes unpacks the mask with numpy: for
+# 1000 bits of 2000 that takes 32 us instead of 290 us, for 16 bits 5-10 us
+# instead of 3-7 us.
+_DENSE_BITS = 64
+
+
 def mask_nodes(mask: int) -> list[int]:
     """The nodes whose bits are set in ``mask`` (bit ``v-1`` for node ``v``), ascending."""
+    if mask.bit_count() > _DENSE_BITS:
+        packed = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), np.uint8)
+        return (np.flatnonzero(np.unpackbits(packed, bitorder="little")) + 1).tolist()
     bits = bin(mask)[:1:-1]  # least significant bit first
     out = []
     i = bits.find("1")
@@ -77,8 +86,24 @@ def _transpose(rows: Sequence[int], n: int, ones: int) -> list[int]:
     return [int.from_bytes(c.tobytes(), "little") for c in columns]
 
 
-def _select_bits(rows: Sequence[int], n: int, at: np.ndarray) -> list[int]:
-    """Each row rebuilt so that its bit ``j`` is its old bit ``at[j]``."""
+def _select_bits(rows: Sequence[int], n: int, at: Sequence[int]) -> list[int]:
+    """Each row rebuilt so that its bit ``j`` is its old bit ``at[j]``.  With
+    at most two bits per row on average, bits move one at a time, as in
+    :func:`_transpose`."""
+    if sum(row.bit_count() for row in rows) <= 2 * n:
+        to = [0] * n
+        for j, old in enumerate(at):
+            to[old] = 1 << j
+        out = []
+        for row in rows:
+            new = 0
+            while row:
+                low = row & -row
+                row ^= low
+                new |= to[low.bit_length() - 1]
+            out.append(new)
+        return out
+    at = np.asarray(at)
     out = []
     for i in range(0, len(rows), _CHUNK):
         packed = np.packbits(_unpack(rows[i : i + _CHUNK], n)[:, at], axis=1, bitorder="little")
@@ -183,7 +208,7 @@ class DiGraph:
         if sorted(order) != list(self.nodes):
             raise ValueError(f"order must list the nodes 1..{self.n} once each")
         rows = [self.rows[v] for v in order]
-        return DiGraph.from_rows(self.n, (0, *_select_bits(rows, self.n, np.asarray(order) - 1)))
+        return DiGraph.from_rows(self.n, (0, *_select_bits(rows, self.n, [v - 1 for v in order])))
 
     @cached_property
     def full_mask(self) -> int:

@@ -9,8 +9,8 @@ the current one, removals at everything except one chain skeleton.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -45,40 +45,75 @@ _LANES = 1 << 14
 _DRAW = 1 << 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EdgeSetReport:
     """A computed critical (or inter-network) edge set with its bound.
 
+    Rows are the storage, as in a :class:`DiGraph`: bit ``v-1`` of
+    ``rows[u]`` marks the edge ``(u, v)``, ``rows[0]`` is 0, and trailing
+    empty rows are dropped, so equal sets have equal rows.  The cardinality
+    is a bit count, and ``edges``, the set as a frozenset of pairs, is
+    derived on first use (or kept as given to the constructor).
     ``bound`` is the closed-form cardinality the set must attain; the
-    producers in this module always emit ``len(edges) == bound`` and the
-    witness (chains, times) that generated the set, so results are
+    producers in this module always emit sets of exactly that size with
+    the witness (chains, times) that generated them, so results are
     reproducible.
     """
 
     kind: str
-    edges: frozenset[Edge]
+    edges: frozenset[Edge] = field(compare=False, repr=False)
     bound: int
     witness: TimeFunction | None = None
+    rows: tuple[int, ...] = field(init=False)
 
-    def __post_init__(self):
-        if self.kind not in (ADDITIVE, SUBTRACTIVE, INTER_NETWORK):
-            raise ValueError(f"unknown report kind {self.kind!r}")
-        edges = self.edges
-        # Producers here already pass frozensets of Python-int pairs; other
-        # ints (numpy's) are converted, as ``1 << np.int64(v)`` overflows.
-        if type(edges) is not frozenset or not all(
+    def __init__(
+        self, kind: str, edges: Iterable[Edge], bound: int, witness: TimeFunction | None = None
+    ):
+        """The report on the edge set ``edges``; a frozenset of Python-int
+        pairs is kept as the report's ``edges``."""
+        pairs = tuple(edges)
+        n = int(max(map(max, pairs), default=1))
+        self._fill(kind, list(DiGraph(n, pairs).rows), bound, witness)
+        if type(edges) is frozenset and all(
             type(e) is tuple and len(e) == 2 and type(e[0]) is int and type(e[1]) is int
             for e in edges
         ):
-            object.__setattr__(self, "edges", frozenset((int(u), int(v)) for u, v in edges))
-        if len(self.edges) != self.bound:
+            self.__dict__["edges"] = edges
+
+    @classmethod
+    def from_rows(
+        cls, kind: str, rows: Iterable[int], bound: int, witness: TimeFunction | None = None
+    ) -> "EdgeSetReport":
+        """The report whose ``rows[u]`` holds u's edges (``rows[0]`` is 0)."""
+        report = cls.__new__(cls)
+        report._fill(kind, list(rows), bound, witness)
+        return report
+
+    def _fill(self, kind: str, rows: list[int], bound: int, witness) -> None:
+        if kind not in (ADDITIVE, SUBTRACTIVE, INTER_NETWORK):
+            raise ValueError(f"unknown report kind {kind!r}")
+        if rows[0]:
+            raise ValueError("rows[0] must be 0")
+        while len(rows) > 1 and not rows[-1]:
+            rows.pop()
+        for name, value in (("kind", kind), ("rows", tuple(rows)), ("bound", bound),
+                            ("witness", witness)):
+            object.__setattr__(self, name, value)
+        if self.cardinality != bound:
             raise ValueError(
-                f"report carries {len(self.edges)} edges but claims a bound of {self.bound}"
+                f"report carries {self.cardinality} edges but claims a bound of {bound}"
             )
 
-    @property
+    def __getattr__(self, name: str):
+        # Only ``edges`` can be missing: it is derived from the rows on first use.
+        if name != "edges":
+            raise AttributeError(name)
+        edges = self.__dict__["edges"] = frozenset(_pairs(self.rows))
+        return edges
+
+    @cached_property
     def cardinality(self) -> int:
-        return len(self.edges)
+        return sum(row.bit_count() for row in self.rows)
 
 
 def critical_additive_number(g: DiGraph, controls: Iterable[int]) -> int:
@@ -108,13 +143,12 @@ def critical_additive_set(
     perf = perfect_graph(tf)
     if any(row & ~p for row, p in zip(g.rows, perf.rows)):
         raise ConsistencyError("graph is not contained in its own maximal member")
-    edges = frozenset(
-        (u, v) for u in g.nodes for v in mask_nodes(perf.rows[u] & ~g.rows[u])
-    )
+    rows = [p & ~row for row, p in zip(g.rows, perf.rows)]
     bound = perfect_edge_count(g.n, len(z)) - g.edge_count
-    if len(edges) != bound:
-        raise ConsistencyError(f"additive set has {len(edges)} edges, bound is {bound}")
-    return EdgeSetReport(ADDITIVE, edges, bound, witness=tf)
+    count = sum(row.bit_count() for row in rows)
+    if count != bound:
+        raise ConsistencyError(f"additive set has {count} edges, bound is {bound}")
+    return EdgeSetReport.from_rows(ADDITIVE, rows, bound, witness=tf)
 
 
 def critical_subtractive_set(
@@ -127,11 +161,11 @@ def critical_subtractive_set(
     rows = list(g.rows)
     for u, v in record.chains.successor.items():
         rows[u] &= ~(1 << (v - 1))
-    edges = frozenset((u, v) for u in g.nodes for v in mask_nodes(rows[u]))
     bound = g.edge_count - g.n + len(z)
-    if len(edges) != bound:
-        raise ConsistencyError(f"subtractive set has {len(edges)} edges, bound is {bound}")
-    return EdgeSetReport(SUBTRACTIVE, edges, bound, witness=tf)
+    count = sum(row.bit_count() for row in rows)
+    if count != bound:
+        raise ConsistencyError(f"subtractive set has {count} edges, bound is {bound}")
+    return EdgeSetReport.from_rows(SUBTRACTIVE, rows, bound, witness=tf)
 
 
 @dataclass(frozen=True)
@@ -308,6 +342,11 @@ def _scan(g: DiGraph, order, z_mask: int, toggles, blocks) -> tuple[int, list[in
     return tested, None
 
 
+def _pairs(rows: Iterable[int]) -> list[Edge]:
+    """The edges of ``rows`` (``rows[u]`` holding u's), in (u, v) order."""
+    return [(u, v) for u, row in enumerate(rows) if row for v in mask_nodes(row)]
+
+
 def verify_edge_set(
     g: DiGraph,
     controls: Iterable[int],
@@ -315,8 +354,8 @@ def verify_edge_set(
     budget: int = DEFAULT_BUDGET,
     seed: int = 0,
 ) -> VerificationOutcome:
-    """Check that applying any subset of ``report.edges`` keeps the controls
-    a zero forcing set.
+    """Check that applying any subset of the report's edges keeps the
+    controls a zero forcing set.
 
     Additive and inter-network subsets are added to ``g``, subtractive
     subsets removed.  Exhaustive when ``2**len(edges) <= budget``, in gray
@@ -325,21 +364,25 @@ def verify_edge_set(
     are counted but cost nothing.  Every subset gets its own lane of a
     closure shared by a block of subsets, so each subset's verdict is that
     of its own full closure; the report's witness sets only the number of
-    sweeps the closure takes.
+    sweeps the closure takes.  The report is read as rows: present and
+    missing edges are row ANDs, and the toggles run in (u, v) order
+    straight from the rows.
     """
     z = control_set(controls, g.n)
     z_mask = _mask_of(z)
-    edges = sorted(report.edges)
+    rows = report.rows
+    graph_rows = g.rows + (0,) * (len(rows) - len(g.rows))
     if report.kind in (ADDITIVE, INTER_NETWORK):
-        present = [e for e in edges if g.has_edge(*e)]
+        present = _pairs(row & have for row, have in zip(rows, graph_rows))
         if present:
             raise ValueError(f"additive edges {present} are already in the graph")
     elif report.kind == SUBTRACTIVE:
-        missing = [e for e in edges if not g.has_edge(*e)]
+        missing = _pairs(row & ~have for row, have in zip(rows, graph_rows))
         if missing:
             raise ValueError(f"subtractive edges {missing} are not in the graph")
     else:  # pragma: no cover - kinds are closed
         raise ValueError(report.kind)
+    edges = _pairs(rows)
     # XOR-toggling covers both directions: additive subsets turn bits on,
     # subtractive subsets turn them off, starting from the same graph.
     # A self-loop toggles bit 0, which changes no mask.

@@ -212,17 +212,6 @@ class TestOneMerge:
         }
         assert max_inter_edges(blocks, seq).edges == expect
 
-    def test_combine_then_max_inter_merges_once(self, block_path3, block_ring4, monkeypatch):
-        import ssc_toolkit.combine as combine
-
-        calls = []
-        real = combine.remap_time
-        monkeypatch.setattr(combine, "remap_time", lambda *a: calls.append(a) or real(*a))
-        blocks = [block_path3, block_ring4]
-        combine_networks(blocks, SEQ, dashed_inter())
-        max_inter_edges(blocks, SEQ)
-        assert len(calls) == len(blocks)
-
     def test_a_different_merge_is_not_reused(self, block_path3, block_ring4):
         blocks = [block_path3, block_ring4]
         other = CombineSequence((0, 1, 1, 0))
