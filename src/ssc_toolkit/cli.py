@@ -123,18 +123,28 @@ def _write(chunks: Iterable[str]) -> None:
     sys.stdout.writelines(chunks)
 
 
+_ENCODE = json.JSONEncoder(sort_keys=True).encode  # json.dumps(..., sort_keys=True)
+
+
 def _json(payload: dict) -> Iterator[str]:
     """``json.dumps(payload, sort_keys=True)`` and a newline, in chunks: a
-    value that is an iterator is written as the JSON chunks it yields."""
-    sep = "{"
+    value that is an iterator is written as the JSON chunks it yields, and
+    each run of other values (in key order) is encoded in one call."""
+    yield "{"
+    sep, run = "", {}
     for key in sorted(payload):
         value = payload[key]
+        if not isinstance(value, Iterator):
+            run[key] = value
+            continue
+        if run:
+            yield sep + _ENCODE(run)[1:-1]
+            sep, run = ", ", {}
         yield f"{sep}{encode_basestring_ascii(key)}: "
-        if isinstance(value, Iterator):
-            yield from value
-        else:
-            yield json.dumps(value, sort_keys=True)
+        yield from value
         sep = ", "
+    if run:
+        yield sep + _ENCODE(run)[1:-1]
     yield "}\n"
 
 

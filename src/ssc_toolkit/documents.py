@@ -25,7 +25,7 @@ Parsing reports the offending line number; emission is canonical, so
 
 Rows are the storage.  The parser builds the network's
 :class:`~ssc_toolkit.graphs.DiGraph` rows as it reads: section headers are
-found by a scan for their keywords, and the ``EDGES`` block is split in
+found by one regular-expression scan, and the ``EDGES`` block is split in
 one pass and mapped through a name-to-bit table, each edge setting one
 bit of its source's row.  Only a block that fails a check is read again
 line by line, to report the first bad line.  The document keeps that
@@ -49,10 +49,9 @@ from .synthesis import TimeFunction, validate_time_function
 
 SECTIONS = ("NODES", "EDGES", "CONTROLS", "CHAINS", "TIMES")
 
-_KEYWORD = re.compile("|".join(SECTIONS))
 # A header line: one section keyword and nothing else before any comment.
-# ``\s`` is exactly ``str.split``'s whitespace.
-_HEADER = re.compile(r"\s*(%s)\s*(?:#.*)?" % "|".join(SECTIONS))
+# ``\s`` is exactly ``str.split``'s whitespace, and lines are joined by "\n".
+_HEADER = re.compile(r"^[^\S\n]*(%s)[^\S\n]*(?:#.*)?$" % "|".join(SECTIONS), re.M)
 _COMMENT = re.compile("#.*")
 
 
@@ -189,23 +188,15 @@ def _content_lines(lines: Sequence[str], first: int = 1):
 
 
 def _section_heads(lines: Sequence[str]) -> list[tuple[int, str]]:
-    """(index into ``lines``, keyword) of every section header line.
-
-    Only the lines holding a keyword are looked at, so the cost of the
-    rest is one scan of the text.
-    """
+    """(index into ``lines``, keyword) of every section header line, from
+    one scan of the text."""
     text = "\n".join(lines)
     heads = []
     index = pos = 0
-    while match := _KEYWORD.search(text, pos):
-        start = text.rfind("\n", 0, match.start()) + 1
-        end = text.find("\n", match.end())
-        end = len(text) if end < 0 else end
-        index += text.count("\n", pos, start)
-        header = _HEADER.fullmatch(text, start, end)
-        if header:
-            heads.append((index, header.group(1)))
-        pos = end
+    for header in _HEADER.finditer(text):
+        index += text.count("\n", pos, header.start())
+        pos = header.start()
+        heads.append((index, header.group(1)))
     return heads
 
 

@@ -153,3 +153,59 @@ def nonempty_subsets(items):
     items = sorted(items)
     for r in range(1, len(items) + 1):
         yield from (frozenset(c) for c in combinations(items, r))
+
+
+def line_by_line_document(text: str):
+    """Names, edge name pairs and edge id set of a document without CHAINS
+    or TIMES, read one line at a time as the format defines it: lines as
+    ``str.splitlines`` cuts them, a comment from the first ``#``, tokens as
+    ``str.split`` cuts the rest.  Raises the parser's ``DocumentError``
+    with the message and line number the format prescribes."""
+    from ssc_toolkit.documents import SECTIONS, DocumentError
+
+    sections: dict[str, list] = {}
+    body = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        if len(tokens) == 1 and tokens[0] in SECTIONS:
+            if tokens[0] in sections:
+                raise DocumentError(f"duplicate section {tokens[0]}", lineno)
+            body = sections[tokens[0]] = []
+        elif body is None:
+            raise DocumentError(f"content before any section: {' '.join(tokens)}", lineno)
+        else:
+            body.append((lineno, tokens))
+    assert "CHAINS" not in sections and "TIMES" not in sections
+    if "NODES" not in sections:
+        raise DocumentError("document has no NODES section")
+    ids: dict[str, int] = {}
+    for lineno, tokens in sections["NODES"]:
+        for tok in tokens:
+            if tok in SECTIONS:
+                raise DocumentError(f"node name {tok!r} collides with a section keyword", lineno)
+            if tok in ids:
+                raise DocumentError(f"duplicate node name {tok!r}", lineno)
+            ids[tok] = len(ids) + 1
+    if not ids:
+        raise DocumentError("NODES section declares no nodes")
+    edges: list[tuple[str, str]] = []
+    for lineno, tokens in sections.get("EDGES", []):
+        if len(tokens) != 2:
+            raise DocumentError("an edge line needs exactly two node names", lineno)
+        for tok in tokens:
+            if tok not in ids:
+                raise DocumentError(f"unknown node name {tok!r}", lineno)
+        if tuple(tokens) in edges:
+            raise DocumentError(f"duplicate edge {tokens[0]} -> {tokens[1]}", lineno)
+        edges.append((tokens[0], tokens[1]))
+    seen: set[str] = set()
+    for lineno, tokens in sections.get("CONTROLS", []):
+        for tok in tokens:
+            if tok not in ids:
+                raise DocumentError(f"unknown node name {tok!r}", lineno)
+            if tok in seen:
+                raise DocumentError(f"duplicate control node {tok!r}", lineno)
+            seen.add(tok)
+    return tuple(ids), tuple(edges), {(ids[a], ids[b]) for a, b in edges}

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import io
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from ssc_toolkit import cli
 from ssc_toolkit.cli import main
@@ -189,6 +192,20 @@ class TestCombine:
         capsys.readouterr()
 
 
+    @pytest.mark.parametrize("mode, sequence, entry", [
+        ("general", "9,1,2,2", 9),
+        ("general", "2,0,1,2", 0),
+        ("dag", "1,2,1,2,1,3", 3),
+        ("dag", "G1,G0", 0),
+    ])
+    def test_out_of_range_sequence_entry_is_input_error(self, capsys, mode, sequence, entry):
+        docs = ["path3_bidir.net", "ring4_chord.net"] if mode == "general" else ["chain3.net"] * 2
+        rc = main(["combine", *(str(SAMPLES / d) for d in docs), "--mode", mode,
+                   "--sequence", sequence])
+        assert rc == 3
+        assert f"sequence entry {entry} is not a document number in 1..2" in capsys.readouterr().err
+
+
 class TestOracle:
     def test_lti_consistent(self, capsys):
         rc, out = run(
@@ -318,3 +335,57 @@ class TestRepeatedCalls:
         assert main(["robustness", str(SAMPLES / "chain3.net")]) == 3
         assert "--mode" in capsys.readouterr().err
         assert run(capsys, "check", str(SAMPLES / "chain3.net"))[0] == 0
+
+
+class TestOneClosure:
+    """``check`` runs one forcing closure under a built-in policy; any other
+    policy is read only after a first closure has found the controls forcing."""
+
+    @pytest.mark.parametrize("doc, policy, closures", [
+        ("ring6_chord.net", "lowest-forcer", 1),
+        ("ring6_chord.net", "lowest-forced", 1),
+        ("ring6_stalled.net", "lowest-forcer", 1),
+        ("ring6_chord.net", f"explicit:{SAMPLES / 'ring6_chord_forces.txt'}", 2),
+        ("ring6_stalled.net", "bogus", 1),
+    ])
+    def test_closures_per_check(self, capsys, monkeypatch, doc, policy, closures):
+        from ssc_toolkit import forcing
+
+        built = []
+        init = forcing._Frontier.__init__
+        monkeypatch.setattr(
+            forcing._Frontier, "__init__", lambda self, *a: built.append(1) or init(self, *a)
+        )
+        rc = main(["check", str(SAMPLES / doc), "--policy", policy])
+        capsys.readouterr()
+        assert rc == (0 if doc == "ring6_chord.net" else 2)
+        assert len(built) == closures
+
+
+class _Writes(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, chunk):
+        self.sizes.append(len(chunk))
+        return super().write(chunk)
+
+
+class TestStreamedOutput:
+    @pytest.mark.parametrize("fmt", ["machine", "text"])
+    @pytest.mark.parametrize("argv", [
+        ["robustness", "{doc}", "--mode", "add", "--no-verify"],
+        ["combine", "{doc}", "{doc}"],
+    ])
+    def test_large_outputs_are_written_in_chunks(self, tmp_path, monkeypatch, argv, fmt):
+        doc = tmp_path / "path40.net"
+        doc.write_text(PATH40)
+        out = _Writes()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main([a.replace("{doc}", str(doc)) for a in argv] + ["--format", fmt]) == 0
+        text = out.getvalue()
+        assert len(out.sizes) > 30
+        assert max(out.sizes) < len(text) / 10
+        if fmt == "machine":
+            assert json.loads(text)

@@ -3,7 +3,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssc_toolkit.documents import (
@@ -18,6 +18,8 @@ from ssc_toolkit.documents import (
     parse_schedule_file,
 )
 from ssc_toolkit.graphs import DiGraph
+
+from reference import line_by_line_document
 
 RING = """\
 # ring with chord
@@ -169,6 +171,85 @@ class TestParsedGraph:
         direct = NetworkDocument(doc.names, doc.edges, doc.controls)
         assert direct.graph() is direct.graph()
         assert direct.graph() == doc.graph()
+
+
+# Line breaks as ``str.splitlines`` sees them, and whitespace that stays
+# inside a line; form feed and U+2028 are whitespace that also ends a line.
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029"]
+GAPS = [" ", "  ", "\t", "\x1f", "\xa0", "\u3000", " \t"]
+LINE_ENDING_GAPS = ["\x0c", "\u2028"]
+
+
+@st.composite
+def raw_documents(draw):
+    """Text of a document with NODES, EDGES and maybe CONTROLS, often
+    malformed: lines of one and three tokens that balance each other out,
+    unknown names, duplicate edges, stray or repeated sections, and
+    whitespace where ``str.split`` and ``str.splitlines`` disagree."""
+    names = draw(st.lists(st.from_regex(r'[ab][ab1"\\\xe9]{0,2}', fullmatch=True),
+                          min_size=1, max_size=6, unique=True))
+    if draw(st.integers(0, 19)) == 5:  # rare events avoid the values hypothesis favors
+        names.append("EDGES")
+    pair = st.tuples(st.sampled_from(names), st.sampled_from(names))
+    edges = [list(e) for e in draw(st.lists(pair, max_size=12, unique=draw(st.booleans())))]
+    if len(edges) >= 2 and draw(st.booleans()):  # 2 + 2 tokens become 1 + 3
+        i = draw(st.integers(0, len(edges) - 2))
+        edges[i:i + 2] = [edges[i][:1], [edges[i][1], *edges[i + 1]]]
+    if edges and draw(st.integers(0, 5)) == 3:
+        edges[draw(st.integers(0, len(edges) - 1))][0] = "zz"
+    sections = [[["NODES"], *(names[i:i + 2] for i in range(0, len(names), 2))],
+                [["EDGES"], *edges]]
+    if draw(st.booleans()):
+        sections.append([["CONTROLS"], draw(st.lists(st.sampled_from(names), max_size=3))])
+    if draw(st.integers(0, 9)) == 5:
+        sections.append([["EDGES"]])
+    if draw(st.booleans()):
+        sections.reverse()
+    lines = [tokens for section in sections for tokens in section]
+    if draw(st.integers(0, 9)) == 5:
+        lines.insert(0, ["stray"])
+    gap = st.sampled_from(GAPS + LINE_ENDING_GAPS if draw(st.integers(0, 3)) == 2 else GAPS)
+    out = []
+    for tokens in lines:
+        line = draw(st.sampled_from(["", " ", "\t"])) + "".join(
+            tok + (draw(gap) if k < len(tokens) - 1 else "") for k, tok in enumerate(tokens))
+        if draw(st.integers(0, 3)) == 2:
+            line += draw(gap) + "# " + draw(st.sampled_from(["note", "EDGES", "a b c"]))
+        out.append(line)
+        if draw(st.integers(0, 5)) == 3:
+            out.append(draw(st.sampled_from(["", "   ", "# comment", "\t# EDGES"])))
+    breaks = [draw(st.sampled_from(LINE_BREAKS)) for _ in out]
+    return "".join(line + brk for line, brk in zip(out, breaks))
+
+
+class TestBulkParse:
+    @settings(max_examples=400)
+    @given(raw_documents())
+    def test_agrees_with_a_line_by_line_reading(self, text):
+        try:
+            names, edges, ids = line_by_line_document(text)
+        except DocumentError as exc:
+            with pytest.raises(DocumentError) as got:
+                parse_document(text)
+            assert (str(got.value), got.value.line) == (str(exc), exc.line)
+            return
+        doc = parse_document(text)
+        assert doc.names == names
+        assert doc.edges == edges
+        assert doc.graph() == DiGraph(len(names), ids)
+
+    @pytest.mark.parametrize("text, line, fragment", [
+        ("NODES\na b c\nEDGES\na b c\nc\n", 4, "exactly two"),
+        ("NODES\na b\nEDGES\na\x1fb\na\x0cb\n", 5, "exactly two"),
+        ("NODES\na b\nEDGES\na\u2028b\n", 4, "exactly two"),
+        ("NODES\na b\nEDGES\na\xa0b # c\r\nb a\r\na b\n", 6, "duplicate edge a -> b"),
+        ("NODES\na b\nEDGES\na b\n\nb zz\n", 6, "unknown node name 'zz'"),
+    ])
+    def test_a_failed_bulk_check_names_the_first_bad_line(self, text, line, fragment):
+        with pytest.raises(DocumentError, match=fragment) as got:
+            parse_document(text)
+        assert got.value.line == line
 
 
 class TestRoundTrip:

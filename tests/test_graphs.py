@@ -155,6 +155,18 @@ class TestRowStorage:
             g = DiGraph(n, edges)
             assert g.in_masks == tuple(rows_of(n, {(v, u) for u, v in edges if u != v}))
 
+    def test_sparse_and_dense_relabelings_agree(self):
+        # up to two edges per node on average, bits move one at a time
+        rng = np.random.default_rng(7)
+        n = 150
+        order = [int(v) for v in rng.permutation(n) + 1]
+        new_id = {v: i for i, v in enumerate(order, start=1)}
+        for m in (0, n, 2 * n, 2 * n + 1, 6 * n):
+            pairs = rng.choice(n * n, size=m, replace=False)
+            edges = {(int(k) // n + 1, int(k) % n + 1) for k in pairs}
+            relabeled = DiGraph(n, edges).relabeled(order)
+            assert relabeled == DiGraph(n, {(new_id[u], new_id[v]) for u, v in edges})
+
     def test_bit_matrix_work_spans_several_chunks(self):
         # the transpose and the relabeling unpack 1024 rows at a time
         rng = np.random.default_rng(5)
@@ -183,6 +195,15 @@ class TestRowStorage:
         assert mask_nodes(0b1) == [1]
         assert mask_nodes(0b101100) == [3, 4, 6]
         assert mask_nodes(1 << 2999 | 1 << 1500) == [1501, 3000]
+
+    @pytest.mark.parametrize("count", [0, 1, 64, 65, 500, 3001])
+    def test_mask_nodes_on_sparse_and_dense_masks(self, count):
+        # masks with over 64 set bits are unpacked with numpy
+        bits = np.random.default_rng(count).choice(3001, size=count, replace=False)
+        mask = sum(1 << int(b) for b in bits)
+        nodes = mask_nodes(mask)
+        assert nodes == sorted(int(b) + 1 for b in bits)
+        assert all(type(v) is int for v in nodes)
 
 
 class TestControlSet:

@@ -374,6 +374,25 @@ class TestLaneScan:
 
 
 class TestReportEdges:
+    @given(st.sets(st.tuples(st.integers(1, 70), st.integers(1, 70)), max_size=40))
+    def test_rows_and_edges_describe_one_set(self, edges):
+        rows = [0] * 71
+        for u, v in edges:
+            rows[u] |= 1 << (v - 1)
+        built = EdgeSetReport.from_rows(ADDITIVE, rows, len(edges))
+        given_edges = EdgeSetReport(ADDITIVE, frozenset(edges), len(edges))
+        assert built == given_edges and hash(built) == hash(given_edges)
+        assert built.rows == given_edges.rows
+        assert len(built.rows) == 1 or built.rows[-1]  # no trailing empty rows
+        assert built.edges == edges and built.cardinality == len(edges)
+        assert replace(built, witness=None) == built
+
+    def test_rows_must_attain_the_bound(self):
+        with pytest.raises(ValueError, match="bound"):
+            EdgeSetReport.from_rows(SUBTRACTIVE, [0, 0b11], 3)
+        with pytest.raises(ValueError, match="rows"):
+            EdgeSetReport.from_rows(SUBTRACTIVE, [1, 0b11], 2)
+
     def test_python_int_pairs_are_kept_as_given(self):
         edges = frozenset({(1, 2), (2, 3)})
         assert EdgeSetReport(ADDITIVE, edges, 2).edges is edges
