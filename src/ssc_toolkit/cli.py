@@ -130,22 +130,19 @@ def _json(payload: dict) -> Iterator[str]:
     """``json.dumps(payload, sort_keys=True)`` and a newline, in chunks: a
     value that is an iterator is written as the JSON chunks it yields, and
     each run of other values (in key order) is encoded in one call."""
-    yield "{"
-    sep, run = "", {}
+    head, run = "{", {}
     for key in sorted(payload):
         value = payload[key]
         if not isinstance(value, Iterator):
             run[key] = value
             continue
         if run:
-            yield sep + _ENCODE(run)[1:-1]
-            sep, run = ", ", {}
-        yield f"{sep}{encode_basestring_ascii(key)}: "
+            head += _ENCODE(run)[1:-1] + ", "
+            run = {}
+        yield f"{head}{encode_basestring_ascii(key)}: "
         yield from value
-        sep = ", "
-    if run:
-        yield sep + _ENCODE(run)[1:-1]
-    yield "}\n"
+        head = ", "
+    yield (head + _ENCODE(run)[1:-1] if run else head.rstrip(", ")) + "}\n"
 
 
 def _written_names(names: Sequence[str], machine: bool) -> tuple[str, ...]:

@@ -25,7 +25,7 @@ Parsing reports the offending line number; emission is canonical, so
 
 Rows are the storage.  The parser builds the network's
 :class:`~ssc_toolkit.graphs.DiGraph` rows as it reads: section headers are
-found by one regular-expression scan, and the ``EDGES`` block is split in
+found by a scan for their keywords, and the ``EDGES`` block is split in
 one pass and mapped through a name-to-bit table, each edge setting one
 bit of its source's row.  Only a block that fails a check is read again
 line by line, to report the first bad line.  The document keeps that
@@ -49,9 +49,6 @@ from .synthesis import TimeFunction, validate_time_function
 
 SECTIONS = ("NODES", "EDGES", "CONTROLS", "CHAINS", "TIMES")
 
-# A header line: one section keyword and nothing else before any comment.
-# ``\s`` is exactly ``str.split``'s whitespace, and lines are joined by "\n".
-_HEADER = re.compile(r"^[^\S\n]*(%s)[^\S\n]*(?:#.*)?$" % "|".join(SECTIONS), re.M)
 _COMMENT = re.compile("#.*")
 
 
@@ -188,23 +185,37 @@ def _content_lines(lines: Sequence[str], first: int = 1):
 
 
 def _section_heads(lines: Sequence[str]) -> list[tuple[int, str]]:
-    """(index into ``lines``, keyword) of every section header line, from
-    one scan of the text."""
+    """(index into ``lines``, keyword) of every section header line.
+
+    Only the lines holding a keyword are split, so the rest of the text
+    costs one ``str.find`` scan per keyword.
+    """
     text = "\n".join(lines)
+    found: dict[int, str] = {}  # offset of a header line -> its keyword
+    for keyword in SECTIONS:
+        pos = text.find(keyword)
+        while pos >= 0:
+            start = text.rfind("\n", 0, pos) + 1
+            end = text.find("\n", pos)
+            end = len(text) if end < 0 else end
+            if text[start:end].split("#", 1)[0].split() == [keyword]:
+                found[start] = keyword
+            pos = text.find(keyword, end)
     heads = []
     index = pos = 0
-    for header in _HEADER.finditer(text):
-        index += text.count("\n", pos, header.start())
-        pos = header.start()
-        heads.append((index, header.group(1)))
+    for start in sorted(found):
+        index += text.count("\n", pos, start)
+        pos = start
+        heads.append((index, found[start]))
     return heads
 
 
 def _parse_edges(
-    lines: Sequence[str], first: int, ids: dict[str, int]
-) -> tuple[list[int], tuple[tuple[str, str], ...]]:
-    """The graph's rows and the name pairs of an EDGES block whose first
-    line is line ``first``.
+    lines: Sequence[str], first: int, ids: dict[str, int], bits: dict[str, int]
+) -> tuple[DiGraph, tuple[tuple[str, str], ...]]:
+    """The graph and the name pairs of an EDGES block whose first line is
+    line ``first``; ``ids`` and ``bits`` map each name to its node and its
+    bit.
 
     The block is split in one pass and every pair goes through a
     name-to-bit table; a line without exactly two tokens stops the pass,
@@ -216,15 +227,15 @@ def _parse_edges(
     split = map(str.split, _COMMENT.sub("", block).split("\n") if "#" in block else lines)
     pairs = list(filter(None, split))  # the token lists of the lines with tokens
     rows = [0] * (len(ids) + 1)
-    bits = {name: 1 << (i - 1) for name, i in ids.items()}
     try:
         for a, b in pairs:  # a ValueError here is a line without exactly two tokens
             rows[ids[a]] |= bits[b]
     except (KeyError, ValueError):
         pass
     else:
-        if sum(map(int.bit_count, rows)) == len(pairs):
-            return rows, tuple(map(tuple, pairs))
+        graph = DiGraph.from_rows(len(ids), rows)
+        if graph.edge_count == len(pairs):
+            return graph, tuple(map(tuple, pairs))
     seen: set[tuple[str, str]] = set()
     for lineno, tokens in _content_lines(lines, first):
         if len(tokens) != 2:
@@ -260,12 +271,14 @@ def parse_document(text: str) -> NetworkDocument:
 
     names: list[str] = []
     ids: dict[str, int] = {}
+    bits: dict[str, int] = {}
     for lineno, tokens in section("NODES"):
         for tok in tokens:
             if tok in SECTIONS:
                 raise DocumentError(f"node name {tok!r} collides with a section keyword", lineno)
             if tok in ids:
                 raise DocumentError(f"duplicate node name {tok!r}", lineno)
+            bits[tok] = 1 << len(names)
             names.append(tok)
             ids[tok] = len(names)
     if not names:
@@ -277,7 +290,7 @@ def parse_document(text: str) -> NetworkDocument:
         return tok
 
     start, stop = spans.get("EDGES", (0, 0))
-    rows, edges = _parse_edges(lines[start:stop], start + 1, ids)
+    graph, edges = _parse_edges(lines[start:stop], start + 1, ids, bits)
 
     controls: list[str] = []
     control_seen: set[str] = set()
@@ -324,7 +337,7 @@ def parse_document(text: str) -> NetworkDocument:
     doc = NetworkDocument(tuple(names), edges, tuple(controls), chains, times)
     # Fill the document's cached properties with what parsing built.
     doc.__dict__["node_ids"] = ids
-    doc.__dict__["_graph"] = DiGraph.from_rows(len(names), rows)
+    doc.__dict__["_graph"] = graph
     _validate_annotations(doc)
     return doc
 
