@@ -7,11 +7,11 @@ become the reference:
 
 Every case runs ``ssc_toolkit.cli.main`` in-process on the bundled
 ``samples/``, in machine format unless its arguments name a format.  Its
-standard output goes to
-``<name>.out``; ``cases.json`` lists each case's arguments (``{samples}``
-stands for the samples directory), its exit code and its standard error.  ``test_golden.py``
-replays the cases and compares the output byte for byte, so regenerate
-only on purpose, when an output is meant to change.
+standard output goes to ``<name>.out``; ``cases.json`` lists each case's
+arguments (``{samples}`` stands for the samples directory), its exit code
+and its standard error.  ``test_golden.py`` replays the cases and
+compares the output byte for byte, so regenerate only on purpose, when
+an output is meant to change.
 """
 from __future__ import annotations
 

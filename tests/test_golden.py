@@ -30,6 +30,8 @@ def test_every_subcommand_is_covered():
     assert any("--mode add" in a for a in flat) and any("--mode sub" in a for a in flat)
     assert any(a.startswith("combine") and "--mode dag" in a for a in flat)
     assert any(a.startswith("oracle") and "--ltv" in a for a in flat)
+    text = [a for a in flat if "--format text" in a]
+    assert {a.split()[0] for a in text} == {"check", "robustness", "schedules", "combine", "oracle"}
 
 
 @pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
