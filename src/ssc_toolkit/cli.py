@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
@@ -51,7 +51,7 @@ from .forcing import (
     forcing_schedule,
     stalled_white_set,
 )
-from .graphs import ConsistencyError, CyclicError, DiGraph, mask_nodes
+from .graphs import ConsistencyError, CyclicError, DiGraph, Edge, mask_nodes
 from .oracle import ltv_gramian_rank, schedule_from_edges, verify_ssc_numeric
 from .robustness import (
     DEFAULT_BUDGET,
@@ -112,12 +112,6 @@ def _intervals_text(doc: NetworkDocument, tf: TimeFunction) -> str:
     return " ".join(parts)
 
 
-def _chains_text(doc: NetworkDocument, tf: TimeFunction) -> str:
-    return " | ".join(
-        ">".join(doc.name_of(v) for v in c.nodes) for c in tf.chains.chains
-    )
-
-
 def _write(chunks: Iterable[str]) -> None:
     """Write the output chunk by chunk, so that a large one is never held whole."""
     sys.stdout.writelines(chunks)
@@ -145,6 +139,16 @@ def _json(payload: dict) -> Iterator[str]:
     yield (head + _ENCODE(run)[1:-1] if run else head.rstrip(", ")) + "}\n"
 
 
+def _json_list(items: Iterable[str]) -> Iterator[str]:
+    """The JSON list of ``items``, each already encoded, in chunks."""
+    yield "["
+    sep = ""
+    for item in items:
+        yield sep + item
+        sep = ", "
+    yield "]"
+
+
 def _written_names(names: Sequence[str], machine: bool) -> tuple[str, ...]:
     """``("", *names)`` as written: JSON-encoded, once each, in machine
     format.  Index v holds node v's name."""
@@ -170,14 +174,62 @@ def _sorted_pairs(
     if not machine:
         yield from edge_lines(ranked, table, "  ")
         return
-    yield "["
-    sep = ""
-    for u, row in enumerate(ranked):
-        if row:
-            head = "[" + table[u] + ", "
-            yield sep + head + ("], " + head).join([table[v] for v in mask_nodes(row)]) + "]"
-            sep = ", "
-    yield "]"
+    heads = (("[" + table[u] + ", ", row) for u, row in enumerate(ranked) if row)
+    yield from _json_list(
+        head + ("], " + head).join([table[v] for v in mask_nodes(row)]) + "]" for head, row in heads
+    )
+
+
+class _Texts(dict):
+    """A dict that fills in a missing key's value with ``make(key)``."""
+
+    def __init__(self, make: Callable):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        self[key] = value = self.make(key)
+        return value
+
+
+def _schedule_writer(
+    names: Sequence[str], machine: bool, gamma: int
+) -> Callable[[Sequence[Edge]], tuple[str, str]]:
+    """A function that writes a force list of a complete schedule with this
+    ``gamma``, and its ``[t, tmax]`` intervals, straight from the list: as
+    JSON values, the intervals keyed in name order as ``sort_keys`` orders
+    them, or as text, ``u>v`` forces and ``name:[t,tmax]`` in id order.
+
+    Controls turn black at step 1.  Force k (counted from 0) ``(w, u)``
+    blackens u at step k + 2 and ends w's time as its chain's frontier at
+    step k + 1; a node that never forces is a frontier until gamma.
+    """
+    n = len(names)
+    written = _written_names(names, machine)
+    if machine:
+        order = sorted(range(1, n + 1), key=lambda v: names[v - 1])
+        colon, mid, sep, pair = ": [", ", ", ", ", "[{}, {}]"
+    else:
+        order, colon, mid, sep, pair = range(1, n + 1), ":[", ",", " ", "{}>{}"
+    pairs = _Texts(lambda f: pair.format(written[f[0]], written[f[1]]))
+    digits = [str(k) for k in range(gamma + 1)]
+    pieces, at = [], [0] * (n + 1)  # node v's t is pieces[at[v]], its tmax pieces[at[v] + 2]
+    for v in order:
+        at[v] = len(pieces) + 1
+        pieces += (written[v] + colon, "1", mid, digits[gamma], "]" + sep)
+    pieces[-1] = "]"
+
+    def write(forces: Sequence[Edge]) -> tuple[str, str]:
+        numbered = pieces.copy()
+        for k, (w, u) in enumerate(forces, 1):
+            numbered[at[w] + 2] = digits[k]
+            numbered[at[u]] = digits[k + 1]
+        listed = sep.join(map(pairs.__getitem__, forces))
+        if machine:
+            return f"[{listed}]", "{" + "".join(numbered) + "}"
+        return listed, "".join(numbered)
+
+    return write
 
 
 def _document(written: Sequence[str], machine: bool, *parts) -> Iterator[str]:
@@ -208,23 +260,25 @@ def cmd_check(args) -> int:
         record = forcing_schedule(g, z, policy)
     except NotZfsError as exc:
         return _check_stalled(args, doc, exc.stalled_white)
-    tf = TimeFunction.from_record(record)
-    if args.format == "machine":
+    machine = args.format == "machine"
+    forces, intervals = _schedule_writer(doc.names, machine, record.gamma)(record.forces)
+    chains = [[doc.name_of(v) for v in c.nodes] for c in record.chains.chains]
+    if machine:
         _write(_json({
             "command": "check",
             "zfs": True,
             "derived": list(doc.names),
-            "intervals": {doc.name_of(v): list(tf.interval(v)) for v in sorted(tf.times)},
-            "chains": [[doc.name_of(v) for v in c.nodes] for c in tf.chains.chains],
-            "forces": [[doc.name_of(u), doc.name_of(v)] for u, v in record.forces],
+            "intervals": iter([intervals]),
+            "chains": chains,
+            "forces": iter([forces]),
         }))
         return EXIT_OK
     _write([
         "ZFS: yes\n"
         f"derived set: {' '.join(doc.names)}\n"
-        f"intervals: {_intervals_text(doc, tf)}\n"
-        f"chains: {_chains_text(doc, tf)}\n"
-        f"forces: {' '.join(doc.name_of(u) + '>' + doc.name_of(v) for u, v in record.forces)}\n"
+        f"intervals: {intervals}\n"
+        f"chains: {' | '.join('>'.join(c) for c in chains)}\n"
+        f"forces: {forces}\n"
     ])
     return EXIT_OK
 
@@ -526,32 +580,20 @@ def cmd_schedules(args) -> int:
         except NotZfsError as exc:
             print(f"not a zero forcing set: {exc}", file=sys.stderr)
             return EXIT_NEGATIVE
-        tfs = [TimeFunction.from_record(r) for r in records]
-        if args.format == "machine":
+        machine = args.format == "machine"
+        write = _schedule_writer(doc.names, machine, records[0].gamma)
+        if machine:
             _write(_json({
                 "command": "schedules",
                 "kind": "forcing",
                 "count": len(records),
-                "schedules": [
-                    {
-                        "forces": [[doc.name_of(u), doc.name_of(v)] for u, v in r.forces],
-                        "intervals": {
-                            doc.name_of(v): list(tf.interval(v)) for v in sorted(r.times)
-                        },
-                    }
-                    for r, tf in zip(records, tfs)
-                ],
+                "schedules": _json_list(
+                    '{"forces": %s, "intervals": %s}' % write(r.forces) for r in records
+                ),
             }))
             return EXIT_OK
         _write([f"forcing schedules: {len(records)}\n"])
-        _write(
-            "  "
-            + " ".join(doc.name_of(u) + ">" + doc.name_of(v) for u, v in r.forces)
-            + "  |  "
-            + _intervals_text(doc, tf)
-            + "\n"
-            for r, tf in zip(records, tfs)
-        )
+        _write("  %s  |  %s\n" % write(r.forces) for r in records)
         return EXIT_OK
     if args.mode == "dag":
         counts = [len(doc.names) for doc in docs]

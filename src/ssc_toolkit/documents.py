@@ -360,8 +360,8 @@ def _validate_annotations(doc: NetworkDocument) -> None:
         named = sorted((doc.name_of(u), doc.name_of(v)) for u, v in stray)
         raise DocumentError(f"chain edges {named} are not edges of the network")
     if doc.times is not None:
-        tf = doc.time_function()
-        problems = validate_time_function(tf)
+        ids = doc.node_ids
+        problems = validate_time_function(TimeFunction(cs, {ids[v]: t for v, t in doc.times}))
         if problems:
             raise DocumentError("invalid times: " + "; ".join(problems))
 

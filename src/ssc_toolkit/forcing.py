@@ -18,6 +18,7 @@ removing self-loops.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Union
 
 from .graphs import Chain, ChainSet, DiGraph, Edge, control_set, mask_nodes
@@ -62,6 +63,8 @@ def _nodes_of(mask: int) -> frozenset[int]:
 class ForcingRecord:
     """One complete run of the one-force-per-step schedule.
 
+    A record holds only its chronological ``forces``, the ``controls`` and
+    ``gamma``; its times and chains are derived from them on first use.
     ``times`` maps each node to the step at which it turned black
     (controls at step 1, force ``k`` colors its target at step ``k+1``).
     ``chains`` are the maximal forcing chains: node-disjoint paths, one
@@ -70,13 +73,26 @@ class ForcingRecord:
     """
 
     forces: tuple[Edge, ...]
-    times: dict[int, int]
-    chains: ChainSet
+    controls: frozenset[int]
     gamma: int
 
-    @property
-    def controls(self) -> frozenset[int]:
-        return self.chains.sources
+    @cached_property
+    def times(self) -> dict[int, int]:
+        times = dict.fromkeys(self.controls, 1)
+        for k, (_, u) in enumerate(self.forces, 2):
+            times[u] = k
+        return times
+
+    @cached_property
+    def chains(self) -> ChainSet:
+        successor = dict(self.forces)
+        chains = []
+        for s in sorted(self.controls):
+            nodes = [s]
+            while nodes[-1] in successor:
+                nodes.append(successor[nodes[-1]])
+            chains.append(Chain(tuple(nodes)))
+        return ChainSet(tuple(chains))
 
 
 class _Frontier:
@@ -84,12 +100,12 @@ class _Frontier:
 
     This is the package's one forcing engine.  ``white[u]``, kept for black
     nodes only, is u's out-neighbor row (self-loops dropped) minus the
-    black nodes; ``ready`` holds the black nodes with exactly one white
-    out-neighbor, i.e. the forcers of the currently possible forces.  A
-    force (or its undo) flips one bit in the white mask of each black
-    in-neighbor of the forced node and re-rates that forcer, so it costs
-    about one bit operation per in-edge, and listing the possible forces
-    costs only the ready forcers.
+    black nodes; ``ready`` is the mask of the black nodes with exactly one
+    white out-neighbor, i.e. the forcers of the currently possible forces,
+    so its set bits list them in forcer order.  A force (or its undo) flips
+    one bit in the white mask of each black in-neighbor of the forced node
+    and re-rates that forcer, so it costs about one bit operation per
+    in-edge, and listing the possible forces costs only the ready forcers.
     """
 
     def __init__(self, g: DiGraph, black: Iterable[int]):
@@ -97,22 +113,24 @@ class _Frontier:
         self._in = g.in_masks
         self.black = _mask_of(black)
         self.white = [0] * (g.n + 1)
-        self.ready: set[int] = set()
+        self.ready = 0
         for u in mask_nodes(self.black):
             self._blacken(u)
 
     def _blacken(self, u: int) -> None:
         self.white[u] = w = self._out[u] & ~self.black
         if w and not w & (w - 1):  # exactly one white out-neighbor
-            self.ready.add(u)
+            self.ready |= 1 << (u - 1)
 
-    def applicable(self) -> list[Edge]:
-        """All currently possible forces, sorted by (forcer, forced)."""
-        return [(w, self.white[w].bit_length()) for w in sorted(self.ready)]
+    def force_of(self, w: int) -> Edge:
+        """The force of the ready forcer ``w``."""
+        return (w, self.white[w].bit_length())
 
     def is_applicable(self, force: Edge) -> bool:
         w, u = force
-        return w in self.ready and u >= 1 and self.white[w] == 1 << (u - 1)
+        if not (1 <= w and 1 <= u and self.ready >> (w - 1) & 1):
+            return False
+        return self.white[w] == 1 << (u - 1)
 
     def apply(self, force: Edge) -> None:
         u = force[1]
@@ -122,8 +140,9 @@ class _Frontier:
 
     def undo(self, force: Edge) -> None:
         u = force[1]
-        self.black &= ~(1 << (u - 1))
-        self.ready.discard(u)
+        bit = 1 << (u - 1)
+        self.black &= ~bit
+        self.ready &= ~bit
         self._recolor(u)
 
     def _recolor(self, u: int) -> None:
@@ -138,19 +157,19 @@ class _Frontier:
             p = low.bit_length()
             w = white[p] = white[p] ^ bit
             if w and not w & (w - 1):
-                ready.add(p)
-            else:
-                ready.discard(p)
+                ready |= low
+            elif ready & low:  # cheaper than a clear when p is not ready
+                ready ^= low
+        self.ready = ready
 
 
 def _drain(g: DiGraph, z: frozenset[int]) -> int:
     """The black mask once forcing from ``z`` stops.  The derived set does not
-    depend on the order of the forces, so ready forcers pop in any order."""
+    depend on the order of the forces, so the lowest ready forcer goes first."""
     state = _Frontier(g, z)
-    ready, white, apply = state.ready, state.white, state.apply
-    while ready:
-        w = ready.pop()
-        apply((w, white[w].bit_length()))
+    apply, force_of = state.apply, state.force_of
+    while ready := state.ready:
+        apply(force_of((ready & -ready).bit_length()))
     return state.black
 
 
@@ -184,23 +203,7 @@ def is_zfs(g: DiGraph, controls: Iterable[int]) -> bool:
 
 
 def _build_record(g: DiGraph, z: frozenset[int], forces: list[Edge]) -> ForcingRecord:
-    times = {v: 1 for v in z}
-    successor: dict[int, int] = {}
-    for k, (w, u) in enumerate(forces):
-        times[u] = k + 2
-        successor[w] = u
-    chains = []
-    for s in sorted(z):
-        nodes = [s]
-        while nodes[-1] in successor:
-            nodes.append(successor[nodes[-1]])
-        chains.append(Chain(tuple(nodes)))
-    return ForcingRecord(
-        forces=tuple(forces),
-        times=times,
-        chains=ChainSet(tuple(chains)),
-        gamma=g.n - len(z) + 1,
-    )
+    return ForcingRecord(tuple(forces), z, g.n - len(z) + 1)
 
 
 def forcing_schedule(
@@ -233,10 +236,10 @@ def forcing_schedule(
     elif policy in (LOWEST_FORCER, LOWEST_FORCED):
         while state.ready:
             if policy == LOWEST_FORCED:
-                choice = min(state.applicable(), key=lambda e: (e[1], e[0]))
+                forces_now = map(state.force_of, mask_nodes(state.ready))
+                choice = min(forces_now, key=lambda e: (e[1], e[0]))
             else:
-                w = min(state.ready)
-                choice = (w, state.white[w].bit_length())
+                choice = state.force_of((state.ready & -state.ready).bit_length())
             state.apply(choice)
             forces.append(choice)
     else:
@@ -271,19 +274,22 @@ def enumerate_forcing_schedules(
     if not state.ready:  # the controls force nothing
         _require_all_black(g, state.black, z)
         return [_build_record(g, z, forces)]
-    pending = [iter(state.applicable())]
+    pending = [state.ready]  # per depth, the mask of the forcers still to try
     records: list[ForcingRecord] = []
     while pending:
-        force = next(pending[-1], None)
-        if force is None:
+        rest = pending[-1]
+        if not rest:
             pending.pop()
             if forces:
                 state.undo(forces.pop())
             continue
+        low = rest & -rest
+        pending[-1] = rest ^ low
+        force = state.force_of(low.bit_length())
         state.apply(force)
         forces.append(force)
         if state.ready:
-            pending.append(iter(state.applicable()))
+            pending.append(state.ready)
             continue
         if not records:
             _require_all_black(g, state.black, z)

@@ -122,6 +122,7 @@ for name in (
     "combine-dag-explicit", "combine-dag-cyclic", "combine-general-named12",
     "combine-general-named12-path3", "combine-dag-named12", "combine-dag-named12-chain3",
     "check-ring6_chord-explicit", "check-ring6_stalled-unknown-policy",
+    *(f"schedules-{net}" for net in NETS),
     "schedules-named12", "schedules-ring6_stalled", "schedules-sequences-general",
     "schedules-sequences-dag", "oracle-ring6_chord", "oracle-ring6_stalled", "oracle-chain3-ltv",
 ):

@@ -56,6 +56,26 @@ def swept_derived_set(n: int, edges, start) -> set[int]:
     return black
 
 
+def walked_record(n: int, controls, forces):
+    """Times, chains and gamma of the schedule that performs ``forces`` in
+    order from ``controls`` on ``n`` nodes, walked out of the force list:
+    controls turn black at step 1, force k (from 0) colors its target at
+    step k + 2, and each chain starts at a control (in id order) and
+    follows the forces out of its last node.  Chains are node tuples."""
+    times = {v: 1 for v in controls}
+    successor = {}
+    for k, (w, u) in enumerate(forces):
+        times[u] = k + 2
+        successor[w] = u
+    chains = []
+    for s in sorted(controls):
+        nodes = [s]
+        while nodes[-1] in successor:
+            nodes.append(successor[nodes[-1]])
+        chains.append(tuple(nodes))
+    return times, tuple(chains), n - len(controls) + 1
+
+
 def has_cycle(g: DiGraph) -> bool:
     """Three-color DFS cycle detection."""
     WHITE, GRAY, BLACK = 0, 1, 2

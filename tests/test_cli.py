@@ -7,10 +7,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from ssc_toolkit import cli
 from ssc_toolkit.cli import main
 from ssc_toolkit.documents import parse_document
+from ssc_toolkit.forcing import enumerate_forcing_schedules, is_zfs
+from ssc_toolkit.graphs import DiGraph
+from ssc_toolkit.synthesis import TimeFunction
+
+from conftest import digraphs
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -316,6 +323,30 @@ class TestSchedules:
     def test_unknown_command_exits_3(self, capsys):
         assert main(["frobnicate"]) == 3
         capsys.readouterr()
+
+
+class TestScheduleWriter:
+    """Forces and intervals written from the force list match what the
+    record's time function gives, as ``json.dumps`` or the text format
+    writes it."""
+
+    @given(digraphs(max_n=7), st.data())
+    def test_same_text_as_the_time_function(self, g: DiGraph, data):
+        name = st.from_regex(r'[ab%][ab1%"\\\xe9]{0,2}', fullmatch=True)
+        names = data.draw(st.lists(name, min_size=g.n, max_size=g.n, unique=True))
+        z = data.draw(st.frozensets(st.sampled_from(range(1, g.n + 1)), min_size=1))
+        assume(is_zfs(g, z))
+        for record in enumerate_forcing_schedules(g, z, limit=10):
+            tf = TimeFunction.from_record(record)
+            named = [[names[u - 1], names[v - 1]] for u, v in record.forces]
+            by_name = {names[v - 1]: list(tf.interval(v)) for v in tf.times}
+            write = cli._schedule_writer(names, True, record.gamma)
+            assert write(record.forces) == (json.dumps(named), json.dumps(by_name, sort_keys=True))
+            write = cli._schedule_writer(names, False, record.gamma)
+            assert write(record.forces) == (
+                " ".join(f"{a}>{b}" for a, b in named),
+                " ".join(f"{names[v - 1]}:[{t},{tf.tmax[v]}]" for v, t in sorted(tf.times.items())),
+            )
 
 
 class TestRepeatedCalls:

@@ -28,6 +28,7 @@ from reference import (
     naive_derived_set,
     naive_is_zfs,
     nonempty_subsets,
+    walked_record,
 )
 
 
@@ -312,3 +313,32 @@ class TestEnumerateSchedules:
         for rec in enumerate_forcing_schedules(g, z, limit=20):
             replay = forcing_schedule(g, z, ExplicitForces(rec.forces))
             assert replay.times == rec.times
+
+
+class TestRecords:
+    """A record holds its forces, controls and gamma; its times and chains
+    are derived from the forces on first use."""
+
+    @given(digraphs(max_n=7), st.data())
+    def test_every_record_matches_the_walked_force_list(self, g: DiGraph, data):
+        z = frozenset(
+            data.draw(st.frozensets(st.sampled_from(range(1, g.n + 1)), min_size=1))
+        )
+        assume(is_zfs(g, z))
+        records = enumerate_forcing_schedules(g, z, limit=data.draw(st.integers(1, 40)))
+        assert all(vars(rec).keys() == {"forces", "controls", "gamma"} for rec in records)
+        records += [forcing_schedule(g, z, policy) for policy in (LOWEST_FORCER, LOWEST_FORCED)]
+        for rec in records:
+            times, chains, gamma = walked_record(g.n, z, rec.forces)
+            assert rec.times == times
+            assert tuple(c.nodes for c in rec.chains.chains) == chains
+            assert rec.gamma == gamma
+            assert rec.controls == z == rec.chains.sources
+            replay = forcing_schedule(g, z, ExplicitForces(rec.forces))
+            assert replay == rec and hash(replay) == hash(rec)
+
+    def test_records_differ_with_their_forces(self, ring6):
+        first, second = enumerate_forcing_schedules(ring6, {1, 2}, limit=2)
+        assert first != second and first.controls == second.controls
+        replay = forcing_schedule(ring6, {1, 2}, ExplicitForces(first.forces))
+        assert len({first, second, replay}) == 2
