@@ -67,12 +67,10 @@ from .oracle import (
     LtvFamilyReport,
     LtvSchedule,
     OracleReport,
-    WeightSample,
     input_matrix,
     kalman_rank,
     ltv_gramian_rank,
     sample_matrix,
-    sample_qualitative,
     schedule_from_edges,
     schedule_from_family,
     transition_matrix,

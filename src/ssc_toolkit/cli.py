@@ -104,7 +104,7 @@ def _policy(spec: str, doc: NetworkDocument):
 def _require_controls(doc: NetworkDocument) -> frozenset[int]:
     if not doc.controls:
         raise DocumentError("document declares no control nodes")
-    return doc.control_ids()
+    return doc.controls
 
 
 def _intervals_text(doc: NetworkDocument, tf: TimeFunction) -> str:
@@ -600,7 +600,7 @@ def cmd_schedules(args) -> int:
     else:
         counts = []
         for path, doc in zip(args.documents, docs):
-            m = len(doc.chains) if doc.chains is not None else len(doc.controls)
+            m = doc.chains.m if doc.chains is not None else len(doc.controls)
             if m == 0:
                 raise DocumentError(
                     f"{path}: needs CHAINS or CONTROLS to size the sequence"

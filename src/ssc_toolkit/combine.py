@@ -11,7 +11,6 @@ needs only a single control node.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from .graphs import (
@@ -115,14 +114,8 @@ class CombinedNetwork:
 
     graph: DiGraph
     times: TimeFunction
-    inter_edges: frozenset[Edge]
     offsets: tuple[int, ...]
     block_sizes: tuple[int, ...]
-
-    def global_id(self, block: int, local: int) -> int:
-        if not 1 <= local <= self.block_sizes[block]:
-            raise ValueError(f"block {block} has no node {local}")
-        return self.offsets[block] + local
 
     def block_of(self, node: int) -> int:
         for i, off in enumerate(self.offsets):
@@ -133,10 +126,6 @@ class CombinedNetwork:
     @property
     def sources(self) -> frozenset[int]:
         return self.times.chains.sources
-
-    @cached_property
-    def chains(self) -> ChainSet:
-        return self.times.chains
 
 
 def _merge_blocks(blocks: Sequence[Block], seq: CombineSequence) -> CombinedNetwork:
@@ -162,7 +151,7 @@ def _merge_blocks(blocks: Sequence[Block], seq: CombineSequence) -> CombinedNetw
         rows.extend(row << off for row in g.rows[1:])
     merged_tf = TimeFunction(ChainSet(tuple(chains)), times)
     graph = DiGraph.from_rows(sum(sizes), rows)
-    return CombinedNetwork(graph, merged_tf, frozenset(), offsets, sizes)
+    return CombinedNetwork(graph, merged_tf, offsets, sizes)
 
 
 def combine_networks(
@@ -191,7 +180,7 @@ def combine_networks(
         if tf.tmax[u] < tf.times[v]:
             raise RejectedEdgeError(u, v, tf.tmax[u], tf.times[v])
     graph = merged.graph.add_edges(inter)
-    combined = CombinedNetwork(graph, tf, inter, merged.offsets, merged.block_sizes)
+    combined = CombinedNetwork(graph, tf, merged.offsets, merged.block_sizes)
     if not is_ct_constructed(graph, tf):
         raise ConsistencyError("combined network fell outside the merged family")
     return combined
@@ -221,7 +210,7 @@ def max_inter_edges(blocks: Sequence[Block], seq: CombineSequence) -> EdgeSetRep
         raise ConsistencyError(
             f"enumerated {count} admissible inter edges, closed form says {bound}"
         )
-    return EdgeSetReport.from_rows(INTER_NETWORK, rows, bound, witness=tf)
+    return EdgeSetReport(INTER_NETWORK, rows, bound, witness=tf)
 
 
 def enumerate_sequences(
@@ -291,7 +280,6 @@ class DagCombination:
     control: int
     spine: tuple[int, ...]
     times: dict[int, int]
-    offsets: tuple[int, ...]
     node_maps: tuple[dict[int, int], ...]
 
     def time_function(self) -> TimeFunction:
@@ -339,4 +327,4 @@ def combine_dags(dags: Sequence[DiGraph], seq: CombineSequence) -> DagCombinatio
         rows[u] |= 1 << (v - 1)
     graph = DiGraph.from_rows(sum(sizes), rows)
     times = {v: k for k, v in enumerate(spine, start=1)}
-    return DagCombination(graph, spine[0], tuple(spine), times, offsets, node_maps)
+    return DagCombination(graph, spine[0], tuple(spine), times, node_maps)

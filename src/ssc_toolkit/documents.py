@@ -1,4 +1,4 @@
-"""Network documents: the line-oriented text format and its JSON mirror.
+"""Network documents: the line-oriented text format.
 
 A document declares named nodes and directed edges, the control nodes,
 and optionally a chain partition with times::
@@ -23,21 +23,19 @@ whitespace-free tokens, unique, and everything else must reference them.
 Parsing reports the offending line number; emission is canonical, so
 ``emit(parse(text))`` is a fixed point.
 
-Rows are the storage.  The parser builds the network's
+Ids and rows are the storage.  The parser builds the network's
 :class:`~ssc_toolkit.graphs.DiGraph` rows as it reads: section headers are
 found by a scan for their keywords, and the ``EDGES`` block is split in
 one pass and mapped through a name-to-bit table, each edge setting one
 bit of its source's row.  Only a block that fails a check is read again
-line by line, to report the first bad line.  The document keeps that
-graph, so the annotation checks and every caller of
-:meth:`NetworkDocument.graph` share one build; ``edges`` keeps the name
-pairs in document order.  :func:`document_chunks` writes the canonical
-text straight from rows, one chunk per row, in plain text or as the
-inside of a JSON string.
+line by line, to report the first bad line.  Controls, chains and times
+are kept on node ids, so a parsed document is canonical: two texts of
+the same network parse to equal documents.  :func:`document_chunks`
+writes the canonical text straight from rows, one chunk per row, in
+plain text or as the inside of a JSON string.
 """
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -62,13 +60,18 @@ class DocumentError(ValueError):
 
 @dataclass(frozen=True)
 class NetworkDocument:
-    """A named network with optional chain/time annotations."""
+    """A named network with optional chain/time annotations.
+
+    Node ``v`` is named ``names[v - 1]``; ``network`` holds the edges,
+    ``controls`` the control nodes, ``chains`` the chain partition and
+    ``times`` each node's time, all on node ids.
+    """
 
     names: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...] = ()
-    controls: tuple[str, ...] = ()
-    chains: tuple[tuple[str, ...], ...] | None = None
-    times: tuple[tuple[str, int], ...] | None = None
+    network: DiGraph
+    controls: frozenset[int] = frozenset()
+    chains: ChainSet | None = None
+    times: dict[int, int] | None = None
 
     @cached_property
     def node_ids(self) -> dict[str, int]:
@@ -77,75 +80,14 @@ class NetworkDocument:
     def name_of(self, node: int) -> str:
         return self.names[node - 1]
 
-    @cached_property
-    def _graph(self) -> DiGraph:
-        ids = self.node_ids
-        return DiGraph(len(self.names), ((ids[a], ids[b]) for a, b in self.edges))
-
     def graph(self) -> DiGraph:
-        """The network as a :class:`DiGraph`, built once per document.
-
-        :func:`parse_document` builds it while it reads the EDGES lines;
-        a document constructed directly builds it on first use.
-        """
-        return self._graph
-
-    def control_ids(self) -> frozenset[int]:
-        ids = self.node_ids
-        return frozenset(ids[c] for c in self.controls)
-
-    def chain_set(self) -> ChainSet | None:
-        if self.chains is None:
-            return None
-        ids = self.node_ids
-        return ChainSet(tuple(Chain(tuple(ids[v] for v in c)) for c in self.chains))
+        """The network as a :class:`DiGraph`."""
+        return self.network
 
     def time_function(self) -> TimeFunction | None:
-        cs = self.chain_set()
-        if cs is None or self.times is None:
+        if self.chains is None or self.times is None:
             return None
-        ids = self.node_ids
-        return TimeFunction(cs, {ids[v]: t for v, t in self.times})
-
-    def normalize(self) -> "NetworkDocument":
-        """Canonical ordering: edges/controls/times sorted by node id."""
-        ids = self.node_ids
-        return NetworkDocument(
-            names=self.names,
-            edges=tuple(sorted(self.edges, key=lambda e: (ids[e[0]], ids[e[1]]))),
-            controls=tuple(sorted(self.controls, key=lambda c: ids[c])),
-            chains=self.chains,
-            times=None
-            if self.times is None
-            else tuple(sorted(self.times, key=lambda kv: ids[kv[0]])),
-        )
-
-    def to_json_dict(self) -> dict:
-        out: dict = {
-            "nodes": list(self.names),
-            "edges": [list(e) for e in self.edges],
-            "controls": list(self.controls),
-        }
-        if self.chains is not None:
-            out["chains"] = [list(c) for c in self.chains]
-        if self.times is not None:
-            out["times"] = {name: t for name, t in self.times}
-        return out
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "NetworkDocument":
-        times = data.get("times")
-        return cls(
-            names=tuple(data["nodes"]),
-            edges=tuple((a, b) for a, b in data.get("edges", [])),
-            controls=tuple(data.get("controls", [])),
-            chains=None
-            if "chains" not in data
-            else tuple(tuple(c) for c in data["chains"]),
-            times=None
-            if times is None
-            else tuple((name, int(t)) for name, t in times.items()),
-        )
+        return TimeFunction(self.chains, self.times)
 
     @classmethod
     def from_graph(
@@ -157,20 +99,9 @@ class NetworkDocument:
     ) -> "NetworkDocument":
         if len(names) != g.n:
             raise ValueError(f"{g.n} nodes need {g.n} names, got {len(names)}")
-        name = lambda v: names[v - 1]
-        chains = times = None
-        if tf is not None:
-            chains = tuple(tuple(name(v) for v in c.nodes) for c in tf.chains.chains)
-            times = tuple((name(v), t) for v, t in sorted(tf.times.items()))
-        return cls(
-            names=tuple(names),
-            edges=tuple(
-                (name(u), name(v)) for u in g.nodes for v in mask_nodes(g.rows[u])
-            ),
-            controls=tuple(name(v) for v in sorted(controls)),
-            chains=chains,
-            times=times,
-        )  # canonical already: edges, controls and times in node-id order
+        if tf is None:
+            return cls(tuple(names), g, frozenset(controls))
+        return cls(tuple(names), g, frozenset(controls), tf.chains, dict(tf.times))
 
 
 def _content_lines(lines: Sequence[str], first: int = 1):
@@ -212,10 +143,9 @@ def _section_heads(lines: Sequence[str]) -> list[tuple[int, str]]:
 
 def _parse_edges(
     lines: Sequence[str], first: int, ids: dict[str, int], bits: dict[str, int]
-) -> tuple[DiGraph, tuple[tuple[str, str], ...]]:
-    """The graph and the name pairs of an EDGES block whose first line is
-    line ``first``; ``ids`` and ``bits`` map each name to its node and its
-    bit.
+) -> DiGraph:
+    """The graph of an EDGES block whose first line is line ``first``;
+    ``ids`` and ``bits`` map each name to its node and its bit.
 
     The block is split in one pass and every pair goes through a
     name-to-bit table; a line without exactly two tokens stops the pass,
@@ -235,7 +165,7 @@ def _parse_edges(
     else:
         graph = DiGraph.from_rows(len(ids), rows)
         if graph.edge_count == len(pairs):
-            return graph, tuple(map(tuple, pairs))
+            return graph
     seen: set[tuple[str, str]] = set()
     for lineno, tokens in _content_lines(lines, first):
         if len(tokens) != 2:
@@ -284,40 +214,37 @@ def parse_document(text: str) -> NetworkDocument:
     if not names:
         raise DocumentError("NODES section declares no nodes")
 
-    def known(tok: str, lineno: int) -> str:
+    def known(tok: str, lineno: int) -> int:
         if tok not in ids:
             raise DocumentError(f"unknown node name {tok!r}", lineno)
-        return tok
+        return ids[tok]
 
     start, stop = spans.get("EDGES", (0, 0))
-    graph, edges = _parse_edges(lines[start:stop], start + 1, ids, bits)
+    graph = _parse_edges(lines[start:stop], start + 1, ids, bits)
 
-    controls: list[str] = []
-    control_seen: set[str] = set()
+    controls: set[int] = set()
     for lineno, tokens in section("CONTROLS"):
         for tok in tokens:
-            known(tok, lineno)
-            if tok in control_seen:
+            node = known(tok, lineno)
+            if node in controls:
                 raise DocumentError(f"duplicate control node {tok!r}", lineno)
-            control_seen.add(tok)
-            controls.append(tok)
+            controls.add(node)
 
     chains = None
     if "CHAINS" in spans:
-        chains_list = []
+        chain_list = []
         for lineno, tokens in section("CHAINS"):
             chain = tuple(known(tok, lineno) for tok in tokens)
             if len(set(chain)) != len(chain):
                 raise DocumentError("a chain repeats a node", lineno)
-            chains_list.append(chain)
-        if not chains_list:
+            chain_list.append(Chain(chain))
+        if not chain_list:
             raise DocumentError("CHAINS section declares no chains")
-        chains = tuple(chains_list)
+        chains = ChainSet(tuple(chain_list))
 
     times = None
     if "TIMES" in spans:
-        times_list = []
-        stamped: set[str] = set()
+        times = {}
         for lineno, tokens in section("TIMES"):
             if len(tokens) != 2:
                 raise DocumentError("a times line needs a node name and an integer", lineno)
@@ -328,16 +255,11 @@ def parse_document(text: str) -> NetworkDocument:
                 raise DocumentError(f"{tokens[1]!r} is not an integer time", lineno) from None
             if t < 1:
                 raise DocumentError("times start at 1", lineno)
-            if node in stamped:
-                raise DocumentError(f"node {node!r} already has a time", lineno)
-            stamped.add(node)
-            times_list.append((node, t))
-        times = tuple(times_list)
+            if node in times:
+                raise DocumentError(f"node {tokens[0]!r} already has a time", lineno)
+            times[node] = t
 
-    doc = NetworkDocument(tuple(names), edges, tuple(controls), chains, times)
-    # Fill the document's cached properties with what parsing built.
-    doc.__dict__["node_ids"] = ids
-    doc.__dict__["_graph"] = graph
+    doc = NetworkDocument(tuple(names), graph, frozenset(controls), chains, times)
     _validate_annotations(doc)
     return doc
 
@@ -348,7 +270,7 @@ def _validate_annotations(doc: NetworkDocument) -> None:
         raise DocumentError("TIMES needs a CHAINS section to be meaningful")
     if doc.chains is None:
         return
-    cs = doc.chain_set()
+    cs = doc.chains
     if not cs.is_disjoint:
         raise DocumentError("chains share nodes")
     if cs.nodes != frozenset(range(1, len(doc.names) + 1)):
@@ -360,8 +282,7 @@ def _validate_annotations(doc: NetworkDocument) -> None:
         named = sorted((doc.name_of(u), doc.name_of(v)) for u, v in stray)
         raise DocumentError(f"chain edges {named} are not edges of the network")
     if doc.times is not None:
-        ids = doc.node_ids
-        problems = validate_time_function(TimeFunction(cs, {ids[v]: t for v, t in doc.times}))
+        problems = validate_time_function(doc.time_function())
         if problems:
             raise DocumentError("invalid times: " + "; ".join(problems))
 
@@ -409,26 +330,13 @@ def document_chunks(
 
 def emit_document(doc: NetworkDocument) -> str:
     """Canonical text for a document; a fixed point of ``emit o parse``."""
-    ids = doc.node_ids
     return "".join(document_chunks(
         ("", *doc.names),
-        doc.graph().rows,
-        sorted(ids[c] for c in doc.controls),
-        None if doc.chains is None else [[ids[v] for v in c] for c in doc.chains],
-        None if doc.times is None else sorted((ids[v], t) for v, t in doc.times),
+        doc.network.rows,
+        sorted(doc.controls),
+        None if doc.chains is None else [c.nodes for c in doc.chains.chains],
+        None if doc.times is None else sorted(doc.times.items()),
     ))
-
-
-def document_to_json(doc: NetworkDocument) -> str:
-    return json.dumps(doc.to_json_dict(), indent=2, sort_keys=True) + "\n"
-
-
-def document_from_json(text: str) -> NetworkDocument:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"invalid JSON document: {exc}") from None
-    return NetworkDocument.from_json_dict(data)
 
 
 # -- companion files -------------------------------------------------------

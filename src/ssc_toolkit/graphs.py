@@ -219,7 +219,7 @@ class DiGraph:
 
 
 def control_set(nodes: Iterable[int], n: int) -> frozenset[int]:
-    """Validate and normalize a set of control nodes for an ``n``-node graph."""
+    """The control nodes of an ``n``-node graph as a checked frozenset of ints."""
     out = frozenset(int(v) for v in nodes)
     if not out:
         raise ValueError("control set must be nonempty")

@@ -86,21 +86,6 @@ def sample_matrix(
     return a
 
 
-@dataclass(frozen=True)
-class WeightSample:
-    """A drawn system matrix together with how it was drawn."""
-
-    matrix: np.ndarray
-    seed: int
-    diag_mode: str
-
-
-def sample_qualitative(g: DiGraph, seed: int = 0, diag_mode: str = DIAG_MIXED) -> WeightSample:
-    """Deterministic draw from the qualitative class of ``g``."""
-    rng = np.random.default_rng(seed)
-    return WeightSample(sample_matrix(g, rng, diag_mode), seed, diag_mode)
-
-
 def input_matrix(n: int, controls: Iterable[int]) -> np.ndarray:
     """Identity columns for the (sorted) control nodes."""
     z = sorted(control_set(controls, n))
@@ -178,10 +163,6 @@ class OracleReport:
     stalled_white: frozenset[int]
     witness: np.ndarray | None
     witness_rank: int | None
-
-    @property
-    def fraction(self) -> float:
-        return self.full_rank / self.trials if self.trials else 0.0
 
 
 def _uncontrollable_witness(g: DiGraph, white: frozenset[int]) -> np.ndarray:
@@ -261,6 +242,8 @@ class LtvSchedule:
         object.__setattr__(self, "breakpoints", bp)
         if len(bp) < 2:
             raise ValueError("a schedule needs at least one interval")
+        if not all(map(math.isfinite, bp)):
+            raise ValueError("breakpoints must be finite")
         if any(a >= b for a, b in zip(bp, bp[1:])):
             raise ValueError("breakpoints must be strictly increasing")
         if not (len(self.graphs) == len(self.matrices) == len(bp) - 1):

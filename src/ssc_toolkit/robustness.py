@@ -9,7 +9,7 @@ the current one, removals at everything except one chain skeleton.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable
 
@@ -45,7 +45,7 @@ _LANES = 1 << 14
 _DRAW = 1 << 20
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class EdgeSetReport:
     """A computed critical (or inter-network) edge set with its bound.
 
@@ -53,63 +53,34 @@ class EdgeSetReport:
     ``rows[u]`` marks the edge ``(u, v)``, ``rows[0]`` is 0, and trailing
     empty rows are dropped, so equal sets have equal rows.  The cardinality
     is a bit count, and ``edges``, the set as a frozenset of pairs, is
-    derived on first use (or kept as given to the constructor).
-    ``bound`` is the closed-form cardinality the set must attain; the
-    producers in this module always emit sets of exactly that size with
-    the witness (chains, times) that generated them, so results are
-    reproducible.
+    derived on first use.  ``bound`` is the closed-form cardinality the
+    set must attain; the producers in this module always emit sets of
+    exactly that size with the witness (chains, times) that generated
+    them, so results are reproducible.
     """
 
     kind: str
-    edges: frozenset[Edge] = field(compare=False, repr=False)
+    rows: tuple[int, ...]
     bound: int
     witness: TimeFunction | None = None
-    rows: tuple[int, ...] = field(init=False)
 
-    def __init__(
-        self, kind: str, edges: Iterable[Edge], bound: int, witness: TimeFunction | None = None
-    ):
-        """The report on the edge set ``edges``; a frozenset of Python-int
-        pairs is kept as the report's ``edges``."""
-        pairs = tuple(edges)
-        n = int(max(map(max, pairs), default=1))
-        self._fill(kind, list(DiGraph(n, pairs).rows), bound, witness)
-        if type(edges) is frozenset and all(
-            type(e) is tuple and len(e) == 2 and type(e[0]) is int and type(e[1]) is int
-            for e in edges
-        ):
-            self.__dict__["edges"] = edges
-
-    @classmethod
-    def from_rows(
-        cls, kind: str, rows: Iterable[int], bound: int, witness: TimeFunction | None = None
-    ) -> "EdgeSetReport":
-        """The report whose ``rows[u]`` holds u's edges (``rows[0]`` is 0)."""
-        report = cls.__new__(cls)
-        report._fill(kind, list(rows), bound, witness)
-        return report
-
-    def _fill(self, kind: str, rows: list[int], bound: int, witness) -> None:
-        if kind not in (ADDITIVE, SUBTRACTIVE, INTER_NETWORK):
-            raise ValueError(f"unknown report kind {kind!r}")
+    def __post_init__(self):
+        if self.kind not in (ADDITIVE, SUBTRACTIVE, INTER_NETWORK):
+            raise ValueError(f"unknown report kind {self.kind!r}")
+        rows = list(self.rows)
         if rows[0]:
             raise ValueError("rows[0] must be 0")
         while len(rows) > 1 and not rows[-1]:
             rows.pop()
-        for name, value in (("kind", kind), ("rows", tuple(rows)), ("bound", bound),
-                            ("witness", witness)):
-            object.__setattr__(self, name, value)
-        if self.cardinality != bound:
+        object.__setattr__(self, "rows", tuple(rows))
+        if self.cardinality != self.bound:
             raise ValueError(
-                f"report carries {self.cardinality} edges but claims a bound of {bound}"
+                f"report carries {self.cardinality} edges but claims a bound of {self.bound}"
             )
 
-    def __getattr__(self, name: str):
-        # Only ``edges`` can be missing: it is derived from the rows on first use.
-        if name != "edges":
-            raise AttributeError(name)
-        edges = self.__dict__["edges"] = frozenset(_pairs(self.rows))
-        return edges
+    @cached_property
+    def edges(self) -> frozenset[Edge]:
+        return frozenset(_pairs(self.rows))
 
     @cached_property
     def cardinality(self) -> int:
@@ -148,7 +119,7 @@ def critical_additive_set(
     count = sum(row.bit_count() for row in rows)
     if count != bound:
         raise ConsistencyError(f"additive set has {count} edges, bound is {bound}")
-    return EdgeSetReport.from_rows(ADDITIVE, rows, bound, witness=tf)
+    return EdgeSetReport(ADDITIVE, rows, bound, witness=tf)
 
 
 def critical_subtractive_set(
@@ -165,7 +136,7 @@ def critical_subtractive_set(
     count = sum(row.bit_count() for row in rows)
     if count != bound:
         raise ConsistencyError(f"subtractive set has {count} edges, bound is {bound}")
-    return EdgeSetReport.from_rows(SUBTRACTIVE, rows, bound, witness=tf)
+    return EdgeSetReport(SUBTRACTIVE, rows, bound, witness=tf)
 
 
 @dataclass(frozen=True)

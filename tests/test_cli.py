@@ -139,8 +139,8 @@ class TestCombine:
         assert data["max_inter_count"] == data["max_inter_bound"] == 20
         assert data["installed_inter_edges"] == 16
         combined = parse_document(data["document"])
-        assert combined.controls == ("1.v1", "2.u1", "2.u2")
-        times = dict(combined.times)
+        assert {combined.name_of(v) for v in combined.controls} == {"1.v1", "2.u1", "2.u2"}
+        times = {combined.name_of(v): t for v, t in combined.times.items()}
         assert times == {
             "1.v1": 1, "1.v2": 3, "1.v3": 4, "2.u1": 1, "2.u2": 1, "2.u3": 5, "2.u4": 2,
         }
@@ -188,7 +188,7 @@ class TestCombine:
         data = json.loads(out)
         assert data["control"] == "1.a"
         combined = parse_document(data["document"])
-        assert combined.controls == ("1.a",)
+        assert [combined.name_of(v) for v in combined.controls] == ["1.a"]
 
     def test_dag_mode_infeasible_exits_2(self, capsys, tmp_path):
         d1 = tmp_path / "d1.net"
@@ -269,6 +269,17 @@ class TestOracle:
     def test_ltv_requires_schedule(self, capsys):
         assert main(["oracle", str(SAMPLES / "chain3.net"), "--ltv"]) == 3
         capsys.readouterr()
+
+    @pytest.mark.parametrize("breakpoints", ["0 nan 2", "0 1 inf"])
+    def test_ltv_non_finite_breakpoint_exits_3(self, capsys, tmp_path, breakpoints):
+        doc = tmp_path / "chain3_v2.net"
+        doc.write_text((SAMPLES / "chain3.net").read_text().replace("CONTROLS\nv1", "CONTROLS\nv2"))
+        sched = tmp_path / "bad.sched"
+        sched.write_text(f"BREAKPOINTS\n{breakpoints}\nINTERVAL\nINTERVAL\n")
+        rc = main(["oracle", str(doc), "--ltv", "--schedule", str(sched)])
+        out, err = capsys.readouterr()
+        assert rc == 3
+        assert "gramian rank" not in out and "breakpoints must be finite" in err
 
     def test_ltv_inadmissible_schedule_edge(self, capsys, tmp_path):
         sched = tmp_path / "bad.sched"

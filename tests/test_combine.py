@@ -106,11 +106,9 @@ class TestCombineNetworks:
 
     def test_node_addressing(self, block_path3, block_ring4):
         combined = combine_networks([block_path3, block_ring4], SEQ, set())
-        assert combined.global_id(1, 2) == 5
+        assert combined.offsets == (0, 3) and combined.block_sizes == (3, 4)
         assert combined.block_of(5) == 1
         assert combined.block_of(3) == 0
-        with pytest.raises(ValueError):
-            combined.global_id(0, 4)
         with pytest.raises(ValueError):
             combined.block_of(8)
 

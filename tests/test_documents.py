@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import json
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,8 +7,6 @@ from hypothesis import strategies as st
 from ssc_toolkit.documents import (
     DocumentError,
     NetworkDocument,
-    document_from_json,
-    document_to_json,
     emit_document,
     parse_document,
     parse_force_list,
@@ -67,7 +63,7 @@ class TestParse:
         assert doc.names == ("v1", "v2", "v3", "v4", "v5", "v6")
         g = doc.graph()
         assert g.n == 6 and g.edge_count == 14
-        assert doc.control_ids() == {1, 2}
+        assert doc.controls == {1, 2}
         assert doc.chains is None and doc.times is None
 
     def test_annotated_document(self):
@@ -79,7 +75,7 @@ class TestParse:
 
     def test_comments_and_blanks_ignored(self):
         doc = parse_document("# header\n\nNODES\nx # trailing\n\nEDGES\n\nCONTROLS\nx\n")
-        assert doc.names == ("x",) and doc.controls == ("x",)
+        assert doc.names == ("x",) and doc.controls == {1}
 
     @pytest.mark.parametrize(
         "text, line, fragment",
@@ -161,16 +157,8 @@ class TestParsedGraph:
         doc = parse_document(text)
         ids = {name: i for i, name in enumerate(names, start=1)}
         assert doc.names == tuple(names)
-        assert doc.edges == tuple(edges)
         assert doc.graph() == DiGraph(len(names), [(ids[a], ids[b]) for a, b in edges])
         assert doc.graph().edges == {(ids[a], ids[b]) for a, b in edges}
-
-    def test_graph_is_built_once(self):
-        doc = parse_document(RING)
-        assert doc.graph() is doc.graph()
-        direct = NetworkDocument(doc.names, doc.edges, doc.controls)
-        assert direct.graph() is direct.graph()
-        assert direct.graph() == doc.graph()
 
 
 # Line breaks as ``str.splitlines`` sees them, and whitespace that stays
@@ -228,7 +216,7 @@ class TestBulkParse:
     @given(raw_documents())
     def test_agrees_with_a_line_by_line_reading(self, text):
         try:
-            names, edges, ids = line_by_line_document(text)
+            names, _, ids = line_by_line_document(text)
         except DocumentError as exc:
             with pytest.raises(DocumentError) as got:
                 parse_document(text)
@@ -236,7 +224,6 @@ class TestBulkParse:
             return
         doc = parse_document(text)
         assert doc.names == names
-        assert doc.edges == edges
         assert doc.graph() == DiGraph(len(names), ids)
 
     @pytest.mark.parametrize("text, line, fragment", [
@@ -253,34 +240,43 @@ class TestBulkParse:
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("text", [RING, ANNOTATED])
-    def test_emit_parse_fixed_point(self, text):
+    @given(documents(), st.data())
+    def test_emit_parse_fixed_point(self, case, data):
+        text, names, _ = case
+        controls = data.draw(st.lists(st.sampled_from(names), unique=True))
+        if controls:
+            text += "CONTROLS\n" + " ".join(controls) + "\n"
         doc = parse_document(text)
         emitted = emit_document(doc)
-        again = parse_document(emitted)
-        assert again == doc.normalize()
-        assert emit_document(again) == emitted
+        assert parse_document(emitted) == doc
+        assert emit_document(parse_document(emitted)) == emitted
 
-    @pytest.mark.parametrize("text", [RING, ANNOTATED])
-    def test_json_mirror(self, text):
+    @pytest.mark.parametrize("text", [RING, ANNOTATED], ids=["ring", "annotated"])
+    def test_worked_documents_are_fixed_points(self, text):
         doc = parse_document(text)
-        mirrored = document_from_json(document_to_json(doc))
-        assert mirrored == doc
-        data = json.loads(document_to_json(doc))
-        assert data["nodes"] == list(doc.names)
+        emitted = emit_document(doc)
+        assert parse_document(emitted) == doc
+        assert emit_document(parse_document(emitted)) == emitted
+
+    def test_annotations_survive_reordering(self):
+        shuffled = ANNOTATED.replace("a 1\nb 2\nc 3\n", "c 3\na 1\nb 2\n")
+        doc = parse_document(shuffled)
+        assert doc == parse_document(ANNOTATED)
+        assert doc.chains.chains[0].nodes == (1, 2, 3) and doc.times == {1: 1, 2: 2, 3: 3}
+        assert emit_document(doc) == emit_document(parse_document(ANNOTATED))
 
     def test_from_graph_round_trip(self):
         doc = parse_document(ANNOTATED)
         rebuilt = NetworkDocument.from_graph(
-            doc.graph(), doc.names, doc.control_ids(), doc.time_function()
+            doc.graph(), doc.names, doc.controls, doc.time_function()
         )
-        assert rebuilt == doc.normalize()
+        assert rebuilt == doc
+        assert emit_document(rebuilt) == emit_document(doc)
 
     def test_controls_section_optional(self):
         doc = parse_document("NODES\na b\nEDGES\na b\n")
-        assert doc.controls == ()
-        again = parse_document(emit_document(doc))
-        assert again == doc.normalize()
+        assert doc.controls == frozenset()
+        assert parse_document(emit_document(doc)) == doc
 
 
 class TestCompanionFiles:

@@ -16,7 +16,6 @@ from ssc_toolkit.oracle import (
     kalman_rank,
     ltv_gramian_rank,
     sample_matrix,
-    sample_qualitative,
     schedule_from_edges,
     schedule_from_family,
     _uncontrollable_witness,
@@ -37,25 +36,24 @@ from reference import rk4_transition
 
 class TestSampling:
     def test_edgeless_zero_diag_is_zero(self):
-        ws = sample_qualitative(DiGraph(2), seed=1, diag_mode=DIAG_ZERO)
-        assert not ws.matrix.any()
+        a = sample_matrix(DiGraph(2), np.random.default_rng(1), DIAG_ZERO)
+        assert not a.any()
 
     def test_path_structure_is_forced(self):
-        ws = sample_qualitative(DiGraph(2, frozenset({(1, 2)})), seed=3, diag_mode=DIAG_NONZERO)
-        a = ws.matrix
+        a = sample_matrix(DiGraph(2, frozenset({(1, 2)})), np.random.default_rng(3), DIAG_NONZERO)
         assert a[1, 0] != 0 and a[0, 0] != 0 and a[1, 1] != 0
         assert a[0, 1] == 0
 
     def test_ring_offdiagonal_support_counts_edges(self, ring6):
-        a = sample_qualitative(ring6, seed=5).matrix
+        a = sample_matrix(ring6, np.random.default_rng(5), DIAG_MIXED)
         off = [(i, j) for i in range(6) for j in range(6) if i != j and a[i, j] != 0]
         assert len(off) == 14
         for i, j in off:
             assert (j + 1, i + 1) in ring6.edges
 
     def test_deterministic_given_seed(self, ring6):
-        a = sample_qualitative(ring6, seed=9).matrix
-        b = sample_qualitative(ring6, seed=9).matrix
+        a = sample_matrix(ring6, np.random.default_rng(9), DIAG_MIXED)
+        b = sample_matrix(ring6, np.random.default_rng(9), DIAG_MIXED)
         assert np.array_equal(a, b)
 
     @given(digraphs(max_n=6), st.integers(0, 9999))
@@ -75,7 +73,7 @@ class TestKalmanRank:
 
     def test_ring_samples_reach_full_rank(self, ring6):
         for seed in range(10):
-            a = sample_qualitative(ring6, seed=seed).matrix
+            a = sample_matrix(ring6, np.random.default_rng(seed), DIAG_MIXED)
             assert kalman_rank(a, {1, 2}) == 6
 
     def test_threshold_on_known_ranks(self):
@@ -90,7 +88,7 @@ class TestVerifySscNumeric:
     def test_ring_consistent(self, ring6):
         report = verify_ssc_numeric(ring6, {1, 2}, trials=60, seed=0)
         assert report.expected_zfs and report.consistent
-        assert report.full_rank == 60 and report.fraction == 1.0
+        assert report.full_rank == report.trials == 60
 
     def test_single_node(self):
         report = verify_ssc_numeric(DiGraph(1), {1}, trials=10, seed=0)
@@ -203,6 +201,14 @@ class TestGramian:
         bad = np.zeros((3, 3))  # chain edges missing
         with pytest.raises(ValueError, match="disagrees"):
             LtvSchedule((0.0, 1.0), (g,), (bad,))
+
+    @pytest.mark.parametrize("breakpoints", [
+        (0.0, float("nan"), 2.0), (0.0, 1.0, float("inf")), (float("-inf"), 0.0, 1.0),
+    ])
+    def test_breakpoints_must_be_finite(self, breakpoints):
+        g = DiGraph(2)
+        with pytest.raises(ValueError, match="finite"):
+            LtvSchedule(breakpoints, (g, g), (np.zeros((2, 2)),) * 2)
 
 
 class TestVerifyLtvFamily:

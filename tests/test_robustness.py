@@ -44,6 +44,12 @@ from conftest import digraphs, timed_partitions
 from reference import brute_force_additive, swept_derived_set
 
 
+def _report(kind, edges, bound, witness=None) -> EdgeSetReport:
+    """The report on the edge set ``edges``, built from its rows."""
+    n = int(max(map(max, edges), default=1))
+    return EdgeSetReport(kind, DiGraph(n, edges).rows, bound, witness)
+
+
 class TestAdditiveNumber:
     def test_worked_ring(self, ring6):
         assert critical_additive_number(ring6, {1, 2}) == 16
@@ -135,7 +141,7 @@ class TestVerifyEdgeSet:
     def test_bogus_edge_is_caught(self, path3):
         report = critical_additive_set(path3, {1})
         # (1, 3) jumps past the frontier: tmax(1) = 1 < t(3) = 3
-        bogus = EdgeSetReport(ADDITIVE, report.edges | {(1, 3)}, report.bound + 1)
+        bogus = _report(ADDITIVE, report.edges | {(1, 3)}, report.bound + 1)
         outcome = verify_edge_set(path3, {1}, bogus, budget=2**10)
         assert not outcome.passed
         assert outcome.counterexample is not None
@@ -143,7 +149,7 @@ class TestVerifyEdgeSet:
         assert not is_zfs(path3.add_edges(outcome.counterexample), {1})
 
     def test_empty_report_passes(self, path3):
-        outcome = verify_edge_set(path3, {1}, EdgeSetReport(ADDITIVE, frozenset(), 0))
+        outcome = verify_edge_set(path3, {1}, _report(ADDITIVE, frozenset(), 0))
         assert outcome.passed
 
     def test_subtractive_exhaustive(self, ring6, ring6_policy):
@@ -159,10 +165,10 @@ class TestVerifyEdgeSet:
 
     def test_report_bound_mismatch_rejected(self):
         with pytest.raises(ValueError, match="bound"):
-            EdgeSetReport(ADDITIVE, frozenset({(1, 2)}), 2)
+            _report(ADDITIVE, frozenset({(1, 2)}), 2)
 
     def test_additive_report_must_be_new_edges(self, path3):
-        report = EdgeSetReport(ADDITIVE, frozenset({(1, 2)}), 1)
+        report = _report(ADDITIVE, frozenset({(1, 2)}), 1)
         with pytest.raises(ValueError, match="already"):
             verify_edge_set(path3, {1}, report)
 
@@ -215,7 +221,7 @@ def _misordered_report(make):
 def _bogus_path3():
     path3 = DiGraph(3, frozenset({(1, 2), (2, 3)}))
     report = critical_additive_set(path3, {1})
-    return path3, {1}, replace(report, edges=report.edges | {(1, 3)}, bound=report.bound + 1)
+    return path3, {1}, _report(ADDITIVE, report.edges | {(1, 3)}, report.bound + 1, report.witness)
 
 
 def _bogus_pair():
@@ -224,7 +230,7 @@ def _bogus_pair():
     # that subset at its 41st random draw
     g = DiGraph(5, frozenset({(1, 2), (4, 3)}))
     witness = critical_additive_set(g, {1, 4, 5}).witness
-    report = EdgeSetReport(ADDITIVE, frozenset({(1, 3), (4, 2), (5, 2)}), 3, witness)
+    report = _report(ADDITIVE, frozenset({(1, 3), (4, 2), (5, 2)}), 3, witness)
     return g, {1, 4, 5}, report
 
 
@@ -281,7 +287,7 @@ def perturbations(draw, max_n: int = 6, max_k: int = 7):
         pool = [(u, v) for u in g.nodes for v in g.nodes if not g.has_edge(u, v)]
     k = draw(st.integers(min(3, len(pool)), min(max_k, len(pool))))
     edges = frozenset(draw(st.permutations(pool))[:k])
-    return g, z, EdgeSetReport(kind, edges, k, witness)
+    return g, z, _report(kind, edges, k, witness)
 
 
 def _lanes(width):
@@ -323,7 +329,7 @@ class TestLaneScan:
     )
     def test_controls_on_every_node_always_pass(self, kind, edges, budget):
         g = DiGraph(3, frozenset({(1, 2), (2, 2), (2, 3)}))
-        report = EdgeSetReport(kind, edges, len(edges))
+        report = _report(kind, edges, len(edges))
         outcome = verify_edge_set(g, {1, 2, 3}, report, budget=budget)
         assert outcome == _naive_verification(g, {1, 2, 3}, report, budget)
         assert outcome.passed
@@ -349,7 +355,7 @@ class TestLaneScan:
     ):
         g = DiGraph(n, frozenset(skeleton))
         edges = frozenset({(v, v) for v in range(1, 16 - len(breaking))} | set(breaking))
-        report = EdgeSetReport(ADDITIVE, edges, 15)
+        report = _report(ADDITIVE, edges, 15)
         assert robustness._LANES == 2**14 < 2**15
         outcome = verify_edge_set(g, controls, report)
         assert outcome == VerificationOutcome(False, True, 2**14 + 1, frozenset(counterexample))
@@ -363,7 +369,7 @@ class TestLaneScan:
         # one subset in 2**11 of the random draws
         m = 10
         g = DiGraph(m + 3, frozenset({(c, m + 2) for c in range(1, m + 1)} | {(m + 2, m + 3)}))
-        report = EdgeSetReport(ADDITIVE, frozenset((c, m + 3) for c in range(1, m + 2)), m + 1)
+        report = _report(ADDITIVE, frozenset((c, m + 3) for c in range(1, m + 2)), m + 1)
         controls = set(range(1, m + 2))
         with _lanes(width):
             outcome = verify_edge_set(g, controls, report, budget=2**m)
@@ -379,27 +385,25 @@ class TestReportEdges:
         rows = [0] * 71
         for u, v in edges:
             rows[u] |= 1 << (v - 1)
-        built = EdgeSetReport.from_rows(ADDITIVE, rows, len(edges))
-        given_edges = EdgeSetReport(ADDITIVE, frozenset(edges), len(edges))
-        assert built == given_edges and hash(built) == hash(given_edges)
-        assert built.rows == given_edges.rows
+        built = EdgeSetReport(ADDITIVE, rows, len(edges))
+        from_pairs = _report(ADDITIVE, edges, len(edges))
+        assert built == from_pairs and hash(built) == hash(from_pairs)
+        assert built.rows == from_pairs.rows
         assert len(built.rows) == 1 or built.rows[-1]  # no trailing empty rows
         assert built.edges == edges and built.cardinality == len(edges)
         assert replace(built, witness=None) == built
 
     def test_rows_must_attain_the_bound(self):
         with pytest.raises(ValueError, match="bound"):
-            EdgeSetReport.from_rows(SUBTRACTIVE, [0, 0b11], 3)
+            EdgeSetReport(SUBTRACTIVE, (0, 0b11), 3)
         with pytest.raises(ValueError, match="rows"):
-            EdgeSetReport.from_rows(SUBTRACTIVE, [1, 0b11], 2)
-
-    def test_python_int_pairs_are_kept_as_given(self):
-        edges = frozenset({(1, 2), (2, 3)})
-        assert EdgeSetReport(ADDITIVE, edges, 2).edges is edges
+            EdgeSetReport(SUBTRACTIVE, (1, 0b11), 2)
+        with pytest.raises(ValueError, match="kind"):
+            EdgeSetReport("sideways", (0, 0b11), 2)
 
     def test_numpy_int_pairs_become_python_ints(self):
         edges = frozenset({(np.int64(1), np.int64(70)), (2, np.int32(3))})
-        report = EdgeSetReport(ADDITIVE, edges, 2)
+        report = _report(ADDITIVE, edges, 2)
         assert report.edges == {(1, 70), (2, 3)}
         assert all(type(x) is int for e in report.edges for x in e)
 
