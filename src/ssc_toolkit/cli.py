@@ -75,6 +75,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
+def _seed(text: str) -> int:
+    """``--seed``: numpy seeds its generators from non-negative integers only."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {seed}")
+    return seed
+
+
 def _read(path: str) -> str:
     try:
         return Path(path).read_text()
@@ -646,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("add", "sub"), required=True)
     p.add_argument("--policy", default="lowest-forcer")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--no-verify", action="store_true")
     common(p)
     p.set_defaults(func=cmd_robustness)
@@ -662,7 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="numerical cross-validation")
     p.add_argument("document")
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--ltv", action="store_true")
     p.add_argument("--schedule", default=None)
     common(p)

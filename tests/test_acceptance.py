@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import ssc_toolkit as st
+from ssc_toolkit.oracle import _krylov_ranks, _sample_stack
 from reference import all_digraphs
 
 RING6_EDGES = frozenset(
@@ -193,6 +194,8 @@ def test_criterion_7_oracle_consistency_small_graphs():
             graphs.extend(all_digraphs(n))
         graphs.extend(all_digraphs(4, max_count=1600, rng=rng))
         assert len(graphs) >= 2000
+        # 25 draws per forcing pair, diagonal modes in turn, ranked as one stack.
+        modes = [("zero", "nonzero", "mixed")[t % 3] for t in range(25)]
         inconsistencies = 0
         pair_index = 0
         for g in graphs:
@@ -203,12 +206,9 @@ def test_criterion_7_oracle_consistency_small_graphs():
                         continue
                     pair_index += 1
                     draws = np.random.default_rng([90, pair_index])
-                    for t in range(25):
-                        a = st.sample_matrix(
-                            g, draws, ("zero", "nonzero", "mixed")[t % 3]
-                        )
-                        if st.kalman_rank(a, z) != g.n:
-                            inconsistencies += 1
+                    stack = _sample_stack(g, draws, modes)
+                    ranks = _krylov_ranks(stack, st.input_matrix(g.n, z))
+                    inconsistencies += int(np.count_nonzero(ranks != g.n))
         assert inconsistencies == 0
         assert pair_index > 0
 

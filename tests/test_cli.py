@@ -289,6 +289,33 @@ class TestOracle:
         capsys.readouterr()
 
 
+class TestSeed:
+    """A negative ``--seed`` is an input error of the option itself, for
+    every command that takes one and whatever path the seed would reach."""
+
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "ring6_chord.net"],
+        ["oracle", "chain3.net", "--ltv", "--schedule", "chain3_varying.sched"],
+        ["robustness", "ring6_chord.net", "--mode", "add"],  # exhaustive scan
+        ["robustness", "ring6_chord.net", "--mode", "add", "--budget", "16"],  # sampled
+    ], ids=["oracle", "oracle-ltv", "robustness-exhaustive", "robustness-sampled"])
+    def test_negative_seed_exits_3(self, capsys, argv):
+        argv = [str(SAMPLES / a) if a.endswith((".net", ".sched")) else a for a in argv]
+        rc = main([*argv, "--seed", "-1"])
+        out, err = capsys.readouterr()
+        assert rc == 3 and out == ""
+        assert "argument --seed: must be a non-negative integer, got -1" in err
+
+    def test_non_integer_seed_exits_3(self, capsys):
+        assert main(["oracle", str(SAMPLES / "ring6_chord.net"), "--seed", "x"]) == 3
+        assert "argument --seed: invalid int value: 'x'" in capsys.readouterr().err
+
+    def test_zero_seed_is_accepted(self, capsys):
+        rc, out = run(capsys, "oracle", str(SAMPLES / "ring6_chord.net"), "--seed", "0",
+                      "--trials", "5", "--format", "machine")
+        assert rc == 0 and json.loads(out)["seed"] == 0
+
+
 class TestSchedules:
     def test_forcing_schedules_listing(self, capsys):
         rc, out = run(

@@ -7,11 +7,16 @@ from hypothesis import strategies as st
 
 from ssc_toolkit.forcing import is_zfs, stalled_white_set
 from ssc_toolkit.graphs import Chain, ChainSet, DiGraph
+from ssc_toolkit import oracle
 from ssc_toolkit.oracle import (
     DIAG_MIXED,
     DIAG_NONZERO,
     DIAG_ZERO,
     LtvSchedule,
+    _krylov_ranks,
+    _reachable_basis,
+    _sample_stack,
+    _trial_ranks,
     input_matrix,
     kalman_rank,
     ltv_gramian_rank,
@@ -82,6 +87,92 @@ class TestKalmanRank:
             a = np.diag(np.linspace(0.1, 2.0, n - 1), -1)
             assert kalman_rank(a, {1}) == n
             assert kalman_rank(a, {2}) == n - 1
+
+
+MODES = (DIAG_ZERO, DIAG_NONZERO, DIAG_MIXED)
+
+# Controls {1} on the fork 1 -> 2, 1 -> 3: full rank exactly when the two
+# leaves' diagonal entries differ, so zero-diagonal draws are deficient,
+# nonzero ones full and mixed ones either.
+FORK = DiGraph(3, frozenset({(1, 2), (1, 3)}))
+
+
+def per_draw_ranks(stack, b):
+    return [len(_reachable_basis(a, b)) for a in stack]
+
+
+class TestSampleStack:
+    @given(digraphs(max_n=8), st.lists(st.sampled_from(MODES), max_size=7), st.integers(0, 9999))
+    def test_block_equals_consecutive_draws(self, g: DiGraph, modes, seed: int):
+        rng = np.random.default_rng(seed)
+        stack = _sample_stack(g, np.random.default_rng(seed), modes)
+        assert stack.shape == (len(modes), g.n, g.n)
+        for a, mode in zip(stack, modes):
+            assert np.array_equal(a, sample_matrix(g, rng, mode))
+
+    def test_unknown_mode_rejected(self, ring6):
+        with pytest.raises(ValueError, match="diagonal mode"):
+            _sample_stack(ring6, np.random.default_rng(0), [DIAG_ZERO, "full"])
+
+
+class TestKrylovRanks:
+    def test_members_of_different_rank_step_together(self):
+        """A chain, a decoupled and a zero matrix: the last two run out of
+        candidates at the first step while the chain keeps growing."""
+        chain = np.diag(np.linspace(0.1, 2.0, 5), -1)
+        stack = np.stack([chain, np.eye(6), np.zeros((6, 6)), chain])
+        b = input_matrix(6, {1})
+        assert list(_krylov_ranks(stack, b)) == [6, 1, 1, 6]
+        assert list(_krylov_ranks(stack, input_matrix(6, {2}))) == [5, 1, 1, 5]
+        assert list(_krylov_ranks(stack, np.zeros((6, 0)))) == [0] * 4
+
+    def test_empty_stack(self):
+        assert _krylov_ranks(np.zeros((0, 3, 3)), input_matrix(3, {1})).shape == (0,)
+
+    @given(digraphs(max_n=12), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_single_matrix_staircase(self, g: DiGraph, data):
+        """Any control set, empty included, on generic draws with the
+        built uncontrollable member placed among them, so some members
+        deflate or run out of candidates while others keep growing."""
+        z = data.draw(st.frozensets(st.sampled_from(range(1, g.n + 1))), label="controls")
+        b = np.eye(g.n)[:, [v - 1 for v in sorted(z)]]
+        modes = data.draw(st.lists(st.sampled_from(MODES), min_size=1, max_size=6))
+        stack = list(_sample_stack(g, np.random.default_rng(data.draw(st.integers(0, 99))), modes))
+        white = stalled_white_set(g, z) if z else frozenset(g.nodes)
+        if white:
+            witness = _uncontrollable_witness(g, white)
+            for _ in range(data.draw(st.integers(1, 3), label="witnesses")):
+                stack.insert(data.draw(st.integers(0, len(stack)), label="at"), witness)
+        stack = np.stack(stack)
+        assert list(_krylov_ranks(stack, b)) == per_draw_ranks(stack, b)
+
+
+class TestTrialRanks:
+    def test_one_stream_in_trial_order(self, ring6):
+        rng = np.random.default_rng(11)
+        b = input_matrix(6, {1})
+        stack = [sample_matrix(ring6, rng, MODES[t % 3]) for t in range(10)]
+        assert list(_trial_ranks(ring6, b, 10, 11)) == per_draw_ranks(stack, b)
+
+    def test_fork_mixes_full_and_deficient_draws(self):
+        ranks = _trial_ranks(FORK, input_matrix(3, {1}), 30, 4)
+        assert set(ranks[0::3]) == {2} and set(ranks[1::3]) == {3}
+        assert set(ranks[2::3]) == {2, 3}
+
+    @pytest.mark.parametrize("per_block", [1, 2, 7])
+    def test_blocks_do_not_change_the_ranks(self, monkeypatch, per_block):
+        b = input_matrix(3, {1})
+        whole = _trial_ranks(FORK, b, 30, 4)
+        monkeypatch.setattr(oracle, "_STACK_BYTES", per_block * 8 * 3 * 3)
+        assert np.array_equal(_trial_ranks(FORK, b, 30, 4), whole)
+
+    def test_large_graphs_rank_each_draw_alone(self, monkeypatch, ring6):
+        b = input_matrix(6, {3})
+        stacked = _trial_ranks(ring6, b, 12, 2)
+        monkeypatch.setattr(oracle, "_STACK_MAX_N", 5)
+        monkeypatch.setattr(oracle, "_krylov_ranks", None)  # any stacked rank would fail
+        assert np.array_equal(_trial_ranks(ring6, b, 12, 2), stacked)
 
 
 class TestVerifySscNumeric:
