@@ -64,17 +64,13 @@ from .combine import (
     remap_time,
 )
 from .oracle import (
-    LtvFamilyReport,
     LtvSchedule,
     OracleReport,
     input_matrix,
-    kalman_rank,
     ltv_gramian_rank,
     sample_matrix,
     schedule_from_edges,
     schedule_from_family,
-    transition_matrix,
-    verify_ltv_family,
     verify_ssc_numeric,
 )
 from .documents import (

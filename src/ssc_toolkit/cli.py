@@ -75,15 +75,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
-def _seed(text: str) -> int:
-    """``--seed``: numpy seeds its generators from non-negative integers only."""
+def _non_negative(text: str) -> int:
+    """``--seed`` (numpy seeds its generators from non-negative integers
+    only) and ``--budget`` (a count of subsets)."""
     try:
-        seed = int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {seed}")
-    return seed
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
 
 
 def _read(path: str) -> str:
@@ -504,6 +505,8 @@ def _combine_dag(args, docs: Sequence[NetworkDocument]) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.schedule is not None and not args.ltv:
+        raise DocumentError("--schedule needs --ltv")
     doc = _load_document(args.document)
     g = doc.graph()
     z = _require_controls(doc)
@@ -656,8 +659,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("document")
     p.add_argument("--mode", choices=("add", "sub"), required=True)
     p.add_argument("--policy", default="lowest-forcer")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
+    p.add_argument("--budget", type=_non_negative, default=DEFAULT_BUDGET)
+    p.add_argument("--seed", type=_non_negative, default=DEFAULT_SEED)
     p.add_argument("--no-verify", action="store_true")
     common(p)
     p.set_defaults(func=cmd_robustness)
@@ -673,7 +676,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="numerical cross-validation")
     p.add_argument("document")
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_non_negative, default=DEFAULT_SEED)
     p.add_argument("--ltv", action="store_true")
     p.add_argument("--schedule", default=None)
     common(p)

@@ -1,14 +1,18 @@
 """Numerical cross-validation of the combinatorial verdicts.
 
 Weight matrices are drawn from a graph's qualitative class (entry (i, j)
-nonzero exactly when the edge (j, i) exists; diagonals free).  Every
-numerical rank comes from one routine that grows an orthonormal basis
-of the reachable subspace a column at a time, with deflation (the
-orthogonal staircase of Van Dooren), so no power of a system matrix is
-ever formed; the draws of one LTI check step through it together, a
-stack at a time.  LTI controllability is the dimension of Krylov(A, B);
-a piecewise-constant time-varying schedule is controllable over its span
-when its reachable subspace, built exactly piece by piece as
+nonzero exactly when the edge (j, i) exists; diagonals free) by one
+sampler, ``_sample_stack``.  Every numerical rank is the dimension of a
+reachable subspace grown an orthonormal column at a time, with
+deflation (the orthogonal staircase of Van Dooren), so no power of a
+system matrix is ever formed.  ``verify_ssc_numeric`` checks LTI
+controllability, the dimension of Krylov(A, B), on many draws: up to
+``_STACK_MAX_N`` nodes the draws of a block step through the staircase
+together (``_krylov_ranks``), above it one at a time
+(``_reachable_basis``).  ``ltv_gramian_rank`` checks a piecewise-constant
+time-varying schedule (from ``schedule_from_edges`` or
+``schedule_from_family``): it is controllable over its span when its
+reachable subspace, built exactly piece by piece as
 ``R_k = expm(A_k h_k) R_(k-1) + Krylov(A_k, B)`` (the image of the
 controllability Gramian), is the whole space.  The combinatorial side
 predicts: a forcing control set gives full rank for *every* draw, while
@@ -28,17 +32,15 @@ import numpy as np
 
 from .forcing import stalled_white_set
 from .graphs import DiGraph, Edge, control_set
-from .synthesis import (
-    TimeFunction,
-    optional_edges,
-    sample_member,
-    validate_time_function,
-)
+from .synthesis import TimeFunction, _require_valid, optional_edges, sample_member
 
 DIAG_ZERO = "zero"
 DIAG_NONZERO = "nonzero"
 DIAG_MIXED = "mixed"
-_DIAG_MODES = (DIAG_ZERO, DIAG_NONZERO, DIAG_MIXED)
+# The diagonal entry of a draw is kept when its coin is below this.  Coins
+# are uniform in [0, 1), so 1.0 keeps every entry and 0.0 none.
+_DIAG_KEEP = {DIAG_ZERO: 0.0, DIAG_NONZERO: 1.0, DIAG_MIXED: 0.5}
+_DIAG_MODES = tuple(_DIAG_KEEP)
 
 WEIGHT_LOW = 0.1
 WEIGHT_HIGH = 2.0
@@ -61,30 +63,41 @@ def _support(g: DiGraph) -> tuple[np.ndarray, np.ndarray]:
     return tuple(pairs.reshape(-1, 2).T)
 
 
-def sample_matrix(
-    g: DiGraph, rng: np.random.Generator, diag_mode: str = DIAG_MIXED
-) -> np.ndarray:
-    """One matrix from the qualitative class of ``g``.
+def _sample_stack(g: DiGraph, rng: np.random.Generator, modes: Sequence[str]) -> np.ndarray:
+    """``len(modes)`` matrices from the qualitative class of ``g``, stacked.
 
     Off-diagonal entry (i, j) is nonzero exactly when the edge (j, i)
     exists; magnitudes are uniform in [0.1, 2] with uniform signs, so
-    nothing sits numerically close to zero.  The diagonal is free:
-    ``diag_mode`` forces it all-zero, all-nonzero, or flips a coin per
-    entry.  All of it comes from one draw of the generator.
+    nothing sits numerically close to zero.  The diagonal is free: each
+    matrix's mode forces it all-zero, all-nonzero, or flips a coin per
+    entry.  Matrix t comes from row t of one draw of shape
+    ``(len(modes), 3, e + n)`` (magnitudes, signs, diagonal coins), so
+    consecutive smaller stacks from one generator, stacks of one
+    included, give the same matrices as one stack of all their modes.
     """
-    if diag_mode not in _DIAG_MODES:
-        raise ValueError(f"unknown diagonal mode {diag_mode!r}")
+    try:
+        keep = np.array([_DIAG_KEEP[mode] for mode in modes])
+    except KeyError as exc:
+        raise ValueError(f"unknown diagonal mode {exc.args[0]!r}") from None
     rows, cols = _support(g)
-    e = len(rows)
-    u = rng.random((3, e + g.n))  # magnitudes, signs, diagonal coins
-    w = np.where(u[1] < 0.5, -1.0, 1.0) * (WEIGHT_LOW + (WEIGHT_HIGH - WEIGHT_LOW) * u[0])
-    a = np.zeros((g.n, g.n))
-    a[rows, cols] = w[:e]
-    if diag_mode == DIAG_NONZERO:
-        np.fill_diagonal(a, w[e:])
-    elif diag_mode == DIAG_MIXED:
-        np.fill_diagonal(a, np.where(u[2, e:] < 0.5, w[e:], 0.0))
+    e, n, t = len(rows), g.n, len(modes)
+    u = rng.random((t, 3, e + n))
+    # Negative exactly when the sign coin is below 0.5: subtracting 0.5
+    # keeps the sign of every double in [0, 1).  That is one numpy call
+    # fewer than a sign array times the magnitudes, and the fixed cost of
+    # a call is most of a small draw's time.
+    w = np.copysign(WEIGHT_LOW + (WEIGHT_HIGH - WEIGHT_LOW) * u[:, 0], u[:, 1] - 0.5)
+    a = np.zeros((t, n, n))
+    a[:, rows, cols] = w[:, :e]
+    np.copyto(a.reshape(t, n * n)[:, :: n + 1], w[:, e:], where=u[:, 2, e:] < keep[:, None])
     return a
+
+
+def sample_matrix(
+    g: DiGraph, rng: np.random.Generator, diag_mode: str = DIAG_MIXED
+) -> np.ndarray:
+    """One matrix from the qualitative class of ``g``: a stack of one."""
+    return _sample_stack(g, rng, (diag_mode,))[0]
 
 
 def input_matrix(n: int, controls: Iterable[int]) -> np.ndarray:
@@ -100,6 +113,10 @@ def _reachable_basis(
     a: np.ndarray, b: np.ndarray, start: np.ndarray | None = None
 ) -> np.ndarray:
     """Orthonormal rows spanning Krylov(a, b) plus the columns of ``start``.
+
+    The staircase for one matrix: an LTV piece with the directions
+    carried from the pieces before it as ``start``, the built
+    uncontrollable member, or a draw above ``_STACK_MAX_N`` nodes.
 
     Candidates are the columns of ``b``, then ``a @ q`` for every kept
     row ``q``.  Each is orthogonalized twice against the rows kept so far
@@ -136,16 +153,6 @@ def _reachable_basis(
     return basis[:k]
 
 
-def kalman_rank(a: np.ndarray, controls: Iterable[int]) -> int:
-    """Rank of [B, AB, ..., A^(n-1)B] with B the control identity columns,
-    read off as the dimension of Krylov(A, B) without forming the powers."""
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError(f"system matrix must be square, got shape {a.shape}")
-    return len(_reachable_basis(a, input_matrix(n, controls)))
-
-
 # Bytes of system matrices drawn and ranked together.  Blocks are
 # consecutive in the trial stream, so the draws do not depend on it.
 # 512 KiB ranked as fast as 1 MiB at n = 12-80, and a 100-trial call at
@@ -158,27 +165,6 @@ _STACK_BYTES = 1 << 19
 # saves, dominates, and each member is orthogonalized against the
 # longest basis in its block.
 _STACK_MAX_N = 80
-
-
-def _sample_stack(g: DiGraph, rng: np.random.Generator, modes: Sequence[str]) -> np.ndarray:
-    """``len(modes)`` matrices from the class of ``g``, stacked: the same
-    matrices, from the same stream, as one ``sample_matrix`` call per
-    mode in turn."""
-    bad = set(modes) - set(_DIAG_MODES)
-    if bad:
-        raise ValueError(f"unknown diagonal mode {min(bad)!r}")
-    rows, cols = _support(g)
-    e, n = len(rows), g.n
-    u = rng.random((len(modes), 3, e + n))
-    w = np.where(u[:, 1] < 0.5, -1.0, 1.0) * (WEIGHT_LOW + (WEIGHT_HIGH - WEIGHT_LOW) * u[:, 0])
-    a = np.zeros((len(modes), n, n))
-    a[:, rows, cols] = w[:, :e]
-    mixed = np.array([mode == DIAG_MIXED for mode in modes])[:, None]
-    nonzero = np.array([mode == DIAG_NONZERO for mode in modes])[:, None]
-    kept = np.where(mixed, u[:, 2, e:] < 0.5, nonzero)
-    diag = np.arange(n)
-    a[:, diag, diag] = np.where(kept, w[:, e:], 0.0)
-    return a
 
 
 def _krylov_ranks(stack: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -353,10 +339,6 @@ class LtvSchedule:
     def n(self) -> int:
         return self.graphs[0].n
 
-    @property
-    def span(self) -> tuple[float, float]:
-        return self.breakpoints[0], self.breakpoints[-1]
-
 
 def schedule_from_family(
     tf: TimeFunction,
@@ -370,9 +352,7 @@ def schedule_from_family(
     family's minimal member), which is the canonical rank-deficient
     witness for control sets missing a source.
     """
-    problems = validate_time_function(tf)
-    if problems:
-        raise ValueError("invalid time function: " + "; ".join(problems))
+    _require_valid(tf)
     graphs = []
     matrices = []
     skeleton = DiGraph(tf.n, tf.chains.chain_edges)
@@ -395,9 +375,7 @@ def schedule_from_edges(
     of which must be admissible for the family; weights are drawn
     deterministically from ``seed``.
     """
-    problems = validate_time_function(tf)
-    if problems:
-        raise ValueError("invalid time function: " + "; ".join(problems))
+    _require_valid(tf)
     if len(per_interval_edges) != len(breakpoints) - 1:
         raise ValueError("need one edge set per interval")
     admissible = optional_edges(tf)
@@ -420,32 +398,6 @@ def schedule_from_edges(
     return LtvSchedule(tuple(breakpoints), tuple(graphs), tuple(matrices))
 
 
-def _clip_pieces(schedule: LtvSchedule, t_from: float, t_to: float):
-    """(matrix, start, stop) triples covering [t_from, t_to]."""
-    lo, hi = schedule.span
-    if not (lo - 1e-12 <= t_from <= t_to <= hi + 1e-12):
-        raise ValueError(f"[{t_from}, {t_to}] leaves the schedule span [{lo}, {hi}]")
-    pieces = []
-    bp = schedule.breakpoints
-    for i, a in enumerate(schedule.matrices):
-        start = max(bp[i], t_from)
-        stop = min(bp[i + 1], t_to)
-        if stop > start:
-            pieces.append((a, start, stop))
-    return pieces
-
-
-def transition_matrix(schedule: LtvSchedule, t_from: float, t_to: float) -> np.ndarray:
-    """State propagator over [t_from, t_to]: the ordered product of the
-    per-interval matrix exponentials (exact for constant pieces)."""
-    from scipy.linalg import expm  # loaded on first use: most commands never need scipy
-
-    phi = np.eye(schedule.n)
-    for a, start, stop in _clip_pieces(schedule, t_from, t_to):
-        phi = expm(a * (stop - start)) @ phi
-    return phi
-
-
 def ltv_gramian_rank(schedule: LtvSchedule, controls: Iterable[int]) -> int:
     """Rank of the controllability Gramian over the schedule span; full
     rank certifies controllability over the span.
@@ -454,7 +406,7 @@ def ltv_gramian_rank(schedule: LtvSchedule, controls: Iterable[int]) -> int:
     constant piece of length h_k:
     ``R_k = expm(A_k h_k) R_(k-1) + Krylov(A_k, B)``.
     """
-    from scipy.linalg import expm
+    from scipy.linalg import expm  # loaded on first use: most commands never need scipy
 
     n = schedule.n
     b = input_matrix(n, controls)
@@ -466,69 +418,3 @@ def ltv_gramian_rank(schedule: LtvSchedule, controls: Iterable[int]) -> int:
         if len(basis) == n:
             break
     return len(basis)
-
-
-@dataclass(frozen=True)
-class LtvFamilyReport:
-    """Gramian-rank checks of random schedules drawn from one family."""
-
-    trials: int
-    sources_full_rank: int
-    deficient_checks: int
-    deficient_confirmed: int
-    consistent: bool
-
-
-def verify_ltv_family(
-    tf: TimeFunction, trials: int = 20, seed: int = 0, pieces: int = 3
-) -> LtvFamilyReport:
-    """Check the family-level controllability predictions empirically.
-
-    Per trial, a random schedule drawn from the family must have full
-    Gramian rank when driven from the chain sources.  The converse is a
-    family-level statement (only *some* member need fail for a control
-    set missing a source), so the deficiency check runs on the canonical
-    minimal member: the chain-only schedule, where every node upstream of
-    the missing source is unreachable for any weights.
-    """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    problems = validate_time_function(tf)
-    if problems:
-        raise ValueError("invalid time function: " + "; ".join(problems))
-    sources = sorted(tf.chains.sources)
-    n = tf.n
-    full = 0
-    deficient_checks = 0
-    deficient_confirmed = 0
-    for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
-        p = int(rng.integers(1, pieces + 1))
-        breakpoints = np.cumsum(np.concatenate(([0.0], rng.uniform(0.3, 1.2, p))))
-        sched = schedule_from_family(tf, tuple(breakpoints), rng)
-        if ltv_gramian_rank(sched, sources) == n:
-            full += 1
-        reduced = _control_set_missing_a_source(tf, rng)
-        if reduced is not None:
-            deficient_checks += 1
-            lean = schedule_from_family(tf, tuple(breakpoints), rng, chain_only=True)
-            if ltv_gramian_rank(lean, reduced) < n:
-                deficient_confirmed += 1
-    consistent = full == trials and deficient_confirmed == deficient_checks
-    return LtvFamilyReport(trials, full, deficient_checks, deficient_confirmed, consistent)
-
-
-def _control_set_missing_a_source(
-    tf: TimeFunction, rng: np.random.Generator
-) -> frozenset[int] | None:
-    """A nonempty control set that misses at least one source, or None
-    when the graph is a single node."""
-    sources = sorted(tf.chains.sources)
-    others = sorted(tf.chains.nodes - tf.chains.sources)
-    dropped = sources[int(rng.integers(len(sources)))]
-    keep = [s for s in sources if s != dropped]
-    if not keep:
-        if not others:
-            return None
-        keep = [others[int(rng.integers(len(others)))]]
-    return frozenset(keep)

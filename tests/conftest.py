@@ -60,23 +60,6 @@ def chain3_tf() -> TimeFunction:
     return TimeFunction(ChainSet((Chain((1, 2, 3)),)), {1: 1, 2: 2, 3: 3})
 
 
-@pytest.fixture
-def varying_pieces() -> tuple[tuple[float, ...], list[set[tuple[int, int]]]]:
-    """Breakpoints and optional-edge sets of the piecewise worked example."""
-    breakpoints = (0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 10.0)
-    per_interval = [
-        {(1, 1), (3, 2)},
-        {(1, 1), (2, 1), (3, 2)},
-        {(2, 1), (3, 1), (3, 2)},
-        {(3, 1)},
-        {(3, 1), (3, 3)},
-        {(3, 2), (3, 3)},
-        {(3, 3)},
-        {(2, 2)},
-    ]
-    return breakpoints, per_interval
-
-
 # -- hypothesis strategies ---------------------------------------------------
 
 

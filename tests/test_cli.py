@@ -270,6 +270,14 @@ class TestOracle:
         assert main(["oracle", str(SAMPLES / "chain3.net"), "--ltv"]) == 3
         capsys.readouterr()
 
+    def test_schedule_requires_ltv(self, capsys):
+        """A schedule is not silently ignored by the LTI oracle."""
+        rc = main(["oracle", str(SAMPLES / "chain3.net"),
+                   "--schedule", str(SAMPLES / "chain3_varying.sched")])
+        out, err = capsys.readouterr()
+        assert rc == 3 and out == ""
+        assert "--schedule needs --ltv" in err
+
     @pytest.mark.parametrize("breakpoints", ["0 nan 2", "0 1 inf"])
     def test_ltv_non_finite_breakpoint_exits_3(self, capsys, tmp_path, breakpoints):
         doc = tmp_path / "chain3_v2.net"
@@ -290,8 +298,9 @@ class TestOracle:
 
 
 class TestSeed:
-    """A negative ``--seed`` is an input error of the option itself, for
-    every command that takes one and whatever path the seed would reach."""
+    """A negative ``--seed`` or ``--budget`` is an input error of the option
+    itself, for every command that takes one and whatever path the value
+    would reach."""
 
     @pytest.mark.parametrize("argv", [
         ["oracle", "ring6_chord.net"],
@@ -305,6 +314,19 @@ class TestSeed:
         out, err = capsys.readouterr()
         assert rc == 3 and out == ""
         assert "argument --seed: must be a non-negative integer, got -1" in err
+
+    def test_negative_budget_exits_3(self, capsys):
+        """Not a silent sampled scan."""
+        rc = main(["robustness", str(SAMPLES / "ring6_chord.net"), "--mode", "add",
+                   "--budget", "-5"])
+        out, err = capsys.readouterr()
+        assert rc == 3 and out == ""
+        assert "argument --budget: must be a non-negative integer, got -5" in err
+
+    def test_zero_budget_is_accepted(self, capsys):
+        rc, out = run(capsys, "robustness", str(SAMPLES / "ring6_chord.net"), "--mode", "add",
+                      "--budget", "0", "--format", "machine")
+        assert rc == 0 and json.loads(out)["verification"]["exhaustive"] is False
 
     def test_non_integer_seed_exits_3(self, capsys):
         assert main(["oracle", str(SAMPLES / "ring6_chord.net"), "--seed", "x"]) == 3

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+from functools import partial
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ssc_toolkit.documents import parse_document, parse_schedule_file
 from ssc_toolkit.forcing import is_zfs, stalled_white_set
 from ssc_toolkit.graphs import Chain, ChainSet, DiGraph
 from ssc_toolkit import oracle
@@ -18,14 +22,11 @@ from ssc_toolkit.oracle import (
     _sample_stack,
     _trial_ranks,
     input_matrix,
-    kalman_rank,
     ltv_gramian_rank,
     sample_matrix,
     schedule_from_edges,
     schedule_from_family,
     _uncontrollable_witness,
-    transition_matrix,
-    verify_ltv_family,
     verify_ssc_numeric,
 )
 from ssc_toolkit.synthesis import (
@@ -37,6 +38,32 @@ from ssc_toolkit.synthesis import (
 
 from conftest import digraphs, timed_partitions
 from reference import rk4_transition
+
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+
+
+def krylov_rank(a: np.ndarray, controls) -> int:
+    """Rank of [B, AB, ..., A^(n-1)B], B the control identity columns."""
+    return len(_reachable_basis(a, input_matrix(a.shape[0], controls)))
+
+
+def drawn_matrix(g: DiGraph, seed: int, mode: str) -> np.ndarray:
+    """The first draw of a generator seeded with ``seed``, written out from
+    one ``random((3, e + n))`` call: magnitudes, signs and diagonal coins,
+    one row each, over the off-diagonal edges in (row, column) order and
+    then the diagonal."""
+    support = sorted((v - 1, u - 1) for u, v in g.edges if u != v)
+    e, n = len(support), g.n
+    mag, sign, coin = np.random.default_rng(seed).random((3, e + n))
+    w = [(-1.0 if s < 0.5 else 1.0) * (0.1 + 1.9 * m) for m, s in zip(mag, sign)]
+    a = np.zeros((n, n))
+    for (i, j), x in zip(support, w):
+        a[i, j] = x
+    for i in range(n):
+        kept = {DIAG_ZERO: False, DIAG_NONZERO: True, DIAG_MIXED: coin[e + i] < 0.5}[mode]
+        a[i, i] = w[e + i] if kept else 0.0
+    return a
 
 
 class TestSampling:
@@ -67,26 +94,34 @@ class TestSampling:
         nz = np.abs(a[a != 0])
         assert nz.size == 0 or (nz.min() >= 0.1 and nz.max() <= 2.0)
 
+    @given(digraphs(max_n=8), st.sampled_from((DIAG_ZERO, DIAG_NONZERO, DIAG_MIXED)),
+           st.integers(0, 9999))
+    def test_draw_is_written_out_from_one_stream(self, g: DiGraph, mode, seed: int):
+        """Pins the stream layout, so a given seed keeps its draws: the same
+        bits, signed zeros included."""
+        a = sample_matrix(g, np.random.default_rng(seed), mode)
+        assert a.tobytes() == drawn_matrix(g, seed, mode).tobytes()
+
 
 class TestKalmanRank:
     def test_decoupled_identity(self):
-        assert kalman_rank(np.eye(2), {1}) == 1
+        assert krylov_rank(np.eye(2), {1}) == 1
 
     def test_driven_path(self):
         a = np.array([[0.0, 0.0], [1.3, 0.0]])
-        assert kalman_rank(a, {1}) == 2
+        assert krylov_rank(a, {1}) == 2
 
     def test_ring_samples_reach_full_rank(self, ring6):
         for seed in range(10):
             a = sample_matrix(ring6, np.random.default_rng(seed), DIAG_MIXED)
-            assert kalman_rank(a, {1, 2}) == 6
+            assert krylov_rank(a, {1, 2}) == 6
 
     def test_threshold_on_known_ranks(self):
         # companion chain: rank grows one per node regardless of diagonal
         for n in (2, 4, 6, 8):
             a = np.diag(np.linspace(0.1, 2.0, n - 1), -1)
-            assert kalman_rank(a, {1}) == n
-            assert kalman_rank(a, {2}) == n - 1
+            assert krylov_rank(a, {1}) == n
+            assert krylov_rank(a, {2}) == n - 1
 
 
 MODES = (DIAG_ZERO, DIAG_NONZERO, DIAG_MIXED)
@@ -204,44 +239,71 @@ class TestVerifySscNumeric:
         assert report.consistent
 
 
-def chain3_schedule(varying_pieces, seed=0):
-    tf = TimeFunction(ChainSet((Chain((1, 2, 3)),)), {1: 1, 2: 2, 3: 3})
-    breakpoints, per_interval = varying_pieces
-    return tf, schedule_from_edges(tf, breakpoints, per_interval, seed=seed)
+CHAIN3 = TimeFunction(ChainSet((Chain((1, 2, 3)),)), {1: 1, 2: 2, 3: 3})
 
 
-class TestTransitionMatrix:
-    def test_identity_at_equal_times(self, chain3_tf):
-        sched = schedule_from_family(chain3_tf, (0.0, 1.0, 2.0), np.random.default_rng(0))
-        assert np.allclose(transition_matrix(sched, 0.7, 0.7), np.eye(3))
+def chain3_varying_schedule() -> LtvSchedule:
+    """The bundled piecewise worked example, weights drawn as ``oracle
+    --ltv`` draws them at seed 0."""
+    doc = parse_document((SAMPLES / "chain3.net").read_text())
+    breakpoints, per_interval = parse_schedule_file(
+        (SAMPLES / "chain3_varying.sched").read_text(), doc
+    )
+    return schedule_from_edges(doc.time_function(), breakpoints, per_interval, seed=0)
 
-    def test_single_piece_is_matrix_exponential(self, chain3_tf):
-        from scipy.linalg import expm
 
-        sched = schedule_from_family(chain3_tf, (0.0, 1.0), np.random.default_rng(1))
-        assert np.allclose(transition_matrix(sched, 0.0, 1.0), expm(sched.matrices[0]))
+def chain3_skeleton_schedule() -> LtvSchedule:
+    return schedule_from_family(
+        CHAIN3, (0.0, 3.0, 7.0, 10.0), np.random.default_rng(8), chain_only=True
+    )
 
-    def test_two_piece_product_matches_rk4(self, chain3_tf):
-        sched = schedule_from_family(chain3_tf, (0.0, 0.8, 2.0), np.random.default_rng(2))
-        phi = transition_matrix(sched, 0.0, 2.0)
-        ref = rk4_transition(sched.matrices, sched.breakpoints)
-        assert np.linalg.norm(phi - ref) / np.linalg.norm(ref) < 1e-6
 
-    def test_out_of_span_rejected(self, chain3_tf):
-        sched = schedule_from_family(chain3_tf, (0.0, 1.0), np.random.default_rng(3))
-        with pytest.raises(ValueError):
-            transition_matrix(sched, -0.5, 0.5)
+def single_edge_pieces(*edges) -> LtvSchedule:
+    """One unit-length piece per edge on three nodes, with that edge alone
+    at weight 1."""
+    graphs, matrices = [], []
+    for u, v in edges:
+        graphs.append(DiGraph(3, frozenset({(u, v)})))
+        matrices.append(np.zeros((3, 3)))
+        matrices[-1][v - 1, u - 1] = 1.0
+    return LtvSchedule(tuple(map(float, range(len(edges) + 1))), tuple(graphs), tuple(matrices))
 
-    @given(timed_partitions(max_n=6), st.integers(0, 9999))
-    @settings(max_examples=30)
-    def test_composition_property(self, tf, seed):
-        rng = np.random.default_rng(seed)
-        bps = tuple(np.cumsum([0.0, *rng.uniform(0.2, 1.0, 3)]))
-        sched = schedule_from_family(tf, bps, rng)
-        t1, t2, t3 = bps[0], float(rng.uniform(bps[1], bps[2])), bps[-1]
-        lhs = transition_matrix(sched, t1, t3)
-        rhs = transition_matrix(sched, t2, t3) @ transition_matrix(sched, t1, t2)
-        assert np.linalg.norm(lhs - rhs) <= 1e-8 * max(1.0, np.linalg.norm(lhs))
+
+# From node 1, piece one reaches span{e1, e2}; piece two maps e2 to e2 + e3
+# and drives only e1, so the span is {e1, e2 + e3}.  Piece one once more
+# adds e2, and so e3, which it reaches only through the propagated e2 + e3.
+CARRIED = ((1, 2), (2, 3))
+PROPAGATED = ((1, 2), (2, 3), (1, 2))
+
+
+def rk4_reachable_rank(sched: LtvSchedule, controls) -> int:
+    """Dimension of the reachable subspace, with every piece's propagator
+    integrated by RK4 and its Krylov columns taken as explicit powers."""
+    n = sched.n
+    b = input_matrix(n, controls)
+    span = np.zeros((n, 0))
+    bp = sched.breakpoints
+    for a, start, stop in zip(sched.matrices, bp, bp[1:]):
+        phi = rk4_transition([a], (start, stop))
+        powers = [np.linalg.matrix_power(a, k) @ b for k in range(n)]
+        span = np.hstack([phi @ span, *powers])
+    return int(np.linalg.matrix_rank(span))
+
+
+class TestRk4Reference:
+    @pytest.mark.parametrize("schedule, controls, expected", [
+        (chain3_varying_schedule, {1}, 3),
+        (chain3_skeleton_schedule, {2}, 2),
+        (partial(single_edge_pieces, *CARRIED), {1}, 2),
+        (partial(single_edge_pieces, *PROPAGATED), {1}, 3),
+    ], ids=["worked-example-from-source", "skeleton-from-middle", "carried-not-grown",
+            "propagated"])
+    def test_reachable_span_matches_the_gramian_rank(self, schedule, controls, expected):
+        """Full on the worked example; deficient on the chain skeleton from
+        the middle node, whose source row stays zero.  The last two fail
+        when the carried directions are dropped, grown, or not propagated."""
+        sched = schedule()
+        assert rk4_reachable_rank(sched, controls) == ltv_gramian_rank(sched, controls) == expected
 
 
 class TestGramian:
@@ -253,20 +315,15 @@ class TestGramian:
         assert ltv_gramian_rank(sched, {1, 2}) == 2
 
     def test_earlier_reach_is_carried_but_not_grown(self):
-        """Piece one reaches span{e1, e2}; piece two maps e2 to e2 + e3 and
-        drives only e1, so the span is {e1, e2 + e3}.  Multiplying the
-        carried directions by the second matrix would wrongly add e3."""
-        g1, g2 = DiGraph(3, frozenset({(1, 2)})), DiGraph(3, frozenset({(2, 3)}))
-        a1, a2 = np.zeros((3, 3)), np.zeros((3, 3))
-        a1[1, 0] = a2[2, 1] = 1.0
-        sched = LtvSchedule((0.0, 1.0, 2.0), (g1, g2), (a1, a2))
-        assert ltv_gramian_rank(sched, {1}) == 2
+        """Multiplying the carried directions by the second matrix would
+        wrongly add e3."""
+        assert ltv_gramian_rank(single_edge_pieces(*CARRIED), {1}) == 2
 
-    def test_worked_piecewise_example_from_source(self, varying_pieces):
-        _, sched = chain3_schedule(varying_pieces)
+    def test_worked_piecewise_example_from_source(self):
+        sched = chain3_varying_schedule()
         assert ltv_gramian_rank(sched, {1}) == 3
 
-    def test_worked_piecewise_example_from_middle_node(self, varying_pieces):
+    def test_worked_piecewise_example_from_middle_node(self):
         """The middle node drives everything on this particular schedule.
 
         The back-edge toward the source is present on a subinterval, and
@@ -276,13 +333,11 @@ class TestGramian:
         a non-source control set; its canonical witness is the chain-only
         schedule, checked below.
         """
-        _, sched = chain3_schedule(varying_pieces)
+        sched = chain3_varying_schedule()
         assert ltv_gramian_rank(sched, {2}) == 3
 
-    def test_chain_only_member_is_deficient_off_source(self, chain3_tf):
-        sched = schedule_from_family(
-            chain3_tf, (0.0, 3.0, 7.0, 10.0), np.random.default_rng(8), chain_only=True
-        )
+    def test_chain_only_member_is_deficient_off_source(self):
+        sched = chain3_skeleton_schedule()
         assert ltv_gramian_rank(sched, {2}) < 3
         assert ltv_gramian_rank(sched, {3}) < 3
         assert ltv_gramian_rank(sched, {1}) == 3
@@ -302,32 +357,50 @@ class TestGramian:
             LtvSchedule(breakpoints, (g, g), (np.zeros((2, 2)),) * 2)
 
 
-class TestVerifyLtvFamily:
-    def test_two_chain_layout_full_marks(self):
-        tf = TimeFunction(
-            ChainSet((Chain((1, 2, 3)), Chain((4, 5)))), {1: 1, 4: 1, 2: 2, 5: 3, 3: 4}
-        )
-        report = verify_ltv_family(tf, trials=20, seed=0)
-        assert report.sources_full_rank == 20
-        assert report.deficient_confirmed == report.deficient_checks == 20
-        assert report.consistent
+# Two chains of unequal length, and chains of one node each, where every
+# node is a source.
+LAYOUTS = {
+    "two-chains": TimeFunction(
+        ChainSet((Chain((1, 2, 3)), Chain((4, 5)))), {1: 1, 4: 1, 2: 2, 5: 3, 3: 4}
+    ),
+    "single-node-chains": TimeFunction(ChainSet((Chain((1,)), Chain((2,)))), {1: 1, 2: 1}),
+}
+
+
+def random_breakpoints(rng: np.random.Generator) -> tuple[float, ...]:
+    pieces = int(rng.integers(1, 4))
+    return tuple(np.cumsum(np.concatenate(([0.0], rng.uniform(0.3, 1.2, pieces)))))
+
+
+class TestFamilySchedules:
+    """The family-level LTV claims on seeded random schedules: every member
+    is controllable from the chain sources, and a control set that misses
+    a source fails on the family's minimal member, the chain skeleton."""
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_source_controls_give_full_rank(self, layout):
+        tf = LAYOUTS[layout]
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            sched = schedule_from_family(tf, random_breakpoints(rng), rng)
+            assert ltv_gramian_rank(sched, tf.chains.sources) == tf.n
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_chain_only_schedule_missing_a_source_is_deficient(self, layout):
+        """Every other node controlled, and still deficient: the missed
+        source has no in-edge and a zero diagonal on the skeleton."""
+        tf = LAYOUTS[layout]
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            sched = schedule_from_family(tf, random_breakpoints(rng), rng, chain_only=True)
+            for source in tf.chains.sources:
+                assert ltv_gramian_rank(sched, set(tf.chains.nodes) - {source}) < tf.n
 
     def test_single_chain_sink_control_always_deficient(self, chain3_tf):
         rng = np.random.default_rng(0)
         for trial in range(10):
             sched = schedule_from_family(chain3_tf, (0.0, 1.0, 2.0), rng, chain_only=True)
             assert ltv_gramian_rank(sched, {3}) < 3
-
-    def test_all_sources_layout_trivially_full(self):
-        tf = TimeFunction(ChainSet((Chain((1,)), Chain((2,)))), {1: 1, 2: 1})
-        report = verify_ltv_family(tf, trials=5, seed=1)
-        assert report.sources_full_rank == 5
-        assert report.consistent
-
-    def test_single_node_has_no_deficiency_check(self):
-        tf = TimeFunction(ChainSet((Chain((1,)),)), {1: 1})
-        report = verify_ltv_family(tf, trials=3, seed=2)
-        assert report.deficient_checks == 0 and report.consistent
 
 
 def directed_path(n: int) -> DiGraph:
@@ -390,7 +463,7 @@ class TestUncontrollableWitness:
             x = np.zeros(n)
             x[[v - 1 for v in white]] = 1.0
             assert not (x @ a).any()
-            assert kalman_rank(a, z) < n
+            assert krylov_rank(a, z) < n
             report = verify_ssc_numeric(g, z, trials=1, seed=checked)
             assert report.consistent and np.array_equal(report.witness, a)
-            assert report.witness_rank == kalman_rank(a, z)
+            assert report.witness_rank == krylov_rank(a, z)
