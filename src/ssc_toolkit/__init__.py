@@ -40,7 +40,6 @@ from .synthesis import (
     random_chain_set,
     random_time_function,
     sample_member,
-    validate_time_function,
 )
 from .robustness import (
     EdgeSetReport,

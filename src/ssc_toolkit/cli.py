@@ -75,16 +75,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
-def _non_negative(text: str) -> int:
-    """``--seed`` (numpy seeds its generators from non-negative integers
-    only) and ``--budget`` (a count of subsets)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
-    return value
+def _at_least(low: int) -> Callable[[str], int]:
+    """The argparse type of an integer option with the lower bound ``low``:
+    0 for ``--seed`` (numpy seeds its generators from non-negative integers
+    only) and ``--budget`` (a count of subsets), 1 for ``--trials`` and
+    ``--limit``."""
+    bound = "a non-negative integer" if low == 0 else f"an integer of at least {low}"
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+    return parse
 
 
 def _read(path: str) -> str:
@@ -382,9 +389,9 @@ def _parse_sequence(spec: str | None, counts: list[int], mode: str) -> CombineSe
         return CombineSequence(())
     entries = []
     for tok in spec.split(","):
-        tok = tok.strip().lstrip("Gg")
+        tok = tok.strip()
         try:
-            idx = int(tok)
+            idx = int(tok[1:] if tok[:1] in ("G", "g") else tok)
         except ValueError:
             raise DocumentError(f"bad sequence entry {tok!r}") from None
         if not 1 <= idx <= len(counts):
@@ -659,8 +666,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("document")
     p.add_argument("--mode", choices=("add", "sub"), required=True)
     p.add_argument("--policy", default="lowest-forcer")
-    p.add_argument("--budget", type=_non_negative, default=DEFAULT_BUDGET)
-    p.add_argument("--seed", type=_non_negative, default=DEFAULT_SEED)
+    p.add_argument("--budget", type=_at_least(0), default=DEFAULT_BUDGET)
+    p.add_argument("--seed", type=_at_least(0), default=DEFAULT_SEED)
     p.add_argument("--no-verify", action="store_true")
     common(p)
     p.set_defaults(func=cmd_robustness)
@@ -675,8 +682,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="numerical cross-validation")
     p.add_argument("document")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=_non_negative, default=DEFAULT_SEED)
+    p.add_argument("--trials", type=_at_least(1), default=100)
+    p.add_argument("--seed", type=_at_least(0), default=DEFAULT_SEED)
     p.add_argument("--ltv", action="store_true")
     p.add_argument("--schedule", default=None)
     common(p)
@@ -685,7 +692,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("schedules", help="forcing schedules or layout sequences")
     p.add_argument("documents", nargs="+")
     p.add_argument("--mode", choices=("general", "dag"), default="general")
-    p.add_argument("--limit", type=int, default=100)
+    p.add_argument("--limit", type=_at_least(1), default=100)
     common(p)
     p.set_defaults(func=cmd_schedules)
     return parser

@@ -23,13 +23,7 @@ from .graphs import (
     topological_order,
 )
 from .robustness import INTER_NETWORK, EdgeSetReport
-from .synthesis import (
-    TimeFunction,
-    _admissible_rows,
-    is_ct_constructed,
-    perfect_edge_count,
-    validate_time_function,
-)
+from .synthesis import TimeFunction, _admissible_rows, is_ct_constructed, perfect_edge_count
 
 Block = tuple[DiGraph, TimeFunction]
 
@@ -86,9 +80,6 @@ def remap_time(seq: CombineSequence, which: int, tf_local: TimeFunction) -> dict
     sources keep time 1.  Requires the block to occur exactly
     ``n - m`` times in the sequence.
     """
-    problems = validate_time_function(tf_local)
-    if problems:
-        raise ValueError("invalid block time function: " + "; ".join(problems))
     expected = tf_local.n - tf_local.m
     if seq.count(which) != expected:
         raise ValueError(

@@ -43,7 +43,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .forcing import ExplicitForces
 from .graphs import Chain, ChainSet, ConsistencyError, DiGraph, Edge, mask_nodes
-from .synthesis import TimeFunction, validate_time_function
+from .synthesis import TimeFunction
 
 SECTIONS = ("NODES", "EDGES", "CONTROLS", "CHAINS", "TIMES")
 
@@ -85,6 +85,12 @@ class NetworkDocument:
         return self.network
 
     def time_function(self) -> TimeFunction | None:
+        """The chains and times as one :class:`TimeFunction`, or None without
+        both sections.  It is built, and so checked, once: on first use."""
+        return self._time_function
+
+    @cached_property
+    def _time_function(self) -> TimeFunction | None:
         if self.chains is None or self.times is None:
             return None
         return TimeFunction(self.chains, self.times)
@@ -281,10 +287,10 @@ def _validate_annotations(doc: NetworkDocument) -> None:
     if stray:
         named = sorted((doc.name_of(u), doc.name_of(v)) for u, v in stray)
         raise DocumentError(f"chain edges {named} are not edges of the network")
-    if doc.times is not None:
-        problems = validate_time_function(doc.time_function())
-        if problems:
-            raise DocumentError("invalid times: " + "; ".join(problems))
+    try:
+        doc.time_function()
+    except ValueError as exc:
+        raise DocumentError(str(exc).replace("invalid time function", "invalid times", 1)) from None
 
 
 def edge_lines(

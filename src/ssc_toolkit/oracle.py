@@ -31,8 +31,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .forcing import stalled_white_set
-from .graphs import DiGraph, Edge, control_set
-from .synthesis import TimeFunction, _require_valid, optional_edges, sample_member
+from .graphs import DiGraph, Edge, _unpack, control_set
+from .synthesis import TimeFunction, _member_rows, sample_member
 
 DIAG_ZERO = "zero"
 DIAG_NONZERO = "nonzero"
@@ -57,10 +57,12 @@ _SQRT_EPS = math.sqrt(np.finfo(float).eps)
 @lru_cache(maxsize=16)
 def _support(g: DiGraph) -> tuple[np.ndarray, np.ndarray]:
     """Row and column indices of the off-diagonal entries the class of
-    ``g`` makes nonzero, in sorted order."""
-    pairs = np.array(sorted((v - 1, u - 1) for u, v in g.edges if u != v), dtype=np.intp)
-    pairs.flags.writeable = False  # shared by every caller through the cache
-    return tuple(pairs.reshape(-1, 2).T)
+    ``g`` makes nonzero, in sorted order: the nonzeros of the transposed
+    forcing masks, which ``np.nonzero`` lists row by row."""
+    support = np.nonzero(_unpack(g.force_masks[1:], g.n).T)
+    for index in support:
+        index.flags.writeable = False  # shared by every caller through the cache
+    return support
 
 
 def _sample_stack(g: DiGraph, rng: np.random.Generator, modes: Sequence[str]) -> np.ndarray:
@@ -352,7 +354,6 @@ def schedule_from_family(
     family's minimal member), which is the canonical rank-deficient
     witness for control sets missing a source.
     """
-    _require_valid(tf)
     graphs = []
     matrices = []
     skeleton = DiGraph(tf.n, tf.chains.chain_edges)
@@ -372,27 +373,34 @@ def schedule_from_edges(
     """Schedule built from explicit per-interval optional-edge sets.
 
     Each interval graph is the chain skeleton plus the listed edges, all
-    of which must be admissible for the family; weights are drawn
-    deterministically from ``seed``.
+    of which must be admissible for the family, that is edges of its
+    maximal member; weights are drawn deterministically from ``seed``.
     """
-    _require_valid(tf)
     if len(per_interval_edges) != len(breakpoints) - 1:
         raise ValueError("need one edge set per interval")
-    admissible = optional_edges(tf)
+    n = tf.n
+    member = _member_rows(tf)
+    skeleton = DiGraph(n, tf.chains.chain_edges).rows
     rng = np.random.default_rng(seed)
     graphs = []
     matrices = []
     for extra in per_interval_edges:
-        extra = frozenset((int(u), int(v)) for u, v in extra)
-        bad = extra - admissible - tf.chains.chain_edges
+        rows = list(skeleton)
+        bad = set()
+        for u, v in extra:
+            u, v = int(u), int(v)
+            if 1 <= u <= n and 1 <= v <= n and member[u] >> (v - 1) & 1:
+                rows[u] |= 1 << (v - 1)
+            else:
+                bad.add((u, v))
         if bad:
             raise ValueError(f"edges {sorted(bad)} are not admissible for this family")
-        g = DiGraph(tf.n, tf.chains.chain_edges | extra)
+        g = DiGraph.from_rows(n, rows)
         graphs.append(g)
         # Self-loops in the interval graph pin the matching diagonal
-        # entries; the others stay zero.
+        # entries; the others stay zero.  Chain edges are never loops.
         a = sample_matrix(g, rng, DIAG_NONZERO)
-        bare = [v - 1 for v in range(1, tf.n + 1) if (v, v) not in extra]
+        bare = [v - 1 for v in range(1, n + 1) if not rows[v] >> (v - 1) & 1]
         a[bare, bare] = 0.0
         matrices.append(a)
     return LtvSchedule(tuple(breakpoints), tuple(graphs), tuple(matrices))

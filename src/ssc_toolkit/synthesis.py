@@ -6,6 +6,10 @@ stops being its chain's frontier node before v turns black, i.e. with
 ``tmax(u) < t(v)``.  The unique maximal member (the *perfect graph*)
 contains every admissible edge, including all self-loops, and its edge
 count depends only on the graph size and the number of chains.
+
+A time function is checked once, when it is built: a
+:class:`TimeFunction` that exists is valid, so nothing downstream checks
+it again.
 """
 from __future__ import annotations
 
@@ -35,6 +39,15 @@ class TimeFunction:
     frontier of its chain (``tmax``) is always derived, never stored:
     sinks get ``gamma``, every other node gets its successor's time minus
     one.
+
+    Construction checks that the chains are disjoint, the times cover
+    exactly the chain nodes, sources sit at time 1, non-source times are
+    pairwise distinct within ``[2, gamma]``, and times strictly increase
+    along every chain.
+
+    Raises:
+        ValueError: the pair is not a valid time function; the message
+            lists every problem found.
     """
 
     chains: ChainSet
@@ -42,6 +55,37 @@ class TimeFunction:
 
     def __post_init__(self):
         object.__setattr__(self, "times", dict(self.times))
+        problems = self._problems()
+        if problems:
+            raise ValueError("invalid time function: " + "; ".join(problems))
+
+    def _problems(self) -> list[str]:
+        cs, times = self.chains, self.times
+        if not cs.is_disjoint:
+            return ["chains share nodes"]
+        if times.keys() != cs.nodes:
+            return ["times must be defined on exactly the chain nodes"]
+        problems: list[str] = []
+        for s in sorted(cs.sources):
+            if times[s] != 1:
+                problems.append(f"source {s} has time {times[s]}, expected 1")
+        gamma = self.gamma
+        seen: dict[int, int] = {}
+        for v in sorted(cs.nodes - cs.sources):
+            t = times[v]
+            if not 2 <= t <= gamma:
+                problems.append(f"non-source {v} has time {t} outside [2, {gamma}]")
+            elif t in seen:
+                problems.append(f"nodes {seen[t]} and {v} share non-source time {t}")
+            else:
+                seen[t] = v
+        for c in cs.chains:
+            for u, v in c.edges:
+                if times[u] >= times[v]:
+                    problems.append(
+                        f"chain times must increase: t({u})={times[u]} >= t({v})={times[v]}"
+                    )
+        return problems
 
     @property
     def n(self) -> int:
@@ -72,56 +116,12 @@ class TimeFunction:
         return cls(record.chains, record.times)
 
 
-def validate_time_function(tf: TimeFunction) -> list[str]:
-    """All violations of the time-function conditions; empty means valid.
-
-    Checks that the chains are disjoint, the times cover exactly the
-    chain nodes, sources sit at time 1, non-source times are pairwise
-    distinct within ``[2, gamma]``, and times strictly increase along
-    every chain.
-    """
-    problems: list[str] = []
-    cs = tf.chains
-    if not cs.is_disjoint:
-        problems.append("chains share nodes")
-        return problems
-    if set(tf.times) != set(cs.nodes):
-        problems.append("times must be defined on exactly the chain nodes")
-        return problems
-    gamma = tf.gamma
-    for s in sorted(cs.sources):
-        if tf.times[s] != 1:
-            problems.append(f"source {s} has time {tf.times[s]}, expected 1")
-    seen: dict[int, int] = {}
-    for v in sorted(cs.nodes - cs.sources):
-        t = tf.times[v]
-        if not 2 <= t <= gamma:
-            problems.append(f"non-source {v} has time {t} outside [2, {gamma}]")
-        elif t in seen:
-            problems.append(f"nodes {seen[t]} and {v} share non-source time {t}")
-        else:
-            seen[t] = v
-    for c in cs.chains:
-        for u, v in c.edges:
-            if tf.times[u] >= tf.times[v]:
-                problems.append(
-                    f"chain times must increase: t({u})={tf.times[u]} >= t({v})={tf.times[v]}"
-                )
-    return problems
-
-
-def _require_valid(tf: TimeFunction) -> None:
-    problems = validate_time_function(tf)
-    if problems:
-        raise ValueError("invalid time function: " + "; ".join(problems))
-
-
 def _admissible_rows(tf: TimeFunction) -> dict[int, int]:
     """For every node ``u``, the nodes ``v`` with ``tmax(u) >= t(v)`` as a bitmask.
 
     In time order those targets are a prefix of the nodes, so one pass
-    over the time order builds every row.  ``tf`` must be valid: then
-    every ``tmax`` value is some node's time.
+    over the time order builds every row.  ``tf`` is valid, so every
+    ``tmax`` value is some node's time.
     """
     t = tf.times
     upto: dict[int, int] = {}  # time T -> the nodes with t(v) <= T
@@ -133,10 +133,7 @@ def _admissible_rows(tf: TimeFunction) -> dict[int, int]:
 
 
 def _member_rows(tf: TimeFunction) -> list[int]:
-    """Rows of the maximal member: every admissible pair plus the chain edges.
-
-    ``tf`` must be valid.
-    """
+    """Rows of the maximal member: every admissible pair plus the chain edges."""
     if tf.chains.nodes != frozenset(range(1, tf.n + 1)):
         raise ValueError(f"chain nodes must be exactly 1..{tf.n}")
     rows = [0] * (tf.n + 1)
@@ -154,7 +151,6 @@ def optional_edges(tf: TimeFunction) -> frozenset[Edge]:
     disjoint from the chain edges, whose sources satisfy
     ``tmax(u) = t(v) - 1``.
     """
-    _require_valid(tf)
     return frozenset(
         (u, v) for u, row in _admissible_rows(tf).items() for v in mask_nodes(row)
     )
@@ -167,7 +163,6 @@ def is_ct_constructed(g: DiGraph, tf: TimeFunction) -> bool:
     and forbids any non-chain edge (u, v) with ``tmax(u) < t(v)``: every
     row of ``g`` must lie inside the maximal member's row.
     """
-    _require_valid(tf)
     if tf.chains.node_count != g.n or tf.chains.nodes != frozenset(g.nodes):
         return False
     if not all(g.has_edge(u, v) for u, v in tf.chains.successor.items()):
@@ -178,7 +173,6 @@ def is_ct_constructed(g: DiGraph, tf: TimeFunction) -> bool:
 def perfect_graph(tf: TimeFunction) -> DiGraph:
     """The unique maximal member of the family: chain edges plus every
     admissible pair.  Its edge count equals :func:`perfect_edge_count`."""
-    _require_valid(tf)
     g = DiGraph.from_rows(tf.n, _member_rows(tf))
     expect = perfect_edge_count(tf.n, tf.m)
     if g.edge_count != expect:
@@ -225,7 +219,6 @@ def is_perfect(
 def sample_member(tf: TimeFunction, rng: np.random.Generator) -> DiGraph:
     """Uniform member of the family: chain edges plus an independent
     coin flip per admissible edge, drawn in sorted edge order."""
-    _require_valid(tf)
     admissible = _admissible_rows(tf)
     opts = [(u, v) for u in sorted(admissible) for v in mask_nodes(admissible[u])]
     keep = (rng.random(len(opts)) < 0.5).tolist()
@@ -254,8 +247,6 @@ def random_time_function(cs: ChainSet, rng: np.random.Generator) -> TimeFunction
     chains' non-source nodes, so shuffling that interleaving samples the
     whole space.
     """
-    if not cs.is_disjoint:
-        raise ValueError("chains share nodes")
     slots: list[int] = []
     for i, c in enumerate(cs.chains):
         slots.extend([i] * (len(c) - 1))

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -199,18 +201,19 @@ class TestCombine:
         capsys.readouterr()
 
 
-    @pytest.mark.parametrize("mode, sequence, entry", [
-        ("general", "9,1,2,2", 9),
-        ("general", "2,0,1,2", 0),
-        ("dag", "1,2,1,2,1,3", 3),
-        ("dag", "G1,G0", 0),
+    @pytest.mark.parametrize("mode, sequence, message", [
+        ("general", "9,1,2,2", "sequence entry 9 is not a document number in 1..2"),
+        ("general", "2,0,1,2", "sequence entry 0 is not a document number in 1..2"),
+        ("dag", "1,2,1,2,1,3", "sequence entry 3 is not a document number in 1..2"),
+        ("dag", "G1,G0", "sequence entry 0 is not a document number in 1..2"),
+        ("general", "GG1,gG2,1,2", "bad sequence entry 'GG1'"),
     ])
-    def test_out_of_range_sequence_entry_is_input_error(self, capsys, mode, sequence, entry):
+    def test_bad_sequence_entry_is_input_error(self, capsys, mode, sequence, message):
         docs = ["path3_bidir.net", "ring4_chord.net"] if mode == "general" else ["chain3.net"] * 2
         rc = main(["combine", *(str(SAMPLES / d) for d in docs), "--mode", mode,
                    "--sequence", sequence])
         assert rc == 3
-        assert f"sequence entry {entry} is not a document number in 1..2" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
 
 class TestOracle:
@@ -294,7 +297,7 @@ class TestOracle:
         sched.write_text("BREAKPOINTS\n0 1\nINTERVAL\nv1 v3\n")  # skips the frontier
         rc = main(["oracle", str(SAMPLES / "chain3.net"), "--ltv", "--schedule", str(sched)])
         assert rc == 3
-        capsys.readouterr()
+        assert "edges [(1, 3)] are not admissible for this family" in capsys.readouterr().err
 
 
 class TestSeed:
@@ -336,6 +339,20 @@ class TestSeed:
         rc, out = run(capsys, "oracle", str(SAMPLES / "ring6_chord.net"), "--seed", "0",
                       "--trials", "5", "--format", "machine")
         assert rc == 0 and json.loads(out)["seed"] == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "ring6_chord.net", "--trials", "0"],
+        ["oracle", "chain3.net", "--ltv", "--schedule", "chain3_varying.sched", "--trials", "0"],
+        ["schedules", "ring6_chord.net", "--limit", "0"],
+        ["schedules", "path3_bidir.net", "ring4_chord.net", "--limit", "-2"],
+    ], ids=["oracle", "oracle-ltv", "schedules", "sequences"])
+    def test_count_below_one_exits_3(self, capsys, argv):
+        flag, value = argv[-2:]
+        argv = [str(SAMPLES / a) if a.endswith((".net", ".sched")) else a for a in argv]
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        assert rc == 3 and out == ""
+        assert f"argument {flag}: must be an integer of at least 1, got {value}" in err
 
 
 class TestSchedules:
@@ -451,6 +468,57 @@ class TestOneClosure:
         capsys.readouterr()
         assert rc == (0 if doc == "ring6_chord.net" else 2)
         assert len(built) == closures
+
+
+class TestOneTimeFunctionCheck:
+    """A time function is checked once, when it is built: one per document
+    with CHAINS and TIMES, plus each one a call derives."""
+
+    @pytest.mark.parametrize("argv, built", [
+        (["combine", "path3_bidir.net", "ring4_chord.net", "--sequence", "2,1,1,2",
+          "--inter-edges", "inter_path_ring.txt"], 4),  # two documents, two merges
+        (["oracle", "chain3.net", "--ltv", "--schedule", "chain3_varying.sched"], 1),
+        (["robustness", "ring6_chord.net", "--mode", "add"], 1),  # the witness
+    ])
+    def test_time_functions_built_per_call(self, capsys, monkeypatch, argv, built):
+        checks = []
+        post_init = TimeFunction.__post_init__
+        monkeypatch.setattr(
+            TimeFunction, "__post_init__", lambda self: checks.append(1) or post_init(self)
+        )
+        argv = [str(SAMPLES / a) if a.endswith((".net", ".sched", ".txt")) else a for a in argv]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert len(checks) == built
+
+
+def test_only_the_ltv_oracle_loads_scipy():
+    """Importing scipy costs every command its start-up time; only
+    ``ltv_gramian_rank`` needs it."""
+    script = f"""
+import contextlib, io, sys
+from ssc_toolkit.cli import main
+S = {str(SAMPLES)!r} + "/"
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (
+        ["check", S + "ring6_chord.net"],
+        ["robustness", S + "ring6_chord.net", "--mode", "add"],
+        ["combine", S + "path3_bidir.net", S + "ring4_chord.net"],
+        ["schedules", S + "ring6_chord.net"],
+        ["schedules", S + "path3_bidir.net", S + "ring4_chord.net"],
+        ["oracle", S + "ring6_chord.net"],
+    ):
+        assert main(argv) == 0, argv
+    print("scipy" in sys.modules, file=sys.stderr)
+    main(["oracle", S + "chain3.net", "--ltv", "--schedule", S + "chain3_varying.sched"])
+    print("scipy" in sys.modules, file=sys.stderr)
+"""
+    src = str(SAMPLES.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.split() == ["False", "True"]
 
 
 class _Writes(io.StringIO):

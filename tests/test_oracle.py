@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from functools import partial
 from pathlib import Path
 
@@ -87,6 +88,12 @@ class TestSampling:
         a = sample_matrix(ring6, np.random.default_rng(9), DIAG_MIXED)
         b = sample_matrix(ring6, np.random.default_rng(9), DIAG_MIXED)
         assert np.array_equal(a, b)
+
+    @given(digraphs(max_n=12))
+    def test_support_is_the_sorted_off_diagonal_pairs(self, g: DiGraph):
+        rows, cols = oracle._support(g)
+        pairs = sorted((v - 1, u - 1) for u, v in g.edges if u != v)
+        assert list(zip(rows.tolist(), cols.tolist())) == pairs
 
     @given(digraphs(max_n=6), st.integers(0, 9999))
     def test_magnitudes_stay_in_band(self, g: DiGraph, seed: int):
@@ -347,6 +354,14 @@ class TestGramian:
         bad = np.zeros((3, 3))  # chain edges missing
         with pytest.raises(ValueError, match="disagrees"):
             LtvSchedule((0.0, 1.0), (g,), (bad,))
+
+    def test_inadmissible_and_out_of_range_edges_are_named(self, chain3_tf):
+        # (2, 1) and (1, 2) are admissible, (1, 3) skips the frontier, and
+        # the last three name nodes outside 1..3
+        edges = {(2, 1), (1, 2), (1, 3), (3, 4), (0, 1), (2, -1)}
+        bad = "[(0, 1), (1, 3), (2, -1), (3, 4)]"
+        with pytest.raises(ValueError, match=re.escape(f"edges {bad} are not admissible")):
+            schedule_from_edges(chain3_tf, (0.0, 1.0), [edges])
 
     @pytest.mark.parametrize("breakpoints", [
         (0.0, float("nan"), 2.0), (0.0, 1.0, float("inf")), (float("-inf"), 0.0, 1.0),

@@ -2,10 +2,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from ssc_toolkit.forcing import NotZfsError, enumerate_forcing_schedules, is_zfs
+from ssc_toolkit.combine import (
+    CombineSequence,
+    combine_dags,
+    combine_networks,
+    enumerate_sequences,
+)
+from ssc_toolkit.forcing import NotZfsError, enumerate_forcing_schedules, forcing_schedule, is_zfs
 from ssc_toolkit.graphs import Chain, ChainSet, DiGraph
 from ssc_toolkit.synthesis import (
     TimeFunction,
@@ -17,10 +23,9 @@ from ssc_toolkit.synthesis import (
     random_chain_set,
     random_time_function,
     sample_member,
-    validate_time_function,
 )
 
-from conftest import timed_partitions
+from conftest import digraphs, timed_partitions
 from reference import nonempty_subsets
 
 
@@ -45,31 +50,39 @@ TWO_CHAIN_OPTIONAL = {
 
 class TestValidateTimeFunction:
     def test_worked_two_chain_layout(self, two_chain_tf):
-        assert validate_time_function(two_chain_tf) == []
         assert two_chain_tf.gamma == 4
         assert two_chain_tf.tmax == {1: 1, 4: 2, 2: 3, 5: 4, 3: 4}
         assert two_chain_tf.interval(4) == (1, 2)
 
     def test_duplicate_non_source_time(self, two_chain_tf):
-        bad = TimeFunction(two_chain_tf.chains, {1: 1, 4: 1, 2: 2, 5: 2, 3: 4})
-        assert any("share" in p for p in validate_time_function(bad))
+        with pytest.raises(ValueError, match="invalid time function: .*share"):
+            TimeFunction(two_chain_tf.chains, {1: 1, 4: 1, 2: 2, 5: 2, 3: 4})
 
     def test_single_node(self):
         tf = TimeFunction(ChainSet((Chain((1,)),)), {1: 1})
-        assert validate_time_function(tf) == []
         assert tf.gamma == 1 and tf.tmax == {1: 1}
 
     def test_source_not_at_one(self, two_chain_tf):
-        bad = TimeFunction(two_chain_tf.chains, {1: 2, 4: 1, 2: 3, 5: 4, 3: 4})
-        assert any("source" in p for p in validate_time_function(bad))
+        with pytest.raises(ValueError, match="invalid time function: .*source"):
+            TimeFunction(two_chain_tf.chains, {1: 2, 4: 1, 2: 3, 5: 4, 3: 4})
 
     def test_decreasing_chain_times(self, two_chain_tf):
-        bad = TimeFunction(two_chain_tf.chains, {1: 1, 4: 1, 2: 4, 5: 3, 3: 2})
-        assert any("increase" in p for p in validate_time_function(bad))
+        with pytest.raises(ValueError, match="invalid time function: .*increase"):
+            TimeFunction(two_chain_tf.chains, {1: 1, 4: 1, 2: 4, 5: 3, 3: 2})
 
     def test_overlapping_chains(self):
-        tf = TimeFunction(ChainSet((Chain((1, 2)), Chain((2, 3)))), {1: 1, 2: 2, 3: 3})
-        assert any("share nodes" in p for p in validate_time_function(tf))
+        with pytest.raises(ValueError, match="invalid time function: chains share nodes"):
+            TimeFunction(ChainSet((Chain((1, 2)), Chain((2, 3)))), {1: 1, 2: 2, 3: 3})
+
+    def test_every_problem_is_named(self, two_chain_tf):
+        with pytest.raises(ValueError) as info:
+            TimeFunction(two_chain_tf.chains, {1: 5, 4: 1, 2: 3, 5: 3, 3: 9})
+        assert str(info.value) == (
+            "invalid time function: source 1 has time 5, expected 1; "
+            "non-source 3 has time 9 outside [2, 4]; "
+            "nodes 2 and 5 share non-source time 3; "
+            "chain times must increase: t(1)=5 >= t(2)=3"
+        )
 
 
 class TestMembership:
@@ -270,5 +283,31 @@ class TestSampling:
         rng = np.random.default_rng(seed)
         cs = random_chain_set(n, m, rng)
         assert cs.m == m and cs.node_count == n and cs.is_disjoint
-        tf = random_time_function(cs, rng)
-        assert validate_time_function(tf) == []
+        random_time_function(cs, rng)  # raises if the time function is invalid
+
+
+class TestProducersBuildValidTimeFunctions:
+    """Construction checks every time function, so an invalid one from the
+    library's own producers would raise here."""
+
+    @given(digraphs(max_n=8), st.data())
+    def test_forcing_records(self, g: DiGraph, data):
+        z = data.draw(st.frozensets(st.sampled_from(range(1, g.n + 1)), min_size=1))
+        assume(is_zfs(g, z))
+        TimeFunction.from_record(forcing_schedule(g, z))
+
+    @given(st.lists(timed_partitions(max_n=5), min_size=1, max_size=3), st.data())
+    def test_combined_networks(self, tfs: list[TimeFunction], data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
+        blocks = [(sample_member(tf, rng), tf) for tf in tfs]
+        slots = [i for i, tf in enumerate(tfs) for _ in range(tf.n - tf.m)]
+        seq = CombineSequence(tuple(data.draw(st.permutations(slots))))
+        assert combine_networks(blocks, seq, ()).times.n == sum(tf.n for tf in tfs)
+
+    @given(st.lists(digraphs(max_n=4), min_size=2, max_size=3), st.data())
+    def test_dag_combinations(self, graphs: list[DiGraph], data):
+        dags = [DiGraph(g.n, {(u, v) for u, v in g.edges if u < v}) for g in graphs]
+        counts = [g.n for g in dags]
+        assume(2 * max(counts) <= sum(counts) + 1)  # else no sequence avoids repeats
+        seq = data.draw(st.sampled_from(enumerate_sequences(counts, mode="dag", limit=20)))
+        combine_dags(dags, seq).time_function()
