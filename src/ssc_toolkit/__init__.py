@@ -52,7 +52,6 @@ from .robustness import (
 )
 from .combine import (
     CombinedNetwork,
-    CombineSequence,
     DagCombination,
     InfeasibleSequenceError,
     RejectedEdgeError,

@@ -25,7 +25,6 @@ from typing import Sequence
 from numpy.linalg import LinAlgError
 
 from .combine import (
-    CombineSequence,
     InfeasibleSequenceError,
     RejectedEdgeError,
     combine_dags,
@@ -52,7 +51,12 @@ from .forcing import (
     stalled_white_set,
 )
 from .graphs import ConsistencyError, CyclicError, DiGraph, Edge, mask_nodes
-from .oracle import ltv_gramian_rank, schedule_from_edges, verify_ssc_numeric
+from .oracle import (
+    InadmissibleEdgesError,
+    ltv_gramian_rank,
+    schedule_from_edges,
+    verify_ssc_numeric,
+)
 from .robustness import (
     DEFAULT_BUDGET,
     critical_additive_set,
@@ -381,12 +385,12 @@ def cmd_robustness(args) -> int:
 # -- combine -----------------------------------------------------------------
 
 
-def _parse_sequence(spec: str | None, counts: list[int], mode: str) -> CombineSequence:
+def _parse_sequence(spec: str | None, counts: list[int], mode: str) -> tuple[int, ...]:
     if spec is None:
         return enumerate_sequences(counts, mode=mode, limit=1)[0]
     spec = spec.strip()
     if spec in ("", "-"):
-        return CombineSequence(())
+        return ()
     entries = []
     for tok in spec.split(","):
         tok = tok.strip()
@@ -399,7 +403,7 @@ def _parse_sequence(spec: str | None, counts: list[int], mode: str) -> CombineSe
                 f"sequence entry {idx} is not a document number in 1..{len(counts)}"
             )
         entries.append(idx - 1)
-    return CombineSequence(tuple(entries))
+    return tuple(entries)
 
 
 def _combined_names(docs: Sequence[NetworkDocument]) -> list[str]:
@@ -437,7 +441,7 @@ def cmd_combine(args) -> int:
             file=sys.stderr,
         )
         return EXIT_NEGATIVE
-    report = max_inter_edges(blocks, seq)
+    report = max_inter_edges(combined)
     machine = args.format == "machine"
     written = _written_names(names, machine)
     pairs = _sorted_pairs(report.rows, names, written, machine)
@@ -450,7 +454,7 @@ def cmd_combine(args) -> int:
         _write(_json({
             "command": "combine",
             "mode": "general",
-            "sequence": [i + 1 for i in seq.entries],
+            "sequence": [i + 1 for i in seq],
             "accepted": True,
             "installed_inter_edges": len(inter),
             "max_inter_count": report.cardinality,
@@ -460,7 +464,7 @@ def cmd_combine(args) -> int:
         }))
         return EXIT_OK
     _write([
-        f"sequence: {','.join(str(i + 1) for i in seq.entries) or '-'}\n"
+        f"sequence: {','.join(str(i + 1) for i in seq) or '-'}\n"
         f"installed inter edges: {len(inter)}\n"
         f"largest admissible inter edge-set: {report.cardinality} (bound {report.bound})\n"
     ])
@@ -479,12 +483,13 @@ def _combine_dag(args, docs: Sequence[NetworkDocument]) -> int:
     except (InfeasibleSequenceError, CyclicError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
-    # combined node ids are topological positions; name them through the
-    # per-block inverse of the topological relabeling
-    names: list[str] = []
-    for i, doc in enumerate(docs, start=1):
-        inverse = {idx: orig for orig, idx in combo.node_maps[i - 1].items()}
-        names.extend(f"{i}.{doc.name_of(inverse[k])}" for k in range(1, dags[i - 1].n + 1))
+    # combined node ids are topological positions; name them after each
+    # block's topological order
+    names = [
+        f"{i}.{doc.name_of(v)}"
+        for i, (doc, order) in enumerate(zip(docs, combo.orders), start=1)
+        for v in order
+    ]
     machine = args.format == "machine"
     document = _document(
         _written_names(names, machine), machine, combo.graph.rows, [combo.control],
@@ -494,13 +499,13 @@ def _combine_dag(args, docs: Sequence[NetworkDocument]) -> int:
         _write(_json({
             "command": "combine",
             "mode": "dag",
-            "sequence": [i + 1 for i in seq.entries],
+            "sequence": [i + 1 for i in seq],
             "control": names[combo.control - 1],
             "document": document,
         }))
         return EXIT_OK
     _write([
-        f"sequence: {','.join(str(i + 1) for i in seq.entries)}\n"
+        f"sequence: {','.join(str(i + 1) for i in seq)}\n"
         f"control node: {names[combo.control - 1]}\n"
         "combined document:\n"
     ])
@@ -559,6 +564,9 @@ def _oracle_ltv(args, doc: NetworkDocument, z: frozenset[int]) -> int:
     breakpoints, per_interval = parse_schedule_file(_read(args.schedule), doc)
     try:
         sched = schedule_from_edges(tf, breakpoints, per_interval, seed=args.seed)
+    except InadmissibleEdgesError as exc:
+        named = sorted((doc.name_of(u), doc.name_of(v)) for u, v in exc.edges)
+        raise DocumentError(f"edges {named} are not admissible for this family") from None
     except ValueError as exc:
         raise DocumentError(str(exc)) from None
     rank = ltv_gramian_rank(sched, z)
@@ -638,11 +646,11 @@ def cmd_schedules(args) -> int:
             "kind": "sequences",
             "mode": args.mode,
             "count": len(seqs),
-            "sequences": [[i + 1 for i in s.entries] for s in seqs],
+            "sequences": [[i + 1 for i in s] for s in seqs],
         }))
         return EXIT_OK
     _write([f"sequences: {len(seqs)}\n"])
-    _write("  " + ",".join(str(i + 1) for i in s.entries) + "\n" for s in seqs)
+    _write("  " + ",".join(str(i + 1) for i in s) + "\n" for s in seqs)
     return EXIT_OK
 
 

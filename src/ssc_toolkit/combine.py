@@ -42,38 +42,8 @@ class RejectedEdgeError(ValueError):
         self.t_v = t_v
 
 
-@dataclass(frozen=True)
-class CombineSequence:
-    """An ordered layout of block indices (0-based).
-
-    The general construction repeats block ``i`` exactly ``n_i - m_i``
-    times; the DAG construction repeats it ``n_i`` times with no two
-    equal indices adjacent.
-    """
-
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(int(i) for i in self.entries))
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def count(self, block: int) -> int:
-        return self.entries.count(block)
-
-    def matches_counts(self, counts: Sequence[int]) -> bool:
-        if any(i < 0 or i >= len(counts) for i in self.entries):
-            return False
-        return all(self.count(i) == c for i, c in enumerate(counts))
-
-    @property
-    def has_adjacent_repeat(self) -> bool:
-        return any(a == b for a, b in zip(self.entries, self.entries[1:]))
-
-
-def remap_time(seq: CombineSequence, which: int, tf_local: TimeFunction) -> dict[int, int]:
-    """Remap one block's times onto the global clock of ``seq``.
+def remap_time(seq: tuple[int, ...], which: int, tf_local: TimeFunction) -> dict[int, int]:
+    """Remap one block's times onto the global clock of the layout ``seq``.
 
     The node forced at local step ``j + 1`` is re-stamped with ``k + 1``
     where ``k`` is the global position of the block's j-th occurrence;
@@ -88,7 +58,7 @@ def remap_time(seq: CombineSequence, which: int, tf_local: TimeFunction) -> dict
     by_time = {t: v for v, t in tf_local.times.items() if t > 1}
     times = {v: 1 for v, t in tf_local.times.items() if t == 1}
     j = 0
-    for k, entry in enumerate(seq.entries, start=1):
+    for k, entry in enumerate(seq, start=1):
         if entry == which:
             j += 1
             times[by_time[j + 1]] = k + 1
@@ -119,12 +89,28 @@ class CombinedNetwork:
         return self.times.chains.sources
 
 
-def _merge_blocks(blocks: Sequence[Block], seq: CombineSequence) -> CombinedNetwork:
+def combine_networks(
+    blocks: Sequence[Block], seq: tuple[int, ...], inter: Iterable[Edge]
+) -> CombinedNetwork:
+    """Merge the blocks along the layout ``seq`` and install the ``inter`` edges.
+
+    ``seq`` lists 0-based block indices and must repeat block ``i`` exactly
+    ``n_i - m_i`` times.  Every inter edge must join two different blocks
+    (global node ids) and satisfy ``tmax(u) >= t(v)`` under the merged
+    times; the first offending edge is rejected rather than silently
+    dropped, naming the intervals that clash.  The result's sources form a
+    zero forcing set of the merged graph, and stay one for every re-draw of
+    the blocks from their families.
+
+    Raises:
+        RejectedEdgeError: an inter edge is inadmissible.
+        ValueError: sequence/block mismatch, or an edge is internal.
+    """
     counts = [g.n - tf.m for g, tf in blocks]
-    if not seq.matches_counts(counts):
+    reps = [seq.count(i) for i in range(len(blocks))]
+    if reps != counts or len(seq) != sum(counts):  # the length catches out-of-range entries
         raise ValueError(
-            f"sequence repetitions {[seq.count(i) for i in range(len(blocks))]} "
-            f"do not match the required counts {counts}"
+            f"sequence repetitions {reps} do not match the required counts {counts}"
         )
     for i, (g, tf) in enumerate(blocks):
         if not is_ct_constructed(g, tf):
@@ -136,34 +122,12 @@ def _merge_blocks(blocks: Sequence[Block], seq: CombineSequence) -> CombinedNetw
     rows = [0]
     for i, (g, tf) in enumerate(blocks):
         off = offsets[i]
-        remapped = remap_time(seq, i, tf)
-        times.update({v + off: t for v, t in remapped.items()})
+        times.update({v + off: t for v, t in remap_time(seq, i, tf).items()})
         chains.extend(Chain(tuple(v + off for v in c.nodes)) for c in tf.chains.chains)
         rows.extend(row << off for row in g.rows[1:])
-    merged_tf = TimeFunction(ChainSet(tuple(chains)), times)
-    graph = DiGraph.from_rows(sum(sizes), rows)
-    return CombinedNetwork(graph, merged_tf, offsets, sizes)
-
-
-def combine_networks(
-    blocks: Sequence[Block], seq: CombineSequence, inter: Iterable[Edge]
-) -> CombinedNetwork:
-    """Merge the blocks along ``seq`` and install the ``inter`` edges.
-
-    Every inter edge must join two different blocks (global node ids) and
-    satisfy ``tmax(u) >= t(v)`` under the merged times; the first
-    offending edge is rejected rather than silently dropped, naming the
-    intervals that clash.  The result's sources form a zero forcing set
-    of the merged graph, and stay one for every re-draw of the blocks
-    from their families.
-
-    Raises:
-        RejectedEdgeError: an inter edge is inadmissible.
-        ValueError: sequence/block mismatch, or an edge is internal.
-    """
-    merged = _merge_blocks(blocks, seq)
+    tf = TimeFunction(ChainSet(tuple(chains)), times)
+    merged = CombinedNetwork(DiGraph.from_rows(sum(sizes), rows), tf, offsets, sizes)
     inter = frozenset((int(u), int(v)) for u, v in inter)
-    tf = merged.times
     for u, v in sorted(inter):
         bu, bv = merged.block_of(u), merged.block_of(v)
         if bu == bv:
@@ -171,31 +135,32 @@ def combine_networks(
         if tf.tmax[u] < tf.times[v]:
             raise RejectedEdgeError(u, v, tf.tmax[u], tf.times[v])
     graph = merged.graph.add_edges(inter)
-    combined = CombinedNetwork(graph, tf, merged.offsets, merged.block_sizes)
     if not is_ct_constructed(graph, tf):
         raise ConsistencyError("combined network fell outside the merged family")
-    return combined
+    return CombinedNetwork(graph, tf, offsets, sizes)
 
 
-def max_inter_edges(blocks: Sequence[Block], seq: CombineSequence) -> EdgeSetReport:
-    """The largest installable inter-block edge set and its closed form.
+def max_inter_edges(merged: CombinedNetwork) -> EdgeSetReport:
+    """The largest installable inter-block edge set of a merged layout and
+    its closed form.
 
     Every row is the merged admissible row of a node (all v with
     ``tmax(u) >= t(v)`` under the merged times) minus its own block's
     bits; the count is checked against the closed form: the merged
-    maximal-member count minus the per-block ones.
+    maximal-member count minus each block's, taken from the block's size
+    and the merged sources inside it.  Edges already installed in
+    ``merged`` do not change the result.
     """
-    merged = _merge_blocks(blocks, seq)
     tf = merged.times
     admissible = _admissible_rows(tf)
+    sources = sum(1 << (s - 1) for s in tf.chains.sources)
     rows = [0] * (merged.graph.n + 1)
+    bound = perfect_edge_count(merged.graph.n, tf.m)
     for off, size in zip(merged.offsets, merged.block_sizes):
-        outside = ~(((1 << size) - 1) << off)
+        block = ((1 << size) - 1) << off
+        bound -= perfect_edge_count(size, (sources & block).bit_count())
         for u in range(off + 1, off + size + 1):
-            rows[u] = admissible[u] & outside
-    bound = perfect_edge_count(merged.graph.n, tf.m) - sum(
-        perfect_edge_count(g.n, btf.m) for g, btf in blocks
-    )
+            rows[u] = admissible[u] & ~block
     count = sum(row.bit_count() for row in rows)
     if count != bound:
         raise ConsistencyError(
@@ -206,8 +171,9 @@ def max_inter_edges(blocks: Sequence[Block], seq: CombineSequence) -> EdgeSetRep
 
 def enumerate_sequences(
     counts: Sequence[int], mode: str = "general", limit: int | None = None
-) -> list[CombineSequence]:
-    """Lexicographic enumeration of valid sequences.
+) -> list[tuple[int, ...]]:
+    """Lexicographic enumeration of valid layouts, as tuples of 0-based
+    block indices.
 
     ``counts[i]`` is how often block ``i`` must appear (``n_i - m_i`` for
     the general construction, ``n_i`` for the DAG one).  Mode ``"dag"``
@@ -230,13 +196,13 @@ def enumerate_sequences(
                 f"{max(counts)} copies of one block cannot avoid being adjacent "
                 f"among {total} entries"
             )
-    out: list[CombineSequence] = []
+    out: list[tuple[int, ...]] = []
     remaining = list(counts)
     prefix: list[int] = []
 
     def walk() -> bool:
         if len(prefix) == total:
-            out.append(CombineSequence(tuple(prefix)))
+            out.append(tuple(prefix))
             return limit is not None and len(out) >= limit
         for i in range(len(counts)):
             if remaining[i] == 0:
@@ -264,21 +230,30 @@ class DagCombination:
 
     ``spine`` lists the nodes in layout order; consecutive spine nodes
     are connected, the first one is the control, and the spine is a
-    Hamiltonian chain of the combined graph.
+    Hamiltonian chain of the combined graph.  ``orders[i]`` is block
+    ``i``'s topological order: combined node ``offset_i + k`` is block
+    ``i``'s node ``orders[i][k - 1]``.
     """
 
     graph: DiGraph
-    control: int
     spine: tuple[int, ...]
-    times: dict[int, int]
-    node_maps: tuple[dict[int, int], ...]
+    orders: tuple[tuple[int, ...], ...]
+
+    @property
+    def control(self) -> int:
+        return self.spine[0]
+
+    @property
+    def times(self) -> dict[int, int]:
+        return {v: k for k, v in enumerate(self.spine, start=1)}
 
     def time_function(self) -> TimeFunction:
         return TimeFunction(ChainSet((Chain(self.spine),)), self.times)
 
 
-def combine_dags(dags: Sequence[DiGraph], seq: CombineSequence) -> DagCombination:
-    """Combine acyclic blocks along ``seq`` into a single-control network.
+def combine_dags(dags: Sequence[DiGraph], seq: tuple[int, ...]) -> DagCombination:
+    """Combine acyclic blocks along the layout ``seq`` into a single-control
+    network.
 
     Each block is re-indexed by its topological ordering (edges then run
     from higher to lower index), the j-th occurrence of a block stands
@@ -291,31 +266,24 @@ def combine_dags(dags: Sequence[DiGraph], seq: CombineSequence) -> DagCombinatio
         InfeasibleSequenceError: the sequence repeats a block the wrong
             number of times or puts equal blocks side by side.
     """
-    orders = [topological_order(g) for g in dags]  # CyclicError propagates
+    orders = tuple(topological_order(g) for g in dags)  # CyclicError propagates
     counts = [g.n for g in dags]
-    if not seq.matches_counts(counts):
+    reps = [seq.count(i) for i in range(len(dags))]
+    if reps != counts or len(seq) != sum(counts):  # the length catches out-of-range entries
         raise InfeasibleSequenceError(
-            f"sequence repetitions {[seq.count(i) for i in range(len(dags))]} "
-            f"do not match the block sizes {counts}"
+            f"sequence repetitions {reps} do not match the block sizes {counts}"
         )
-    if seq.has_adjacent_repeat:
+    if any(a == b for a, b in zip(seq, seq[1:])):
         raise InfeasibleSequenceError("equal blocks may not be adjacent in the sequence")
-    sizes = tuple(g.n for g in dags)
-    offsets = tuple(sum(sizes[:i]) for i in range(len(dags)))
-    # node_maps[i]: original node id -> topological index (1-based)
-    node_maps = tuple(
-        {orig: idx + 1 for idx, orig in enumerate(order)} for order in orders
-    )
+    offsets = tuple(sum(counts[:i]) for i in range(len(dags)))
     rows = [0]
     for g, order, off in zip(dags, orders, offsets):
         rows.extend(row << off for row in g.relabeled(order).rows[1:])
     occurrence = [0] * len(dags)
     spine: list[int] = []
-    for entry in seq.entries:
+    for entry in seq:
         occurrence[entry] += 1
         spine.append(offsets[entry] + occurrence[entry])
     for u, v in zip(spine, spine[1:]):
         rows[u] |= 1 << (v - 1)
-    graph = DiGraph.from_rows(sum(sizes), rows)
-    times = {v: k for k, v in enumerate(spine, start=1)}
-    return DagCombination(graph, spine[0], tuple(spine), times, node_maps)
+    return DagCombination(DiGraph.from_rows(sum(counts), rows), tuple(spine), orders)

@@ -304,6 +304,15 @@ def verify_ssc_numeric(
 # -- time-varying schedules ----------------------------------------------
 
 
+class InadmissibleEdgesError(ValueError):
+    """Schedule edges that no member of the family has; ``edges`` holds
+    them as sorted id pairs."""
+
+    def __init__(self, edges: Iterable[Edge]):
+        self.edges = sorted(edges)
+        super().__init__(f"edges {self.edges} are not admissible for this family")
+
+
 @dataclass(frozen=True)
 class LtvSchedule:
     """A piecewise-constant system matrix: one graph and one weight draw
@@ -394,7 +403,7 @@ def schedule_from_edges(
             else:
                 bad.add((u, v))
         if bad:
-            raise ValueError(f"edges {sorted(bad)} are not admissible for this family")
+            raise InadmissibleEdgesError(bad)
         g = DiGraph.from_rows(n, rows)
         graphs.append(g)
         # Self-loops in the interval graph pin the matching diagonal

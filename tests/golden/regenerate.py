@@ -108,6 +108,19 @@ CASES.update({
         "combine", "{samples}/chain3.net", named, named, "--mode", "dag",
     ],
 })
+path3, ring4, chain3 = (
+    f"{{samples}}/{net}.net" for net in ("path3_bidir", "ring4_chord", "chain3")
+)
+CASES.update({
+    "combine-general-three": ["combine", path3, ring4, chain3],
+    # path3 and ring4 each need 2 entries; 1,2,1 gives ring4 only one
+    "combine-general-bad-counts": ["combine", path3, ring4, "--sequence", "1,2,1"],
+    "combine-dag-adjacent": [
+        "combine", chain3, chain3, "--mode", "dag", "--sequence", "1,1,2,2,1,2",
+    ],
+    "combine-dag-bad-counts": ["combine", chain3, chain3, "--mode", "dag", "--sequence", "1,2,1,2"],
+    "schedules-sequences-three": ["schedules", path3, ring4, chain3, "--limit", "3"],
+})
 # The same calls in text format, where the rows are written as lines.
 for net in (*ALL_NETS, "ring6_stalled"):
     doc = f"{{samples}}/{net}.net"
@@ -124,7 +137,9 @@ for name in (
     "check-ring6_chord-explicit", "check-ring6_stalled-unknown-policy",
     *(f"schedules-{net}" for net in NETS),
     "schedules-named12", "schedules-ring6_stalled", "schedules-sequences-general",
-    "schedules-sequences-dag", "oracle-ring6_chord", "oracle-ring6_stalled", "oracle-chain3-ltv",
+    "schedules-sequences-dag", "combine-general-three", "combine-general-bad-counts",
+    "combine-dag-adjacent", "combine-dag-bad-counts", "schedules-sequences-three",
+    "oracle-ring6_chord", "oracle-ring6_stalled", "oracle-chain3-ltv",
 ):
     CASES[f"{name}-text"] = [*CASES[name], *TEXT]
 

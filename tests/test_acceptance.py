@@ -103,7 +103,7 @@ def _worked_blocks():
     tf2 = st.TimeFunction(
         st.ChainSet((st.Chain((1, 3)), st.Chain((2, 4)))), {1: 1, 2: 1, 4: 2, 3: 3}
     )
-    return [(g1, tf1), (g2, tf2)], st.CombineSequence((1, 0, 0, 1))
+    return [(g1, tf1), (g2, tf2)], (1, 0, 0, 1)
 
 
 def test_criterion_4_worked_combination_labels_and_count():
@@ -111,7 +111,7 @@ def test_criterion_4_worked_combination_labels_and_count():
         blocks, seq = _worked_blocks()
         assert st.remap_time(seq, 0, blocks[0][1]) == {1: 1, 2: 3, 3: 4}
         assert st.remap_time(seq, 1, blocks[1][1]) == {1: 1, 2: 1, 4: 2, 3: 5}
-        report = st.max_inter_edges(blocks, seq)
+        report = st.max_inter_edges(st.combine_networks(blocks, seq, ()))
         tf = report.witness
         # interval labels of the combined layout (ring nodes offset by 3)
         assert {v: tf.interval(v) for v in sorted(tf.times)} == {
@@ -151,7 +151,7 @@ def test_criterion_5_combination_class_robustness():
             counts = [g.n - tf.m for g, tf in blocks]
             seqs = st.enumerate_sequences(counts, limit=24)
             seq = seqs[int(rng.integers(len(seqs)))]
-            admissible = sorted(st.max_inter_edges(blocks, seq).edges)
+            admissible = sorted(st.max_inter_edges(st.combine_networks(blocks, seq, ())).edges)
             keep = rng.random(len(admissible)) < 0.5
             subset = {e for e, k in zip(admissible, keep) if k}
             combined = st.combine_networks(blocks, seq, subset)
@@ -287,7 +287,7 @@ def test_criterion_9_property_suite_fixed_seeds():
             other = int(rng.integers(1, 4))
             seq_items = [0] * (n - m) + [1] * other
             rng.shuffle(seq_items)
-            seq = st.CombineSequence(tuple(seq_items))
+            seq = tuple(seq_items)
             remapped = st.remap_time(seq, 0, tf)
             for v in tf.times:
                 for w in tf.times:

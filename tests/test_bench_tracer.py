@@ -67,6 +67,9 @@ def test_traced_cli_calls_feed_the_counters(spans):
                 ["check", str(SAMPLES / "ring6_chord.net")],
                 ["robustness", str(SAMPLES / "ring6_chord.net"), "--mode", "add"],
                 ["combine", str(SAMPLES / "path3_bidir.net"), str(SAMPLES / "ring4_chord.net")],
+                ["combine", *[str(SAMPLES / "chain3.net")] * 2, "--mode", "dag"],
+                ["schedules", *(str(SAMPLES / f"{net}.net") for net in (
+                    "path3_bidir", "ring4_chord", "chain3")), "--limit", "3"],
             ):
                 tracer.begin_call()
                 assert cli.main(argv) == 0
@@ -77,4 +80,7 @@ def test_traced_cli_calls_feed_the_counters(spans):
         assert tracer.counters[counter] > 0, counter
     buckets = tracer.busy()
     assert buckets["documents.parse_s"] > 0 and buckets["cli.self_s"] > 0
+    for bucket in ("combine.networks_s", "combine.max_inter_s", "combine.dags_s",
+                   "combine.sequences_s"):
+        assert buckets.get(bucket, 0) > 0, bucket
     assert not tracer.errors

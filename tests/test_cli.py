@@ -297,7 +297,21 @@ class TestOracle:
         sched.write_text("BREAKPOINTS\n0 1\nINTERVAL\nv1 v3\n")  # skips the frontier
         rc = main(["oracle", str(SAMPLES / "chain3.net"), "--ltv", "--schedule", str(sched)])
         assert rc == 3
-        assert "edges [(1, 3)] are not admissible for this family" in capsys.readouterr().err
+        assert "edges [('v1', 'v3')] are not admissible for this family" in capsys.readouterr().err
+
+    def test_ltv_inadmissible_edges_are_named_as_written(self, capsys, tmp_path):
+        """Named as in the document and sorted by name, which is not id
+        order here: v"\\ä is node 6 with tmax 4, and v3 has time 9."""
+        sched = tmp_path / "bad.sched"
+        sched.write_text(
+            'BREAKPOINTS\n0 1\nINTERVAL\nv4 v12\nv10 v2\nv"\\ä v3\n', encoding="utf-8"
+        )
+        rc = main(["oracle", str(SAMPLES / "named12.net"), "--ltv", "--schedule", str(sched)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        named = [('v"\\ä', "v3"), ("v10", "v2"), ("v4", "v12")]
+        assert err == f"error: edges {named} are not admissible for this family\n"
+        assert "(6, 3)" not in err
 
 
 class TestSeed:
@@ -476,7 +490,7 @@ class TestOneTimeFunctionCheck:
 
     @pytest.mark.parametrize("argv, built", [
         (["combine", "path3_bidir.net", "ring4_chord.net", "--sequence", "2,1,1,2",
-          "--inter-edges", "inter_path_ring.txt"], 4),  # two documents, two merges
+          "--inter-edges", "inter_path_ring.txt"], 3),  # two documents, one merge
         (["oracle", "chain3.net", "--ltv", "--schedule", "chain3_varying.sched"], 1),
         (["robustness", "ring6_chord.net", "--mode", "add"], 1),  # the witness
     ])

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssc_toolkit.combine import (
-    CombineSequence,
     InfeasibleSequenceError,
     RejectedEdgeError,
     combine_dags,
@@ -28,7 +27,7 @@ from ssc_toolkit.synthesis import (
     sample_member,
 )
 
-SEQ = CombineSequence((1, 0, 0, 1))  # ring4, path3, path3, ring4
+SEQ = (1, 0, 0, 1)  # ring4, path3, path3, ring4
 
 
 def dashed_inter() -> frozenset[tuple[int, int]]:
@@ -49,13 +48,13 @@ class TestRemapTime:
 
     def test_single_block_sequence_is_identity(self, block_path3):
         _, tf = block_path3
-        seq = CombineSequence((0, 0))
+        seq = (0, 0)
         assert remap_time(seq, 0, tf) == dict(tf.times)
 
     def test_occurrence_count_must_match(self, block_path3):
         _, tf = block_path3
         with pytest.raises(ValueError, match="occurs"):
-            remap_time(CombineSequence((0,)), 0, tf)
+            remap_time((0,), 0, tf)
 
     @given(st.data())
     def test_remap_preserves_relative_order(self, data):
@@ -115,7 +114,7 @@ class TestCombineNetworks:
 
 class TestMaxInterEdges:
     def test_worked_layout_counts(self, block_path3, block_ring4):
-        report = max_inter_edges([block_path3, block_ring4], SEQ)
+        report = max_inter_edges(combine_networks([block_path3, block_ring4], SEQ, ()))
         assert report.kind == INTER_NETWORK
         assert report.cardinality == report.bound == 20
         assert report.bound == perfect_edge_count(7, 3) - perfect_edge_count(3, 1) - perfect_edge_count(4, 2)
@@ -124,18 +123,18 @@ class TestMaxInterEdges:
         assert one_way == {(2, 5), (3, 5), (6, 1), (6, 2)}
 
     def test_single_block_has_none(self, block_path3):
-        report = max_inter_edges([block_path3], CombineSequence((0, 0)))
+        report = max_inter_edges(combine_networks([block_path3], (0, 0), ()))
         assert report.edges == frozenset() and report.bound == 0
 
     def test_two_looped_singletons_connect_both_ways(self):
         loop = DiGraph(1, frozenset({(1, 1)}))
         tf = TimeFunction(ChainSet((Chain((1,)),)), {1: 1})
-        report = max_inter_edges([(loop, tf), (loop, tf)], CombineSequence(()))
+        report = max_inter_edges(combine_networks([(loop, tf), (loop, tf)], (), ()))
         assert report.edges == {(1, 2), (2, 1)}
         assert report.bound == perfect_edge_count(2, 2) - 2 * perfect_edge_count(1, 1) == 2
 
     def test_full_installation_passes_and_is_maximal(self, block_path3, block_ring4):
-        report = max_inter_edges([block_path3, block_ring4], SEQ)
+        report = max_inter_edges(combine_networks([block_path3, block_ring4], SEQ, ()))
         combined = combine_networks([block_path3, block_ring4], SEQ, report.edges)
         assert is_zfs(combined.graph, combined.sources)
         # applying any subset keeps the verdict
@@ -151,7 +150,7 @@ class TestMaxInterEdges:
             (perfect_graph(block_path3[1]), block_path3[1]),
             (perfect_graph(block_ring4[1]), block_ring4[1]),
         ]
-        report = max_inter_edges(blocks, SEQ)
+        report = max_inter_edges(combine_networks(blocks, SEQ, ()))
         combined = combine_networks(blocks, SEQ, report.edges)
         assert combined.graph.edge_count == perfect_edge_count(7, 3)
         z = combined.sources
@@ -176,7 +175,7 @@ class TestMaxInterEdges:
         counts = [g.n - tf.m for g, tf in blocks]
         seqs = enumerate_sequences(counts, limit=30)
         seq = seqs[int(rng.integers(len(seqs)))]
-        report = max_inter_edges(blocks, seq)
+        report = max_inter_edges(combine_networks(blocks, seq, ()))
         opts = sorted(report.edges)
         keep = rng.random(len(opts)) < 0.5
         subset = {e for e, k in zip(opts, keep) if k}
@@ -208,15 +207,15 @@ class TestOneMerge:
             for v in merged.graph.nodes
             if merged.block_of(u) != merged.block_of(v) and tmax[u] >= t[v]
         }
-        assert max_inter_edges(blocks, seq).edges == expect
+        assert max_inter_edges(combine_networks(blocks, seq, ())).edges == expect
 
     def test_a_different_merge_is_not_reused(self, block_path3, block_ring4):
         blocks = [block_path3, block_ring4]
-        other = CombineSequence((0, 1, 1, 0))
-        first = max_inter_edges(blocks, SEQ)
-        second = max_inter_edges(blocks, other)
+        other = (0, 1, 1, 0)
+        first = max_inter_edges(combine_networks(blocks, SEQ, ()))
+        second = max_inter_edges(combine_networks(blocks, other, ()))
         assert first.edges != second.edges
-        assert max_inter_edges(blocks, SEQ) == first
+        assert max_inter_edges(combine_networks(blocks, SEQ, ())) == first
         assert combine_networks(blocks, other, set()).times == second.witness
 
 
@@ -226,23 +225,68 @@ class TestEnumerateSequences:
 
     def test_lexicographic_order(self):
         seqs = enumerate_sequences([2, 1])
-        assert [s.entries for s in seqs] == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+        assert seqs == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
     def test_dag_mode_example(self):
         seqs = enumerate_sequences([2, 3, 1], mode="dag")
-        assert CombineSequence((0, 1, 2, 1, 0, 1)) in seqs
-        assert all(not s.has_adjacent_repeat for s in seqs)
-        assert all(s.matches_counts([2, 3, 1]) for s in seqs)
+        assert (0, 1, 2, 1, 0, 1) in seqs
+        assert all(a != b for s in seqs for a, b in zip(s, s[1:]))
+        assert all(sorted(s) == [0, 0, 1, 1, 1, 2] for s in seqs)
 
     def test_dag_mode_pigeonhole_infeasible(self):
         with pytest.raises(InfeasibleSequenceError):
             enumerate_sequences([3, 1], mode="dag")
 
     def test_empty_counts_give_empty_sequence(self):
-        assert enumerate_sequences([0, 0]) == [CombineSequence(())]
+        assert enumerate_sequences([0, 0]) == [()]
 
     def test_limit(self):
         assert len(enumerate_sequences([2, 2], limit=2)) == 2
+
+
+class TestLayoutChecks:
+    """A layout fits the blocks exactly when it is a rearrangement of the
+    multiset that holds each block index ``i`` ``counts[i]`` times (so
+    every entry is in range); the DAG construction also rejects a layout
+    with two equal adjacent entries."""
+
+    @staticmethod
+    def chain_block(steps: int):
+        """A one-chain block that needs ``steps`` entries: a path on
+        ``steps + 1`` nodes, timed along the path."""
+        nodes = tuple(range(1, steps + 2))
+        tf = TimeFunction(ChainSet((Chain(nodes),)), {v: v for v in nodes})
+        return DiGraph(len(nodes), frozenset(zip(nodes, nodes[1:]))), tf
+
+    @given(
+        st.lists(st.integers(0, 4), min_size=1, max_size=4).filter(lambda c: sum(c) <= 8),
+        st.data(),
+    )
+    def test_exactly_the_rearrangements_pass(self, counts, data):
+        required = [i for i, c in enumerate(counts) for _ in range(c)]
+        seq = list(data.draw(st.permutations(required)))
+        entry = st.integers(-1, len(counts))  # -1 and len(counts) are out of range
+        if data.draw(st.booleans()):
+            seq[data.draw(st.integers(0, len(seq)))
+                :data.draw(st.integers(0, len(seq)))] = data.draw(st.lists(entry, max_size=2))
+        seq = tuple(seq)
+        rearrangement = sorted(seq) == required
+        adjacent = any(a == b for a, b in zip(seq, seq[1:]))
+
+        if min(counts) >= 1:  # a DAG block has at least one node
+            dags = [DiGraph(c) for c in counts]
+            if rearrangement and not adjacent:
+                assert combine_dags(dags, seq).graph.n == sum(counts)
+            else:
+                with pytest.raises(InfeasibleSequenceError):
+                    combine_dags(dags, seq)
+
+        blocks = [self.chain_block(c) for c in counts]
+        if rearrangement:
+            assert combine_networks(blocks, seq, ()).graph.n == sum(counts) + len(counts)
+        else:
+            with pytest.raises(ValueError, match="do not match the required counts"):
+                combine_networks(blocks, seq, ())
 
 
 class TestCombineDags:
@@ -250,7 +294,7 @@ class TestCombineDags:
         d1 = DiGraph(2, frozenset({(2, 1)}))
         d2 = DiGraph(3, frozenset({(3, 1), (2, 1)}))
         d3 = DiGraph(1)
-        seq = CombineSequence((0, 1, 2, 1, 0, 1))
+        seq = (0, 1, 2, 1, 0, 1)
         combo = combine_dags([d1, d2, d3], seq)
         assert combo.graph.n == 6
         assert combo.control == combo.spine[0]
@@ -260,23 +304,23 @@ class TestCombineDags:
         assert combo.times == {1: 1, 3: 2, 6: 3, 4: 4, 2: 5, 5: 6}
 
     def test_single_node_block(self):
-        combo = combine_dags([DiGraph(1)], CombineSequence((0,)))
+        combo = combine_dags([DiGraph(1)], (0,))
         assert combo.graph.n == 1 and combo.control == 1
         assert is_zfs(combo.graph, {1})
 
     def test_two_singletons_make_a_path(self):
-        combo = combine_dags([DiGraph(1), DiGraph(1)], CombineSequence((0, 1)))
+        combo = combine_dags([DiGraph(1), DiGraph(1)], (0, 1))
         assert combo.graph.edges == {(1, 2)}
         assert combo.control == 1
 
     def test_cyclic_block_rejected(self):
         cyc = DiGraph(2, frozenset({(1, 2), (2, 1)}))
         with pytest.raises(CyclicError):
-            combine_dags([cyc, DiGraph(1)], CombineSequence((0, 1, 0)))
+            combine_dags([cyc, DiGraph(1)], (0, 1, 0))
 
     def test_bad_sequence_rejected(self):
         with pytest.raises(InfeasibleSequenceError):
-            combine_dags([DiGraph(2), DiGraph(1)], CombineSequence((0, 0, 1)))
+            combine_dags([DiGraph(2), DiGraph(1)], (0, 0, 1))
 
     def test_spine_is_a_hamiltonian_chain_of_the_family(self):
         rng = np.random.default_rng(11)

@@ -6,7 +6,6 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from ssc_toolkit.combine import (
-    CombineSequence,
     combine_dags,
     combine_networks,
     enumerate_sequences,
@@ -301,7 +300,7 @@ class TestProducersBuildValidTimeFunctions:
         rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
         blocks = [(sample_member(tf, rng), tf) for tf in tfs]
         slots = [i for i, tf in enumerate(tfs) for _ in range(tf.n - tf.m)]
-        seq = CombineSequence(tuple(data.draw(st.permutations(slots))))
+        seq = tuple(data.draw(st.permutations(slots)))
         assert combine_networks(blocks, seq, ()).times.n == sum(tf.n for tf in tfs)
 
     @given(st.lists(digraphs(max_n=4), min_size=2, max_size=3), st.data())
