@@ -24,11 +24,16 @@ Parsing reports the offending line number; emission is canonical, so
 ``emit(parse(text))`` is a fixed point.
 
 Ids and rows are the storage.  The parser builds the network's
-:class:`~ssc_toolkit.graphs.DiGraph` rows as it reads: section headers are
-found by a scan for their keywords, and the ``EDGES`` block is split in
-one pass and mapped through a name-to-bit table, each edge setting one
-bit of its source's row.  Only a block that fails a check is read again
-line by line, to report the first bad line.  Controls, chains and times
+:class:`~ssc_toolkit.graphs.DiGraph` rows as it reads.  It keeps the text
+whole: a text with line breaks other than ``\\n`` is first rejoined with
+``\\n``, section headers are found by a scan for their keywords, and each
+section's body is cut out by offset.  An ``EDGES`` body written as the
+writer writes it (``a b`` lines, one space inside, ``\\n`` between) is read
+as one token stream: one ``bytes.translate`` checks its whitespace, one
+``str.split`` gives the names, and a name-to-bit table sets one bit of the
+source's row per edge.  Any other body (comments, blank lines, other
+whitespace, non-ASCII names, a bad line or a duplicate edge) is read line
+by line, which raises at the first bad line.  Controls, chains and times
 are kept on node ids, so a parsed document is canonical: two texts of
 the same network parse to equal documents.  :func:`document_chunks`
 writes the canonical text straight from rows, one chunk per row, in
@@ -36,18 +41,15 @@ plain text or as the inside of a JSON string.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .forcing import ExplicitForces
-from .graphs import Chain, ChainSet, ConsistencyError, DiGraph, Edge, mask_nodes
+from .graphs import Chain, ChainSet, DiGraph, Edge, mask_nodes
 from .synthesis import TimeFunction
 
 SECTIONS = ("NODES", "EDGES", "CONTROLS", "CHAINS", "TIMES")
-
-_COMMENT = re.compile("#.*")
 
 
 class DocumentError(ValueError):
@@ -121,14 +123,15 @@ def _content_lines(lines: Sequence[str], first: int = 1):
             yield lineno, tokens
 
 
-def _section_heads(lines: Sequence[str]) -> list[tuple[int, str]]:
-    """(index into ``lines``, keyword) of every section header line.
+def _sections(text: str) -> dict[str, tuple[int, str]]:
+    """Each section of a text whose only line break is ``\\n``, mapped to
+    the line number of its body's first line and its body: the lines up to
+    the next header, without the line break that ends the last of them.
 
     Only the lines holding a keyword are split, so the rest of the text
-    costs one ``str.find`` scan per keyword.
+    costs one ``str.find`` scan per keyword and one ``str.count``.
     """
-    text = "\n".join(lines)
-    found: dict[int, str] = {}  # offset of a header line -> its keyword
+    found: dict[int, tuple[int, str]] = {}  # start of a header line -> its end, keyword
     for keyword in SECTIONS:
         pos = text.find(keyword)
         while pos >= 0:
@@ -136,73 +139,93 @@ def _section_heads(lines: Sequence[str]) -> list[tuple[int, str]]:
             end = text.find("\n", pos)
             end = len(text) if end < 0 else end
             if text[start:end].split("#", 1)[0].split() == [keyword]:
-                found[start] = keyword
+                found[start] = (end, keyword)
             pos = text.find(keyword, end)
-    heads = []
-    index = pos = 0
-    for start in sorted(found):
-        index += text.count("\n", pos, start)
+    starts = sorted(found)
+    for lineno, tokens in _content_lines(text[: starts[0] if starts else len(text)].split("\n")):
+        raise DocumentError(f"content before any section: {' '.join(tokens)}", lineno)
+    stops = [start - 1 for start in starts[1:]]
+    stops.append(len(text) - text.endswith("\n"))
+    bodies: dict[str, tuple[int, str]] = {}
+    lineno, pos = 1, 0
+    for start, stop in zip(starts, stops):
+        lineno += text.count("\n", pos, start)
         pos = start
-        heads.append((index, found[start]))
-    return heads
+        end, keyword = found[start]
+        if keyword in bodies:
+            raise DocumentError(f"duplicate section {keyword}", lineno)
+        bodies[keyword] = (lineno + 1, text[end + 1 : stop])
+    return bodies
 
 
-def _parse_edges(
-    lines: Sequence[str], first: int, ids: dict[str, int], bits: dict[str, int]
-) -> DiGraph:
-    """The graph of an EDGES block whose first line is line ``first``;
-    ``ids`` and ``bits`` map each name to its node and its bit.
+# Where ``str.splitlines`` ends a line besides ``\n``.
+_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+# What ``bytes.translate`` deletes from a body: all but ASCII whitespace and "#".
+_NOT_BLANK = bytes(b for b in range(256) if not (b < 128 and chr(b).isspace() or b == ord("#")))
 
-    The block is split in one pass and every pair goes through a
-    name-to-bit table; a line without exactly two tokens stops the pass,
-    and a duplicate edge shows as a bit count short of the pair count.  A
-    block that fails any check is read again line by line only to raise
-    the error of its first bad line.
+
+def _canonical_edges(body: str, ids: dict[str, int], bits: dict[str, int]) -> list[int] | None:
+    """The rows of an EDGES body of ``a b`` lines, one space inside and
+    ``\\n`` between them, or None for a body written any other way or
+    failing a check; ``ids`` and ``bits`` map each name to its node and
+    its bit.
+
+    The body's whitespace must read ``" \\n"`` per line and ``" "`` for the
+    last line, and one ``str.split`` must give two names per line; the
+    names are looked up in one pass, and a duplicate edge shows as a bit
+    count short of the line count.
     """
-    block = "\n".join(lines)
-    split = map(str.split, _COMMENT.sub("", block).split("\n") if "#" in block else lines)
-    pairs = list(filter(None, split))  # the token lists of the lines with tokens
+    if not body.isascii():
+        return None
+    signature = body.encode().translate(None, _NOT_BLANK)
+    pairs = (len(signature) + 1) // 2
+    if signature != b" \n" * (pairs - 1) + b" ":
+        return None
+    tokens = body.split()
+    if len(tokens) != 2 * pairs:
+        return None
     rows = [0] * (len(ids) + 1)
     try:
-        for a, b in pairs:  # a ValueError here is a line without exactly two tokens
-            rows[ids[a]] |= bits[b]
-    except (KeyError, ValueError):
-        pass
-    else:
-        graph = DiGraph.from_rows(len(ids), rows)
-        if graph.edge_count == len(pairs):
-            return graph
-    seen: set[tuple[str, str]] = set()
-    for lineno, tokens in _content_lines(lines, first):
+        for u, bit in zip(map(ids.__getitem__, tokens[::2]), map(bits.__getitem__, tokens[1::2])):
+            rows[u] |= bit
+    except KeyError:
+        return None
+    return rows if sum(map(int.bit_count, rows)) == pairs else None
+
+
+def _read_edges(
+    content: Iterable[tuple[int, list[str]]], ids: dict[str, int], bits: dict[str, int]
+) -> list[int]:
+    """The rows of an EDGES body read line by line from its
+    :func:`_content_lines`; raises :class:`DocumentError` at the first bad
+    line."""
+    rows = [0] * (len(ids) + 1)
+    for lineno, tokens in content:
         if len(tokens) != 2:
             raise DocumentError("an edge line needs exactly two node names", lineno)
         for tok in tokens:
             if tok not in ids:
                 raise DocumentError(f"unknown node name {tok!r}", lineno)
-        edge = (tokens[0], tokens[1])
-        if edge in seen:
-            raise DocumentError(f"duplicate edge {edge[0]} -> {edge[1]}", lineno)
-        seen.add(edge)
-    raise ConsistencyError("the EDGES block failed a check that none of its lines fails")
+        a, b = tokens
+        if rows[ids[a]] & bits[b]:
+            raise DocumentError(f"duplicate edge {a} -> {b}", lineno)
+        rows[ids[a]] |= bits[b]
+    return rows
 
 
 def parse_document(text: str) -> NetworkDocument:
     """Parse the text format; raises :class:`DocumentError` with a line number."""
-    lines = text.splitlines()
-    heads = _section_heads(lines)
-    for lineno, tokens in _content_lines(lines[: heads[0][0] if heads else len(lines)]):
-        raise DocumentError(f"content before any section: {' '.join(tokens)}", lineno)
-    spans: dict[str, tuple[int, int]] = {}  # section -> its body's lines[start:stop]
-    for k, (index, name) in enumerate(heads):
-        if name in spans:
-            raise DocumentError(f"duplicate section {name}", index + 1)
-        spans[name] = (index + 1, heads[k + 1][0] if k + 1 < len(heads) else len(lines))
+    for brk in _OTHER_BREAKS:
+        if brk in text:
+            text = "\n".join(text.splitlines())
+            break
+    bodies = _sections(text)
 
     def section(name: str):
-        start, stop = spans.get(name, (0, 0))
-        return _content_lines(lines[start:stop], start + 1)
+        first, body = bodies.get(name, (1, ""))
+        return _content_lines(body.split("\n"), first)
 
-    if "NODES" not in spans:
+    if "NODES" not in bodies:
         raise DocumentError("document has no NODES section")
 
     names: list[str] = []
@@ -225,8 +248,10 @@ def parse_document(text: str) -> NetworkDocument:
             raise DocumentError(f"unknown node name {tok!r}", lineno)
         return ids[tok]
 
-    start, stop = spans.get("EDGES", (0, 0))
-    graph = _parse_edges(lines[start:stop], start + 1, ids, bits)
+    rows = _canonical_edges(bodies.get("EDGES", (1, ""))[1], ids, bits)
+    if rows is None:
+        rows = _read_edges(section("EDGES"), ids, bits)
+    graph = DiGraph.from_rows(len(names), rows)
 
     controls: set[int] = set()
     for lineno, tokens in section("CONTROLS"):
@@ -237,7 +262,7 @@ def parse_document(text: str) -> NetworkDocument:
             controls.add(node)
 
     chains = None
-    if "CHAINS" in spans:
+    if "CHAINS" in bodies:
         chain_list = []
         for lineno, tokens in section("CHAINS"):
             chain = tuple(known(tok, lineno) for tok in tokens)
@@ -249,7 +274,7 @@ def parse_document(text: str) -> NetworkDocument:
         chains = ChainSet(tuple(chain_list))
 
     times = None
-    if "TIMES" in spans:
+    if "TIMES" in bodies:
         times = {}
         for lineno, tokens in section("TIMES"):
             if len(tokens) != 2:

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ssc_toolkit import documents as documents_module
 from ssc_toolkit.documents import (
     DocumentError,
     NetworkDocument,
@@ -14,6 +16,7 @@ from ssc_toolkit.documents import (
     parse_schedule_file,
 )
 from ssc_toolkit.graphs import DiGraph
+from ssc_toolkit.synthesis import random_chain_set, random_time_function, sample_member
 
 from reference import line_by_line_document
 
@@ -174,7 +177,12 @@ def raw_documents(draw):
     """Text of a document with NODES, EDGES and maybe CONTROLS, often
     malformed: lines of one and three tokens that balance each other out,
     unknown names, duplicate edges, stray or repeated sections, and
-    whitespace where ``str.split`` and ``str.splitlines`` disagree."""
+    whitespace where ``str.split`` and ``str.splitlines`` disagree.
+
+    One draw in four writes the EDGES section as the writer does: ``a b``
+    lines, one space inside, ``\\n`` after each, no blank lines or
+    comments; the malformed lines among them then differ from canonical
+    ones only in their token counts and names."""
     names = draw(st.lists(st.from_regex(r'[ab][ab1"\\\xe9]{0,2}', fullmatch=True),
                           min_size=1, max_size=6, unique=True))
     if draw(st.integers(0, 19)) == 5:  # rare events avoid the values hypothesis favors
@@ -194,12 +202,17 @@ def raw_documents(draw):
         sections.append([["EDGES"]])
     if draw(st.booleans()):
         sections.reverse()
-    lines = [tokens for section in sections for tokens in section]
+    canonical = draw(st.integers(0, 3)) == 1
+    lines = [(tokens, canonical and section[0] == ["EDGES"])
+             for section in sections for tokens in section]
     if draw(st.integers(0, 9)) == 5:
-        lines.insert(0, ["stray"])
+        lines.insert(0, (["stray"], False))
     gap = st.sampled_from(GAPS + LINE_ENDING_GAPS if draw(st.integers(0, 3)) == 2 else GAPS)
     out = []
-    for tokens in lines:
+    for tokens, plain in lines:
+        if plain:
+            out.append(" ".join(tokens))
+            continue
         line = draw(st.sampled_from(["", " ", "\t"])) + "".join(
             tok + (draw(gap) if k < len(tokens) - 1 else "") for k, tok in enumerate(tokens))
         if draw(st.integers(0, 3)) == 2:
@@ -207,6 +220,8 @@ def raw_documents(draw):
         out.append(line)
         if draw(st.integers(0, 5)) == 3:
             out.append(draw(st.sampled_from(["", "   ", "# comment", "\t# EDGES"])))
+    if canonical:
+        return "".join(line + "\n" for line in out)
     breaks = [draw(st.sampled_from(LINE_BREAKS)) for _ in out]
     return "".join(line + brk for line, brk in zip(out, breaks))
 
@@ -215,16 +230,7 @@ class TestBulkParse:
     @settings(max_examples=400)
     @given(raw_documents())
     def test_agrees_with_a_line_by_line_reading(self, text):
-        try:
-            names, _, ids = line_by_line_document(text)
-        except DocumentError as exc:
-            with pytest.raises(DocumentError) as got:
-                parse_document(text)
-            assert (str(got.value), got.value.line) == (str(exc), exc.line)
-            return
-        doc = parse_document(text)
-        assert doc.names == names
-        assert doc.graph() == DiGraph(len(names), ids)
+        _assert_reads_as_the_reference(text)
 
     @pytest.mark.parametrize("text, line, fragment", [
         ("NODES\na b c\nEDGES\na b c\nc\n", 4, "exactly two"),
@@ -237,6 +243,62 @@ class TestBulkParse:
         with pytest.raises(DocumentError, match=fragment) as got:
             parse_document(text)
         assert got.value.line == line
+
+    # EDGES bodies whose whitespace reads like ``a b`` lines but which do
+    # not hold two names on every line.
+    @pytest.mark.parametrize("edges", [
+        "v1 v2\n \nv2 v1\n",  # a lone space is a blank line
+        "v1 v2\nv2 \nv1 v1\n",
+        "v1 v2\n v2\nv1 v1\n",
+        "v1 v2\nv2 ",
+        " v2",
+        "",
+        "v2 v1\n",
+    ], ids=["lone-space", "trailing-space", "leading-space", "last-line", "one-name",
+            "empty", "one-edge"])
+    @pytest.mark.parametrize("after", ["", "CONTROLS\nv1\n"], ids=["last", "middle"])
+    def test_near_canonical_bodies_read_as_lines(self, edges, after):
+        _assert_reads_as_the_reference("NODES\nv1 v2\nEDGES\n" + edges + after)
+
+    @settings(max_examples=50)
+    @given(documents(), st.data())
+    def test_written_documents_skip_the_line_reader(self, case, data):
+        text, names, edges = case
+        assume(edges)
+        doc = parse_document(text)
+        controls = data.draw(st.sets(st.integers(1, len(names))))
+        doc = NetworkDocument.from_graph(doc.graph(), doc.names, controls)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(documents_module, "_read_edges", _line_reader_called)
+            assert parse_document(emit_document(doc)) == doc
+
+    def test_a_written_family_member_skips_the_line_reader(self):
+        rng = np.random.default_rng(400)
+        tf = random_time_function(random_chain_set(400, 5, rng), rng)
+        g = sample_member(tf, rng)
+        doc = NetworkDocument.from_graph(g, [f"v{v}" for v in g.nodes], tf.chains.sources, tf)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(documents_module, "_read_edges", _line_reader_called)
+            assert parse_document(emit_document(doc)) == doc
+
+
+def _assert_reads_as_the_reference(text):
+    """``parse_document`` gives the names and graph, or the error message
+    and line, of ``reference.line_by_line_document``."""
+    try:
+        names, _, ids = line_by_line_document(text)
+    except DocumentError as exc:
+        with pytest.raises(DocumentError) as got:
+            parse_document(text)
+        assert (str(got.value), got.value.line) == (str(exc), exc.line)
+        return
+    doc = parse_document(text)
+    assert doc.names == names
+    assert doc.graph() == DiGraph(len(names), ids)
+
+
+def _line_reader_called(*args):
+    raise AssertionError("the EDGES block of a written document went to the line reader")
 
 
 class TestRoundTrip:
