@@ -63,7 +63,6 @@ from .robustness import (
     critical_subtractive_set,
     verify_edge_set,
 )
-from .synthesis import TimeFunction
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 2
@@ -130,11 +129,6 @@ def _require_controls(doc: NetworkDocument) -> frozenset[int]:
     return doc.controls
 
 
-def _intervals_text(doc: NetworkDocument, tf: TimeFunction) -> str:
-    parts = [f"{doc.name_of(v)}:[{tf.times[v]},{tf.tmax[v]}]" for v in sorted(tf.times)]
-    return " ".join(parts)
-
-
 def _write(chunks: Iterable[str]) -> None:
     """Write the output chunk by chunk, so that a large one is never held whole."""
     sys.stdout.writelines(chunks)
@@ -179,20 +173,20 @@ def _written_names(names: Sequence[str], machine: bool) -> tuple[str, ...]:
 
 
 def _sorted_pairs(
-    rows: Sequence[int], names: Sequence[str], written: Sequence[str], machine: bool
+    graph: DiGraph, names: Sequence[str], written: Sequence[str], machine: bool
 ) -> Iterator[str]:
-    """The edges of ``rows`` as name pairs sorted by name: a JSON list of
+    """The edges of ``graph`` as name pairs sorted by name: a JSON list of
     pairs, or one ``  u v`` line each.
 
-    The names are ranked once, the rows relabeled into rank order, and the
-    pairs written straight from them, so no pair is sorted.  ``names[v - 1]``
-    names node v, and ``written`` is from :func:`_written_names`.
+    The names are ranked once and the graph relabeled into rank order, so
+    the pairs are written straight from its rows and none is sorted.
+    ``names[v - 1]`` names node v; ``written`` is from :func:`_written_names`.
     """
-    n = len(names)
+    n = graph.n
     order = sorted(range(1, n + 1), key=lambda v: names[v - 1])
-    ranked = rows = (*rows, *(0,) * (n + 1 - len(rows)))
+    ranked = graph.rows
     if order != list(range(1, n + 1)):  # the names do not sort in id order
-        ranked = DiGraph.from_rows(n, rows).relabeled(order).rows
+        ranked = graph.relabeled(order).rows
     table = ("", *(written[v] for v in order))
     if not machine:
         yield from edge_lines(ranked, table, "  ")
@@ -330,20 +324,20 @@ def cmd_robustness(args) -> int:
     g = doc.graph()
     z = _require_controls(doc)
     policy = _policy(args.policy, doc)
-    try:
-        if args.mode == "add":
-            report = critical_additive_set(g, z, policy)
-        else:
-            report = critical_subtractive_set(g, z, policy)
-    except NotZfsError as exc:
-        print(f"not a zero forcing set: {exc}", file=sys.stderr)
-        return EXIT_NEGATIVE
+    if args.mode == "add":
+        report = critical_additive_set(g, z, policy)
+    else:
+        report = critical_subtractive_set(g, z, policy)
     outcome = None
     if not args.no_verify:
         outcome = verify_edge_set(g, z, report, budget=args.budget, seed=args.seed)
     code = EXIT_INTERNAL if outcome is not None and not outcome.passed else EXIT_OK
     machine = args.format == "machine"
-    pairs = _sorted_pairs(report.rows, doc.names, _written_names(doc.names, machine), machine)
+    pairs = _sorted_pairs(report.graph, doc.names, _written_names(doc.names, machine), machine)
+    tf = report.witness
+    # the witness's chain edges as forces, in the order their targets turn black
+    forces = sorted(tf.chains.successor.items(), key=lambda force: tf.times[force[1]])
+    _, intervals = _schedule_writer(doc.names, machine, tf.gamma)(forces)
     if machine:
         payload = {
             "command": "robustness",
@@ -352,10 +346,7 @@ def cmd_robustness(args) -> int:
             "count": report.cardinality,
             "bound": report.bound,
             "edges": pairs,
-            "intervals": {
-                doc.name_of(v): list(report.witness.interval(v))
-                for v in sorted(report.witness.times)
-            },
+            "intervals": iter([intervals]),
         }
         if outcome is not None:
             payload["verification"] = {
@@ -369,7 +360,7 @@ def cmd_robustness(args) -> int:
         f"critical {'additive' if args.mode == 'add' else 'subtractive'} edge-set\n"
         f"seed: {args.seed}\n"
         f"count: {report.cardinality} (bound {report.bound})\n"
-        f"intervals: {_intervals_text(doc, report.witness)}\n"
+        f"intervals: {intervals}\n"
         "edges:\n"
     ])
     _write(pairs)
@@ -444,7 +435,7 @@ def cmd_combine(args) -> int:
     report = max_inter_edges(combined)
     machine = args.format == "machine"
     written = _written_names(names, machine)
-    pairs = _sorted_pairs(report.rows, names, written, machine)
+    pairs = _sorted_pairs(report.graph, names, written, machine)
     tf = combined.times
     document = _document(
         written, machine, combined.graph.rows, sorted(combined.sources),
@@ -477,12 +468,8 @@ def cmd_combine(args) -> int:
 def _combine_dag(args, docs: Sequence[NetworkDocument]) -> int:
     dags = [doc.graph() for doc in docs]
     counts = [g.n for g in dags]
-    try:
-        seq = _parse_sequence(args.sequence, counts, "dag")
-        combo = combine_dags(dags, seq)
-    except (InfeasibleSequenceError, CyclicError) as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_NEGATIVE
+    seq = _parse_sequence(args.sequence, counts, "dag")
+    combo = combine_dags(dags, seq)
     # combined node ids are topological positions; name them after each
     # block's topological order
     names = [
@@ -604,11 +591,7 @@ def cmd_schedules(args) -> int:
         doc = docs[0]
         g = doc.graph()
         z = _require_controls(doc)
-        try:
-            records = enumerate_forcing_schedules(g, z, limit=args.limit)
-        except NotZfsError as exc:
-            print(f"not a zero forcing set: {exc}", file=sys.stderr)
-            return EXIT_NEGATIVE
+        records = enumerate_forcing_schedules(g, z, limit=args.limit)
         machine = args.format == "machine"
         write = _schedule_writer(doc.names, machine, records[0].gamma)
         if machine:
@@ -635,11 +618,7 @@ def cmd_schedules(args) -> int:
                     f"{path}: needs CHAINS or CONTROLS to size the sequence"
                 )
             counts.append(len(doc.names) - m)
-    try:
-        seqs = enumerate_sequences(counts, mode=args.mode, limit=args.limit)
-    except InfeasibleSequenceError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_NEGATIVE
+    seqs = enumerate_sequences(counts, mode=args.mode, limit=args.limit)
     if args.format == "machine":
         _write(_json({
             "command": "schedules",
@@ -719,6 +698,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except DocumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except NotZfsError as exc:
+        print(f"not a zero forcing set: {exc}", file=sys.stderr)
+        return EXIT_NEGATIVE
+    except (InfeasibleSequenceError, CyclicError) as exc:
+        print(f"infeasible: {exc}", file=sys.stderr)
+        return EXIT_NEGATIVE
     except ConsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -23,7 +23,7 @@ from .graphs import (
     topological_order,
 )
 from .robustness import INTER_NETWORK, EdgeSetReport
-from .synthesis import TimeFunction, _admissible_rows, is_ct_constructed, perfect_edge_count
+from .synthesis import TimeFunction, is_ct_constructed, perfect_edge_count
 
 Block = tuple[DiGraph, TimeFunction]
 
@@ -152,7 +152,7 @@ def max_inter_edges(merged: CombinedNetwork) -> EdgeSetReport:
     ``merged`` do not change the result.
     """
     tf = merged.times
-    admissible = _admissible_rows(tf)
+    admissible = tf.admissible_rows
     sources = sum(1 << (s - 1) for s in tf.chains.sources)
     rows = [0] * (merged.graph.n + 1)
     bound = perfect_edge_count(merged.graph.n, tf.m)
@@ -161,12 +161,12 @@ def max_inter_edges(merged: CombinedNetwork) -> EdgeSetReport:
         bound -= perfect_edge_count(size, (sources & block).bit_count())
         for u in range(off + 1, off + size + 1):
             rows[u] = admissible[u] & ~block
-    count = sum(row.bit_count() for row in rows)
-    if count != bound:
+    inter = DiGraph.from_rows(merged.graph.n, rows)
+    if inter.edge_count != bound:
         raise ConsistencyError(
-            f"enumerated {count} admissible inter edges, closed form says {bound}"
+            f"enumerated {inter.edge_count} admissible inter edges, closed form says {bound}"
         )
-    return EdgeSetReport(INTER_NETWORK, rows, bound, witness=tf)
+    return EdgeSetReport(INTER_NETWORK, inter, bound, witness=tf)
 
 
 def enumerate_sequences(

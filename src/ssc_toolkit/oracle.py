@@ -32,7 +32,7 @@ import numpy as np
 
 from .forcing import stalled_white_set
 from .graphs import DiGraph, Edge, _unpack, control_set
-from .synthesis import TimeFunction, _member_rows, sample_member
+from .synthesis import TimeFunction, sample_member
 
 DIAG_ZERO = "zero"
 DIAG_NONZERO = "nonzero"
@@ -365,9 +365,8 @@ def schedule_from_family(
     """
     graphs = []
     matrices = []
-    skeleton = DiGraph(tf.n, tf.chains.chain_edges)
     for _ in range(len(breakpoints) - 1):
-        g = skeleton if chain_only else sample_member(tf, rng)
+        g = tf.skeleton if chain_only else sample_member(tf, rng)
         graphs.append(g)
         matrices.append(sample_matrix(g, rng, DIAG_ZERO if chain_only else DIAG_MIXED))
     return LtvSchedule(tuple(breakpoints), tuple(graphs), tuple(matrices))
@@ -388,8 +387,8 @@ def schedule_from_edges(
     if len(per_interval_edges) != len(breakpoints) - 1:
         raise ValueError("need one edge set per interval")
     n = tf.n
-    member = _member_rows(tf)
-    skeleton = DiGraph(n, tf.chains.chain_edges).rows
+    member = tf.member_rows
+    skeleton = tf.skeleton.rows
     rng = np.random.default_rng(seed)
     graphs = []
     matrices = []

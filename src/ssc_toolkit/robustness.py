@@ -10,7 +10,7 @@ the current one, removals at everything except one chain skeleton.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -44,42 +44,33 @@ _DRAW = 1 << 20
 class EdgeSetReport:
     """A computed critical (or inter-network) edge set with its bound.
 
-    Rows are the storage, as in a :class:`DiGraph`: bit ``v-1`` of
-    ``rows[u]`` marks the edge ``(u, v)``, ``rows[0]`` is 0, and trailing
-    empty rows are dropped, so equal sets have equal rows.  The cardinality
-    is a bit count, and ``edges``, the set as a frozenset of pairs, is
-    derived on first use.  ``bound`` is the closed-form cardinality the
-    set must attain; the producers in this module always emit sets of
-    exactly that size with the witness (chains, times) that generated
-    them, so results are reproducible.
+    ``graph`` is the set as a :class:`DiGraph` on the network's nodes, so
+    ``edges`` and ``cardinality`` are its edges and edge count.  ``bound``
+    is the closed-form cardinality the set must attain; the producers in
+    this module always emit sets of exactly that size with the witness
+    (chains, times) that generated them, so results are reproducible.
     """
 
     kind: str
-    rows: tuple[int, ...]
+    graph: DiGraph
     bound: int
     witness: TimeFunction | None = None
 
     def __post_init__(self):
         if self.kind not in (ADDITIVE, SUBTRACTIVE, INTER_NETWORK):
             raise ValueError(f"unknown report kind {self.kind!r}")
-        rows = list(self.rows)
-        if rows[0]:
-            raise ValueError("rows[0] must be 0")
-        while len(rows) > 1 and not rows[-1]:
-            rows.pop()
-        object.__setattr__(self, "rows", tuple(rows))
         if self.cardinality != self.bound:
             raise ValueError(
                 f"report carries {self.cardinality} edges but claims a bound of {self.bound}"
             )
 
-    @cached_property
+    @property
     def edges(self) -> frozenset[Edge]:
-        return frozenset(_pairs(self.rows))
+        return self.graph.edges
 
-    @cached_property
+    @property
     def cardinality(self) -> int:
-        return sum(row.bit_count() for row in self.rows)
+        return self.graph.edge_count
 
 
 def critical_additive_number(g: DiGraph, controls: Iterable[int]) -> int:
@@ -109,12 +100,11 @@ def critical_additive_set(
     perf = perfect_graph(tf)
     if any(row & ~p for row, p in zip(g.rows, perf.rows)):
         raise ConsistencyError("graph is not contained in its own maximal member")
-    rows = [p & ~row for row, p in zip(g.rows, perf.rows)]
+    added = DiGraph.from_rows(g.n, [p & ~row for row, p in zip(g.rows, perf.rows)])
     bound = perfect_edge_count(g.n, len(z)) - g.edge_count
-    count = sum(row.bit_count() for row in rows)
-    if count != bound:
-        raise ConsistencyError(f"additive set has {count} edges, bound is {bound}")
-    return EdgeSetReport(ADDITIVE, rows, bound, witness=tf)
+    if added.edge_count != bound:
+        raise ConsistencyError(f"additive set has {added.edge_count} edges, bound is {bound}")
+    return EdgeSetReport(ADDITIVE, added, bound, witness=tf)
 
 
 def critical_subtractive_set(
@@ -124,14 +114,11 @@ def critical_subtractive_set(
     z = control_set(controls, g.n)
     record = forcing_schedule(g, z, policy)
     tf = TimeFunction.from_record(record)
-    rows = list(g.rows)
-    for u, v in record.chains.successor.items():
-        rows[u] &= ~(1 << (v - 1))
+    removed = DiGraph.from_rows(g.n, [row & ~c for row, c in zip(g.rows, tf.skeleton.rows)])
     bound = g.edge_count - g.n + len(z)
-    count = sum(row.bit_count() for row in rows)
-    if count != bound:
-        raise ConsistencyError(f"subtractive set has {count} edges, bound is {bound}")
-    return EdgeSetReport(SUBTRACTIVE, rows, bound, witness=tf)
+    if removed.edge_count != bound:
+        raise ConsistencyError(f"subtractive set has {removed.edge_count} edges, bound is {bound}")
+    return EdgeSetReport(SUBTRACTIVE, removed, bound, witness=tf)
 
 
 @dataclass(frozen=True)
@@ -333,17 +320,25 @@ def verify_edge_set(
     sweeps the closure takes.  The report is read as rows: present and
     missing edges are row ANDs, and the toggles run in (u, v) order
     straight from the rows.
+
+    Raises:
+        ValueError: the report's set is on another node count than ``g``,
+            or its edges are not new (additive) or not in ``g``
+            (subtractive).
     """
+    if report.graph.n != g.n:
+        raise ValueError(
+            f"the report's edge set is on {report.graph.n} nodes, the graph has {g.n}"
+        )
     z = control_set(controls, g.n)
     z_mask = _mask_of(z)
-    rows = report.rows
-    graph_rows = g.rows + (0,) * (len(rows) - len(g.rows))
+    rows = report.graph.rows
     if report.kind in (ADDITIVE, INTER_NETWORK):
-        present = _pairs(row & have for row, have in zip(rows, graph_rows))
+        present = _pairs(row & have for row, have in zip(rows, g.rows))
         if present:
             raise ValueError(f"additive edges {present} are already in the graph")
     elif report.kind == SUBTRACTIVE:
-        missing = _pairs(row & ~have for row, have in zip(rows, graph_rows))
+        missing = _pairs(row & ~have for row, have in zip(rows, g.rows))
         if missing:
             raise ValueError(f"subtractive edges {missing} are not in the graph")
     else:  # pragma: no cover - kinds are closed

@@ -111,37 +111,44 @@ class TimeFunction:
         """The ``[t(v), tmax(v)]`` interval during which v is a chain frontier."""
         return (self.times[v], self.tmax[v])
 
+    @cached_property
+    def skeleton(self) -> DiGraph:
+        """The chain edges as a graph on ``1..n``: the family's smallest member."""
+        return DiGraph(self.n, self.chains.successor.items())
+
+    @cached_property
+    def admissible_rows(self) -> tuple[int, ...]:
+        """Row ``u`` holds the nodes ``v`` with ``tmax(u) >= t(v)`` as a
+        bitmask, as :attr:`DiGraph.rows` hold out-neighbors.
+
+        In time order those targets are a prefix of the nodes, so one pass
+        over the time order builds every row.  The time function is valid,
+        so every ``tmax`` value is some node's time.
+
+        Raises:
+            ValueError: the chain nodes are not exactly ``1..n``.
+        """
+        if self.chains.nodes != frozenset(range(1, self.n + 1)):
+            raise ValueError(f"chain nodes must be exactly 1..{self.n}")
+        t = self.times
+        upto: dict[int, int] = {}  # time T -> the nodes with t(v) <= T
+        mask = 0
+        for v in sorted(t, key=t.__getitem__):
+            mask |= 1 << (v - 1)
+            upto[t[v]] = mask
+        rows = [0] * (self.n + 1)
+        for u, T in self.tmax.items():
+            rows[u] = upto[T]
+        return tuple(rows)
+
+    @cached_property
+    def member_rows(self) -> tuple[int, ...]:
+        """Rows of the maximal member: every admissible pair plus the chain edges."""
+        return tuple(a | s for a, s in zip(self.admissible_rows, self.skeleton.rows))
+
     @classmethod
     def from_record(cls, record: ForcingRecord) -> "TimeFunction":
         return cls(record.chains, record.times)
-
-
-def _admissible_rows(tf: TimeFunction) -> dict[int, int]:
-    """For every node ``u``, the nodes ``v`` with ``tmax(u) >= t(v)`` as a bitmask.
-
-    In time order those targets are a prefix of the nodes, so one pass
-    over the time order builds every row.  ``tf`` is valid, so every
-    ``tmax`` value is some node's time.
-    """
-    t = tf.times
-    upto: dict[int, int] = {}  # time T -> the nodes with t(v) <= T
-    mask = 0
-    for v in sorted(t, key=t.__getitem__):
-        mask |= 1 << (v - 1)
-        upto[t[v]] = mask
-    return {u: upto[T] for u, T in tf.tmax.items()}
-
-
-def _member_rows(tf: TimeFunction) -> list[int]:
-    """Rows of the maximal member: every admissible pair plus the chain edges."""
-    if tf.chains.nodes != frozenset(range(1, tf.n + 1)):
-        raise ValueError(f"chain nodes must be exactly 1..{tf.n}")
-    rows = [0] * (tf.n + 1)
-    for u, row in _admissible_rows(tf).items():
-        rows[u] = row
-    for u, v in tf.chains.successor.items():
-        rows[u] |= 1 << (v - 1)
-    return rows
 
 
 def optional_edges(tf: TimeFunction) -> frozenset[Edge]:
@@ -151,9 +158,7 @@ def optional_edges(tf: TimeFunction) -> frozenset[Edge]:
     disjoint from the chain edges, whose sources satisfy
     ``tmax(u) = t(v) - 1``.
     """
-    return frozenset(
-        (u, v) for u, row in _admissible_rows(tf).items() for v in mask_nodes(row)
-    )
+    return DiGraph.from_rows(tf.n, tf.admissible_rows).edges
 
 
 def is_ct_constructed(g: DiGraph, tf: TimeFunction) -> bool:
@@ -165,15 +170,16 @@ def is_ct_constructed(g: DiGraph, tf: TimeFunction) -> bool:
     """
     if tf.chains.node_count != g.n or tf.chains.nodes != frozenset(g.nodes):
         return False
-    if not all(g.has_edge(u, v) for u, v in tf.chains.successor.items()):
-        return False
-    return not any(row & ~member for row, member in zip(g.rows, _member_rows(tf)))
+    return not any(
+        chain & ~row or row & ~member
+        for row, chain, member in zip(g.rows, tf.skeleton.rows, tf.member_rows)
+    )
 
 
 def perfect_graph(tf: TimeFunction) -> DiGraph:
     """The unique maximal member of the family: chain edges plus every
     admissible pair.  Its edge count equals :func:`perfect_edge_count`."""
-    g = DiGraph.from_rows(tf.n, _member_rows(tf))
+    g = DiGraph.from_rows(tf.n, tf.member_rows)
     expect = perfect_edge_count(tf.n, tf.m)
     if g.edge_count != expect:
         raise ConsistencyError(
@@ -219,10 +225,9 @@ def is_perfect(
 def sample_member(tf: TimeFunction, rng: np.random.Generator) -> DiGraph:
     """Uniform member of the family: chain edges plus an independent
     coin flip per admissible edge, drawn in sorted edge order."""
-    admissible = _admissible_rows(tf)
-    opts = [(u, v) for u in sorted(admissible) for v in mask_nodes(admissible[u])]
+    opts = [(u, v) for u, row in enumerate(tf.admissible_rows) if row for v in mask_nodes(row)]
     keep = (rng.random(len(opts)) < 0.5).tolist()
-    rows = list(DiGraph(tf.n, tf.chains.chain_edges).rows)
+    rows = list(tf.skeleton.rows)
     for (u, v), k in zip(opts, keep):
         if k:
             rows[u] |= 1 << (v - 1)

@@ -44,10 +44,9 @@ from conftest import digraphs, timed_partitions
 from reference import brute_force_additive, swept_derived_set
 
 
-def _report(kind, edges, bound, witness=None) -> EdgeSetReport:
-    """The report on the edge set ``edges``, built from its rows."""
-    n = int(max(map(max, edges), default=1))
-    return EdgeSetReport(kind, DiGraph(n, edges).rows, bound, witness)
+def _report(kind, n, edges, bound, witness=None) -> EdgeSetReport:
+    """The report on the edge set ``edges`` of an ``n``-node network."""
+    return EdgeSetReport(kind, DiGraph(n, edges), bound, witness)
 
 
 class TestAdditiveNumber:
@@ -141,7 +140,7 @@ class TestVerifyEdgeSet:
     def test_bogus_edge_is_caught(self, path3):
         report = critical_additive_set(path3, {1})
         # (1, 3) jumps past the frontier: tmax(1) = 1 < t(3) = 3
-        bogus = _report(ADDITIVE, report.edges | {(1, 3)}, report.bound + 1)
+        bogus = _report(ADDITIVE, path3.n, report.edges | {(1, 3)}, report.bound + 1)
         outcome = verify_edge_set(path3, {1}, bogus, budget=2**10)
         assert not outcome.passed
         assert outcome.counterexample is not None
@@ -149,7 +148,7 @@ class TestVerifyEdgeSet:
         assert not is_zfs(path3.add_edges(outcome.counterexample), {1})
 
     def test_empty_report_passes(self, path3):
-        outcome = verify_edge_set(path3, {1}, _report(ADDITIVE, frozenset(), 0))
+        outcome = verify_edge_set(path3, {1}, _report(ADDITIVE, path3.n, frozenset(), 0))
         assert outcome.passed
 
     def test_subtractive_exhaustive(self, ring6, ring6_policy):
@@ -165,11 +164,17 @@ class TestVerifyEdgeSet:
 
     def test_report_bound_mismatch_rejected(self):
         with pytest.raises(ValueError, match="bound"):
-            _report(ADDITIVE, frozenset({(1, 2)}), 2)
+            _report(ADDITIVE, 2, frozenset({(1, 2)}), 2)
 
     def test_additive_report_must_be_new_edges(self, path3):
-        report = _report(ADDITIVE, frozenset({(1, 2)}), 1)
+        report = _report(ADDITIVE, path3.n, frozenset({(1, 2)}), 1)
         with pytest.raises(ValueError, match="already"):
+            verify_edge_set(path3, {1}, report)
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_report_on_another_node_count_is_rejected(self, path3, n):
+        report = _report(ADDITIVE, n, frozenset({(2, 1)}), 1)
+        with pytest.raises(ValueError, match=f"on {n} nodes, the graph has 3"):
             verify_edge_set(path3, {1}, report)
 
 
@@ -221,7 +226,8 @@ def _misordered_report(make):
 def _bogus_path3():
     path3 = DiGraph(3, frozenset({(1, 2), (2, 3)}))
     report = critical_additive_set(path3, {1})
-    return path3, {1}, _report(ADDITIVE, report.edges | {(1, 3)}, report.bound + 1, report.witness)
+    edges = report.edges | {(1, 3)}
+    return path3, {1}, _report(ADDITIVE, path3.n, edges, report.bound + 1, report.witness)
 
 
 def _bogus_pair():
@@ -230,7 +236,7 @@ def _bogus_pair():
     # that subset at its 41st random draw
     g = DiGraph(5, frozenset({(1, 2), (4, 3)}))
     witness = critical_additive_set(g, {1, 4, 5}).witness
-    report = _report(ADDITIVE, frozenset({(1, 3), (4, 2), (5, 2)}), 3, witness)
+    report = _report(ADDITIVE, g.n, frozenset({(1, 3), (4, 2), (5, 2)}), 3, witness)
     return g, {1, 4, 5}, report
 
 
@@ -287,7 +293,7 @@ def perturbations(draw, max_n: int = 6, max_k: int = 7):
         pool = [(u, v) for u in g.nodes for v in g.nodes if not g.has_edge(u, v)]
     k = draw(st.integers(min(3, len(pool)), min(max_k, len(pool))))
     edges = frozenset(draw(st.permutations(pool))[:k])
-    return g, z, _report(kind, edges, k, witness)
+    return g, z, _report(kind, g.n, edges, k, witness)
 
 
 def _lanes(width):
@@ -329,7 +335,7 @@ class TestLaneScan:
     )
     def test_controls_on_every_node_always_pass(self, kind, edges, budget):
         g = DiGraph(3, frozenset({(1, 2), (2, 2), (2, 3)}))
-        report = _report(kind, edges, len(edges))
+        report = _report(kind, g.n, edges, len(edges))
         outcome = verify_edge_set(g, {1, 2, 3}, report, budget=budget)
         assert outcome == _naive_verification(g, {1, 2, 3}, report, budget)
         assert outcome.passed
@@ -355,7 +361,7 @@ class TestLaneScan:
     ):
         g = DiGraph(n, frozenset(skeleton))
         edges = frozenset({(v, v) for v in range(1, 16 - len(breaking))} | set(breaking))
-        report = _report(ADDITIVE, edges, 15)
+        report = _report(ADDITIVE, n, edges, 15)
         assert robustness._LANES == 2**14 < 2**15
         outcome = verify_edge_set(g, controls, report)
         assert outcome == VerificationOutcome(False, True, 2**14 + 1, frozenset(counterexample))
@@ -369,7 +375,7 @@ class TestLaneScan:
         # one subset in 2**11 of the random draws
         m = 10
         g = DiGraph(m + 3, frozenset({(c, m + 2) for c in range(1, m + 1)} | {(m + 2, m + 3)}))
-        report = _report(ADDITIVE, frozenset((c, m + 3) for c in range(1, m + 2)), m + 1)
+        report = _report(ADDITIVE, g.n, frozenset((c, m + 3) for c in range(1, m + 2)), m + 1)
         controls = set(range(1, m + 2))
         with _lanes(width):
             outcome = verify_edge_set(g, controls, report, budget=2**m)
@@ -385,25 +391,24 @@ class TestReportEdges:
         rows = [0] * 71
         for u, v in edges:
             rows[u] |= 1 << (v - 1)
-        built = EdgeSetReport(ADDITIVE, rows, len(edges))
-        from_pairs = _report(ADDITIVE, edges, len(edges))
+        built = EdgeSetReport(ADDITIVE, DiGraph.from_rows(70, rows), len(edges))
+        from_pairs = _report(ADDITIVE, 70, edges, len(edges))
         assert built == from_pairs and hash(built) == hash(from_pairs)
-        assert built.rows == from_pairs.rows
-        assert len(built.rows) == 1 or built.rows[-1]  # no trailing empty rows
+        assert built.graph.rows == from_pairs.graph.rows
         assert built.edges == edges and built.cardinality == len(edges)
         assert replace(built, witness=None) == built
 
     def test_rows_must_attain_the_bound(self):
         with pytest.raises(ValueError, match="bound"):
-            EdgeSetReport(SUBTRACTIVE, (0, 0b11), 3)
+            EdgeSetReport(SUBTRACTIVE, DiGraph.from_rows(2, (0, 0b11, 0)), 3)
         with pytest.raises(ValueError, match="rows"):
-            EdgeSetReport(SUBTRACTIVE, (1, 0b11), 2)
+            EdgeSetReport(SUBTRACTIVE, DiGraph.from_rows(2, (1, 0b11, 0)), 2)
         with pytest.raises(ValueError, match="kind"):
-            EdgeSetReport("sideways", (0, 0b11), 2)
+            EdgeSetReport("sideways", DiGraph.from_rows(2, (0, 0b11, 0)), 2)
 
     def test_numpy_int_pairs_become_python_ints(self):
         edges = frozenset({(np.int64(1), np.int64(70)), (2, np.int32(3))})
-        report = _report(ADDITIVE, edges, 2)
+        report = _report(ADDITIVE, 70, edges, 2)
         assert report.edges == {(1, 70), (2, 3)}
         assert all(type(x) is int for e in report.edges for x in e)
 

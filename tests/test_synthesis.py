@@ -164,12 +164,25 @@ class TestAgainstTheDefinition:
     @given(timed_partitions(max_n=12))
     def test_optional_edges(self, tf: TimeFunction):
         assert optional_edges(tf) == admissible_pairs(tf)
+        rows = tf.admissible_rows
+        assert len(rows) == tf.n + 1 and rows[0] == 0
+        pairs = {(u, v) for u in tf.times for v in tf.times if rows[u] >> (v - 1) & 1}
+        assert pairs == optional_edges(tf)
 
     @given(timed_partitions(max_n=12))
     def test_perfect_graph(self, tf: TimeFunction):
         g = perfect_graph(tf)
         assert g.n == tf.n
         assert g.edges == admissible_pairs(tf) | tf.chains.chain_edges
+        assert tf.member_rows == g.rows
+        assert tf.skeleton.n == tf.n and tf.skeleton.edges == tf.chains.chain_edges
+
+    def test_family_rows_need_the_nodes_1_to_n(self):
+        # a valid time function whose chains skip node 3
+        tf = TimeFunction(ChainSet((Chain((1, 2)), Chain((5,)))), {1: 1, 5: 1, 2: 2})
+        for rows in ("admissible_rows", "member_rows"):
+            with pytest.raises(ValueError, match="exactly 1..3"):
+                getattr(tf, rows)
 
     @given(timed_partitions(max_n=12), st.data())
     def test_is_ct_constructed(self, tf: TimeFunction, data):
