@@ -15,7 +15,6 @@ from .graphs import (
     CyclicError,
     DiGraph,
     control_set,
-    is_chain_partition,
     topological_order,
 )
 from .forcing import (

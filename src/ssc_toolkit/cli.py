@@ -211,11 +211,12 @@ class _Texts(dict):
 
 def _schedule_writer(
     names: Sequence[str], machine: bool, gamma: int
-) -> Callable[[Sequence[Edge]], tuple[str, str]]:
-    """A function that writes a force list of a complete schedule with this
-    ``gamma``, and its ``[t, tmax]`` intervals, straight from the list: as
-    JSON values, the intervals keyed in name order as ``sort_keys`` orders
-    them, or as text, ``u>v`` forces and ``name:[t,tmax]`` in id order.
+) -> tuple[Callable[[Sequence[Edge]], str], Callable[[Sequence[Edge]], str]]:
+    """Two functions that write a force list of a complete schedule with
+    this ``gamma`` straight from the list: the first writes the forces, the
+    second their ``[t, tmax]`` intervals.  They write JSON values, the
+    intervals keyed in name order as ``sort_keys`` orders them, or text,
+    ``u>v`` forces and ``name:[t,tmax]`` in id order.
 
     Controls turn black at step 1.  Force k (counted from 0) ``(w, u)``
     blackens u at step k + 2 and ends w's time as its chain's frontier at
@@ -236,17 +237,18 @@ def _schedule_writer(
         pieces += (written[v] + colon, "1", mid, digits[gamma], "]" + sep)
     pieces[-1] = "]"
 
-    def write(forces: Sequence[Edge]) -> tuple[str, str]:
+    def write_forces(forces: Sequence[Edge]) -> str:
+        listed = sep.join(map(pairs.__getitem__, forces))
+        return f"[{listed}]" if machine else listed
+
+    def write_intervals(forces: Sequence[Edge]) -> str:
         numbered = pieces.copy()
         for k, (w, u) in enumerate(forces, 1):
             numbered[at[w] + 2] = digits[k]
             numbered[at[u]] = digits[k + 1]
-        listed = sep.join(map(pairs.__getitem__, forces))
-        if machine:
-            return f"[{listed}]", "{" + "".join(numbered) + "}"
-        return listed, "".join(numbered)
+        return "{" + "".join(numbered) + "}" if machine else "".join(numbered)
 
-    return write
+    return write_forces, write_intervals
 
 
 def _document(written: Sequence[str], machine: bool, *parts) -> Iterator[str]:
@@ -278,7 +280,8 @@ def cmd_check(args) -> int:
     except NotZfsError as exc:
         return _check_stalled(args, doc, exc.stalled_white)
     machine = args.format == "machine"
-    forces, intervals = _schedule_writer(doc.names, machine, record.gamma)(record.forces)
+    write_forces, write_intervals = _schedule_writer(doc.names, machine, record.gamma)
+    forces, intervals = write_forces(record.forces), write_intervals(record.forces)
     chains = [[doc.name_of(v) for v in c.nodes] for c in record.chains.chains]
     if machine:
         _write(_json({
@@ -337,7 +340,8 @@ def cmd_robustness(args) -> int:
     tf = report.witness
     # the witness's chain edges as forces, in the order their targets turn black
     forces = sorted(tf.chains.successor.items(), key=lambda force: tf.times[force[1]])
-    _, intervals = _schedule_writer(doc.names, machine, tf.gamma)(forces)
+    _, write_intervals = _schedule_writer(doc.names, machine, tf.gamma)
+    intervals = write_intervals(forces)
     if machine:
         payload = {
             "command": "robustness",
@@ -593,19 +597,20 @@ def cmd_schedules(args) -> int:
         z = _require_controls(doc)
         records = enumerate_forcing_schedules(g, z, limit=args.limit)
         machine = args.format == "machine"
-        write = _schedule_writer(doc.names, machine, records[0].gamma)
+        forces, intervals = _schedule_writer(doc.names, machine, records[0].gamma)
         if machine:
             _write(_json({
                 "command": "schedules",
                 "kind": "forcing",
                 "count": len(records),
                 "schedules": _json_list(
-                    '{"forces": %s, "intervals": %s}' % write(r.forces) for r in records
+                    '{"forces": %s, "intervals": %s}' % (forces(r.forces), intervals(r.forces))
+                    for r in records
                 ),
             }))
             return EXIT_OK
         _write([f"forcing schedules: {len(records)}\n"])
-        _write("  %s  |  %s\n" % write(r.forces) for r in records)
+        _write("  %s  |  %s\n" % (forces(r.forces), intervals(r.forces)) for r in records)
         return EXIT_OK
     if args.mode == "dag":
         counts = [len(doc.names) for doc in docs]

@@ -247,9 +247,6 @@ class DagCombination:
     def times(self) -> dict[int, int]:
         return {v: k for k, v in enumerate(self.spine, start=1)}
 
-    def time_function(self) -> TimeFunction:
-        return TimeFunction(ChainSet((Chain(self.spine),)), self.times)
-
 
 def combine_dags(dags: Sequence[DiGraph], seq: tuple[int, ...]) -> DagCombination:
     """Combine acyclic blocks along the layout ``seq`` into a single-control

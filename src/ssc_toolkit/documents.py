@@ -263,15 +263,14 @@ def parse_document(text: str) -> NetworkDocument:
 
     chains = None
     if "CHAINS" in bodies:
-        chain_list = []
+        chains = []
         for lineno, tokens in section("CHAINS"):
             chain = tuple(known(tok, lineno) for tok in tokens)
             if len(set(chain)) != len(chain):
                 raise DocumentError("a chain repeats a node", lineno)
-            chain_list.append(Chain(chain))
-        if not chain_list:
+            chains.append(Chain(chain))
+        if not chains:
             raise DocumentError("CHAINS section declares no chains")
-        chains = ChainSet(tuple(chain_list))
 
     times = None
     if "TIMES" in bodies:
@@ -290,21 +289,25 @@ def parse_document(text: str) -> NetworkDocument:
                 raise DocumentError(f"node {tokens[0]!r} already has a time", lineno)
             times[node] = t
 
+    # a bad line is reported first: the chains are checked as a whole after the TIMES lines
+    if times is not None and chains is None:
+        raise DocumentError("TIMES needs a CHAINS section to be meaningful")
+    if chains is not None:
+        try:
+            chains = ChainSet(tuple(chains))
+        except ValueError as exc:  # chains share nodes
+            raise DocumentError(str(exc)) from None
     doc = NetworkDocument(tuple(names), graph, frozenset(controls), chains, times)
     _validate_annotations(doc)
     return doc
 
 
 def _validate_annotations(doc: NetworkDocument) -> None:
-    """Cross-section coherence of CHAINS and TIMES."""
-    if doc.times is not None and doc.chains is None:
-        raise DocumentError("TIMES needs a CHAINS section to be meaningful")
-    if doc.chains is None:
-        return
+    """Cross-section coherence of a disjoint CHAINS and of TIMES."""
     cs = doc.chains
-    if not cs.is_disjoint:
-        raise DocumentError("chains share nodes")
-    if cs.nodes != frozenset(range(1, len(doc.names) + 1)):
+    if cs is None:
+        return
+    if cs.node_count != len(doc.names):
         missing = sorted(set(doc.names) - {doc.name_of(v) for v in cs.nodes})
         raise DocumentError(f"chains must cover every node; missing {missing}")
     g = doc.graph()

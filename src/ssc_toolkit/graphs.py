@@ -5,7 +5,8 @@ layer.  A graph is stored as one out-neighbor bitmask per node (its
 *rows*), which is also the form the forcing rule and the time-ordered
 prefix sets of the synthesis layer work on.  All values are immutable:
 edits return new values, so the perturbation analyses can fan out over
-many variants without copying defensively.
+many variants without copying defensively.  A :class:`ChainSet` is
+node-disjoint by construction.
 """
 from __future__ import annotations
 
@@ -165,12 +166,6 @@ class DiGraph:
         rows = tuple(row | more for row, more in zip(self.rows, extra))
         return self if rows == self.rows else DiGraph.from_rows(self.n, rows)
 
-    def remove_edges(self, gone: Iterable[Edge]) -> "DiGraph":
-        """Return the graph without ``gone``; absent edges are ignored."""
-        gone = DiGraph(self.n, (e for e in gone if self.has_edge(*e))).rows
-        rows = tuple(row & ~less for row, less in zip(self.rows, gone))
-        return self if rows == self.rows else DiGraph.from_rows(self.n, rows)
-
     # -- queries -------------------------------------------------------
 
     @property
@@ -263,12 +258,11 @@ class Chain:
 
 @dataclass(frozen=True)
 class ChainSet:
-    """A collection of chains, normally a node-disjoint partition.
+    """A node-disjoint collection of chains.
 
-    Disjointness is *not* enforced at construction so that candidate
-    partitions can be inspected; use :func:`is_chain_partition` (or
-    :attr:`is_disjoint`) to validate, and rely on the library's producers
-    always emitting disjoint chain sets.
+    Disjointness is checked once, at construction: a :class:`ChainSet`
+    that exists has no node in two chains, so nothing downstream checks
+    it again.
     """
 
     chains: tuple[Chain, ...]
@@ -278,6 +272,8 @@ class ChainSet:
         object.__setattr__(self, "chains", chains)
         if not chains:
             raise ValueError("a chain set needs at least one chain")
+        if len(self.nodes) != self.node_count:
+            raise ValueError("chains share nodes")
 
     @property
     def m(self) -> int:
@@ -286,10 +282,6 @@ class ChainSet:
     @cached_property
     def node_count(self) -> int:
         return sum(len(c) for c in self.chains)
-
-    @cached_property
-    def is_disjoint(self) -> bool:
-        return len(self.nodes) == self.node_count
 
     @cached_property
     def nodes(self) -> frozenset[int]:
@@ -311,16 +303,6 @@ class ChainSet:
             for u, v in c.edges:
                 nxt[u] = v
         return nxt
-
-
-def is_chain_partition(g: DiGraph, cs: ChainSet) -> bool:
-    """True iff the chains are node-disjoint, cover ``1..n`` exactly, and
-    every chain edge is an edge of ``g``."""
-    if not cs.is_disjoint:
-        return False
-    if cs.node_count != g.n or cs.nodes != frozenset(g.nodes):
-        return False
-    return all(g.has_edge(u, v) for u, v in cs.chain_edges)
 
 
 def topological_order(g: DiGraph) -> tuple[int, ...]:

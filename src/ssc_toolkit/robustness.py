@@ -138,10 +138,10 @@ def _sweep_order(g: DiGraph, tf: TimeFunction | None) -> tuple[int, ...]:
     On a member of the witness's family every forcer has exactly one white
     out-neighbor by the time the sweep reaches it, so one sweep blackens
     the graph.  The order changes only the speed: closures reach the same
-    fixed point in any order.  Without a witness on exactly ``g``'s nodes
-    the sweep runs in id order.
+    fixed point in any order.  Without a witness of ``g``'s size the
+    sweep runs in id order.
     """
-    if tf is None or tf.chains.nodes != frozenset(g.nodes):
+    if tf is None or tf.n != g.n:
         return tuple(g.nodes)
     forcers = sorted(tf.chains.successor, key=tf.tmax.__getitem__)
     return (*forcers, *(v for v in g.nodes if v not in tf.chains.successor))

@@ -8,8 +8,8 @@ contains every admissible edge, including all self-loops, and its edge
 count depends only on the graph size and the number of chains.
 
 A time function is checked once, when it is built: a
-:class:`TimeFunction` that exists is valid, so nothing downstream checks
-it again.
+:class:`TimeFunction` that exists is valid and its chains cover exactly
+the nodes ``1..n``, so nothing downstream checks it again.
 """
 from __future__ import annotations
 
@@ -40,10 +40,11 @@ class TimeFunction:
     sinks get ``gamma``, every other node gets its successor's time minus
     one.
 
-    Construction checks that the chains are disjoint, the times cover
-    exactly the chain nodes, sources sit at time 1, non-source times are
-    pairwise distinct within ``[2, gamma]``, and times strictly increase
-    along every chain.
+    Construction checks that the chain nodes are exactly ``1..n`` (the
+    :class:`ChainSet` is disjoint already), the times cover exactly the
+    chain nodes, sources sit at time 1, non-source times are pairwise
+    distinct within ``[2, gamma]``, and times strictly increase along
+    every chain.
 
     Raises:
         ValueError: the pair is not a valid time function; the message
@@ -61,8 +62,8 @@ class TimeFunction:
 
     def _problems(self) -> list[str]:
         cs, times = self.chains, self.times
-        if not cs.is_disjoint:
-            return ["chains share nodes"]
+        if cs.nodes != frozenset(range(1, self.n + 1)):
+            return [f"chain nodes must be exactly 1..{self.n}"]
         if times.keys() != cs.nodes:
             return ["times must be defined on exactly the chain nodes"]
         problems: list[str] = []
@@ -107,10 +108,6 @@ class TimeFunction:
             out[v] = self.times[nxt[v]] - 1 if v in nxt else self.gamma
         return out
 
-    def interval(self, v: int) -> tuple[int, int]:
-        """The ``[t(v), tmax(v)]`` interval during which v is a chain frontier."""
-        return (self.times[v], self.tmax[v])
-
     @cached_property
     def skeleton(self) -> DiGraph:
         """The chain edges as a graph on ``1..n``: the family's smallest member."""
@@ -124,12 +121,7 @@ class TimeFunction:
         In time order those targets are a prefix of the nodes, so one pass
         over the time order builds every row.  The time function is valid,
         so every ``tmax`` value is some node's time.
-
-        Raises:
-            ValueError: the chain nodes are not exactly ``1..n``.
         """
-        if self.chains.nodes != frozenset(range(1, self.n + 1)):
-            raise ValueError(f"chain nodes must be exactly 1..{self.n}")
         t = self.times
         upto: dict[int, int] = {}  # time T -> the nodes with t(v) <= T
         mask = 0
@@ -166,9 +158,10 @@ def is_ct_constructed(g: DiGraph, tf: TimeFunction) -> bool:
 
     Requires the chains to partition ``g`` with every chain edge present,
     and forbids any non-chain edge (u, v) with ``tmax(u) < t(v)``: every
-    row of ``g`` must lie inside the maximal member's row.
+    row of ``g`` must lie inside the maximal member's row.  The chains
+    cover ``1..tf.n``, so they partition ``g`` when the node counts agree.
     """
-    if tf.chains.node_count != g.n or tf.chains.nodes != frozenset(g.nodes):
+    if tf.n != g.n:
         return False
     return not any(
         chain & ~row or row & ~member

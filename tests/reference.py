@@ -97,6 +97,37 @@ def has_cycle(g: DiGraph) -> bool:
     return any(color[v] == WHITE and visit(v) for v in g.nodes)
 
 
+def _largest_safe_sets(candidates, keeps) -> tuple[int, list[frozenset]]:
+    """Maximum size of a set of ``candidates`` every subset of which
+    ``keeps`` (a predicate on lists of candidates) accepts, plus all
+    maximum such sets.
+
+    Subsets are scanned in order of size; one is safe when ``keeps``
+    accepts it and every subset one element smaller is safe.
+    """
+    k = len(candidates)
+    keeps = {
+        mask: keeps([candidates[i] for i in range(k) if mask >> i & 1])
+        for mask in range(1 << k)
+    }
+    safe = {}
+    for mask in sorted(range(1 << k), key=lambda m: bin(m).count("1")):
+        ok = keeps[mask]
+        m = mask
+        while ok and m:
+            low = m & -m
+            m ^= low
+            ok = safe[mask ^ low]
+        safe[mask] = ok
+    best = max(bin(m).count("1") for m, ok in safe.items() if ok)
+    witnesses = [
+        frozenset(candidates[i] for i in range(k) if m >> i & 1)
+        for m, ok in safe.items()
+        if ok and bin(m).count("1") == best
+    ]
+    return best, witnesses
+
+
 def brute_force_additive(g: DiGraph, z) -> tuple[int, list[frozenset]]:
     """Maximum size of an edge set whose every subset can be added while
     ``z`` keeps forcing everything, plus all maximum witnesses.
@@ -106,27 +137,18 @@ def brute_force_additive(g: DiGraph, z) -> tuple[int, list[frozenset]]:
     candidates = sorted(
         (u, v) for u in g.nodes for v in g.nodes if (u, v) not in g.edges
     )
-    k = len(candidates)
-    keeps = {}
-    for mask in range(1 << k):
-        extra = [candidates[i] for i in range(k) if mask >> i & 1]
-        keeps[mask] = naive_is_zfs(g.add_edges(extra), z)
-    additive = {}
-    for mask in sorted(range(1 << k), key=lambda m: bin(m).count("1")):
-        ok = keeps[mask]
-        m = mask
-        while ok and m:
-            low = m & -m
-            m ^= low
-            ok = additive[mask ^ low]
-        additive[mask] = ok
-    best = max(bin(m).count("1") for m, ok in additive.items() if ok)
-    witnesses = [
-        frozenset(candidates[i] for i in range(k) if m >> i & 1)
-        for m, ok in additive.items()
-        if ok and bin(m).count("1") == best
-    ]
-    return best, witnesses
+    return _largest_safe_sets(candidates, lambda extra: naive_is_zfs(g.add_edges(extra), z))
+
+
+def brute_force_subtractive(g: DiGraph, z) -> tuple[int, list[frozenset]]:
+    """Maximum size of an edge set whose every subset can be removed while
+    ``z`` keeps forcing everything, plus all maximum witnesses.
+
+    Exponential in the number of edges; call on tiny graphs only.
+    """
+    return _largest_safe_sets(
+        sorted(g.edges), lambda gone: naive_is_zfs(DiGraph(g.n, g.edges - set(gone)), z)
+    )
 
 
 def minimum_forcing_size(g: DiGraph) -> int:

@@ -430,11 +430,13 @@ class TestScheduleWriter:
         for record in enumerate_forcing_schedules(g, z, limit=10):
             tf = TimeFunction.from_record(record)
             named = [[names[u - 1], names[v - 1]] for u, v in record.forces]
-            by_name = {names[v - 1]: list(tf.interval(v)) for v in tf.times}
-            write = cli._schedule_writer(names, True, record.gamma)
-            assert write(record.forces) == (json.dumps(named), json.dumps(by_name, sort_keys=True))
-            write = cli._schedule_writer(names, False, record.gamma)
-            assert write(record.forces) == (
+            by_name = {names[v - 1]: [tf.times[v], tf.tmax[v]] for v in tf.times}
+            writers = cli._schedule_writer(names, True, record.gamma)
+            assert tuple(write(record.forces) for write in writers) == (
+                json.dumps(named), json.dumps(by_name, sort_keys=True)
+            )
+            writers = cli._schedule_writer(names, False, record.gamma)
+            assert tuple(write(record.forces) for write in writers) == (
                 " ".join(f"{a}>{b}" for a, b in named),
                 " ".join(f"{names[v - 1]}:[{t},{tf.tmax[v]}]" for v, t in sorted(tf.times.items())),
             )

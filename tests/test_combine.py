@@ -81,7 +81,7 @@ class TestCombineNetworks:
         assert combined.sources == {1, 4, 5}
         assert is_zfs(combined.graph, combined.sources)
         tf = combined.times
-        labels = {v: tf.interval(v) for v in sorted(tf.times)}
+        labels = {v: (tf.times[v], tf.tmax[v]) for v in sorted(tf.times)}
         assert labels == {
             1: (1, 2), 2: (3, 3), 3: (4, 5),
             4: (1, 4), 5: (1, 1), 6: (5, 5), 7: (2, 5),
@@ -342,7 +342,7 @@ class TestCombineDags:
             seqs = enumerate_sequences(counts, mode="dag", limit=20)
             seq = seqs[int(rng.integers(len(seqs)))]
             combo = combine_dags(dags, seq)
-            tf = combo.time_function()
+            tf = TimeFunction(ChainSet((Chain(combo.spine),)), combo.times)
             assert sorted(combo.spine) == list(combo.graph.nodes)
             assert is_ct_constructed(combo.graph, tf)
             assert is_zfs(combo.graph, {combo.control})

@@ -118,6 +118,15 @@ class TestParse:
         with pytest.raises(DocumentError, match="not edges"):
             parse_document("NODES\na b\nEDGES\nb a\nCHAINS\na b\n")
 
+    def test_overlapping_chains_rejected_after_the_times_lines(self):
+        text = "NODES\na b\nEDGES\na b\nCHAINS\na b\nb\n"
+        with pytest.raises(DocumentError) as err:
+            parse_document(text)
+        assert str(err.value) == "chains share nodes" and err.value.line is None
+        with pytest.raises(DocumentError) as err:
+            parse_document(text + "TIMES\na x\n")
+        assert err.value.line == 9 and "not an integer time" in str(err.value)
+
     def test_invalid_times_rejected(self):
         text = "NODES\na b\nEDGES\na b\nCHAINS\na b\nTIMES\na 1\nb 5\n"
         with pytest.raises(DocumentError, match="invalid times"):

@@ -11,10 +11,10 @@ from ssc_toolkit.graphs import (
     CyclicError,
     DiGraph,
     control_set,
-    is_chain_partition,
     mask_nodes,
     topological_order,
 )
+from ssc_toolkit.synthesis import TimeFunction, is_ct_constructed
 
 from conftest import digraphs
 from reference import all_digraphs, has_cycle
@@ -36,18 +36,9 @@ class TestDiGraph:
         with pytest.raises(ValueError):
             g.add_edges({(1, 3)})
 
-    def test_remove_edges_difference(self):
-        path = DiGraph(3, frozenset({(1, 2), (2, 3)}))
-        assert path.remove_edges({(2, 3)}).edges == {(1, 2)}
-        assert path.remove_edges(set()) == path
-        assert path.remove_edges(path.edges).edges == frozenset()
-        # removing absent edges is a no-op
-        assert path.remove_edges({(3, 1)}) == path
-
     def test_inputs_unchanged(self):
         g = DiGraph(2, frozenset({(1, 2)}))
         g.add_edges({(2, 1)})
-        g.remove_edges({(1, 2)})
         assert g.edges == {(1, 2)}
 
     def test_worked_ring_plus_critical_set_has_30_edges(self, ring6):
@@ -64,7 +55,7 @@ class TestDiGraph:
             (u, v) for u in g.nodes for v in g.nodes if (u, v) not in g.edges
         ]
         extra = data.draw(st.frozensets(st.sampled_from(absent))) if absent else frozenset()
-        assert g.add_edges(extra).remove_edges(extra) == g
+        assert DiGraph(g.n, g.add_edges(extra).edges - extra) == g
 
 
 @st.composite
@@ -122,9 +113,8 @@ class TestRowStorage:
         grown = g.add_edges(extra)
         assert grown.edges == edges | extra
         assert grown.edge_count == len(edges | extra)
-        assert grown.remove_edges(extra - edges) == g
-        assert g.remove_edges(extra).edges == edges - extra
-        assert g.remove_edges(extra).add_edges(extra & edges) == g
+        assert DiGraph(n, grown.edges - (extra - edges)) == g
+        assert DiGraph(n, edges - extra).add_edges(extra & edges) == g
 
     @given(edge_sets())
     def test_has_edge_is_membership(self, case):
@@ -226,20 +216,34 @@ class TestChains:
             Chain((1, 1))
 
     def test_partition_accepts_single_chain_path(self, path3):
-        assert is_chain_partition(path3, ChainSet((Chain((1, 2, 3)),)))
+        tf = TimeFunction(ChainSet((Chain((1, 2, 3)),)), {1: 1, 2: 2, 3: 3})
+        assert is_ct_constructed(path3, tf)
 
-    def test_partition_rejects_repeated_node(self, path3):
-        cs = ChainSet((Chain((1, 2)), Chain((2, 3))))
-        assert not is_chain_partition(path3, cs)
+    def test_partition_rejects_repeated_node(self):
+        with pytest.raises(ValueError, match="^chains share nodes$"):
+            ChainSet((Chain((1, 2)), Chain((2, 3))))
 
     def test_partition_rejects_missing_cover_and_foreign_edges(self, path3):
-        assert not is_chain_partition(path3, ChainSet((Chain((1, 2)),)))
-        assert not is_chain_partition(path3, ChainSet((Chain((1, 3)), Chain((2,)))))
+        short = TimeFunction(ChainSet((Chain((1, 2)),)), {1: 1, 2: 2})
+        assert not is_ct_constructed(path3, short)
+        foreign = TimeFunction(ChainSet((Chain((1, 3)), Chain((2,)))), {1: 1, 2: 1, 3: 2})
+        assert not is_ct_constructed(path3, foreign)
 
     def test_partition_on_two_chain_block(self, block_ring4):
         g, tf = block_ring4
-        assert is_chain_partition(g, tf.chains)
+        assert tf.n == g.n and tf.skeleton.edges <= g.edges
         assert tf.chains.sources == {1, 2}
+
+    @given(st.lists(st.lists(st.integers(1, 6), min_size=1, max_size=4, unique=True),
+                    min_size=1, max_size=4))
+    def test_chains_share_nodes_exactly_when_a_node_repeats(self, chains):
+        nodes = [v for c in chains for v in c]
+        if len(set(nodes)) == len(nodes):
+            cs = ChainSet(tuple(Chain(tuple(c)) for c in chains))
+            assert cs.node_count == len(cs.nodes) == len(nodes)
+        else:
+            with pytest.raises(ValueError, match="^chains share nodes$"):
+                ChainSet(tuple(Chain(tuple(c)) for c in chains))
 
 
 class TestTopologicalOrder:

@@ -33,6 +33,7 @@ from ssc_toolkit.robustness import (
     verify_edge_set,
 )
 from ssc_toolkit.synthesis import (
+    TimeFunction,
     is_perfect,
     perfect_graph,
     random_chain_set,
@@ -41,7 +42,14 @@ from ssc_toolkit.synthesis import (
 )
 
 from conftest import digraphs, timed_partitions
-from reference import brute_force_additive, swept_derived_set
+from reference import (
+    all_digraphs,
+    brute_force_additive,
+    brute_force_subtractive,
+    naive_is_zfs,
+    nonempty_subsets,
+    swept_derived_set,
+)
 
 
 def _report(kind, n, edges, bound, witness=None) -> EdgeSetReport:
@@ -438,10 +446,10 @@ class TestMaximality:
         z = tf.chains.sources
         report = critical_subtractive_set(g, z)
         assert verify_edge_set(g, z, report).passed
-        skeleton = g.remove_edges(report.edges)
+        skeleton = DiGraph(g.n, g.edges - report.edges)
         for e in sorted(skeleton.edges):
             # dropping a chain edge strands the rest of that chain
-            assert not is_zfs(skeleton.remove_edges({e}), z), e
+            assert not is_zfs(DiGraph(g.n, skeleton.edges - {e}), z), e
 
     @given(timed_partitions(max_n=7), st.integers(0, 5000))
     def test_numbers_are_schedule_independent(self, tf, seed):
@@ -461,3 +469,26 @@ class TestMaximality:
         z = tf.chains.sources
         assert (critical_additive_number(g, z) == 0) == (is_perfect(g, z) is not None)
         assert critical_additive_number(g, z) >= 0
+
+
+class TestTightBoundsByBruteForce:
+    """The paper's tight bounds and its characterization of the critical
+    sets, against the brute-force maxima on every digraph with at most 3
+    nodes (self-loops included) and every zero forcing control set of it."""
+
+    def test_every_digraph_up_to_3_nodes(self):
+        cases = 0
+        for n in (1, 2, 3):
+            for g in all_digraphs(n):
+                for z in nonempty_subsets(g.nodes):
+                    if not naive_is_zfs(g, z):
+                        continue
+                    tfs = [TimeFunction.from_record(r) for r in enumerate_forcing_schedules(g, z)]
+                    best, sets = brute_force_additive(g, z)
+                    assert critical_additive_number(g, z) == best, (g, z)
+                    assert set(sets) == {perfect_graph(tf).edges - g.edges for tf in tfs}, (g, z)
+                    best, sets = brute_force_subtractive(g, z)
+                    assert critical_subtractive_number(g, z) == best, (g, z)
+                    assert set(sets) == {g.edges - tf.skeleton.edges for tf in tfs}, (g, z)
+                    cases += 1
+        assert cases == 2082

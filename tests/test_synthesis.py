@@ -51,7 +51,7 @@ class TestValidateTimeFunction:
     def test_worked_two_chain_layout(self, two_chain_tf):
         assert two_chain_tf.gamma == 4
         assert two_chain_tf.tmax == {1: 1, 4: 2, 2: 3, 5: 4, 3: 4}
-        assert two_chain_tf.interval(4) == (1, 2)
+        assert (two_chain_tf.times[4], two_chain_tf.tmax[4]) == (1, 2)
 
     def test_duplicate_non_source_time(self, two_chain_tf):
         with pytest.raises(ValueError, match="invalid time function: .*share"):
@@ -69,9 +69,19 @@ class TestValidateTimeFunction:
         with pytest.raises(ValueError, match="invalid time function: .*increase"):
             TimeFunction(two_chain_tf.chains, {1: 1, 4: 1, 2: 4, 5: 3, 3: 2})
 
-    def test_overlapping_chains(self):
-        with pytest.raises(ValueError, match="invalid time function: chains share nodes"):
-            TimeFunction(ChainSet((Chain((1, 2)), Chain((2, 3)))), {1: 1, 2: 2, 3: 3})
+    @given(timed_partitions(max_n=6), st.data())
+    def test_nodes_must_be_exactly_1_to_n(self, tf: TimeFunction, data):
+        # renaming the nodes of a valid time function changes only its node set
+        low, top = data.draw(st.integers(0, 1)), data.draw(st.integers(tf.n, tf.n + 2))
+        label = (None, *data.draw(st.permutations(range(low, top + 1)))[: tf.n])
+        chains = ChainSet(tuple(Chain(tuple(label[v] for v in c.nodes)) for c in tf.chains.chains))
+        times = {label[v]: t for v, t in tf.times.items()}
+        if set(times) == set(range(1, tf.n + 1)):
+            assert TimeFunction(chains, times).tmax == {label[v]: t for v, t in tf.tmax.items()}
+        else:
+            with pytest.raises(ValueError, match=rf"^invalid time function: "
+                               rf"chain nodes must be exactly 1\.\.{tf.n}$"):
+                TimeFunction(chains, times)
 
     def test_every_problem_is_named(self, two_chain_tf):
         with pytest.raises(ValueError) as info:
@@ -176,13 +186,6 @@ class TestAgainstTheDefinition:
         assert g.edges == admissible_pairs(tf) | tf.chains.chain_edges
         assert tf.member_rows == g.rows
         assert tf.skeleton.n == tf.n and tf.skeleton.edges == tf.chains.chain_edges
-
-    def test_family_rows_need_the_nodes_1_to_n(self):
-        # a valid time function whose chains skip node 3
-        tf = TimeFunction(ChainSet((Chain((1, 2)), Chain((5,)))), {1: 1, 5: 1, 2: 2})
-        for rows in ("admissible_rows", "member_rows"):
-            with pytest.raises(ValueError, match="exactly 1..3"):
-                getattr(tf, rows)
 
     @given(timed_partitions(max_n=12), st.data())
     def test_is_ct_constructed(self, tf: TimeFunction, data):
@@ -294,7 +297,7 @@ class TestSampling:
         seed = data.draw(st.integers(0, 10_000))
         rng = np.random.default_rng(seed)
         cs = random_chain_set(n, m, rng)
-        assert cs.m == m and cs.node_count == n and cs.is_disjoint
+        assert cs.m == m and cs.node_count == n and cs.nodes == set(range(1, n + 1))
         random_time_function(cs, rng)  # raises if the time function is invalid
 
 
@@ -322,4 +325,5 @@ class TestProducersBuildValidTimeFunctions:
         counts = [g.n for g in dags]
         assume(2 * max(counts) <= sum(counts) + 1)  # else no sequence avoids repeats
         seq = data.draw(st.sampled_from(enumerate_sequences(counts, mode="dag", limit=20)))
-        combine_dags(dags, seq).time_function()
+        combo = combine_dags(dags, seq)
+        TimeFunction(ChainSet((Chain(combo.spine),)), combo.times)
