@@ -70,6 +70,7 @@ EXIT_INPUT = 3
 EXIT_INTERNAL = 4
 
 DEFAULT_SEED = 0
+DEFAULT_TRIALS = 100
 
 
 class _Parser(argparse.ArgumentParser):
@@ -510,12 +511,14 @@ def _combine_dag(args, docs: Sequence[NetworkDocument]) -> int:
 def cmd_oracle(args) -> int:
     if args.schedule is not None and not args.ltv:
         raise DocumentError("--schedule needs --ltv")
+    if args.trials is not None and args.ltv:
+        raise DocumentError("--trials needs the LTI oracle, not --ltv")
     doc = _load_document(args.document)
     g = doc.graph()
     z = _require_controls(doc)
     if args.ltv:
         return _oracle_ltv(args, doc, z)
-    report = verify_ssc_numeric(g, z, trials=args.trials, seed=args.seed)
+    report = verify_ssc_numeric(g, z, trials=args.trials or DEFAULT_TRIALS, seed=args.seed)
     code = EXIT_OK if report.consistent else EXIT_INTERNAL
     if args.format == "machine":
         _write(_json({
@@ -674,7 +677,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="numerical cross-validation")
     p.add_argument("document")
-    p.add_argument("--trials", type=_at_least(1), default=100)
+    p.add_argument("--trials", type=_at_least(1), default=None)
     p.add_argument("--seed", type=_at_least(0), default=DEFAULT_SEED)
     p.add_argument("--ltv", action="store_true")
     p.add_argument("--schedule", default=None)

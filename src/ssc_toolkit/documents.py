@@ -37,7 +37,10 @@ by line, which raises at the first bad line.  Controls, chains and times
 are kept on node ids, so a parsed document is canonical: two texts of
 the same network parse to equal documents.  :func:`document_chunks`
 writes the canonical text straight from rows, one chunk per row, in
-plain text or as the inside of a JSON string.
+plain text or as the inside of a JSON string.  A schedule file is read
+the same way: its ``BREAKPOINTS`` and ``INTERVAL`` sections are cut by
+offset, and each ``INTERVAL`` body is read like an ``EDGES`` body into
+the rows of one graph per piece.
 """
 from __future__ import annotations
 
@@ -123,45 +126,52 @@ def _content_lines(lines: Sequence[str], first: int = 1):
             yield lineno, tokens
 
 
-def _sections(text: str) -> dict[str, tuple[int, str]]:
-    """Each section of a text whose only line break is ``\\n``, mapped to
-    the line number of its body's first line and its body: the lines up to
-    the next header, without the line break that ends the last of them.
+def _cut(text: str, keywords: Sequence[str]) -> tuple[str, list[tuple[int, str, str]]]:
+    """A text whose only line break is ``\\n``, cut at its header lines (a
+    line holding one of ``keywords`` and nothing else but a comment): the
+    text before the first header, and the line number, keyword and body of
+    each header in text order.  A body is the lines up to the next header,
+    without the line break that ends the last of them.
 
     Only the lines holding a keyword are split, so the rest of the text
     costs one ``str.find`` scan per keyword and one ``str.count``.
     """
     found: dict[int, tuple[int, str]] = {}  # start of a header line -> its end, keyword
-    for keyword in SECTIONS:
+    for keyword in keywords:
         pos = text.find(keyword)
         while pos >= 0:
             start = text.rfind("\n", 0, pos) + 1
             end = text.find("\n", pos)
             end = len(text) if end < 0 else end
-            if text[start:end].split("#", 1)[0].split() == [keyword]:
+            line = text[start:end]
+            if line == keyword or line.split("#", 1)[0].split() == [keyword]:
                 found[start] = (end, keyword)
             pos = text.find(keyword, end)
     starts = sorted(found)
-    for lineno, tokens in _content_lines(text[: starts[0] if starts else len(text)].split("\n")):
-        raise DocumentError(f"content before any section: {' '.join(tokens)}", lineno)
     stops = [start - 1 for start in starts[1:]]
     stops.append(len(text) - text.endswith("\n"))
-    bodies: dict[str, tuple[int, str]] = {}
+    cut = []
     lineno, pos = 1, 0
     for start, stop in zip(starts, stops):
         lineno += text.count("\n", pos, start)
         pos = start
         end, keyword = found[start]
-        if keyword in bodies:
-            raise DocumentError(f"duplicate section {keyword}", lineno)
-        bodies[keyword] = (lineno + 1, text[end + 1 : stop])
-    return bodies
+        cut.append((lineno, keyword, text[end + 1 : stop]))
+    return text[: starts[0] if starts else len(text)], cut
 
 
 # Where ``str.splitlines`` ends a line besides ``\n``.
 _OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 # What ``bytes.translate`` deletes from a body: all but ASCII whitespace and "#".
 _NOT_BLANK = bytes(b for b in range(256) if not (b < 128 and chr(b).isspace() or b == ord("#")))
+
+
+def _single_breaks(text: str) -> str:
+    """``text`` with every line break ``str.splitlines`` knows written as ``\\n``."""
+    for brk in _OTHER_BREAKS:
+        if brk in text:
+            return "\n".join(text.splitlines())
+    return text
 
 
 def _canonical_edges(body: str, ids: dict[str, int], bits: dict[str, int]) -> list[int] | None:
@@ -194,20 +204,26 @@ def _canonical_edges(body: str, ids: dict[str, int], bits: dict[str, int]) -> li
 
 
 def _read_edges(
-    content: Iterable[tuple[int, list[str]]], ids: dict[str, int], bits: dict[str, int]
+    content: Iterable[tuple[int, list[str]]],
+    ids: dict[str, int],
+    bits: dict[str, int],
+    interval: bool = False,
 ) -> list[int]:
-    """The rows of an EDGES body read line by line from its
+    """The rows of an EDGES body, or with ``interval`` of a schedule's
+    INTERVAL body, which may repeat an edge, read line by line from its
     :func:`_content_lines`; raises :class:`DocumentError` at the first bad
     line."""
     rows = [0] * (len(ids) + 1)
     for lineno, tokens in content:
         if len(tokens) != 2:
-            raise DocumentError("an edge line needs exactly two node names", lineno)
+            message = ("an interval edge line needs two node names" if interval
+                       else "an edge line needs exactly two node names")
+            raise DocumentError(message, lineno)
         for tok in tokens:
             if tok not in ids:
                 raise DocumentError(f"unknown node name {tok!r}", lineno)
         a, b = tokens
-        if rows[ids[a]] & bits[b]:
+        if rows[ids[a]] & bits[b] and not interval:
             raise DocumentError(f"duplicate edge {a} -> {b}", lineno)
         rows[ids[a]] |= bits[b]
     return rows
@@ -215,11 +231,14 @@ def _read_edges(
 
 def parse_document(text: str) -> NetworkDocument:
     """Parse the text format; raises :class:`DocumentError` with a line number."""
-    for brk in _OTHER_BREAKS:
-        if brk in text:
-            text = "\n".join(text.splitlines())
-            break
-    bodies = _sections(text)
+    head, cut = _cut(_single_breaks(text), SECTIONS)
+    for lineno, tokens in _content_lines(head.split("\n")):
+        raise DocumentError(f"content before any section: {' '.join(tokens)}", lineno)
+    bodies: dict[str, tuple[int, str]] = {}  # keyword -> first line of its body, body
+    for lineno, keyword, body in cut:
+        if keyword in bodies:
+            raise DocumentError(f"duplicate section {keyword}", lineno)
+        bodies[keyword] = (lineno + 1, body)
 
     def section(name: str):
         first, body = bodies.get(name, (1, ""))
@@ -419,44 +438,42 @@ def parse_inter_edges(
 
 def parse_schedule_file(
     text: str, doc: NetworkDocument
-) -> tuple[tuple[float, ...], list[list[Edge]]]:
-    """Piecewise schedule: a BREAKPOINTS line, then one INTERVAL section per
-    piece listing the optional edges present during that piece."""
+) -> tuple[tuple[float, ...], list[DiGraph]]:
+    """Piecewise schedule: a BREAKPOINTS section of numbers, then one
+    INTERVAL section per piece listing the optional edges present during
+    that piece; each piece comes back as a :class:`DiGraph` on the nodes of
+    ``doc``.
+
+    The text is read whole, as :func:`parse_document` reads it, and an
+    INTERVAL body is read like an EDGES body, except that it may repeat an
+    edge.  Errors name the first bad line.
+    """
+    head, cut = _cut(_single_breaks(text), ("BREAKPOINTS", "INTERVAL"))
+    for lineno, _ in _content_lines(head.split("\n")):
+        raise DocumentError("content before any schedule section", lineno)
     ids = doc.node_ids
+    bits = {name: 1 << i for i, name in enumerate(doc.names)}
     breakpoints: list[float] | None = None
-    intervals: list[list[Edge]] = []
-    mode: str | None = None
-    for lineno, tokens in _content_lines(text.splitlines()):
-        if tokens == ["BREAKPOINTS"]:
+    pieces: list[DiGraph] = []
+    for first, keyword, body in cut:
+        if keyword == "BREAKPOINTS":
             if breakpoints is not None:
-                raise DocumentError("duplicate BREAKPOINTS section", lineno)
+                raise DocumentError("duplicate BREAKPOINTS section", first)
             breakpoints = []
-            mode = "bp"
-            continue
-        if tokens == ["INTERVAL"]:
-            if breakpoints is None:
-                raise DocumentError("INTERVAL before BREAKPOINTS", lineno)
-            intervals.append([])
-            mode = "iv"
-            continue
-        if mode == "bp":
-            try:
-                breakpoints.extend(float(tok) for tok in tokens)
-            except ValueError:
-                raise DocumentError("breakpoints must be numbers", lineno) from None
-        elif mode == "iv":
-            if len(tokens) != 2:
-                raise DocumentError("an interval edge line needs two node names", lineno)
-            for tok in tokens:
-                if tok not in ids:
-                    raise DocumentError(f"unknown node name {tok!r}", lineno)
-            intervals[-1].append((ids[tokens[0]], ids[tokens[1]]))
+            for lineno, tokens in _content_lines(body.split("\n"), first + 1):
+                try:
+                    breakpoints.extend(map(float, tokens))
+                except ValueError:
+                    raise DocumentError("breakpoints must be numbers", lineno) from None
+        elif breakpoints is None:
+            raise DocumentError("INTERVAL before BREAKPOINTS", first)
         else:
-            raise DocumentError("content before any schedule section", lineno)
+            rows = _canonical_edges(body, ids, bits) if body else [0] * (len(ids) + 1)
+            if rows is None:
+                rows = _read_edges(_content_lines(body.split("\n"), first + 1), ids, bits, True)
+            pieces.append(DiGraph.from_rows(len(ids), rows))
     if breakpoints is None or len(breakpoints) < 2:
         raise DocumentError("schedule needs at least two breakpoints")
-    if len(intervals) != len(breakpoints) - 1:
-        raise DocumentError(
-            f"{len(breakpoints) - 1} intervals expected, {len(intervals)} declared"
-        )
-    return tuple(breakpoints), intervals
+    if len(pieces) != len(breakpoints) - 1:
+        raise DocumentError(f"{len(breakpoints) - 1} intervals expected, {len(pieces)} declared")
+    return tuple(breakpoints), pieces

@@ -14,7 +14,9 @@ time-varying schedule (from ``schedule_from_edges`` or
 ``schedule_from_family``): it is controllable over its span when its
 reachable subspace, built exactly piece by piece as
 ``R_k = expm(A_k h_k) R_(k-1) + Krylov(A_k, B)`` (the image of the
-controllability Gramian), is the whole space.  The combinatorial side
+controllability Gramian), is the whole space; ``expm`` runs, and scipy is
+imported, only for a later piece while that subspace is short of full
+rank.  The combinatorial side
 predicts: a forcing control set gives full rank for *every* draw, while
 a stalled one only guarantees that *some* member of the class is
 rank-deficient, so the negative direction is checked on a member built
@@ -31,7 +33,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .forcing import stalled_white_set
-from .graphs import DiGraph, Edge, _unpack, control_set
+from .graphs import DiGraph, Edge, _unpack, control_set, mask_nodes
 from .synthesis import TimeFunction, sample_member
 
 DIAG_ZERO = "zero"
@@ -341,7 +343,7 @@ class LtvSchedule:
                 raise ValueError(f"matrix shape {a.shape} does not fit {n} nodes")
             mismatch = a != 0.0
             mismatch[_support(g)] ^= True
-            np.fill_diagonal(mismatch, False)
+            mismatch.reshape(n * n)[:: n + 1] = False
             if mismatch.any():
                 i, j = np.argwhere(mismatch)[0]
                 raise ValueError(f"entry ({i + 1}, {j + 1}) disagrees with the interval graph")
@@ -375,41 +377,40 @@ def schedule_from_family(
 def schedule_from_edges(
     tf: TimeFunction,
     breakpoints: Sequence[float],
-    per_interval_edges: Sequence[Iterable[Edge]],
+    pieces: Sequence[DiGraph],
     seed: int = 0,
 ) -> LtvSchedule:
-    """Schedule built from explicit per-interval optional-edge sets.
+    """Schedule built from explicit per-interval optional edges, one graph
+    on the family's nodes per interval.
 
-    Each interval graph is the chain skeleton plus the listed edges, all
+    Each interval graph is the chain skeleton plus its piece's edges, all
     of which must be admissible for the family, that is edges of its
     maximal member; weights are drawn deterministically from ``seed``.
     """
-    if len(per_interval_edges) != len(breakpoints) - 1:
-        raise ValueError("need one edge set per interval")
+    if len(pieces) != len(breakpoints) - 1:
+        raise ValueError("need one piece per interval")
     n = tf.n
     member = tf.member_rows
     skeleton = tf.skeleton.rows
     rng = np.random.default_rng(seed)
     graphs = []
     matrices = []
-    for extra in per_interval_edges:
-        rows = list(skeleton)
-        bad = set()
-        for u, v in extra:
-            u, v = int(u), int(v)
-            if 1 <= u <= n and 1 <= v <= n and member[u] >> (v - 1) & 1:
-                rows[u] |= 1 << (v - 1)
-            else:
-                bad.add((u, v))
-        if bad:
-            raise InadmissibleEdgesError(bad)
+    for piece in pieces:
+        if piece.n != n:
+            raise ValueError(f"a piece on {piece.n} nodes does not fit {n} nodes")
+        stray = [row & ~ok for row, ok in zip(piece.rows, member)]
+        if any(stray):
+            raise InadmissibleEdgesError(
+                (u, v) for u, row in enumerate(stray) if row for v in mask_nodes(row)
+            )
+        rows = [row | more for row, more in zip(skeleton, piece.rows)]
         g = DiGraph.from_rows(n, rows)
         graphs.append(g)
         # Self-loops in the interval graph pin the matching diagonal
         # entries; the others stay zero.  Chain edges are never loops.
         a = sample_matrix(g, rng, DIAG_NONZERO)
-        bare = [v - 1 for v in range(1, n + 1) if not rows[v] >> (v - 1) & 1]
-        a[bare, bare] = 0.0
+        bare = [not rows[v] >> (v - 1) & 1 for v in range(1, n + 1)]
+        np.copyto(a.reshape(n * n)[:: n + 1], 0.0, where=bare)
         matrices.append(a)
     return LtvSchedule(tuple(breakpoints), tuple(graphs), tuple(matrices))
 
@@ -420,16 +421,22 @@ def ltv_gramian_rank(schedule: LtvSchedule, controls: Iterable[int]) -> int:
 
     The Gramian's image is the reachable subspace, built exactly per
     constant piece of length h_k:
-    ``R_k = expm(A_k h_k) R_(k-1) + Krylov(A_k, B)``.
+    ``R_k = expm(A_k h_k) R_(k-1) + Krylov(A_k, B)``.  The build stops at
+    full rank, so ``expm`` runs only for a later piece that carries a
+    subspace short of it.
     """
-    from scipy.linalg import expm  # loaded on first use: most commands never need scipy
-
     n = schedule.n
     b = input_matrix(n, controls)
     basis = np.empty((0, n))
     bp = schedule.breakpoints
     for a, start, stop in zip(schedule.matrices, bp, bp[1:]):
-        carried = expm(a * (stop - start)) @ basis.T if len(basis) else None
+        carried = None
+        if len(basis):
+            # imported here, not at the top: it costs a fresh process about
+            # 0.25 s, and a first piece at full rank never needs it
+            from scipy.linalg import expm
+
+            carried = expm(a * (stop - start)) @ basis.T
         basis = _reachable_basis(a, b, carried)
         if len(basis) == n:
             break

@@ -227,9 +227,8 @@ VARYING_PIECES = [
 
 def _varying_schedule(seed: int = 0) -> st.LtvSchedule:
     tf = st.TimeFunction(st.ChainSet((st.Chain((1, 2, 3)),)), {1: 1, 2: 2, 3: 3})
-    return st.schedule_from_edges(
-        tf, (0, 1, 2, 3, 4, 5, 6, 7, 10), VARYING_PIECES, seed=seed
-    )
+    pieces = [st.DiGraph(3, edges) for edges in VARYING_PIECES]
+    return st.schedule_from_edges(tf, (0, 1, 2, 3, 4, 5, 6, 7, 10), pieces, seed=seed)
 
 
 def test_criterion_8_ltv_source_control_full_rank():

@@ -281,6 +281,15 @@ class TestOracle:
         assert rc == 3 and out == ""
         assert "--schedule needs --ltv" in err
 
+    def test_trials_rejected_with_ltv(self, capsys):
+        """The LTV oracle draws one weight matrix per piece, so a trial
+        count is not silently ignored."""
+        rc = main(["oracle", str(SAMPLES / "chain3.net"), "--ltv", "--trials", "5",
+                   "--schedule", str(SAMPLES / "chain3_varying.sched")])
+        out, err = capsys.readouterr()
+        assert rc == 3 and out == ""
+        assert "--trials needs the LTI oracle, not --ltv" in err
+
     @pytest.mark.parametrize("breakpoints", ["0 nan 2", "0 1 inf"])
     def test_ltv_non_finite_breakpoint_exits_3(self, capsys, tmp_path, breakpoints):
         doc = tmp_path / "chain3_v2.net"
@@ -508,9 +517,16 @@ class TestOneTimeFunctionCheck:
         assert len(checks) == built
 
 
-def test_only_the_ltv_oracle_loads_scipy():
+def test_only_the_ltv_oracle_loads_scipy(tmp_path):
     """Importing scipy costs every command its start-up time; only
-    ``ltv_gramian_rank`` needs it."""
+    ``ltv_gramian_rank`` needs it, and only for a piece after the first
+    while the reachable subspace is short of full rank.  From v1 the first
+    piece of the worked schedule already reaches every node; from v2 the
+    bare chain reaches v2 and v3, so the second piece carries them."""
+    doc = tmp_path / "chain3_v2.net"
+    doc.write_text((SAMPLES / "chain3.net").read_text().replace("CONTROLS\nv1", "CONTROLS\nv2"))
+    sched = tmp_path / "carried.sched"
+    sched.write_text("BREAKPOINTS\n0 1 2.5\nINTERVAL\nINTERVAL\nv2 v1\n")
     script = f"""
 import contextlib, io, sys
 from ssc_toolkit.cli import main
@@ -523,11 +539,14 @@ with contextlib.redirect_stdout(io.StringIO()):
         ["schedules", S + "ring6_chord.net"],
         ["schedules", S + "path3_bidir.net", S + "ring4_chord.net"],
         ["oracle", S + "ring6_chord.net"],
+        ["oracle", S + "chain3.net", "--ltv", "--schedule", S + "chain3_varying.sched"],
     ):
         assert main(argv) == 0, argv
-    print("scipy" in sys.modules, file=sys.stderr)
-    main(["oracle", S + "chain3.net", "--ltv", "--schedule", S + "chain3_varying.sched"])
-    print("scipy" in sys.modules, file=sys.stderr)
+print("scipy" in sys.modules, file=sys.stderr)
+for fmt in ("text", "machine"):
+    assert main(["oracle", {str(doc)!r}, "--ltv", "--schedule", {str(sched)!r},
+                 "--format", fmt]) == 0
+print("scipy" in sys.modules, file=sys.stderr)
 """
     src = str(SAMPLES.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -535,6 +554,14 @@ with contextlib.redirect_stdout(io.StringIO()):
                           env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stderr.split() == ["False", "True"]
+    assert done.stdout == (
+        "seed: 0\n"
+        "gramian rank: 3/3\n"
+        "controls cover the chain sources: no\n"
+        "consistent: yes\n"
+        '{"command": "oracle", "consistent": true, "controls_cover_sources": false, '
+        '"gramian_rank": 3, "ltv": true, "nodes": 3, "seed": 0}\n'
+    )
 
 
 class _Writes(io.StringIO):

@@ -16,7 +16,12 @@ from ssc_toolkit.documents import (
     parse_schedule_file,
 )
 from ssc_toolkit.graphs import DiGraph
-from ssc_toolkit.synthesis import random_chain_set, random_time_function, sample_member
+from ssc_toolkit.synthesis import (
+    optional_edges,
+    random_chain_set,
+    random_time_function,
+    sample_member,
+)
 
 from reference import line_by_line_document
 
@@ -372,9 +377,111 @@ class TestCompanionFiles:
         text = "BREAKPOINTS\n0 1 2\nINTERVAL\na a\nINTERVAL\nc a\n"
         breakpoints, pieces = parse_schedule_file(text, doc)
         assert breakpoints == (0.0, 1.0, 2.0)
-        assert pieces == [[(1, 1)], [(3, 1)]]
+        assert pieces == [DiGraph(3, [(1, 1)]), DiGraph(3, [(3, 1)])]
 
     def test_schedule_interval_count_checked(self):
         doc = parse_document(ANNOTATED)
         with pytest.raises(DocumentError, match="intervals expected"):
             parse_schedule_file("BREAKPOINTS\n0 1 2\nINTERVAL\n", doc)
+
+
+@st.composite
+def schedules(draw):
+    """A family document, the breakpoints and per-piece edge lists of a
+    schedule for it, and the schedule's text written canonically and in a
+    layout the line reader accepts: comment lines, trailing comments,
+    blank lines, tabs, other line breaks, breakpoints over several lines
+    and a repeated edge in one INTERVAL."""
+    n = draw(st.integers(2, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tf = random_time_function(random_chain_set(n, draw(st.integers(1, n)), rng), rng)
+    names = draw(st.lists(st.from_regex(r"[a-z][a-z0-9_.]{0,4}", fullmatch=True),
+                          min_size=n, max_size=n, unique=True))
+    doc = NetworkDocument.from_graph(tf.skeleton, names, tf.chains.sources, tf)
+    optional = sorted(optional_edges(tf))
+    k = draw(st.integers(1, 4))
+    breakpoints = sorted(draw(st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=k + 1,
+                                       max_size=k + 1, unique=True)))
+    pieces = [draw(st.lists(st.sampled_from(optional), unique=True)) if optional else []
+              for _ in range(k)]
+    canonical = "BREAKPOINTS\n" + " ".join(map(repr, breakpoints)) + "\n" + "".join(
+        "INTERVAL\n" + "".join(f"{names[u - 1]} {names[v - 1]}\n" for u, v in piece)
+        for piece in pieces)
+
+    gap = st.sampled_from([" ", "  ", "\t", " \t "])
+    aside = st.sampled_from(["", "   ", "# note", "\t# INTERVAL"])
+
+    def line(tokens):
+        text = draw(st.sampled_from(["", " ", "\t"])) + draw(gap).join(tokens)
+        return text + (draw(gap) + "# " + " ".join(tokens) if draw(st.booleans()) else "")
+
+    cut = draw(st.integers(1, k + 1))
+    lines = [draw(aside), line(["BREAKPOINTS"]), line(list(map(repr, breakpoints[:cut])))]
+    if cut <= k:
+        lines.append(line(list(map(repr, breakpoints[cut:]))))
+    for piece in pieces:
+        lines.append(line(["INTERVAL"]))
+        edges = list(piece)
+        if edges and draw(st.booleans()):
+            edges.insert(draw(st.integers(0, len(edges))), draw(st.sampled_from(edges)))
+        for u, v in edges:
+            lines.append(line([names[u - 1], names[v - 1]]))
+            if draw(st.integers(0, 3)) == 0:
+                lines.append(draw(aside))
+    breaks = st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\u2028"])
+    written = "".join(text + draw(breaks) for text in lines)
+    return doc, breakpoints, pieces, canonical, written
+
+
+class TestScheduleFile:
+    @settings(max_examples=200)
+    @given(schedules())
+    def test_canonical_and_free_layouts_read_alike(self, case):
+        doc, breakpoints, pieces, canonical, written = case
+        n = len(doc.names)
+        expected = (tuple(breakpoints), [DiGraph(n, piece) for piece in pieces])
+        assert parse_schedule_file(written, doc) == expected
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(documents_module, "_read_edges", _line_reader_called)
+            assert parse_schedule_file(canonical, doc) == expected
+
+    # Every way a schedule can be malformed, with the message and line the
+    # line-by-line reading gives: the first bad line wins, and lines are
+    # counted as ``str.splitlines`` cuts them.
+    @pytest.mark.parametrize("text, message", [
+        ("0 1\nBREAKPOINTS\n0 1\nINTERVAL\n", "line 1: content before any schedule section"),
+        ("# note\n\n  a b # c\nBREAKPOINTS\n0 1\nINTERVAL\n",
+         "line 3: content before any schedule section"),
+        ("BREAKPOINTS 0 1\nINTERVAL\n", "line 1: content before any schedule section"),
+        ("INTERVAL\na b\nBREAKPOINTS\n0 1\n", "line 1: INTERVAL before BREAKPOINTS"),
+        ("\n# c\n INTERVAL # first\nBREAKPOINTS\n0 1\n", "line 3: INTERVAL before BREAKPOINTS"),
+        ("BREAKPOINTS\n0 1\nINTERVAL\nBREAKPOINTS\n0 1\n", "line 4: duplicate BREAKPOINTS section"),
+        ("BREAKPOINTS\n0\n1 x\nINTERVAL\n", "line 3: breakpoints must be numbers"),
+        ("BREAKPOINTS\n0 1 # a\n2#b\nINTERVAL\nINTERVAL\nc\n",
+         "line 6: an interval edge line needs two node names"),
+        ("BREAKPOINTS\n0 1\nINTERVAL\na\n", "line 4: an interval edge line needs two node names"),
+        ("BREAKPOINTS\n0 1\nINTERVAL\nzz a b\n",
+         "line 4: an interval edge line needs two node names"),
+        ("BREAKPOINTS\n0 1\nINTERVAL\na b\n\nb zz\n", "line 6: unknown node name 'zz'"),
+        ("BREAKPOINTS\n0 1\nINTERVAL\nINTERVAL a\n", "line 4: unknown node name 'INTERVAL'"),
+        ("BREAKPOINTS\n0 1 2\nINTERVAL\na zz\nINTERVAL\nBREAKPOINTS\n",
+         "line 4: unknown node name 'zz'"),
+        ("BREAKPOINTS\nx\nINTERVAL\na\n", "line 2: breakpoints must be numbers"),
+        ("BREAKPOINTS\r\n0 1\r\nINTERVAL\r\na b\r\nc\r\n",
+         "line 5: an interval edge line needs two node names"),
+        ("BREAKPOINTS\n0 1\x0cINTERVAL\u2028a\x1fb c\n",
+         "line 4: an interval edge line needs two node names"),
+        ("", "schedule needs at least two breakpoints"),
+        ("# nothing\n", "schedule needs at least two breakpoints"),
+        ("BREAKPOINTS\n0\n", "schedule needs at least two breakpoints"),
+        ("BREAKPOINTS\n\nINTERVAL\n", "schedule needs at least two breakpoints"),
+        ("BREAKPOINTS\n0 1 2\nINTERVAL\na b\n", "2 intervals expected, 1 declared"),
+        ("BREAKPOINTS\n0 1\nINTERVAL\nINTERVAL\n", "1 intervals expected, 2 declared"),
+    ])
+    def test_malformed_schedules(self, text, message):
+        doc = parse_document(ANNOTATED)
+        with pytest.raises(DocumentError) as got:
+            parse_schedule_file(text, doc)
+        assert str(got.value) == message
+        line = message.split(":")[0]
+        assert got.value.line == (int(line[5:]) if line.startswith("line ") else None)

@@ -356,12 +356,19 @@ class TestGramian:
             LtvSchedule((0.0, 1.0), (g,), (bad,))
 
     def test_inadmissible_and_out_of_range_edges_are_named(self, chain3_tf):
-        # (2, 1) and (1, 2) are admissible, (1, 3) skips the frontier, and
-        # the last three name nodes outside 1..3
-        edges = {(2, 1), (1, 2), (1, 3), (3, 4), (0, 1), (2, -1)}
-        bad = "[(0, 1), (1, 3), (2, -1), (3, 4)]"
-        with pytest.raises(ValueError, match=re.escape(f"edges {bad} are not admissible")):
-            schedule_from_edges(chain3_tf, (0.0, 1.0), [edges])
+        """A piece is a graph on the family's nodes: an edge outside 1..3
+        fails when the piece is built, and inadmissible edges, or a piece
+        on other nodes, when the schedule is."""
+        for edge in [(3, 4), (0, 1), (2, -1)]:
+            with pytest.raises(ValueError, match=re.escape(f"edge {edge} leaves the node range")):
+                DiGraph(3, {(2, 1), edge})
+        # (2, 1) and (1, 2) are admissible, (1, 3) skips the frontier
+        piece = DiGraph(3, {(2, 1), (1, 2), (1, 3)})
+        with pytest.raises(oracle.InadmissibleEdgesError,
+                           match=re.escape("edges [(1, 3)] are not admissible")):
+            schedule_from_edges(chain3_tf, (0.0, 1.0, 2.0), [DiGraph(3, {(2, 1)}), piece])
+        with pytest.raises(ValueError, match="a piece on 4 nodes does not fit 3 nodes"):
+            schedule_from_edges(chain3_tf, (0.0, 1.0), [DiGraph(4, {(2, 1)})])
 
     @pytest.mark.parametrize("breakpoints", [
         (0.0, float("nan"), 2.0), (0.0, 1.0, float("inf")), (float("-inf"), 0.0, 1.0),
