@@ -67,7 +67,6 @@ from .oracle import (
     ltv_gramian_rank,
     sample_matrix,
     schedule_from_edges,
-    schedule_from_family,
     verify_ssc_numeric,
 )
 from .documents import (

@@ -420,12 +420,12 @@ def cmd_combine(args) -> int:
         blocks.append((doc.graph(), tf))
     counts = [g.n - tf.m for g, tf in blocks]
     seq = _parse_sequence(args.sequence, counts, "general")
-    inter = []
+    inter = set()  # a repeated line is installed, and counted, once
     if args.inter_edges:
         for (di, dn), (dj, dm) in parse_inter_edges(_read(args.inter_edges), docs):
             off_i = sum(b[0].n for b in blocks[:di])
             off_j = sum(b[0].n for b in blocks[:dj])
-            inter.append((off_i + docs[di].node_ids[dn], off_j + docs[dj].node_ids[dm]))
+            inter.add((off_i + docs[di].node_ids[dn], off_j + docs[dj].node_ids[dm]))
     names = _combined_names(docs)
     try:
         combined = combine_networks(blocks, seq, inter)

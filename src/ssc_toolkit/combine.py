@@ -178,7 +178,9 @@ def enumerate_sequences(
     ``counts[i]`` is how often block ``i`` must appear (``n_i - m_i`` for
     the general construction, ``n_i`` for the DAG one).  Mode ``"dag"``
     additionally forbids equal adjacent entries and fails fast, by the
-    pigeonhole bound, when no arrangement can exist.
+    pigeonhole bound, when no arrangement can exist.  It then places an
+    entry only where the rest can still be arranged, so the walk enters no
+    dead end.
     """
     if mode not in ("general", "dag"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -188,7 +190,8 @@ def enumerate_sequences(
     if any(c < 0 for c in counts):
         raise ValueError("repetition counts must be nonnegative")
     total = sum(counts)
-    if mode == "dag":
+    dag = mode == "dag"
+    if dag:
         if any(c < 1 for c in counts):
             raise ValueError("every block must appear at least once in dag mode")
         if max(counts) > total - max(counts) + 1:
@@ -204,14 +207,18 @@ def enumerate_sequences(
         if len(prefix) == total:
             out.append(tuple(prefix))
             return limit is not None and len(out) >= limit
+        rest = total - len(prefix) - 1  # entries after the one placed now
         for i in range(len(counts)):
-            if remaining[i] == 0:
-                continue
-            if mode == "dag" and prefix and prefix[-1] == i:
+            if remaining[i] == 0 or dag and prefix and prefix[-1] == i:
                 continue
             remaining[i] -= 1
             prefix.append(i)
-            done = walk()
+            # Go on only if the rest can avoid equal neighbours: by the
+            # pigeonhole test, no block fills more than every other entry
+            # of it.  That the rest must not start with i needs no test of
+            # its own: the test at the entry before, or the root's, left i
+            # at most every other entry from this one on.
+            done = (not dag or 2 * max(remaining) <= rest + 1) and walk()
             prefix.pop()
             remaining[i] += 1
             if done:
@@ -219,8 +226,6 @@ def enumerate_sequences(
         return False
 
     walk()
-    if mode == "dag" and not out:
-        raise InfeasibleSequenceError("no sequence satisfies the adjacency constraint")
     return out
 
 

@@ -10,8 +10,8 @@ controllability, the dimension of Krylov(A, B), on many draws: up to
 ``_STACK_MAX_N`` nodes the draws of a block step through the staircase
 together (``_krylov_ranks``), above it one at a time
 (``_reachable_basis``).  ``ltv_gramian_rank`` checks a piecewise-constant
-time-varying schedule (from ``schedule_from_edges`` or
-``schedule_from_family``): it is controllable over its span when its
+time-varying schedule, its breakpoints and one matrix per piece, which
+``schedule_from_edges`` draws: it is controllable over its span when its
 reachable subspace, built exactly piece by piece as
 ``R_k = expm(A_k h_k) R_(k-1) + Krylov(A_k, B)`` (the image of the
 controllability Gramian), is the whole space; ``expm`` runs, and scipy is
@@ -34,7 +34,7 @@ import numpy as np
 
 from .forcing import stalled_white_set
 from .graphs import DiGraph, Edge, _unpack, control_set, mask_nodes
-from .synthesis import TimeFunction, sample_member
+from .synthesis import TimeFunction
 
 DIAG_ZERO = "zero"
 DIAG_NONZERO = "nonzero"
@@ -317,11 +317,10 @@ class InadmissibleEdgesError(ValueError):
 
 @dataclass(frozen=True)
 class LtvSchedule:
-    """A piecewise-constant system matrix: one graph and one weight draw
-    per interval between consecutive breakpoints."""
+    """A piecewise-constant system matrix: one weight matrix per interval
+    between consecutive breakpoints."""
 
     breakpoints: tuple[float, ...]
-    graphs: tuple[DiGraph, ...]
     matrices: tuple[np.ndarray, ...]
 
     def __post_init__(self):
@@ -333,45 +332,16 @@ class LtvSchedule:
             raise ValueError("breakpoints must be finite")
         if any(a >= b for a, b in zip(bp, bp[1:])):
             raise ValueError("breakpoints must be strictly increasing")
-        if not (len(self.graphs) == len(self.matrices) == len(bp) - 1):
-            raise ValueError("need one graph and one matrix per interval")
-        n = self.graphs[0].n
-        for g, a in zip(self.graphs, self.matrices):
-            if g.n != n:
-                raise ValueError("all interval graphs must share the node set")
+        if len(self.matrices) != len(bp) - 1:
+            raise ValueError("need one matrix per interval")
+        n = self.n
+        for a in self.matrices:
             if a.shape != (n, n):
                 raise ValueError(f"matrix shape {a.shape} does not fit {n} nodes")
-            mismatch = a != 0.0
-            mismatch[_support(g)] ^= True
-            mismatch.reshape(n * n)[:: n + 1] = False
-            if mismatch.any():
-                i, j = np.argwhere(mismatch)[0]
-                raise ValueError(f"entry ({i + 1}, {j + 1}) disagrees with the interval graph")
 
     @property
     def n(self) -> int:
-        return self.graphs[0].n
-
-
-def schedule_from_family(
-    tf: TimeFunction,
-    breakpoints: Sequence[float],
-    rng: np.random.Generator,
-    chain_only: bool = False,
-) -> LtvSchedule:
-    """Random schedule whose interval graphs are members of the family.
-
-    With ``chain_only`` every interval keeps just the chain skeleton (the
-    family's minimal member), which is the canonical rank-deficient
-    witness for control sets missing a source.
-    """
-    graphs = []
-    matrices = []
-    for _ in range(len(breakpoints) - 1):
-        g = tf.skeleton if chain_only else sample_member(tf, rng)
-        graphs.append(g)
-        matrices.append(sample_matrix(g, rng, DIAG_ZERO if chain_only else DIAG_MIXED))
-    return LtvSchedule(tuple(breakpoints), tuple(graphs), tuple(matrices))
+        return len(self.matrices[0])
 
 
 def schedule_from_edges(
@@ -387,13 +357,10 @@ def schedule_from_edges(
     of which must be admissible for the family, that is edges of its
     maximal member; weights are drawn deterministically from ``seed``.
     """
-    if len(pieces) != len(breakpoints) - 1:
-        raise ValueError("need one piece per interval")
     n = tf.n
     member = tf.member_rows
     skeleton = tf.skeleton.rows
     rng = np.random.default_rng(seed)
-    graphs = []
     matrices = []
     for piece in pieces:
         if piece.n != n:
@@ -404,15 +371,13 @@ def schedule_from_edges(
                 (u, v) for u, row in enumerate(stray) if row for v in mask_nodes(row)
             )
         rows = [row | more for row, more in zip(skeleton, piece.rows)]
-        g = DiGraph.from_rows(n, rows)
-        graphs.append(g)
         # Self-loops in the interval graph pin the matching diagonal
         # entries; the others stay zero.  Chain edges are never loops.
-        a = sample_matrix(g, rng, DIAG_NONZERO)
+        a = sample_matrix(DiGraph.from_rows(n, rows), rng, DIAG_NONZERO)
         bare = [not rows[v] >> (v - 1) & 1 for v in range(1, n + 1)]
         np.copyto(a.reshape(n * n)[:: n + 1], 0.0, where=bare)
         matrices.append(a)
-    return LtvSchedule(tuple(breakpoints), tuple(graphs), tuple(matrices))
+    return LtvSchedule(tuple(breakpoints), tuple(matrices))
 
 
 def ltv_gramian_rank(schedule: LtvSchedule, controls: Iterable[int]) -> int:

@@ -257,8 +257,7 @@ def test_criterion_8_ltv_non_source_control_deficient_as_stated():
 def test_criterion_8_family_witness_is_deficient():
     with _Budget("criterion 8 (family-level witness)", 10):
         tf = st.TimeFunction(st.ChainSet((st.Chain((1, 2, 3)),)), {1: 1, 2: 2, 3: 3})
-        rng = np.random.default_rng(13)
-        lean = st.schedule_from_family(tf, (0, 1, 2, 3, 4, 5, 6, 7, 10), rng, chain_only=True)
+        lean = st.schedule_from_edges(tf, (0, 1, 2, 3, 4, 5, 6, 7, 10), [st.DiGraph(3)] * 8, seed=13)
         assert st.ltv_gramian_rank(lean, {2}) < 3
         assert st.ltv_gramian_rank(lean, {1}) == 3
 

@@ -16,7 +16,7 @@ from ssc_toolkit import cli
 from ssc_toolkit.cli import main
 from ssc_toolkit.documents import parse_document
 from ssc_toolkit.forcing import enumerate_forcing_schedules, is_zfs
-from ssc_toolkit.graphs import DiGraph
+from ssc_toolkit.graphs import ConsistencyError, DiGraph
 from ssc_toolkit.synthesis import TimeFunction
 
 from conftest import digraphs
@@ -146,6 +146,26 @@ class TestCombine:
         assert times == {
             "1.v1": 1, "1.v2": 3, "1.v3": 4, "2.u1": 1, "2.u2": 1, "2.u3": 5, "2.u4": 2,
         }
+
+    @pytest.mark.parametrize("fmt", ["text", "machine"])
+    def test_repeated_inter_edge_is_counted_once(self, capsys, tmp_path, fmt):
+        inter = tmp_path / "inter.txt"
+        inter.write_text("1.v1 2.u1\n1.v1 2.u1\n")
+        rc, out = run(
+            capsys, "combine", str(SAMPLES / "path3_bidir.net"), str(SAMPLES / "ring4_chord.net"),
+            "--sequence", "2,1,1,2", "--inter-edges", str(inter), "--format", fmt,
+        )
+        assert rc == 0
+        if fmt == "machine":
+            data = json.loads(out)
+            assert data["installed_inter_edges"] == 1
+            combined = parse_document(data["document"])
+        else:
+            assert "installed inter edges: 1\n" in out
+            combined = parse_document(out.split("combined document:\n")[1])
+        ids = combined.node_ids
+        assert combined.graph().has_edge(ids["1.v1"], ids["2.u1"])
+        assert combined.graph().edge_count == 4 + 10 + 1
 
     def test_rejected_edge_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "inter.txt"
@@ -321,6 +341,117 @@ class TestOracle:
         named = [('v"\\ä', "v3"), ("v10", "v2"), ("v4", "v12")]
         assert err == f"error: edges {named} are not admissible for this family\n"
         assert "(6, 3)" not in err
+
+
+# Documents for the input-error table, written to the test's directory.
+INPUT_DOCS = {
+    "plain.net": "NODES\na b\nEDGES\na b\nCONTROLS\na\n",
+    "bare.net": "NODES\na b\nEDGES\na b\n",
+    "no-nodes.net": "NODES\nEDGES\n",
+    "controls-x.net": "NODES\na b\nEDGES\na b\nCONTROLS\nx\n",
+    "chains-x.net": "NODES\na b\nEDGES\na b\nCONTROLS\na\nCHAINS\na x\n",
+    "times-x.net": "NODES\na b\nEDGES\na b\nCONTROLS\na\nCHAINS\na b\nTIMES\na 1\nx 2\n",
+    "no-chains.net": "NODES\na b\nEDGES\na b\nCONTROLS\na\nCHAINS\nTIMES\na 1\n",
+    "times-one.net": "NODES\na b\nEDGES\na b\nCONTROLS\na\nCHAINS\na b\nTIMES\na\n",
+    "times-twice.net": "NODES\na b\nEDGES\na b\nCONTROLS\na\nCHAINS\na b\nTIMES\na 1\na 1\n",
+    "times-short.net": "NODES\na b\nEDGES\na b\nCONTROLS\na\nCHAINS\na b\nTIMES\na 1\n",
+    "three.txt": "v1 v6 v2\n",
+    "bare-end.txt": "v1 2.u1\n",
+    "bad-doc.txt": "1.v1 x.v1\n",
+    "one-end.txt": "1.v1\n",
+}
+
+PAIR = ["path3_bidir.net", "ring4_chord.net", "--sequence", "2,1,1,2", "--inter-edges"]
+
+
+class TestInputErrors:
+    """Every input error is reported on stderr, with nothing on stdout, and
+    exits 3.  ``{tmp}`` stands for the directory of ``INPUT_DOCS``."""
+
+    @pytest.mark.parametrize("argv, err", [
+        (["check", "{tmp}/missing.net"],
+         "error: {tmp}/missing.net: cannot read {tmp}/missing.net: No such file or directory"),
+        (["combine", "chain3.net", "chain3.net", "--mode", "dag",
+          "--inter-edges", "inter_path_ring.txt"],
+         "error: inter-edge files apply to general mode only"),
+        (["combine", "chain3.net", "{tmp}/plain.net"],
+         "error: {tmp}/plain.net: general combination needs CHAINS and TIMES"),
+        (["oracle", "{tmp}/plain.net", "--ltv", "--schedule", "chain3_varying.sched"],
+         "error: LTV mode needs CHAINS and TIMES in the document"),
+        (["schedules", "chain3.net", "{tmp}/bare.net"],
+         "error: {tmp}/bare.net: needs CHAINS or CONTROLS to size the sequence"),
+        (["check", "{tmp}/no-nodes.net"],
+         "error: {tmp}/no-nodes.net: NODES section declares no nodes"),
+        (["check", "{tmp}/controls-x.net"],
+         "error: {tmp}/controls-x.net: line 6: unknown node name 'x'"),
+        (["check", "{tmp}/chains-x.net"],
+         "error: {tmp}/chains-x.net: line 8: unknown node name 'x'"),
+        (["check", "{tmp}/times-x.net"],
+         "error: {tmp}/times-x.net: line 11: unknown node name 'x'"),
+        (["check", "{tmp}/no-chains.net"],
+         "error: {tmp}/no-chains.net: CHAINS section declares no chains"),
+        (["check", "{tmp}/times-one.net"],
+         "error: {tmp}/times-one.net: line 10: a times line needs a node name and an integer"),
+        (["check", "{tmp}/times-twice.net"],
+         "error: {tmp}/times-twice.net: line 11: node 'a' already has a time"),
+        (["check", "{tmp}/times-short.net"],
+         "error: {tmp}/times-short.net: invalid times: "
+         "times must be defined on exactly the chain nodes"),
+        (["check", "ring6_chord.net", "--policy", "explicit:{tmp}/three.txt"],
+         "error: line 1: a force line needs exactly two node names"),
+        (["combine", *PAIR, "{tmp}/bare-end.txt"],
+         "error: line 1: endpoint 'v1' must look like 2.u1"),
+        (["combine", *PAIR, "{tmp}/bad-doc.txt"],
+         "error: line 1: 'x' is not a document number"),
+        (["combine", *PAIR, "{tmp}/one-end.txt"],
+         "error: line 1: an inter-edge line needs exactly two endpoints"),
+    ], ids=[
+        "missing-document", "dag-inter-edges", "general-without-chains", "ltv-without-chains",
+        "sequences-without-chains-or-controls", "empty-nodes", "unknown-control",
+        "unknown-chain-node", "unknown-timed-node", "empty-chains", "one-token-times-line",
+        "node-timed-twice", "times-miss-a-chain-node", "three-name-force-line",
+        "endpoint-without-document", "endpoint-with-bad-document", "one-endpoint-line",
+    ])
+    def test_input_error(self, capsys, tmp_path, argv, err):
+        for name, text in INPUT_DOCS.items():
+            (tmp_path / name).write_text(text)
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        argv = [str(SAMPLES / a) if a.endswith((".net", ".sched", ".txt")) and "/" not in a
+                else a for a in argv]
+        rc = main(argv)
+        out, stderr = capsys.readouterr()
+        assert (rc, out, stderr) == (3, "", err.replace("{tmp}", str(tmp_path)) + "\n")
+
+    def test_empty_sequence_when_every_node_is_a_source(self, capsys, tmp_path):
+        """With n == m in every block the layout is empty, written ``-``."""
+        one = tmp_path / "one.net"
+        one.write_text("NODES\na b\nCHAINS\na\nb\nTIMES\na 1\nb 1\n")
+        two = tmp_path / "two.net"
+        two.write_text("NODES\nx\nCHAINS\nx\nTIMES\nx 1\n")
+        rc, out = run(capsys, "combine", str(one), str(two), "--sequence", "-")
+        assert rc == 0
+        assert out == (
+            "sequence: -\n"
+            "installed inter edges: 0\n"
+            "largest admissible inter edge-set: 4 (bound 4)\n"
+            "  1.a 2.x\n  1.b 2.x\n  2.x 1.a\n  2.x 1.b\n"
+            "combined document:\n"
+            "NODES\n1.a 1.b 2.x\nEDGES\nCONTROLS\n1.a 1.b 2.x\n"
+            "CHAINS\n1.a\n1.b\n2.x\nTIMES\n1.a 1\n1.b 1\n2.x 1\n"
+        )
+
+    def test_consistency_error_exits_4(self, capsys, monkeypatch):
+        def fail(merged):
+            raise ConsistencyError("enumerated 1 admissible inter edges, closed form says 2")
+
+        monkeypatch.setattr(cli, "max_inter_edges", fail)
+        rc = main(["combine", str(SAMPLES / "path3_bidir.net"), str(SAMPLES / "ring4_chord.net")])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (4, "")
+        assert err == (
+            "internal inconsistency: "
+            "enumerated 1 admissible inter edges, closed form says 2\n"
+        )
 
 
 class TestSeed:

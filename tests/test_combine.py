@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import time
+from itertools import islice, product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -242,6 +245,65 @@ class TestEnumerateSequences:
 
     def test_limit(self):
         assert len(enumerate_sequences([2, 2], limit=2)) == 2
+
+    @pytest.mark.parametrize("blocks", [1, 2, 3, 4])
+    def test_every_count_vector_up_to_eight_entries_matches_brute_force(self, blocks):
+        """Every sequence over ``blocks`` blocks of at most eight entries,
+        grouped by count vector: ``product`` yields each group in
+        lexicographic order.  Both modes, whole and cut by a limit."""
+        for total in range(9):
+            layouts: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+            for seq in product(range(blocks), repeat=total):
+                layouts.setdefault(tuple(map(seq.count, range(blocks))), []).append(seq)
+            for counts, seqs in layouts.items():
+                for limit in (None, 1, 3):
+                    assert enumerate_sequences(counts, limit=limit) == seqs[:limit]
+                if min(counts) < 1:
+                    continue
+                spaced = [s for s in seqs if all(a != b for a, b in zip(s, s[1:]))]
+                if not spaced:
+                    with pytest.raises(InfeasibleSequenceError, match="cannot avoid"):
+                        enumerate_sequences(counts, "dag")
+                    continue
+                for limit in (None, 1, 3):
+                    assert enumerate_sequences(counts, "dag", limit) == spaced[:limit]
+
+    def test_first_dag_layouts_of_many_blocks_match_brute_force(self):
+        """Five to eight blocks of at most eight entries in all: the first
+        layouts of a walk over every rearrangement, the equal neighbours
+        dropped."""
+
+        def rearrangements(counts):
+            if not any(counts):
+                yield ()
+            for i, c in enumerate(counts):
+                if c:
+                    rest = (*counts[:i], c - 1, *counts[i + 1:])
+                    yield from ((i, *tail) for tail in rearrangements(rest))
+
+        def compositions(total, parts):
+            if parts == 1:
+                yield (total,)
+                return
+            for first in range(1, total - parts + 2):
+                yield from ((first, *rest) for rest in compositions(total - first, parts - 1))
+
+        for parts in range(5, 9):
+            for total in range(parts, 9):
+                for counts in compositions(total, parts):
+                    spaced = (s for s in rearrangements(counts)
+                              if all(a != b for a, b in zip(s, s[1:])))
+                    assert enumerate_sequences(counts, "dag", 3) == list(islice(spaced, 3))
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 20, 50])
+    def test_dag_walk_enters_no_dead_end(self, k):
+        """``[1] * k + [k + 1]`` fits only with the big block first and at
+        every other entry; a walk that tried block 0 first would search
+        every arrangement below it."""
+        start = time.perf_counter()
+        (seq,) = enumerate_sequences([1] * k + [k + 1], "dag", limit=1)
+        assert time.perf_counter() - start < 0.5
+        assert seq == (k, *(x for i in range(k) for x in (i, k)))
 
 
 class TestLayoutChecks:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from ssc_toolkit.documents import parse_document, parse_schedule_file
 from ssc_toolkit.forcing import is_zfs, stalled_white_set
-from ssc_toolkit.graphs import Chain, ChainSet, DiGraph
+from ssc_toolkit.graphs import Chain, ChainSet, DiGraph, mask_nodes
 from ssc_toolkit import oracle
 from ssc_toolkit.oracle import (
     DIAG_MIXED,
@@ -26,7 +26,6 @@ from ssc_toolkit.oracle import (
     ltv_gramian_rank,
     sample_matrix,
     schedule_from_edges,
-    schedule_from_family,
     _uncontrollable_witness,
     verify_ssc_numeric,
 )
@@ -259,21 +258,36 @@ def chain3_varying_schedule() -> LtvSchedule:
     return schedule_from_edges(doc.time_function(), breakpoints, per_interval, seed=0)
 
 
+def skeleton_schedule(tf: TimeFunction, breakpoints, seed: int) -> LtvSchedule:
+    """Every piece the chain skeleton alone: the family's minimal member."""
+    return schedule_from_edges(tf, breakpoints, [DiGraph(tf.n)] * (len(breakpoints) - 1), seed)
+
+
+def member_schedule(tf: TimeFunction, breakpoints, rng: np.random.Generator) -> LtvSchedule:
+    """One ``sample_member`` draw per piece, the chain skeleton cut off, and
+    weights from a seed drawn from ``rng``.  Each self-loop, and so each
+    diagonal entry, is present with probability 1/2, as ``DIAG_MIXED``
+    draws it."""
+    skeleton = tf.skeleton.rows
+    pieces = [
+        DiGraph.from_rows(tf.n, [r & ~s for r, s in zip(sample_member(tf, rng).rows, skeleton)])
+        for _ in breakpoints[1:]
+    ]
+    return schedule_from_edges(tf, breakpoints, pieces, seed=int(rng.integers(1 << 32)))
+
+
 def chain3_skeleton_schedule() -> LtvSchedule:
-    return schedule_from_family(
-        CHAIN3, (0.0, 3.0, 7.0, 10.0), np.random.default_rng(8), chain_only=True
-    )
+    return skeleton_schedule(CHAIN3, (0.0, 3.0, 7.0, 10.0), seed=8)
 
 
 def single_edge_pieces(*edges) -> LtvSchedule:
     """One unit-length piece per edge on three nodes, with that edge alone
     at weight 1."""
-    graphs, matrices = [], []
+    matrices = []
     for u, v in edges:
-        graphs.append(DiGraph(3, frozenset({(u, v)})))
         matrices.append(np.zeros((3, 3)))
         matrices[-1][v - 1, u - 1] = 1.0
-    return LtvSchedule(tuple(map(float, range(len(edges) + 1))), tuple(graphs), tuple(matrices))
+    return LtvSchedule(tuple(map(float, range(len(edges) + 1))), tuple(matrices))
 
 
 # From node 1, piece one reaches span{e1, e2}; piece two maps e2 to e2 + e3
@@ -315,9 +329,7 @@ class TestRk4Reference:
 
 class TestGramian:
     def test_decoupled_node_limits_rank(self):
-        g = DiGraph(2, frozenset({(1, 1), (2, 2)}))
-        a = np.diag([0.5, -0.3])
-        sched = LtvSchedule((0.0, 1.0), (g,), (a,))
+        sched = LtvSchedule((0.0, 1.0), (np.diag([0.5, -0.3]),))
         assert ltv_gramian_rank(sched, {1}) == 1
         assert ltv_gramian_rank(sched, {1, 2}) == 2
 
@@ -349,11 +361,33 @@ class TestGramian:
         assert ltv_gramian_rank(sched, {3}) < 3
         assert ltv_gramian_rank(sched, {1}) == 3
 
-    def test_matrix_must_match_interval_graph(self, chain3_tf):
-        g = DiGraph(3, chain3_tf.chains.chain_edges)
-        bad = np.zeros((3, 3))  # chain edges missing
-        with pytest.raises(ValueError, match="disagrees"):
-            LtvSchedule((0.0, 1.0), (g,), (bad,))
+    @given(timed_partitions(max_n=6), st.data())
+    def test_matrices_have_exactly_their_interval_graph_support(self, tf, data):
+        """Edge (u, v) of the skeleton plus the piece is present exactly when
+        entry (v, u) is nonzero, and a diagonal entry is nonzero exactly at
+        a self-loop."""
+        optional = [(u, v) for u in range(1, tf.n + 1) for v in mask_nodes(tf.admissible_rows[u])]
+        pieces = data.draw(st.lists(
+            st.frozensets(st.sampled_from(optional)) if optional else st.just(frozenset()),
+            min_size=1, max_size=4,
+        ))
+        sched = schedule_from_edges(
+            tf, range(len(pieces) + 1), [DiGraph(tf.n, p) for p in pieces],
+            seed=data.draw(st.integers(0, 9999)),
+        )
+        for a, piece in zip(sched.matrices, pieces):
+            edges = tf.skeleton.edges | piece
+            assert {(u + 1, v + 1) for v, u in zip(*np.nonzero(a))} == edges
+
+    def test_matrices_must_be_square_and_one_size(self):
+        with pytest.raises(ValueError, match=re.escape("matrix shape (2, 3) does not fit 2")):
+            LtvSchedule((0.0, 1.0), (np.zeros((2, 3)),))
+        with pytest.raises(ValueError, match=re.escape("matrix shape (3, 3) does not fit 2")):
+            LtvSchedule((0.0, 1.0, 2.0), (np.zeros((2, 2)), np.zeros((3, 3))))
+
+    def test_one_matrix_per_interval(self, chain3_tf):
+        with pytest.raises(ValueError, match="need one matrix per interval"):
+            schedule_from_edges(chain3_tf, (0.0, 1.0, 2.0), [DiGraph(3)])
 
     def test_inadmissible_and_out_of_range_edges_are_named(self, chain3_tf):
         """A piece is a graph on the family's nodes: an edge outside 1..3
@@ -374,9 +408,8 @@ class TestGramian:
         (0.0, float("nan"), 2.0), (0.0, 1.0, float("inf")), (float("-inf"), 0.0, 1.0),
     ])
     def test_breakpoints_must_be_finite(self, breakpoints):
-        g = DiGraph(2)
         with pytest.raises(ValueError, match="finite"):
-            LtvSchedule(breakpoints, (g, g), (np.zeros((2, 2)),) * 2)
+            LtvSchedule(breakpoints, (np.zeros((2, 2)),) * 2)
 
 
 # Two chains of unequal length, and chains of one node each, where every
@@ -404,7 +437,7 @@ class TestFamilySchedules:
         tf = LAYOUTS[layout]
         rng = np.random.default_rng(0)
         for _ in range(20):
-            sched = schedule_from_family(tf, random_breakpoints(rng), rng)
+            sched = member_schedule(tf, random_breakpoints(rng), rng)
             assert ltv_gramian_rank(sched, tf.chains.sources) == tf.n
 
     @pytest.mark.parametrize("layout", LAYOUTS)
@@ -414,14 +447,14 @@ class TestFamilySchedules:
         tf = LAYOUTS[layout]
         rng = np.random.default_rng(1)
         for _ in range(20):
-            sched = schedule_from_family(tf, random_breakpoints(rng), rng, chain_only=True)
+            sched = skeleton_schedule(tf, random_breakpoints(rng), int(rng.integers(1 << 32)))
             for source in tf.chains.sources:
                 assert ltv_gramian_rank(sched, set(tf.chains.nodes) - {source}) < tf.n
 
     def test_single_chain_sink_control_always_deficient(self, chain3_tf):
         rng = np.random.default_rng(0)
         for trial in range(10):
-            sched = schedule_from_family(chain3_tf, (0.0, 1.0, 2.0), rng, chain_only=True)
+            sched = skeleton_schedule(chain3_tf, (0.0, 1.0, 2.0), int(rng.integers(1 << 32)))
             assert ltv_gramian_rank(sched, {3}) < 3
 
 
@@ -445,7 +478,7 @@ class TestBeyondSmallGraphs:
     def test_one_control_one_piece_beyond_sixteen_nodes(self):
         rng = np.random.default_rng(5)
         tf = random_family(24, 1, rng)
-        sched = schedule_from_family(tf, (0.0, 1.0), rng)
+        sched = member_schedule(tf, (0.0, 1.0), rng)
         assert ltv_gramian_rank(sched, tf.chains.sources) == 24
 
     @pytest.mark.parametrize("m", [1, 60])
@@ -454,7 +487,7 @@ class TestBeyondSmallGraphs:
         tf = random_family(300, m, rng)
         report = verify_ssc_numeric(sample_member(tf, rng), tf.chains.sources, trials=3, seed=m)
         assert report.full_rank == 3 and report.consistent
-        sched = schedule_from_family(tf, (0.0, 0.6, 1.5), rng)
+        sched = member_schedule(tf, (0.0, 0.6, 1.5), rng)
         assert ltv_gramian_rank(sched, tf.chains.sources) == 300
 
 
