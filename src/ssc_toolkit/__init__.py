@@ -9,7 +9,6 @@ combinatorial verdict numerically (the dimension of the reachable
 subspace, for fixed weights and for piecewise-varying ones).
 """
 from .graphs import (
-    Chain,
     ChainSet,
     ConsistencyError,
     CyclicError,

@@ -283,7 +283,7 @@ def cmd_check(args) -> int:
     machine = args.format == "machine"
     write_forces, write_intervals = _schedule_writer(doc.names, machine, record.gamma)
     forces, intervals = write_forces(record.forces), write_intervals(record.forces)
-    chains = [[doc.name_of(v) for v in c.nodes] for c in record.chains.chains]
+    chains = [[doc.name_of(v) for v in c] for c in record.chains.chains]
     if machine:
         _write(_json({
             "command": "check",
@@ -444,7 +444,7 @@ def cmd_combine(args) -> int:
     tf = combined.times
     document = _document(
         written, machine, combined.graph.rows, sorted(combined.sources),
-        [c.nodes for c in tf.chains.chains], sorted(tf.times.items()),
+        tf.chains.chains, sorted(tf.times.items()),
     )
     if machine:
         _write(_json({

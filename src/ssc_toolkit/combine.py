@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .graphs import (
-    Chain,
     ChainSet,
     ConsistencyError,
     CyclicError,
@@ -117,13 +116,13 @@ def combine_networks(
             raise ValueError(f"block {i} does not belong to its declared family")
     sizes = tuple(g.n for g, _ in blocks)
     offsets = tuple(sum(sizes[:i]) for i in range(len(blocks)))
-    chains: list[Chain] = []
+    chains: list[tuple[int, ...]] = []
     times: dict[int, int] = {}
     rows = [0]
     for i, (g, tf) in enumerate(blocks):
         off = offsets[i]
         times.update({v + off: t for v, t in remap_time(seq, i, tf).items()})
-        chains.extend(Chain(tuple(v + off for v in c.nodes)) for c in tf.chains.chains)
+        chains.extend(tuple(v + off for v in c) for c in tf.chains.chains)
         rows.extend(row << off for row in g.rows[1:])
     tf = TimeFunction(ChainSet(tuple(chains)), times)
     merged = CombinedNetwork(DiGraph.from_rows(sum(sizes), rows), tf, offsets, sizes)
@@ -194,9 +193,10 @@ def enumerate_sequences(
     if dag:
         if any(c < 1 for c in counts):
             raise ValueError("every block must appear at least once in dag mode")
-        if max(counts) > total - max(counts) + 1:
+        top = max(counts, default=0)  # the empty layout has no neighbours
+        if top > total - top + 1:
             raise InfeasibleSequenceError(
-                f"{max(counts)} copies of one block cannot avoid being adjacent "
+                f"{top} copies of one block cannot avoid being adjacent "
                 f"among {total} entries"
             )
     out: list[tuple[int, ...]] = []

@@ -49,7 +49,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .forcing import ExplicitForces
-from .graphs import Chain, ChainSet, DiGraph, Edge, mask_nodes
+from .graphs import ChainSet, DiGraph, Edge, mask_nodes
 from .synthesis import TimeFunction
 
 SECTIONS = ("NODES", "EDGES", "CONTROLS", "CHAINS", "TIMES")
@@ -287,7 +287,7 @@ def parse_document(text: str) -> NetworkDocument:
             chain = tuple(known(tok, lineno) for tok in tokens)
             if len(set(chain)) != len(chain):
                 raise DocumentError("a chain repeats a node", lineno)
-            chains.append(Chain(chain))
+            chains.append(chain)
         if not chains:
             raise DocumentError("CHAINS section declares no chains")
 
@@ -387,7 +387,7 @@ def emit_document(doc: NetworkDocument) -> str:
         ("", *doc.names),
         doc.network.rows,
         sorted(doc.controls),
-        None if doc.chains is None else [c.nodes for c in doc.chains.chains],
+        None if doc.chains is None else doc.chains.chains,
         None if doc.times is None else sorted(doc.times.items()),
     ))
 
@@ -412,7 +412,8 @@ def parse_force_list(text: str, doc: NetworkDocument) -> ExplicitForces:
 def parse_inter_edges(
     text: str, docs: Sequence[NetworkDocument]
 ) -> list[tuple[tuple[int, str], tuple[int, str]]]:
-    """Inter-block edges as ``<doc>.<node> <doc>.<node>`` lines (docs 1-based)."""
+    """Inter-block edges as ``<doc>.<node> <doc>.<node>`` lines (docs 1-based);
+    the two endpoints of a line lie in two different documents."""
 
     def endpoint(tok: str, lineno: int) -> tuple[int, str]:
         head, _, name = tok.partition(".")
@@ -432,7 +433,12 @@ def parse_inter_edges(
     for lineno, tokens in _content_lines(text.splitlines()):
         if len(tokens) != 2:
             raise DocumentError("an inter-edge line needs exactly two endpoints", lineno)
-        out.append((endpoint(tokens[0], lineno), endpoint(tokens[1], lineno)))
+        start, end = endpoint(tokens[0], lineno), endpoint(tokens[1], lineno)
+        if start[0] == end[0]:
+            raise DocumentError(
+                f"inter edge {' '.join(tokens)} joins two nodes of document {start[0] + 1}", lineno
+            )
+        out.append((start, end))
     return out
 
 

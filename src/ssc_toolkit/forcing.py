@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Union
 
-from .graphs import Chain, ChainSet, DiGraph, Edge, control_set, mask_nodes
+from .graphs import ChainSet, DiGraph, Edge, control_set, mask_nodes
 
 LOWEST_FORCER = "lowest-forcer"
 LOWEST_FORCED = "lowest-forced"
@@ -91,7 +91,7 @@ class ForcingRecord:
             nodes = [s]
             while nodes[-1] in successor:
                 nodes.append(successor[nodes[-1]])
-            chains.append(Chain(tuple(nodes)))
+            chains.append(nodes)
         return ChainSet(tuple(chains))
 
 

@@ -225,53 +225,25 @@ def control_set(nodes: Iterable[int], n: int) -> frozenset[int]:
 
 
 @dataclass(frozen=True)
-class Chain:
-    """A directed path written as its node sequence; first node is the
-    source, last is the sink.  A one-node chain has no edges and its node
-    is both source and sink."""
-
-    nodes: tuple[int, ...]
-
-    def __post_init__(self):
-        nodes = tuple(int(v) for v in self.nodes)
-        object.__setattr__(self, "nodes", nodes)
-        if not nodes:
-            raise ValueError("a chain needs at least one node")
-        if len(set(nodes)) != len(nodes):
-            raise ValueError(f"chain nodes must be distinct, got {nodes}")
-
-    @property
-    def source(self) -> int:
-        return self.nodes[0]
-
-    @property
-    def sink(self) -> int:
-        return self.nodes[-1]
-
-    @property
-    def edges(self) -> tuple[Edge, ...]:
-        return tuple(zip(self.nodes, self.nodes[1:]))
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-
-@dataclass(frozen=True)
 class ChainSet:
     """A node-disjoint collection of chains.
 
-    Disjointness is checked once, at construction: a :class:`ChainSet`
-    that exists has no node in two chains, so nothing downstream checks
+    A chain is a directed path written as its node tuple, source first;
+    a one-node chain has no edges.  Chains are checked once, at
+    construction: a :class:`ChainSet` that exists has no empty chain and
+    no node twice, in one chain or in two, so nothing downstream checks
     it again.
     """
 
-    chains: tuple[Chain, ...]
+    chains: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        chains = tuple(c if isinstance(c, Chain) else Chain(tuple(c)) for c in self.chains)
+        chains = tuple(tuple(map(int, c)) for c in self.chains)
         object.__setattr__(self, "chains", chains)
         if not chains:
             raise ValueError("a chain set needs at least one chain")
+        if not all(chains):
+            raise ValueError("a chain needs at least one node")
         if len(self.nodes) != self.node_count:
             raise ValueError("chains share nodes")
 
@@ -281,28 +253,24 @@ class ChainSet:
 
     @cached_property
     def node_count(self) -> int:
-        return sum(len(c) for c in self.chains)
+        return sum(map(len, self.chains))
 
     @cached_property
     def nodes(self) -> frozenset[int]:
-        return frozenset(v for c in self.chains for v in c.nodes)
+        return frozenset(v for c in self.chains for v in c)
 
     @cached_property
     def sources(self) -> frozenset[int]:
-        return frozenset(c.source for c in self.chains)
+        return frozenset(c[0] for c in self.chains)
 
     @cached_property
     def chain_edges(self) -> frozenset[Edge]:
-        return frozenset(e for c in self.chains for e in c.edges)
+        return frozenset(self.successor.items())
 
     @cached_property
     def successor(self) -> dict[int, int]:
         """Chain successor of every non-sink node."""
-        nxt: dict[int, int] = {}
-        for c in self.chains:
-            for u, v in c.edges:
-                nxt[u] = v
-        return nxt
+        return {u: v for c in self.chains for u, v in zip(c, c[1:])}
 
 
 def topological_order(g: DiGraph) -> tuple[int, ...]:

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .graphs import Chain, ChainSet, ConsistencyError, DiGraph, Edge, control_set, mask_nodes
+from .graphs import ChainSet, ConsistencyError, DiGraph, Edge, control_set, mask_nodes
 from .forcing import (
     LOWEST_FORCER,
     ForcingRecord,
@@ -80,12 +80,11 @@ class TimeFunction:
                 problems.append(f"nodes {seen[t]} and {v} share non-source time {t}")
             else:
                 seen[t] = v
-        for c in cs.chains:
-            for u, v in c.edges:
-                if times[u] >= times[v]:
-                    problems.append(
-                        f"chain times must increase: t({u})={times[u]} >= t({v})={times[v]}"
-                    )
+        for u, v in cs.successor.items():
+            if times[u] >= times[v]:
+                problems.append(
+                    f"chain times must increase: t({u})={times[u]} >= t({v})={times[v]}"
+                )
         return problems
 
     @property
@@ -234,8 +233,7 @@ def random_chain_set(n: int, m: int, rng: np.random.Generator) -> ChainSet:
     perm = [int(v) + 1 for v in rng.permutation(n)]
     cuts = sorted(rng.choice(n - 1, size=m - 1, replace=False) + 1) if m > 1 else []
     bounds = [0, *cuts, n]
-    chains = tuple(Chain(tuple(perm[a:b])) for a, b in zip(bounds, bounds[1:]))
-    return ChainSet(chains)
+    return ChainSet(tuple(perm[a:b] for a, b in zip(bounds, bounds[1:])))
 
 
 def random_time_function(cs: ChainSet, rng: np.random.Generator) -> TimeFunction:
@@ -249,9 +247,9 @@ def random_time_function(cs: ChainSet, rng: np.random.Generator) -> TimeFunction
     for i, c in enumerate(cs.chains):
         slots.extend([i] * (len(c) - 1))
     rng.shuffle(slots)
-    times = {c.source: 1 for c in cs.chains}
+    times = {c[0]: 1 for c in cs.chains}
     progress = [1] * cs.m  # next node index to stamp, per chain
     for step, i in enumerate(slots):
-        times[cs.chains[i].nodes[progress[i]]] = step + 2
+        times[cs.chains[i][progress[i]]] = step + 2
         progress[i] += 1
     return TimeFunction(cs, times)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from ssc_toolkit.graphs import Chain, ChainSet, DiGraph
+from ssc_toolkit.graphs import ChainSet, DiGraph
 from ssc_toolkit.forcing import ExplicitForces
 from ssc_toolkit.synthesis import TimeFunction
 
@@ -43,7 +43,7 @@ def path3() -> DiGraph:
 def block_path3() -> tuple[DiGraph, TimeFunction]:
     """Two-way 3-path as a one-chain block."""
     g = DiGraph(3, bidirectional([(1, 2), (2, 3)]))
-    tf = TimeFunction(ChainSet((Chain((1, 2, 3)),)), {1: 1, 2: 2, 3: 3})
+    tf = TimeFunction(ChainSet(((1, 2, 3),)), {1: 1, 2: 2, 3: 3})
     return g, tf
 
 
@@ -51,13 +51,13 @@ def block_path3() -> tuple[DiGraph, TimeFunction]:
 def block_ring4() -> tuple[DiGraph, TimeFunction]:
     """Two-way 4-ring with the 1-4 diagonal as a two-chain block."""
     g = DiGraph(4, bidirectional([(1, 2), (2, 4), (1, 3), (4, 3), (1, 4)]))
-    tf = TimeFunction(ChainSet((Chain((1, 3)), Chain((2, 4)))), {1: 1, 2: 1, 4: 2, 3: 3})
+    tf = TimeFunction(ChainSet(((1, 3), (2, 4))), {1: 1, 2: 1, 4: 2, 3: 3})
     return g, tf
 
 
 @pytest.fixture
 def chain3_tf() -> TimeFunction:
-    return TimeFunction(ChainSet((Chain((1, 2, 3)),)), {1: 1, 2: 2, 3: 3})
+    return TimeFunction(ChainSet(((1, 2, 3),)), {1: 1, 2: 2, 3: 3})
 
 
 # -- hypothesis strategies ---------------------------------------------------
@@ -87,7 +87,7 @@ def chain_partitions(draw, max_n: int = 8) -> ChainSet:
         else st.just(frozenset())
     )
     bounds = [0, *sorted(cut_points), n]
-    return ChainSet(tuple(Chain(tuple(perm[a:b])) for a, b in zip(bounds, bounds[1:])))
+    return ChainSet(tuple(perm[a:b] for a, b in zip(bounds, bounds[1:])))
 
 
 @st.composite
@@ -97,9 +97,9 @@ def timed_partitions(draw, max_n: int = 8) -> TimeFunction:
     for i, c in enumerate(cs.chains):
         slots.extend([i] * (len(c) - 1))
     order = draw(st.permutations(slots)) if slots else []
-    times = {c.source: 1 for c in cs.chains}
+    times = {c[0]: 1 for c in cs.chains}
     progress = [1] * cs.m
     for step, i in enumerate(order):
-        times[cs.chains[i].nodes[progress[i]]] = step + 2
+        times[cs.chains[i][progress[i]]] = step + 2
         progress[i] += 1
     return TimeFunction(cs, times)

@@ -98,10 +98,10 @@ def _worked_blocks():
         (x, y) for a, b in pairs for x, y in ((a, b), (b, a))
     )
     g1 = st.DiGraph(3, both([(1, 2), (2, 3)]))
-    tf1 = st.TimeFunction(st.ChainSet((st.Chain((1, 2, 3)),)), {1: 1, 2: 2, 3: 3})
+    tf1 = st.TimeFunction(st.ChainSet(((1, 2, 3),)), {1: 1, 2: 2, 3: 3})
     g2 = st.DiGraph(4, both([(1, 2), (2, 4), (1, 3), (4, 3), (1, 4)]))
     tf2 = st.TimeFunction(
-        st.ChainSet((st.Chain((1, 3)), st.Chain((2, 4)))), {1: 1, 2: 1, 4: 2, 3: 3}
+        st.ChainSet(((1, 3), (2, 4))), {1: 1, 2: 1, 4: 2, 3: 3}
     )
     return [(g1, tf1), (g2, tf2)], (1, 0, 0, 1)
 
@@ -226,7 +226,7 @@ VARYING_PIECES = [
 
 
 def _varying_schedule(seed: int = 0) -> st.LtvSchedule:
-    tf = st.TimeFunction(st.ChainSet((st.Chain((1, 2, 3)),)), {1: 1, 2: 2, 3: 3})
+    tf = st.TimeFunction(st.ChainSet(((1, 2, 3),)), {1: 1, 2: 2, 3: 3})
     pieces = [st.DiGraph(3, edges) for edges in VARYING_PIECES]
     return st.schedule_from_edges(tf, (0, 1, 2, 3, 4, 5, 6, 7, 10), pieces, seed=seed)
 
@@ -256,7 +256,7 @@ def test_criterion_8_ltv_non_source_control_deficient_as_stated():
 
 def test_criterion_8_family_witness_is_deficient():
     with _Budget("criterion 8 (family-level witness)", 10):
-        tf = st.TimeFunction(st.ChainSet((st.Chain((1, 2, 3)),)), {1: 1, 2: 2, 3: 3})
+        tf = st.TimeFunction(st.ChainSet(((1, 2, 3),)), {1: 1, 2: 2, 3: 3})
         lean = st.schedule_from_edges(tf, (0, 1, 2, 3, 4, 5, 6, 7, 10), [st.DiGraph(3)] * 8, seed=13)
         assert st.ltv_gramian_rank(lean, {2}) < 3
         assert st.ltv_gramian_rank(lean, {1}) == 3

@@ -3,6 +3,8 @@ from __future__ import annotations
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -235,6 +237,35 @@ class TestCombine:
         assert rc == 3
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode, docs, rc, err", [
+        ("general", ["path3_bidir.net", "ring4_chord.net"], 3,
+         "error: sequence repetitions [1, 1] do not match the required counts [2, 2]"),
+        ("dag", ["chain3.net", "chain3.net"], 2,
+         "infeasible: sequence repetitions [1, 1] do not match the block sizes [3, 3]"),
+    ])
+    def test_wrong_repetitions(self, capsys, mode, docs, rc, err):
+        argv = ["combine", *(str(SAMPLES / d) for d in docs), "--mode", mode, "--sequence", "1,2"]
+        assert main(argv) == rc
+        assert capsys.readouterr() == ("", err + "\n")
+
+
+class TestReadme:
+    def test_every_example_command_exits_0(self, capsys, monkeypatch):
+        """Each ``ssc-toolkit`` line of README's ``sh`` blocks, run from the
+        repository root."""
+        root = SAMPLES.parent
+        blocks = re.findall(r"^```sh\n(.*?)^```", (root / "README.md").read_text(), re.M | re.S)
+        lines = "".join(blocks).replace("\\\n", " ").splitlines()
+        commands = [shlex.split(line)[1:] for line in lines if line.startswith("ssc-toolkit ")]
+        assert commands
+        monkeypatch.chdir(root)
+        failed = []
+        for argv in commands:
+            rc, err = main(argv), capsys.readouterr().err
+            if rc:
+                failed.append((" ".join(argv), rc, err))
+        assert failed == []
+
 
 class TestOracle:
     def test_lti_consistent(self, capsys):
@@ -359,6 +390,7 @@ INPUT_DOCS = {
     "bare-end.txt": "v1 2.u1\n",
     "bad-doc.txt": "1.v1 x.v1\n",
     "one-end.txt": "1.v1\n",
+    "same-doc.txt": "1.v1 1.v2\n",
 }
 
 PAIR = ["path3_bidir.net", "ring4_chord.net", "--sequence", "2,1,1,2", "--inter-edges"]
@@ -405,12 +437,15 @@ class TestInputErrors:
          "error: line 1: 'x' is not a document number"),
         (["combine", *PAIR, "{tmp}/one-end.txt"],
          "error: line 1: an inter-edge line needs exactly two endpoints"),
+        (["combine", *PAIR, "{tmp}/same-doc.txt"],
+         "error: line 1: inter edge 1.v1 1.v2 joins two nodes of document 1"),
     ], ids=[
         "missing-document", "dag-inter-edges", "general-without-chains", "ltv-without-chains",
         "sequences-without-chains-or-controls", "empty-nodes", "unknown-control",
         "unknown-chain-node", "unknown-timed-node", "empty-chains", "one-token-times-line",
         "node-timed-twice", "times-miss-a-chain-node", "three-name-force-line",
         "endpoint-without-document", "endpoint-with-bad-document", "one-endpoint-line",
+        "intra-document-inter-edge",
     ])
     def test_input_error(self, capsys, tmp_path, argv, err):
         for name, text in INPUT_DOCS.items():

@@ -79,7 +79,7 @@ class TestParse:
         tf = doc.time_function()
         assert tf is not None
         assert tf.times == {1: 1, 2: 2, 3: 3}
-        assert [c.nodes for c in tf.chains.chains] == [(1, 2, 3)]
+        assert tf.chains.chains == ((1, 2, 3),)
 
     def test_comments_and_blanks_ignored(self):
         doc = parse_document("# header\n\nNODES\nx # trailing\n\nEDGES\n\nCONTROLS\nx\n")
@@ -338,7 +338,7 @@ class TestRoundTrip:
         shuffled = ANNOTATED.replace("a 1\nb 2\nc 3\n", "c 3\na 1\nb 2\n")
         doc = parse_document(shuffled)
         assert doc == parse_document(ANNOTATED)
-        assert doc.chains.chains[0].nodes == (1, 2, 3) and doc.times == {1: 1, 2: 2, 3: 3}
+        assert doc.chains.chains[0] == (1, 2, 3) and doc.times == {1: 1, 2: 2, 3: 3}
         assert emit_document(doc) == emit_document(parse_document(ANNOTATED))
 
     def test_from_graph_round_trip(self):

@@ -156,20 +156,20 @@ class TestForcingSchedule:
     def test_path_has_unique_schedule(self, path3):
         rec = forcing_schedule(path3, {1})
         assert rec.times == {1: 1, 2: 2, 3: 3}
-        assert [c.nodes for c in rec.chains.chains] == [(1, 2, 3)]
+        assert rec.chains.chains == ((1, 2, 3),)
         assert rec.gamma == 3
 
     def test_ring_explicit_first_variant(self, ring6, ring6_policy):
         rec = forcing_schedule(ring6, {1, 2}, ring6_policy)
         assert rec.times == {1: 1, 2: 1, 6: 2, 3: 3, 4: 4, 5: 5}
-        assert sorted(c.nodes for c in rec.chains.chains) == [(1, 6), (2, 3, 4, 5)]
+        assert sorted(rec.chains.chains) == [(1, 6), (2, 3, 4, 5)]
         tf = TimeFunction.from_record(rec)
         assert tf.tmax == {1: 1, 2: 2, 6: 5, 3: 3, 4: 4, 5: 5}
 
     def test_ring_explicit_second_variant(self, ring6):
         rec = forcing_schedule(ring6, {1, 2}, ExplicitForces(((1, 6), (2, 3), (6, 5), (5, 4))))
         assert rec.times == {1: 1, 2: 1, 6: 2, 3: 3, 5: 4, 4: 5}
-        assert sorted(c.nodes for c in rec.chains.chains) == [(1, 6, 5, 4), (2, 3)]
+        assert sorted(rec.chains.chains) == [(1, 6, 5, 4), (2, 3)]
 
     def test_explicit_rejects_impossible_force(self, ring6):
         with pytest.raises(ValueError, match="not possible"):
@@ -187,7 +187,7 @@ class TestForcingSchedule:
     def test_isolated_control_gets_singleton_chain(self):
         g = DiGraph(3, frozenset({(1, 2)}))
         rec = forcing_schedule(g, {1, 3})
-        assert sorted(c.nodes for c in rec.chains.chains) == [(1, 2), (3,)]
+        assert sorted(rec.chains.chains) == [(1, 2), (3,)]
 
     @given(digraphs(max_n=8), st.data())
     def test_verdict_is_policy_independent(self, g: DiGraph, data):
@@ -229,7 +229,7 @@ class TestForcingSchedule:
         assert rec.chains.sources == z
         assert rec.chains.nodes == frozenset(g.nodes)
         for c in rec.chains.chains:
-            times = [rec.times[v] for v in c.nodes]
+            times = [rec.times[v] for v in c]
             assert times == sorted(times) and len(set(times)) == len(times)
         # every successful record certifies membership in its own family
         assert is_ct_constructed(g, TimeFunction.from_record(rec))
@@ -244,12 +244,12 @@ class TestEnumerateSchedules:
         records = enumerate_forcing_schedules(g, {1, 2}, limit=10)
         assert len(records) == 1
         assert records[0].forces == ()
-        assert sorted(c.nodes for c in records[0].chains.chains) == [(1,), (2,)]
+        assert sorted(records[0].chains.chains) == [(1,), (2,)]
 
     def test_ring_has_at_least_the_four_variants(self, ring6):
         records = enumerate_forcing_schedules(ring6, {1, 2})
         pairs = {
-            (tuple(sorted(c.nodes for c in r.chains.chains)), tuple(sorted(r.times.items())))
+            (tuple(sorted(r.chains.chains)), tuple(sorted(r.times.items())))
             for r in records
         }
         assert len(pairs) >= 4
@@ -330,7 +330,7 @@ class TestRecords:
         for rec in records:
             times, chains, gamma = walked_record(g.n, z, rec.forces)
             assert rec.times == times
-            assert tuple(c.nodes for c in rec.chains.chains) == chains
+            assert rec.chains.chains == chains
             assert rec.gamma == gamma
             assert rec.controls == z == rec.chains.sources
             replay = forcing_schedule(g, z, ExplicitForces(rec.forces))

@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ssc_toolkit.graphs import (
-    Chain,
     ChainSet,
     CyclicError,
     DiGraph,
@@ -207,26 +206,28 @@ class TestControlSet:
 
 class TestChains:
     def test_chain_basics(self):
-        c = Chain((2, 5, 3))
-        assert c.source == 2 and c.sink == 3
-        assert c.edges == ((2, 5), (5, 3))
-        assert Chain((4,)).edges == ()
-        assert Chain((4,)).source == Chain((4,)).sink == 4
-        with pytest.raises(ValueError):
-            Chain((1, 1))
+        cs = ChainSet(([2, 5, 3], (4,)))
+        assert cs.chains == ((2, 5, 3), (4,))
+        assert cs.sources == {2, 4} and cs.chain_edges == {(2, 5), (5, 3)}
+        with pytest.raises(ValueError, match="^chains share nodes$"):
+            ChainSet(((1, 1),))
+        with pytest.raises(ValueError, match="^a chain needs at least one node$"):
+            ChainSet(((4,), ()))
+        with pytest.raises(ValueError, match="^a chain set needs at least one chain$"):
+            ChainSet(())
 
     def test_partition_accepts_single_chain_path(self, path3):
-        tf = TimeFunction(ChainSet((Chain((1, 2, 3)),)), {1: 1, 2: 2, 3: 3})
+        tf = TimeFunction(ChainSet(((1, 2, 3),)), {1: 1, 2: 2, 3: 3})
         assert is_ct_constructed(path3, tf)
 
     def test_partition_rejects_repeated_node(self):
         with pytest.raises(ValueError, match="^chains share nodes$"):
-            ChainSet((Chain((1, 2)), Chain((2, 3))))
+            ChainSet(((1, 2), (2, 3)))
 
     def test_partition_rejects_missing_cover_and_foreign_edges(self, path3):
-        short = TimeFunction(ChainSet((Chain((1, 2)),)), {1: 1, 2: 2})
+        short = TimeFunction(ChainSet(((1, 2),)), {1: 1, 2: 2})
         assert not is_ct_constructed(path3, short)
-        foreign = TimeFunction(ChainSet((Chain((1, 3)), Chain((2,)))), {1: 1, 2: 1, 3: 2})
+        foreign = TimeFunction(ChainSet(((1, 3), (2,))), {1: 1, 2: 1, 3: 2})
         assert not is_ct_constructed(path3, foreign)
 
     def test_partition_on_two_chain_block(self, block_ring4):
@@ -234,16 +235,16 @@ class TestChains:
         assert tf.n == g.n and tf.skeleton.edges <= g.edges
         assert tf.chains.sources == {1, 2}
 
-    @given(st.lists(st.lists(st.integers(1, 6), min_size=1, max_size=4, unique=True),
+    @given(st.lists(st.lists(st.integers(1, 6), min_size=1, max_size=4),
                     min_size=1, max_size=4))
     def test_chains_share_nodes_exactly_when_a_node_repeats(self, chains):
         nodes = [v for c in chains for v in c]
         if len(set(nodes)) == len(nodes):
-            cs = ChainSet(tuple(Chain(tuple(c)) for c in chains))
+            cs = ChainSet(chains)
             assert cs.node_count == len(cs.nodes) == len(nodes)
         else:
             with pytest.raises(ValueError, match="^chains share nodes$"):
-                ChainSet(tuple(Chain(tuple(c)) for c in chains))
+                ChainSet(chains)
 
 
 class TestTopologicalOrder:

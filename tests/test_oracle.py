@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from ssc_toolkit.documents import parse_document, parse_schedule_file
 from ssc_toolkit.forcing import is_zfs, stalled_white_set
-from ssc_toolkit.graphs import Chain, ChainSet, DiGraph, mask_nodes
+from ssc_toolkit.graphs import ChainSet, DiGraph, mask_nodes
 from ssc_toolkit import oracle
 from ssc_toolkit.oracle import (
     DIAG_MIXED,
@@ -245,7 +245,7 @@ class TestVerifySscNumeric:
         assert report.consistent
 
 
-CHAIN3 = TimeFunction(ChainSet((Chain((1, 2, 3)),)), {1: 1, 2: 2, 3: 3})
+CHAIN3 = TimeFunction(ChainSet(((1, 2, 3),)), {1: 1, 2: 2, 3: 3})
 
 
 def chain3_varying_schedule() -> LtvSchedule:
@@ -416,9 +416,9 @@ class TestGramian:
 # node is a source.
 LAYOUTS = {
     "two-chains": TimeFunction(
-        ChainSet((Chain((1, 2, 3)), Chain((4, 5)))), {1: 1, 4: 1, 2: 2, 5: 3, 3: 4}
+        ChainSet(((1, 2, 3), (4, 5))), {1: 1, 4: 1, 2: 2, 5: 3, 3: 4}
     ),
-    "single-node-chains": TimeFunction(ChainSet((Chain((1,)), Chain((2,)))), {1: 1, 2: 1}),
+    "single-node-chains": TimeFunction(ChainSet(((1,), (2,))), {1: 1, 2: 1}),
 }
 
 

@@ -78,11 +78,11 @@ class TestAdditiveNumber:
 
 @pytest.fixture
 def two_chain_perfect():
-    from ssc_toolkit.graphs import Chain, ChainSet
+    from ssc_toolkit.graphs import ChainSet
     from ssc_toolkit.synthesis import TimeFunction
 
     tf = TimeFunction(
-        ChainSet((Chain((1, 2, 3)), Chain((4, 5)))), {1: 1, 4: 1, 2: 2, 5: 3, 3: 4}
+        ChainSet(((1, 2, 3), (4, 5))), {1: 1, 4: 1, 2: 2, 5: 3, 3: 4}
     )
     return perfect_graph(tf), frozenset({1, 4})
 
