@@ -26,6 +26,8 @@ from .forcing import (
     enumerate_forcing_schedules,
     forcing_schedule,
     is_zfs,
+    schedule_gamma,
+    schedule_leaves,
     stalled_white_set,
 )
 from .synthesis import (

@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 from collections.abc import Callable, Iterable, Iterator
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
@@ -46,8 +47,9 @@ from .forcing import (
     LOWEST_FORCED,
     LOWEST_FORCER,
     NotZfsError,
-    enumerate_forcing_schedules,
     forcing_schedule,
+    schedule_gamma,
+    schedule_leaves,
     stalled_white_set,
 )
 from .graphs import ConsistencyError, CyclicError, DiGraph, Edge, mask_nodes
@@ -198,26 +200,20 @@ def _sorted_pairs(
     )
 
 
-class _Texts(dict):
-    """A dict that fills in a missing key's value with ``make(key)``."""
-
-    def __init__(self, make: Callable):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        self[key] = value = self.make(key)
-        return value
-
-
 def _schedule_writer(
     names: Sequence[str], machine: bool, gamma: int
-) -> tuple[Callable[[Sequence[Edge]], str], Callable[[Sequence[Edge]], str]]:
-    """Two functions that write a force list of a complete schedule with
-    this ``gamma`` straight from the list: the first writes the forces, the
-    second their ``[t, tmax]`` intervals.  They write JSON values, the
-    intervals keyed in name order as ``sort_keys`` orders them, or text,
-    ``u>v`` forces and ``name:[t,tmax]`` in id order.
+) -> Callable[[int, Sequence[Edge]], tuple[str, str]]:
+    """One function that writes complete schedules with this ``gamma``, one
+    after another, as a pair of texts: the forces, and their ``[t, tmax]``
+    intervals.  It writes JSON values, the intervals keyed in name order as
+    ``sort_keys`` orders them, or text, ``u>v`` forces and
+    ``name:[t,tmax]`` in id order.
+
+    A call passes ``shared``, how many leading forces its list has in common
+    with the list of the call before (0 on the first call), and ``tail``,
+    the forces after those.  The writer keeps the interval pieces and the
+    force texts of the last list, so it rewrites only the entries of the
+    forces after ``shared``.
 
     Controls turn black at step 1.  Force k (counted from 0) ``(w, u)``
     blackens u at step k + 2 and ends w's time as its chain's frontier at
@@ -225,31 +221,38 @@ def _schedule_writer(
     """
     n = len(names)
     written = _written_names(names, machine)
+    # the force (w, u) is written forcer[w] + forced[u]
     if machine:
         order = sorted(range(1, n + 1), key=lambda v: names[v - 1])
-        colon, mid, sep, pair = ": [", ", ", ", ", "[{}, {}]"
+        colon, mid, sep = ": [", ", ", ", "
+        forcer, forced = [f"[{w}, " for w in written], [f"{u}]" for u in written]
     else:
-        order, colon, mid, sep, pair = range(1, n + 1), ":[", ",", " ", "{}>{}"
-    pairs = _Texts(lambda f: pair.format(written[f[0]], written[f[1]]))
+        order, colon, mid, sep = range(1, n + 1), ":[", ",", " "
+        forcer, forced = [f"{w}>" for w in written], written
     digits = [str(k) for k in range(gamma + 1)]
     pieces, at = [], [0] * (n + 1)  # node v's t is pieces[at[v]], its tmax pieces[at[v] + 2]
     for v in order:
         at[v] = len(pieces) + 1
         pieces += (written[v] + colon, "1", mid, digits[gamma], "]" + sep)
     pieces[-1] = "]"
+    if machine:
+        pieces[0], pieces[-1] = "{" + pieces[0], "]}"
+    forces: list[Edge] = []  # the last list, and its force texts
+    listed: list[str] = []
 
-    def write_forces(forces: Sequence[Edge]) -> str:
-        listed = sep.join(map(pairs.__getitem__, forces))
-        return f"[{listed}]" if machine else listed
+    def write(shared: int, tail: Sequence[Edge]) -> tuple[str, str]:
+        for w, u in forces[shared:]:
+            pieces[at[w] + 2] = digits[gamma]
+            pieces[at[u]] = "1"
+        for k, (w, u) in enumerate(tail, shared + 1):
+            pieces[at[w] + 2] = digits[k]
+            pieces[at[u]] = digits[k + 1]
+        forces[shared:] = tail
+        listed[shared:] = [forcer[w] + forced[u] for w, u in tail]
+        joined = sep.join(listed)
+        return f"[{joined}]" if machine else joined, "".join(pieces)
 
-    def write_intervals(forces: Sequence[Edge]) -> str:
-        numbered = pieces.copy()
-        for k, (w, u) in enumerate(forces, 1):
-            numbered[at[w] + 2] = digits[k]
-            numbered[at[u]] = digits[k + 1]
-        return "{" + "".join(numbered) + "}" if machine else "".join(numbered)
-
-    return write_forces, write_intervals
+    return write
 
 
 def _document(written: Sequence[str], machine: bool, *parts) -> Iterator[str]:
@@ -281,8 +284,7 @@ def cmd_check(args) -> int:
     except NotZfsError as exc:
         return _check_stalled(args, doc, exc.stalled_white)
     machine = args.format == "machine"
-    write_forces, write_intervals = _schedule_writer(doc.names, machine, record.gamma)
-    forces, intervals = write_forces(record.forces), write_intervals(record.forces)
+    forces, intervals = _schedule_writer(doc.names, machine, record.gamma)(0, record.forces)
     chains = [[doc.name_of(v) for v in c] for c in record.chains.chains]
     if machine:
         _write(_json({
@@ -341,8 +343,7 @@ def cmd_robustness(args) -> int:
     tf = report.witness
     # the witness's chain edges as forces, in the order their targets turn black
     forces = sorted(tf.chains.successor.items(), key=lambda force: tf.times[force[1]])
-    _, write_intervals = _schedule_writer(doc.names, machine, tf.gamma)
-    intervals = write_intervals(forces)
+    _, intervals = _schedule_writer(doc.names, machine, tf.gamma)(0, forces)
     if machine:
         payload = {
             "command": "robustness",
@@ -598,22 +599,23 @@ def cmd_schedules(args) -> int:
         doc = docs[0]
         g = doc.graph()
         z = _require_controls(doc)
-        records = enumerate_forcing_schedules(g, z, limit=args.limit)
+        # The count is written first, so the schedules are walked before any
+        # is written; each keeps only its forces after those it shares.
+        leaves = islice(schedule_leaves(g, z), args.limit)
+        tails = [(shared, tuple(forces[shared:])) for shared, forces in leaves]
         machine = args.format == "machine"
-        forces, intervals = _schedule_writer(doc.names, machine, records[0].gamma)
+        write = _schedule_writer(doc.names, machine, schedule_gamma(g, z))
+        texts = (write(*tail) for tail in tails)
         if machine:
             _write(_json({
                 "command": "schedules",
                 "kind": "forcing",
-                "count": len(records),
-                "schedules": _json_list(
-                    '{"forces": %s, "intervals": %s}' % (forces(r.forces), intervals(r.forces))
-                    for r in records
-                ),
+                "count": len(tails),
+                "schedules": _json_list('{"forces": %s, "intervals": %s}' % t for t in texts),
             }))
             return EXIT_OK
-        _write([f"forcing schedules: {len(records)}\n"])
-        _write("  %s  |  %s\n" % (forces(r.forces), intervals(r.forces)) for r in records)
+        _write([f"forcing schedules: {len(tails)}\n"])
+        _write("  %s  |  %s\n" % t for t in texts)
         return EXIT_OK
     if args.mode == "dag":
         counts = [len(doc.names) for doc in docs]

@@ -283,10 +283,18 @@ def parse_document(text: str) -> NetworkDocument:
     chains = None
     if "CHAINS" in bodies:
         chains = []
+        chain_line: dict[int, int] = {}  # node -> the line of the chain that lists it
         for lineno, tokens in section("CHAINS"):
             chain = tuple(known(tok, lineno) for tok in tokens)
-            if len(set(chain)) != len(chain):
-                raise DocumentError("a chain repeats a node", lineno)
+            for tok, v in zip(tokens, chain):
+                if v not in chain_line:
+                    chain_line[v] = lineno
+                elif chain_line[v] == lineno:
+                    raise DocumentError("a chain repeats a node", lineno)
+                else:
+                    raise DocumentError(
+                        f"node {tok!r} is already in the chain on line {chain_line[v]}", lineno
+                    )
             chains.append(chain)
         if not chains:
             raise DocumentError("CHAINS section declares no chains")
@@ -312,10 +320,7 @@ def parse_document(text: str) -> NetworkDocument:
     if times is not None and chains is None:
         raise DocumentError("TIMES needs a CHAINS section to be meaningful")
     if chains is not None:
-        try:
-            chains = ChainSet(tuple(chains))
-        except ValueError as exc:  # chains share nodes
-            raise DocumentError(str(exc)) from None
+        chains = ChainSet(tuple(chains))  # nonempty and disjoint, as checked line by line
     doc = NetworkDocument(tuple(names), graph, frozenset(controls), chains, times)
     _validate_annotations(doc)
     return doc

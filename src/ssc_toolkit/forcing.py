@@ -11,6 +11,12 @@ pick from it by policy, and the enumeration walks it depth first with
 undo.  A force costs about one bit operation per in-edge of the forced
 node, so a whole closure costs about one bit operation per edge.
 
+The depth-first walk is one stream of leaves, each the walk's one force
+list with the count of leading forces it shares with the leaf before,
+so a writer need only rewrite the rest.  Once one white node is left,
+each ready forcer forces it and completes a list: that last force is
+listed but never applied.
+
 Self-loops never participate: a node is not its own out-neighbor for
 forcing purposes, which keeps every verdict invariant under adding or
 removing self-loops.
@@ -19,7 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Union
+from itertools import islice
+from typing import Iterable, Iterator, Union
 
 from .graphs import ChainSet, DiGraph, Edge, control_set, mask_nodes
 
@@ -202,8 +209,14 @@ def is_zfs(g: DiGraph, controls: Iterable[int]) -> bool:
     return _drain(g, control_set(controls, g.n)) == g.full_mask
 
 
+def schedule_gamma(g: DiGraph, z: frozenset[int]) -> int:
+    """The step count of every complete schedule from the control set ``z``:
+    the controls' step, then one step per white node."""
+    return g.n - len(z) + 1
+
+
 def _build_record(g: DiGraph, z: frozenset[int], forces: list[Edge]) -> ForcingRecord:
-    return ForcingRecord(tuple(forces), z, g.n - len(z) + 1)
+    return ForcingRecord(tuple(forces), z, schedule_gamma(g, z))
 
 
 def forcing_schedule(
@@ -249,6 +262,62 @@ def forcing_schedule(
     return _build_record(g, z, forces)
 
 
+def schedule_leaves(
+    g: DiGraph, controls: Iterable[int]
+) -> Iterator[tuple[int, list[Edge]]]:
+    """Depth-first walk of every distinct chronological force list from
+    ``controls``, the stream :func:`enumerate_forcing_schedules` collects.
+
+    Yields ``(shared, forces)`` per complete list, where the first ``shared``
+    forces equal the previous list's (0 for the first).  ``forces`` is one
+    list that the walk edits in place, so a caller copies what it keeps.
+
+    The walk keeps an explicit stack of the forcers still to try at each
+    depth, so its depth (one level per force) is not bounded by the
+    interpreter's recursion limit.  Derived sets do not depend on the order
+    of the forces, so every list ends on the same black set: the first
+    stall raises, and otherwise every list forces all ``n - |controls|`` white
+    nodes.  Once one white node is left, each ready forcer, lowest first,
+    forces it and so completes a list; that last force is listed but never
+    applied.
+
+    Raises:
+        NotZfsError: ``controls`` is not a zero forcing set.
+    """
+    z = control_set(controls, g.n)
+    state = _Frontier(g, z)
+    forces: list[Edge] = []
+    if not state.ready:  # the controls force nothing
+        _require_all_black(g, state.black, z)
+        yield 0, forces
+        return
+    need = g.n - len(z)  # the length of every complete list
+    apply, undo, force_of = state.apply, state.undo, state.force_of
+    pending = [state.ready]  # per depth, the mask of the forcers still to try
+    shared = 0
+    while pending:
+        rest = pending[-1]
+        if not rest:
+            pending.pop()
+            if forces:
+                undo(forces.pop())
+                shared = len(forces)
+            continue
+        low = rest & -rest
+        pending[-1] = rest ^ low
+        force = force_of(low.bit_length())
+        forces.append(force)
+        if len(forces) == need:  # it forces the last white node
+            yield shared, forces
+            forces.pop()
+            shared = need - 1
+            continue
+        apply(force)
+        if not state.ready:  # a stall with white nodes left: this raises
+            _require_all_black(g, state.black, z)
+        pending.append(state.ready)
+
+
 def enumerate_forcing_schedules(
     g: DiGraph, controls: Iterable[int], limit: int | None = None
 ) -> list[ForcingRecord]:
@@ -264,37 +333,4 @@ def enumerate_forcing_schedules(
     if limit is not None and limit < 1:
         raise ValueError("limit must be at least 1")
     z = control_set(controls, g.n)
-    # The search keeps an explicit stack of the forces still to try at each
-    # depth, so its depth (one level per force) is not bounded by the
-    # interpreter's recursion limit.  Derived sets do not depend on the
-    # order of the forces, so every leaf ends on the same black set: the
-    # whole graph, or else the stalled derived set the first leaf reports.
-    state = _Frontier(g, z)
-    forces: list[Edge] = []
-    if not state.ready:  # the controls force nothing
-        _require_all_black(g, state.black, z)
-        return [_build_record(g, z, forces)]
-    pending = [state.ready]  # per depth, the mask of the forcers still to try
-    records: list[ForcingRecord] = []
-    while pending:
-        rest = pending[-1]
-        if not rest:
-            pending.pop()
-            if forces:
-                state.undo(forces.pop())
-            continue
-        low = rest & -rest
-        pending[-1] = rest ^ low
-        force = state.force_of(low.bit_length())
-        state.apply(force)
-        forces.append(force)
-        if state.ready:
-            pending.append(state.ready)
-            continue
-        if not records:
-            _require_all_black(g, state.black, z)
-        records.append(_build_record(g, z, forces))
-        if limit is not None and len(records) >= limit:
-            break
-        state.undo(forces.pop())
-    return records
+    return [_build_record(g, z, forces) for _, forces in islice(schedule_leaves(g, z), limit)]

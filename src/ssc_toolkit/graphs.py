@@ -65,11 +65,20 @@ def _unpack(rows: Sequence[int], n: int) -> np.ndarray:
 _CHUNK = 1024
 
 
+def _moves_bits(ones: int, n: int) -> bool:
+    """True when the ``ones`` set bits of an ``n``-row bit matrix move one at
+    a time rather than through the unpacked matrix: up to three per row.
+    The measured crossover of :func:`_transpose` (random rows) is 2.5-3 set
+    bits per row up to n = 400 and grows to about 10 at n = 2000, so sparse
+    graphs of every size move their bits and dense ones unpack."""
+    return ones <= 3 * n
+
+
 def _transpose(rows: Sequence[int], n: int, ones: int) -> list[int]:
     """Column masks of the ``n x n`` bit matrix whose rows are ``rows`` and
-    which has ``ones`` set bits.  Up to two per row, bits move one at a time:
-    for a 10^4-node chain that takes 20 ms, unpacking the matrix 0.24 s."""
-    if ones <= 2 * n:
+    which has ``ones`` set bits.  A sparse matrix moves its bits one at a
+    time: for a 10^4-node chain that takes 20 ms, unpacking it 0.24 s."""
+    if _moves_bits(ones, n):
         out = [0] * n
         for u, row in enumerate(rows):
             bit = 1 << u
@@ -88,10 +97,9 @@ def _transpose(rows: Sequence[int], n: int, ones: int) -> list[int]:
 
 
 def _select_bits(rows: Sequence[int], n: int, at: Sequence[int]) -> list[int]:
-    """Each row rebuilt so that its bit ``j`` is its old bit ``at[j]``.  With
-    at most two bits per row on average, bits move one at a time, as in
-    :func:`_transpose`."""
-    if sum(row.bit_count() for row in rows) <= 2 * n:
+    """Each row rebuilt so that its bit ``j`` is its old bit ``at[j]``.  A
+    sparse matrix moves its bits one at a time, as in :func:`_transpose`."""
+    if _moves_bits(sum(row.bit_count() for row in rows), n):
         to = [0] * n
         for j, old in enumerate(at):
             to[old] = 1 << j

@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,12 @@ from hypothesis import strategies as st
 from ssc_toolkit import cli
 from ssc_toolkit.cli import main
 from ssc_toolkit.documents import parse_document
-from ssc_toolkit.forcing import enumerate_forcing_schedules, is_zfs
+from ssc_toolkit.forcing import (
+    enumerate_forcing_schedules,
+    is_zfs,
+    schedule_gamma,
+    schedule_leaves,
+)
 from ssc_toolkit.graphs import ConsistencyError, DiGraph
 from ssc_toolkit.synthesis import TimeFunction
 
@@ -594,27 +600,41 @@ class TestSchedules:
 class TestScheduleWriter:
     """Forces and intervals written from the force list match what the
     record's time function gives, as ``json.dumps`` or the text format
-    writes it."""
+    writes it; one writer fed each list's forces after the ones it shares
+    with the list before writes what a fresh writer per list does."""
+
+    NAME = st.from_regex(r'[ab%][ab1%"\\\xe9]{0,2}', fullmatch=True)
 
     @given(digraphs(max_n=7), st.data())
     def test_same_text_as_the_time_function(self, g: DiGraph, data):
-        name = st.from_regex(r'[ab%][ab1%"\\\xe9]{0,2}', fullmatch=True)
-        names = data.draw(st.lists(name, min_size=g.n, max_size=g.n, unique=True))
+        names = data.draw(st.lists(self.NAME, min_size=g.n, max_size=g.n, unique=True))
         z = data.draw(st.frozensets(st.sampled_from(range(1, g.n + 1)), min_size=1))
         assume(is_zfs(g, z))
         for record in enumerate_forcing_schedules(g, z, limit=10):
             tf = TimeFunction.from_record(record)
             named = [[names[u - 1], names[v - 1]] for u, v in record.forces]
             by_name = {names[v - 1]: [tf.times[v], tf.tmax[v]] for v in tf.times}
-            writers = cli._schedule_writer(names, True, record.gamma)
-            assert tuple(write(record.forces) for write in writers) == (
+            write = cli._schedule_writer(names, True, record.gamma)
+            assert write(0, record.forces) == (
                 json.dumps(named), json.dumps(by_name, sort_keys=True)
             )
-            writers = cli._schedule_writer(names, False, record.gamma)
-            assert tuple(write(record.forces) for write in writers) == (
+            write = cli._schedule_writer(names, False, record.gamma)
+            assert write(0, record.forces) == (
                 " ".join(f"{a}>{b}" for a, b in named),
                 " ".join(f"{names[v - 1]}:[{t},{tf.tmax[v]}]" for v, t in sorted(tf.times.items())),
             )
+
+    @given(digraphs(max_n=7), st.data())
+    def test_one_writer_over_the_tails_writes_what_fresh_writers_do(self, g: DiGraph, data):
+        names = data.draw(st.lists(self.NAME, min_size=g.n, max_size=g.n, unique=True))
+        z = data.draw(st.frozensets(st.sampled_from(range(1, g.n + 1)), min_size=1))
+        assume(is_zfs(g, z))
+        gamma = schedule_gamma(g, z)
+        for machine in (True, False):
+            write = cli._schedule_writer(names, machine, gamma)
+            for shared, forces in islice(schedule_leaves(g, z), 60):
+                fresh = cli._schedule_writer(names, machine, gamma)
+                assert write(shared, tuple(forces[shared:])) == fresh(0, tuple(forces))
 
 
 class TestRepeatedCalls:

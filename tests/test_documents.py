@@ -123,14 +123,20 @@ class TestParse:
         with pytest.raises(DocumentError, match="not edges"):
             parse_document("NODES\na b\nEDGES\nb a\nCHAINS\na b\n")
 
-    def test_overlapping_chains_rejected_after_the_times_lines(self):
-        text = "NODES\na b\nEDGES\na b\nCHAINS\na b\nb\n"
+    def test_overlapping_chains_name_the_node_and_both_lines(self):
+        text = "NODES\na b\nEDGES\na b\nCHAINS\na b\n# b again\nb\n"
         with pytest.raises(DocumentError) as err:
             parse_document(text)
-        assert str(err.value) == "chains share nodes" and err.value.line is None
+        assert str(err.value) == "line 8: node 'b' is already in the chain on line 6"
+        assert err.value.line == 8
+        # a bad CHAINS line is a bad line: it is reported before the TIMES lines are read
         with pytest.raises(DocumentError) as err:
             parse_document(text + "TIMES\na x\n")
-        assert err.value.line == 9 and "not an integer time" in str(err.value)
+        assert err.value.line == 8
+        # the chains are checked as a whole only after the TIMES lines
+        with pytest.raises(DocumentError) as err:
+            parse_document("NODES\na b\nEDGES\na b\nCHAINS\na\nTIMES\na x\n")
+        assert err.value.line == 8 and "not an integer time" in str(err.value)
 
     def test_invalid_times_rejected(self):
         text = "NODES\na b\nEDGES\na b\nCHAINS\na b\nTIMES\na 1\nb 5\n"

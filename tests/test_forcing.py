@@ -11,10 +11,12 @@ from ssc_toolkit.forcing import (
     LOWEST_FORCER,
     ExplicitForces,
     NotZfsError,
+    _Frontier,
     derived_set,
     enumerate_forcing_schedules,
     forcing_schedule,
     is_zfs,
+    schedule_leaves,
     stalled_white_set,
 )
 from ssc_toolkit.graphs import DiGraph
@@ -312,6 +314,73 @@ class TestEnumerateSchedules:
         for rec in enumerate_forcing_schedules(g, z, limit=20):
             replay = forcing_schedule(g, z, ExplicitForces(rec.forces))
             assert replay.times == rec.times
+
+
+class TestLeaves:
+    """The walk yields each complete force list once, depth first, with the
+    count of its leading forces that equal the previous list's; the last
+    force of a list is listed but never applied."""
+
+    @staticmethod
+    def copied(g: DiGraph, z) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
+        return [(shared, tuple(forces)) for shared, forces in schedule_leaves(g, z)]
+
+    def check_shared_forces(self, g: DiGraph, z) -> None:
+        leaves = self.copied(g, z)
+        assert leaves[0][0] == 0
+        for (_, before), (shared, forces) in zip(leaves, leaves[1:]):
+            assert forces[:shared] == before[:shared]
+            assert forces[shared] != before[shared]  # so no longer prefix is shared
+        assert all(len(forces) == g.n - len(z) for _, forces in leaves)
+        assert [forces for _, forces in leaves] == [
+            r.forces for r in enumerate_forcing_schedules(g, z)
+        ]
+
+    @given(digraphs(max_n=7), st.data())
+    def test_shared_forces_equal_the_previous_leafs(self, g: DiGraph, data):
+        z = frozenset(
+            data.draw(st.frozensets(st.sampled_from(range(1, g.n + 1)), min_size=1))
+        )
+        assume(is_zfs(g, z))
+        self.check_shared_forces(g, z)
+
+    def test_shared_forces_on_graphs_with_many_leaves(self, ring6):
+        # forcing from both ends of a two-way path interleaves the two fronts
+        path7 = DiGraph(7, [(v, v + 1) for v in range(1, 7)] + [(v + 1, v) for v in range(1, 7)])
+        self.check_shared_forces(path7, {1, 7})
+        self.check_shared_forces(ring6, {1, 2})
+        assert [shared for shared, _ in self.copied(ring6, {1, 2})] == [0, 3, 2, 3, 1, 3, 2, 3]
+
+    def test_all_controls_give_one_empty_leaf(self, ring6):
+        assert self.copied(ring6, ring6.nodes) == [(0, ())]
+
+    def test_one_white_node_completes_a_leaf_per_ready_forcer_at_the_root(self, monkeypatch):
+        # nodes 1..4 all point at node 5, the one white node; 5 points back at 1
+        g = DiGraph(5, [(u, 5) for u in range(1, 5)] + [(5, 1)])
+        applied = []
+        monkeypatch.setattr(_Frontier, "apply", lambda self, force: applied.append(force))
+        assert self.copied(g, {1, 2, 3, 4}) == [(0, ((u, 5),)) for u in range(1, 5)]
+        assert applied == []
+
+    def test_last_force_is_listed_but_not_applied(self, monkeypatch, path3):
+        applied = []
+        apply = _Frontier.apply
+        monkeypatch.setattr(
+            _Frontier, "apply", lambda self, force: applied.append(force) or apply(self, force)
+        )
+        assert self.copied(path3, {1}) == [(0, ((1, 2), (2, 3)))]
+        assert applied == [(1, 2)]
+
+    @pytest.mark.parametrize("edges, controls, stalled", [
+        ([(1, 2), (2, 3)], {3}, {1, 2}),  # nothing to force from the root
+        ([(1, 2), (2, 3), (3, 4), (3, 5)], {1}, {4, 5}),  # a stall after two forces
+    ])
+    def test_a_stalled_control_set_raises_at_the_first_leaf(self, edges, controls, stalled):
+        g = DiGraph(max(map(max, edges)), edges)
+        with pytest.raises(NotZfsError) as raised:
+            next(schedule_leaves(g, controls))
+        assert raised.value.stalled_white == stalled
+        assert str(raised.value) == f"controls {sorted(controls)} are not a zero forcing set"
 
 
 class TestRecords:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ssc_toolkit import graphs
 from ssc_toolkit.graphs import (
     ChainSet,
     CyclicError,
@@ -133,31 +134,41 @@ class TestRowStorage:
         with pytest.raises(ValueError):
             DiGraph(n, edges).relabeled(list(order) + [n + 1])
 
-    def test_sparse_and_dense_transposes_agree(self):
-        # up to two edges per node on average, bits move one at a time;
-        # denser graphs go through the unpacked bit matrix
+    # Up to three set bits per row, bits move one at a time; denser
+    # matrices go through the unpacked bit matrix.  Both paths, each forced
+    # in turn, must agree on each side of the boundary.
+    def test_sparse_and_dense_transposes_agree(self, monkeypatch):
         rng = np.random.default_rng(6)
-        n = 300
-        for m in (n // 2, 2 * n, 2 * n + 1, 8 * n):
-            pairs = rng.choice(n * n, size=m, replace=False)
-            edges = {(int(k) // n + 1, int(k) % n + 1) for k in pairs}
-            g = DiGraph(n, edges)
-            assert g.in_masks == tuple(rows_of(n, {(v, u) for u, v in edges if u != v}))
+        for n in (300, 1000):
+            for m in (n // 2, 3 * n, 3 * n + 1, 12 * n):
+                pairs = rng.choice(n * n, size=m, replace=False)
+                edges = {(int(k) // n + 1, int(k) % n + 1) for k in pairs}
+                expect = tuple(rows_of(n, {(v, u) for u, v in edges if u != v}))
+                assert graphs._moves_bits(m, n) == (m <= 3 * n)
+                assert DiGraph(n, edges).in_masks == expect
+                for moves in (True, False):
+                    monkeypatch.setattr(graphs, "_moves_bits", lambda ones, n: moves)
+                    assert DiGraph(n, edges).in_masks == expect
+                    monkeypatch.undo()
 
-    def test_sparse_and_dense_relabelings_agree(self):
-        # up to two edges per node on average, bits move one at a time
+    def test_sparse_and_dense_relabelings_agree(self, monkeypatch):
         rng = np.random.default_rng(7)
-        n = 150
-        order = [int(v) for v in rng.permutation(n) + 1]
-        new_id = {v: i for i, v in enumerate(order, start=1)}
-        for m in (0, n, 2 * n, 2 * n + 1, 6 * n):
-            pairs = rng.choice(n * n, size=m, replace=False)
-            edges = {(int(k) // n + 1, int(k) % n + 1) for k in pairs}
-            relabeled = DiGraph(n, edges).relabeled(order)
-            assert relabeled == DiGraph(n, {(new_id[u], new_id[v]) for u, v in edges})
+        for n in (150, 1000):
+            order = [int(v) for v in rng.permutation(n) + 1]
+            new_id = {v: i for i, v in enumerate(order, start=1)}
+            for m in (0, n, 3 * n, 3 * n + 1, 12 * n):
+                pairs = rng.choice(n * n, size=m, replace=False)
+                edges = {(int(k) // n + 1, int(k) % n + 1) for k in pairs}
+                expect = DiGraph(n, {(new_id[u], new_id[v]) for u, v in edges})
+                assert DiGraph(n, edges).relabeled(order) == expect
+                for moves in (True, False):
+                    monkeypatch.setattr(graphs, "_moves_bits", lambda ones, n: moves)
+                    assert DiGraph(n, edges).relabeled(order) == expect
+                    monkeypatch.undo()
 
-    def test_bit_matrix_work_spans_several_chunks(self):
+    def test_bit_matrix_work_spans_several_chunks(self, monkeypatch):
         # the transpose and the relabeling unpack 1024 rows at a time
+        monkeypatch.setattr(graphs, "_moves_bits", lambda ones, n: False)
         rng = np.random.default_rng(5)
         n = 2100
         edges = {(int(u), int(v)) for u, v in rng.integers(1, n + 1, size=(4 * n, 2))}
