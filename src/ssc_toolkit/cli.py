@@ -52,7 +52,7 @@ from .forcing import (
     schedule_leaves,
     stalled_white_set,
 )
-from .graphs import ConsistencyError, CyclicError, DiGraph, Edge, mask_nodes
+from .graphs import ConsistencyError, CyclicError, DiGraph, Edge, row_nodes
 from .oracle import (
     InadmissibleEdgesError,
     ltv_gramian_rank,
@@ -181,23 +181,20 @@ def _sorted_pairs(
     """The edges of ``graph`` as name pairs sorted by name: a JSON list of
     pairs, or one ``  u v`` line each.
 
-    The names are ranked once and the graph relabeled into rank order, so
-    the pairs are written straight from its rows and none is sorted.
+    The names are ranked once and the rows read in rank order, so the pairs
+    are written straight from the rows and none is sorted.
     ``names[v - 1]`` names node v; ``written`` is from :func:`_written_names`.
     """
     n = graph.n
     order = sorted(range(1, n + 1), key=lambda v: names[v - 1])
-    ranked = graph.rows
-    if order != list(range(1, n + 1)):  # the names do not sort in id order
-        ranked = graph.relabeled(order).rows
     table = ("", *(written[v] for v in order))
+    if order == list(range(1, n + 1)):  # the names sort in id order
+        order = None
     if not machine:
-        yield from edge_lines(ranked, table, "  ")
+        yield from edge_lines(graph.rows, table, "  ", order=order)
         return
-    heads = (("[" + table[u] + ", ", row) for u, row in enumerate(ranked) if row)
-    yield from _json_list(
-        head + ("], " + head).join([table[v] for v in mask_nodes(row)]) + "]" for head, row in heads
-    )
+    heads = (("[" + table[u] + ", ", nodes) for u, nodes in row_nodes(graph.rows, table, order))
+    yield from _json_list(head + ("], " + head).join(nodes) + "]" for head, nodes in heads)
 
 
 def _schedule_writer(
@@ -475,7 +472,16 @@ def _combine_dag(args, docs: Sequence[NetworkDocument]) -> int:
     dags = [doc.graph() for doc in docs]
     counts = [g.n for g in dags]
     seq = _parse_sequence(args.sequence, counts, "dag")
-    combo = combine_dags(dags, seq)
+    try:
+        combo = combine_dags(dags, seq)
+    except CyclicError as exc:
+        named = [docs[exc.block].name_of(v) for v in exc.cycle]
+        print(
+            f"infeasible: {args.documents[exc.block]}: "
+            f"graph has a directed cycle through nodes {named}",
+            file=sys.stderr,
+        )
+        return EXIT_NEGATIVE
     # combined node ids are topological positions; name them after each
     # block's topological order
     names = [
@@ -711,7 +717,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NotZfsError as exc:
         print(f"not a zero forcing set: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
-    except (InfeasibleSequenceError, CyclicError) as exc:
+    except InfeasibleSequenceError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
     except ConsistencyError as exc:

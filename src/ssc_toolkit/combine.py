@@ -264,11 +264,16 @@ def combine_dags(dags: Sequence[DiGraph], seq: tuple[int, ...]) -> DagCombinatio
     combined graph.
 
     Raises:
-        CyclicError: a block is not acyclic.
+        CyclicError: a block is not acyclic; the error names the block.
         InfeasibleSequenceError: the sequence repeats a block the wrong
             number of times or puts equal blocks side by side.
     """
-    orders = tuple(topological_order(g) for g in dags)  # CyclicError propagates
+    orders = []
+    for i, g in enumerate(dags):
+        try:
+            orders.append(topological_order(g))
+        except CyclicError as exc:
+            raise CyclicError(exc.cycle, block=i) from None
     counts = [g.n for g in dags]
     reps = [seq.count(i) for i in range(len(dags))]
     if reps != counts or len(seq) != sum(counts):  # the length catches out-of-range entries
@@ -288,4 +293,4 @@ def combine_dags(dags: Sequence[DiGraph], seq: tuple[int, ...]) -> DagCombinatio
         spine.append(offsets[entry] + occurrence[entry])
     for u, v in zip(spine, spine[1:]):
         rows[u] |= 1 << (v - 1)
-    return DagCombination(DiGraph.from_rows(sum(counts), rows), tuple(spine), orders)
+    return DagCombination(DiGraph.from_rows(sum(counts), rows), tuple(spine), tuple(orders))

@@ -49,7 +49,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .forcing import ExplicitForces
-from .graphs import ChainSet, DiGraph, Edge, mask_nodes
+from .graphs import ChainSet, DiGraph, Edge, row_nodes
 from .synthesis import TimeFunction
 
 SECTIONS = ("NODES", "EDGES", "CONTROLS", "CHAINS", "TIMES")
@@ -346,16 +346,20 @@ def _validate_annotations(doc: NetworkDocument) -> None:
 
 
 def edge_lines(
-    rows: Sequence[int], names: Sequence[str], indent: str = "", newline: str = "\n"
+    rows: Sequence[int],
+    names: Sequence[str],
+    indent: str = "",
+    newline: str = "\n",
+    order: Sequence[int] | None = None,
 ) -> Iterator[str]:
     """``indent + names[u] + " " + names[v] + newline`` for every edge (u, v)
     of ``rows`` (``rows[u]`` holding u's out-neighbors), in row order and
     then by v; one chunk per nonempty row.  ``names[v]`` names node v,
-    ``names[0]`` is unused."""
-    for u, row in enumerate(rows):
-        if row:
-            head = indent + names[u] + " "
-            yield head + (newline + head).join([names[v] for v in mask_nodes(row)]) + newline
+    ``names[0]`` is unused.  With ``order``, the edges are those of the
+    graph relabeled by ``order`` (see :func:`row_nodes`)."""
+    for u, targets in row_nodes(rows, names, order):
+        head = indent + names[u] + " "
+        yield head + (newline + head).join(targets) + newline
 
 
 def document_chunks(

@@ -3,17 +3,19 @@
 Nodes are dense integers ``1..n``; external names are mapped at the I/O
 layer.  A graph is stored as one out-neighbor bitmask per node (its
 *rows*), which is also the form the forcing rule and the time-ordered
-prefix sets of the synthesis layer work on.  All values are immutable:
-edits return new values, so the perturbation analyses can fan out over
-many variants without copying defensively.  A :class:`ChainSet` is
-node-disjoint by construction.
+prefix sets of the synthesis layer work on.  A whole graph's nodes, row
+by row, are listed in one walk by :func:`row_nodes`, which unpacks a
+dense graph a bounded chunk at a time; :func:`mask_nodes` lists a single
+mask.  All values are immutable: edits return new values, so the
+perturbation analyses can fan out over many variants without copying
+defensively.  A :class:`ChainSet` is node-disjoint by construction.
 """
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -21,7 +23,17 @@ Edge = tuple[int, int]
 
 
 class CyclicError(ValueError):
-    """The operation requires a DAG but the graph has a directed cycle."""
+    """The operation requires a DAG but the graph has a directed cycle.
+
+    ``cycle`` holds the nodes of one directed cycle, each followed by its
+    successor on it; ``block`` is the cyclic graph's position when it is one
+    of several, else None.
+    """
+
+    def __init__(self, cycle: Sequence[int], block: int | None = None):
+        self.cycle = tuple(cycle)
+        self.block = block
+        super().__init__(f"graph has a directed cycle through nodes {list(self.cycle)}")
 
 
 class ConsistencyError(RuntimeError):
@@ -120,6 +132,52 @@ def _select_bits(rows: Sequence[int], n: int, at: Sequence[int]) -> list[int]:
     return out
 
 
+# A dense bulk walk unpacks this many bits per chunk (but at least 8 rows),
+# so it lists at most that many nodes at once: 32 rows at n = 2000.  Listing
+# the 2 million edges of a 2000-node skeleton's additive set in 1024-row
+# chunks took 67 MiB peak RSS instead of 36 MiB.
+_CHUNK_BITS = 2**16
+
+
+def row_nodes(
+    rows: Sequence[int], table: Sequence | None = None, order: Sequence[int] | None = None
+) -> Iterator[tuple[int, list]]:
+    """``(u, nodes)`` for every nonempty row of the graph whose rows are
+    ``rows`` (``rows[0]`` is 0), in row order: the nodes of ``rows[u]``
+    ascending, each given as ``table[v]`` (as ``v`` without a table).
+
+    With ``order``, the rows are read as those of :meth:`DiGraph.relabeled`
+    with ``order``, without building them.  A sparse matrix lists each row
+    with :func:`mask_nodes`; a dense one is unpacked a bounded chunk at a
+    time and listed with one ``nonzero`` per chunk.
+    """
+    n = len(rows) - 1
+    if order is not None:
+        rows = (0, *(rows[v] for v in order))
+    counts = [row.bit_count() for row in rows]
+    if _moves_bits(sum(counts), n):
+        if order is not None:
+            rows = (0, *_select_bits(rows[1:], n, [v - 1 for v in order]))
+        for u, row in enumerate(rows):
+            if row:
+                nodes = mask_nodes(row)
+                yield u, nodes if table is None else [table[v] for v in nodes]
+        return
+    names = (np.arange(n + 1) if table is None else np.array(table, dtype=object))[1:]
+    at = None if order is None else np.asarray(order) - 1
+    step = max(8, _CHUNK_BITS // n)
+    for i in range(0, n + 1, step):
+        bits = _unpack(rows[i : i + step], n)
+        if at is not None:
+            bits = bits[:, at]
+        flat = names[bits.nonzero()[1]].tolist()  # row by row, each row ascending
+        end = 0
+        for u in range(i, i + len(bits)):
+            if counts[u]:
+                start, end = end, end + counts[u]
+                yield u, flat[start:end]
+
+
 def _require_node_count(n) -> None:
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"node count must be a positive integer, got {n!r}")
@@ -187,7 +245,7 @@ class DiGraph:
 
     @cached_property
     def edges(self) -> frozenset[Edge]:
-        return frozenset((u, v) for u, row in enumerate(self.rows) if row for v in mask_nodes(row))
+        return frozenset((u, v) for u, nodes in row_nodes(self.rows) for v in nodes)
 
     @cached_property
     def edge_count(self) -> int:
@@ -291,6 +349,9 @@ def topological_order(g: DiGraph) -> tuple[int, ...]:
     Raises:
         CyclicError: the graph has a directed cycle (a self-loop counts).
     """
+    ins: list[Sequence[int]] = [()] * (g.n + 1)
+    for v, nodes in row_nodes(g.in_masks):
+        ins[v] = nodes
     pending_out = [row.bit_count() for row in g.rows]  # a self-loop never clears
     ready = [v for v in g.nodes if pending_out[v] == 0]
     heapq.heapify(ready)
@@ -298,11 +359,19 @@ def topological_order(g: DiGraph) -> tuple[int, ...]:
     while ready:
         v = heapq.heappop(ready)
         order.append(v)
-        for u in mask_nodes(g.in_masks[v]):
+        for u in ins[v]:
             pending_out[u] -= 1
             if pending_out[u] == 0:
                 heapq.heappush(ready, u)
     if len(order) < g.n:
-        stuck = sorted(set(g.nodes) - set(order))
-        raise CyclicError(f"graph has a directed cycle through nodes {stuck}")
+        # every node left has an edge to another one left: follow the lowest
+        # such edge from the lowest node left until a node repeats
+        left = sum(1 << (v - 1) for v in g.nodes if pending_out[v])
+        path: dict[int, int] = {}  # node -> its position on the walk
+        v = (left & -left).bit_length()
+        while v not in path:
+            path[v] = len(path)
+            out = g.rows[v] & left
+            v = (out & -out).bit_length()
+        raise CyclicError(list(path)[path[v] :])
     return tuple(order)

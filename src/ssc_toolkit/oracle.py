@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .forcing import stalled_white_set
-from .graphs import DiGraph, Edge, _unpack, control_set, mask_nodes
+from .graphs import DiGraph, Edge, _unpack, control_set, row_nodes
 from .synthesis import TimeFunction
 
 DIAG_ZERO = "zero"
@@ -367,9 +367,7 @@ def schedule_from_edges(
             raise ValueError(f"a piece on {piece.n} nodes does not fit {n} nodes")
         stray = [row & ~ok for row, ok in zip(piece.rows, member)]
         if any(stray):
-            raise InadmissibleEdgesError(
-                (u, v) for u, row in enumerate(stray) if row for v in mask_nodes(row)
-            )
+            raise InadmissibleEdgesError((u, v) for u, nodes in row_nodes(stray) for v in nodes)
         rows = [row | more for row, more in zip(skeleton, piece.rows)]
         # Self-loops in the interval graph pin the matching diagonal
         # entries; the others stay zero.  Chain edges are never loops.

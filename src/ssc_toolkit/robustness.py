@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .forcing import (
     _require_all_black,
     forcing_schedule,
 )
-from .graphs import ConsistencyError, DiGraph, Edge, control_set, mask_nodes
+from .graphs import ConsistencyError, DiGraph, Edge, control_set, mask_nodes, row_nodes
 from .synthesis import TimeFunction, perfect_edge_count, perfect_graph
 
 ADDITIVE = "additive"
@@ -295,9 +295,9 @@ def _scan(g: DiGraph, order, z_mask: int, toggles, blocks) -> tuple[int, list[in
     return tested, None
 
 
-def _pairs(rows: Iterable[int]) -> list[Edge]:
+def _pairs(rows: Sequence[int]) -> list[Edge]:
     """The edges of ``rows`` (``rows[u]`` holding u's), in (u, v) order."""
-    return [(u, v) for u, row in enumerate(rows) if row for v in mask_nodes(row)]
+    return [(u, v) for u, nodes in row_nodes(rows) for v in nodes]
 
 
 def verify_edge_set(
@@ -334,11 +334,11 @@ def verify_edge_set(
     z_mask = _mask_of(z)
     rows = report.graph.rows
     if report.kind in (ADDITIVE, INTER_NETWORK):
-        present = _pairs(row & have for row, have in zip(rows, g.rows))
+        present = _pairs([row & have for row, have in zip(rows, g.rows)])
         if present:
             raise ValueError(f"additive edges {present} are already in the graph")
     elif report.kind == SUBTRACTIVE:
-        missing = _pairs(row & ~have for row, have in zip(rows, g.rows))
+        missing = _pairs([row & ~have for row, have in zip(rows, g.rows)])
         if missing:
             raise ValueError(f"subtractive edges {missing} are not in the graph")
     else:  # pragma: no cover - kinds are closed

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .graphs import ChainSet, ConsistencyError, DiGraph, Edge, control_set, mask_nodes
+from .graphs import ChainSet, ConsistencyError, DiGraph, Edge, control_set, row_nodes
 from .forcing import (
     LOWEST_FORCER,
     ForcingRecord,
@@ -217,7 +217,7 @@ def is_perfect(
 def sample_member(tf: TimeFunction, rng: np.random.Generator) -> DiGraph:
     """Uniform member of the family: chain edges plus an independent
     coin flip per admissible edge, drawn in sorted edge order."""
-    opts = [(u, v) for u, row in enumerate(tf.admissible_rows) if row for v in mask_nodes(row)]
+    opts = [(u, v) for u, nodes in row_nodes(tf.admissible_rows) for v in nodes]
     keep = (rng.random(len(opts)) < 0.5).tolist()
     rows = list(tf.skeleton.rows)
     for (u, v), k in zip(opts, keep):

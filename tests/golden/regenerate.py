@@ -9,7 +9,7 @@ Every case runs ``ssc_toolkit.cli.main`` in-process on the bundled
 ``samples/``, in machine format unless its arguments name a format.  Its
 standard output goes to ``<name>.out``; ``cases.json`` lists each case's
 arguments (``{samples}`` stands for the samples directory), its exit code
-and its standard error.  ``test_golden.py`` replays the cases and
+and its standard error (with ``{samples}`` again for that directory).  ``test_golden.py`` replays the cases and
 compares the output byte for byte, so regenerate only on purpose, when
 an output is meant to change.
 """
@@ -164,6 +164,7 @@ def regenerate() -> None:
     for name, argv in CASES.items():
         code, out, err = run_case(argv)
         (HERE / f"{name}.out").write_text(out)
+        err = err.replace(str(SAMPLES), "{samples}")
         manifest.append({"name": name, "argv": argv, "exit": code, "stderr": err})
     (HERE / "cases.json").write_text(json.dumps(manifest, indent=1) + "\n")
 

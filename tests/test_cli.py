@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from ssc_toolkit import cli
+from ssc_toolkit import cli, graphs
 from ssc_toolkit.cli import main
 from ssc_toolkit.documents import parse_document
 from ssc_toolkit.forcing import (
@@ -128,6 +128,28 @@ class TestRobustness:
         doc = tmp_path / "doc.net"
         doc.write_text(NON_ZFS)
         assert run(capsys, "robustness", str(doc), "--mode", "add")[0] == 2
+
+
+class TestSortedPairs:
+    @pytest.mark.parametrize("machine", [True, False], ids=["machine", "text"])
+    @pytest.mark.parametrize("moves", [True, False], ids=["per-row", "unpacked"])
+    def test_pairs_sorted_by_name_on_both_paths(self, monkeypatch, machine, moves):
+        # v10 and v11 sort before v2, and one name needs JSON escapes
+        n = 12
+        names = [f"v{v}" for v in range(1, n + 1)]
+        names[4] = 'v5"\\\u00e4'
+        rng = np.random.default_rng(12)
+        edges = {(int(u), int(v)) for u, v in rng.integers(1, n + 1, size=(70, 2))}
+        g = DiGraph(n, edges | {(3, 3)})
+        assert graphs._moves_bits(g.edge_count, n) is False  # the bulk path by default
+        monkeypatch.setattr(graphs, "_moves_bits", lambda ones, n: moves)
+        written = cli._written_names(names, machine)
+        out = "".join(cli._sorted_pairs(g, names, written, machine))
+        pairs = sorted((names[u - 1], names[v - 1]) for u, v in g.edges)
+        if machine:
+            assert out == json.dumps([list(p) for p in pairs])
+        else:
+            assert out == "".join(f"  {a} {b}\n" for a, b in pairs)
 
 
 class TestCombine:

@@ -378,8 +378,10 @@ class TestCombineDags:
 
     def test_cyclic_block_rejected(self):
         cyc = DiGraph(2, frozenset({(1, 2), (2, 1)}))
-        with pytest.raises(CyclicError):
-            combine_dags([cyc, DiGraph(1)], (0, 1, 0))
+        with pytest.raises(CyclicError) as info:
+            combine_dags([DiGraph(1), cyc], (1, 0, 1))
+        assert info.value.block == 1
+        assert info.value.cycle == (1, 2)
 
     def test_bad_sequence_rejected(self):
         with pytest.raises(InfeasibleSequenceError):

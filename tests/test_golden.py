@@ -40,5 +40,5 @@ def test_output_matches_snapshot(case):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(case_args(case["argv"], SAMPLES))
     assert code == case["exit"]
-    assert err.getvalue() == case["stderr"]
+    assert err.getvalue() == case["stderr"].replace("{samples}", str(SAMPLES))
     assert out.getvalue() == (GOLDEN / f"{case['name']}.out").read_text()

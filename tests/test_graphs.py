@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,6 +14,7 @@ from ssc_toolkit.graphs import (
     DiGraph,
     control_set,
     mask_nodes,
+    row_nodes,
     topological_order,
 )
 from ssc_toolkit.synthesis import TimeFunction, is_ct_constructed
@@ -206,6 +209,78 @@ class TestRowStorage:
         assert all(type(v) is int for v in nodes)
 
 
+def row_nodes_reference(rows, table=None):
+    """:func:`row_nodes` without an order, one :func:`mask_nodes` per row."""
+    table = table or range(len(rows))
+    return [(u, [table[v] for v in mask_nodes(row)]) for u, row in enumerate(rows) if row]
+
+
+def random_edges(rng, n: int, m: int) -> set:
+    """``m`` distinct random edges on ``n`` nodes, self-loops included."""
+    return {(int(k) // n + 1, int(k) % n + 1) for k in rng.choice(n * n, size=m, replace=False)}
+
+
+class TestRowNodes:
+    """The bulk listing of every nonempty row equals one walk per row, on
+    the sparse path (bits one row at a time) and the dense one (unpacked
+    chunks), each forced in turn."""
+
+    @pytest.fixture(params=[True, False], ids=["per-row", "unpacked"])
+    def path(self, request, monkeypatch):
+        monkeypatch.setattr(graphs, "_moves_bits", lambda ones, n: request.param)
+        return request.param
+
+    @pytest.mark.parametrize("n, m", [(1, 0), (1, 1), (5, 0), (9, 3), (9, 40), (70, 1000)])
+    def test_matches_one_walk_per_row(self, path, n, m):
+        rng = np.random.default_rng(n * 100 + m)
+        edges = (random_edges(rng, n, m) | {(1, 1)}) if m else set()
+        rows = DiGraph(n, edges).rows
+        table = ("", *(f"x{v}" for v in range(n, 0, -1)))
+        assert list(row_nodes(rows)) == row_nodes_reference(rows)
+        assert list(row_nodes(rows, table)) == row_nodes_reference(rows, table)
+        assert all(type(v) is int for _, nodes in row_nodes(rows) for v in nodes)
+
+    def test_self_loops_and_empty_rows(self, path):
+        g = DiGraph(6, {(1, 1), (1, 6), (3, 3), (6, 1), (6, 2), (6, 6)})
+        assert list(row_nodes(g.rows)) == [(1, [1, 6]), (3, [3]), (6, [1, 2, 6])]
+        assert list(row_nodes(DiGraph(6).rows)) == []
+
+    @given(edge_sets(), st.data())
+    def test_order_reads_the_relabeled_rows(self, case, data):
+        n, edges = case
+        order = data.draw(st.permutations(range(1, n + 1)))
+        g = DiGraph(n, edges)
+        table = ("", *(f"x{v}" for v in range(1, n + 1)))
+        expect = row_nodes_reference(g.relabeled(order).rows, table)
+        for moves in (True, False):
+            with mock.patch.object(graphs, "_moves_bits", lambda ones, n: moves):
+                assert list(row_nodes(g.rows, table, order)) == expect
+
+    @pytest.mark.parametrize("with_order", [False, True])
+    def test_large_graph_spans_several_bounded_chunks(self, path, monkeypatch, with_order):
+        # at n = 2100 a chunk holds max(8, 2**16 // n) = 31 rows: 68 chunks
+        rng = np.random.default_rng(8)
+        n = 2100
+        g = DiGraph(n, random_edges(rng, n, 40 * n) | {(n, n)})
+        order = [int(v) for v in rng.permutation(n) + 1] if with_order else None
+        expect = row_nodes_reference(g.relabeled(order).rows if order else g.rows)
+        shapes = []
+        original = graphs._unpack
+
+        def unpack(rows, n):
+            shapes.append((len(rows), n))
+            return original(rows, n)
+
+        monkeypatch.setattr(graphs, "_unpack", unpack)
+        assert list(row_nodes(g.rows, None, order)) == expect
+        if path:  # one row at a time: nothing is unpacked
+            assert shapes == []
+            return
+        assert len(shapes) > 1
+        assert sum(rows for rows, _ in shapes) == n + 1
+        assert all(rows * width <= max(8 * width, graphs._CHUNK_BITS) for rows, width in shapes)
+
+
 class TestControlSet:
     def test_rejects_empty_and_out_of_range(self):
         with pytest.raises(ValueError):
@@ -283,24 +358,41 @@ class TestTopologicalOrder:
         pos = {v: i for i, v in enumerate(order)}
         assert all(pos[v] < pos[u] for u, v in g.edges)
 
+    @staticmethod
+    def sorts(g: DiGraph) -> bool:
+        """True if ``g`` has an order; else the error's cycle must be one of g."""
+        try:
+            topological_order(g)
+        except CyclicError as exc:
+            cycle = exc.cycle
+            assert len(set(cycle)) == len(cycle) >= 1
+            assert all(g.has_edge(u, v) for u, v in zip(cycle, cycle[1:] + cycle[:1])), g
+            assert exc.block is None
+            return False
+        return True
+
     def test_matches_dfs_cycle_detection_exhaustively(self):
         # every digraph on up to 3 nodes, self-loops included
         for n in (1, 2, 3):
             for g in all_digraphs(n):
-                succeeded = True
-                try:
-                    topological_order(g)
-                except CyclicError:
-                    succeeded = False
-                assert succeeded == (not has_cycle(g)), g
+                assert self.sorts(g) == (not has_cycle(g)), g
 
     def test_matches_dfs_cycle_detection_sampled(self):
         rng = np.random.default_rng(7)
         for n in (4, 5, 6):
             for g in all_digraphs(n, max_count=400, rng=rng):
-                succeeded = True
-                try:
-                    topological_order(g)
-                except CyclicError:
-                    succeeded = False
-                assert succeeded == (not has_cycle(g)), g
+                assert self.sorts(g) == (not has_cycle(g)), g
+
+    def test_reports_a_cycle_not_every_node_left(self):
+        # 1 -> 2 only leads into the cycle 2 -> 3 -> 2; node 4 sorts
+        g = DiGraph(4, {(1, 2), (2, 3), (3, 2), (4, 1)})
+        with pytest.raises(CyclicError, match=r"through nodes \[2, 3\]$") as info:
+            topological_order(g)
+        assert info.value.cycle == (2, 3)
+
+    def test_large_dag_order_on_the_unpacked_path(self):
+        # 400 nodes with every edge from higher to lower: in-neighbor lists
+        # come from the unpacked in-masks, and ids are already an order
+        g = DiGraph(400, {(u, v) for u in range(1, 401) for v in range(1, u)})
+        assert not graphs._moves_bits(g.edge_count, g.n)
+        assert topological_order(g) == tuple(range(1, 401))
