@@ -20,6 +20,7 @@ from .forcing import (
     LOWEST_FORCED,
     LOWEST_FORCER,
     ExplicitForces,
+    ForceListError,
     ForcingRecord,
     NotZfsError,
     derived_set,

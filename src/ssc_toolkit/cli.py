@@ -6,6 +6,13 @@ general or DAG mode), ``oracle`` (numerical cross-validation, LTI or
 LTV), and ``schedules`` (forcing schedules of one network, or layout
 sequences for several).
 
+Each command returns its exit code and one result: an ordered list of
+fields, each a JSON key, its value and its text.  One of two writers
+renders the result: ``--format machine`` writes the keyed values as one
+JSON object with sorted keys, ``--format text`` writes the texts in list
+order.  Large values stream to standard output in chunks.  A failure
+is written to standard error, and only by ``main``.
+
 Exit codes: 0 success/consistent, 2 negative domain verdict (not a
 zero forcing set, rejected inter edge, infeasible sequence), 3 input
 error, 4 internal inconsistency (the numerical oracle disagreeing with
@@ -18,7 +25,7 @@ import argparse
 import json
 import sys
 from collections.abc import Callable, Iterable, Iterator
-from itertools import islice
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
@@ -46,6 +53,7 @@ from .documents import (
 from .forcing import (
     LOWEST_FORCED,
     LOWEST_FORCER,
+    ForceListError,
     NotZfsError,
     forcing_schedule,
     schedule_gamma,
@@ -73,6 +81,10 @@ EXIT_INTERNAL = 4
 
 DEFAULT_SEED = 0
 DEFAULT_TRIALS = 100
+
+# One field of a command's result: (JSON key, value, text).  See _emit.
+Field = tuple[str | None, object, object]
+Result = tuple[int, list[Field]]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -126,15 +138,49 @@ def _policy(spec: str, doc: NetworkDocument):
     )
 
 
+def _named_force_error(exc: ForceListError, spec: str, doc: NetworkDocument) -> DocumentError:
+    """``exc`` in the user's names, after the force list file it came from."""
+    if exc.force is not None:
+        u, v = map(doc.name_of, exc.force)
+        exc = f"force {u} -> {v} is not possible at step {exc.step}"
+    return DocumentError(f"{spec[len('explicit:') :]}: {exc}")
+
+
 def _require_controls(doc: NetworkDocument) -> frozenset[int]:
     if not doc.controls:
         raise DocumentError("document declares no control nodes")
     return doc.controls
 
 
+class _Negative(Exception):
+    """A negative verdict whose whole report is its message on standard
+    error (exit 2)."""
+
+
 def _write(chunks: Iterable[str]) -> None:
     """Write the output chunk by chunk, so that a large one is never held whole."""
     sys.stdout.writelines(chunks)
+
+
+def _emit(machine: bool, fields: Iterable[Field]) -> None:
+    """Write a command's result: in machine format the fields that have a
+    key, as one JSON object (:func:`_json`); in text format the texts that
+    are not None, in order.  A text is a string or an iterable of string
+    chunks.  A value or text that is a function of no arguments is called
+    first, so the other format's side is never built.  An encoder of either
+    format (:func:`_sorted_pairs`, :func:`_document`) is both sides at once.
+    """
+    if machine:
+        _write(_json({
+            key: value() if callable(value) else value
+            for key, value, _ in fields if key is not None
+        }))
+        return
+    for _, _, text in fields:
+        if callable(text):
+            text = text()
+        if text is not None:
+            _write([text] if isinstance(text, str) else text)
 
 
 _ENCODE = json.JSONEncoder(sort_keys=True).encode  # json.dumps(..., sort_keys=True)
@@ -265,9 +311,9 @@ def _document(written: Sequence[str], machine: bool, *parts) -> Iterator[str]:
 # -- check -----------------------------------------------------------------
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> Result:
     doc = _load_document(args.document)
-    g = doc.graph()
+    g = doc.network
     z = _require_controls(doc)
     policy = args.policy
     try:
@@ -275,105 +321,75 @@ def cmd_check(args) -> int:
             # another policy is read only once the controls force everything
             stalled = stalled_white_set(g, z)
             if stalled:
-                return _check_stalled(args, doc, stalled)
+                return _check_stalled(doc, stalled)
             policy = _policy(policy, doc)
         record = forcing_schedule(g, z, policy)
     except NotZfsError as exc:
-        return _check_stalled(args, doc, exc.stalled_white)
+        return _check_stalled(doc, exc.stalled_white)
+    except ForceListError as exc:
+        raise _named_force_error(exc, args.policy, doc) from None
     machine = args.format == "machine"
     forces, intervals = _schedule_writer(doc.names, machine, record.gamma)(0, record.forces)
     chains = [[doc.name_of(v) for v in c] for c in record.chains.chains]
-    if machine:
-        _write(_json({
-            "command": "check",
-            "zfs": True,
-            "derived": list(doc.names),
-            "intervals": iter([intervals]),
-            "chains": chains,
-            "forces": iter([forces]),
-        }))
-        return EXIT_OK
-    _write([
-        "ZFS: yes\n"
-        f"derived set: {' '.join(doc.names)}\n"
-        f"intervals: {intervals}\n"
-        f"chains: {' | '.join('>'.join(c) for c in chains)}\n"
-        f"forces: {forces}\n"
-    ])
-    return EXIT_OK
+    return EXIT_OK, [
+        ("zfs", True, "ZFS: yes\n"),
+        ("derived", doc.names, lambda: f"derived set: {' '.join(doc.names)}\n"),
+        ("intervals", iter([intervals]), ("intervals: ", intervals, "\n")),
+        ("chains", chains, lambda: f"chains: {' | '.join('>'.join(c) for c in chains)}\n"),
+        ("forces", iter([forces]), ("forces: ", forces, "\n")),
+    ]
 
 
-def _check_stalled(args, doc: NetworkDocument, stalled: frozenset[int]) -> int:
-    derived = [doc.name_of(v) for v in doc.graph().nodes if v not in stalled]
+def _check_stalled(doc: NetworkDocument, stalled: frozenset[int]) -> Result:
+    derived = [doc.name_of(v) for v in doc.network.nodes if v not in stalled]
     stalled_names = [doc.name_of(v) for v in sorted(stalled)]
-    if args.format == "machine":
-        _write(_json({
-            "command": "check", "zfs": False, "derived": derived, "stalled_white": stalled_names,
-        }))
-    else:
-        _write([
-            "ZFS: no\n"
-            f"derived set: {' '.join(derived)}\n"
-            f"stalled white set = {{{' '.join(stalled_names)}}}\n"
-        ])
-    return EXIT_NEGATIVE
+    return EXIT_NEGATIVE, [
+        ("zfs", False, "ZFS: no\n"),
+        ("derived", derived, lambda: f"derived set: {' '.join(derived)}\n"),
+        ("stalled_white", stalled_names,
+         lambda: f"stalled white set = {{{' '.join(stalled_names)}}}\n"),
+    ]
 
 
 # -- robustness --------------------------------------------------------------
 
 
-def cmd_robustness(args) -> int:
+def cmd_robustness(args) -> Result:
     doc = _load_document(args.document)
-    g = doc.graph()
+    g = doc.network
     z = _require_controls(doc)
     policy = _policy(args.policy, doc)
-    if args.mode == "add":
-        report = critical_additive_set(g, z, policy)
-    else:
-        report = critical_subtractive_set(g, z, policy)
-    outcome = None
-    if not args.no_verify:
-        outcome = verify_edge_set(g, z, report, budget=args.budget, seed=args.seed)
-    code = EXIT_INTERNAL if outcome is not None and not outcome.passed else EXIT_OK
+    critical_set = critical_additive_set if args.mode == "add" else critical_subtractive_set
+    try:
+        report = critical_set(g, z, policy)
+    except ForceListError as exc:
+        raise _named_force_error(exc, args.policy, doc) from None
     machine = args.format == "machine"
     pairs = _sorted_pairs(report.graph, doc.names, _written_names(doc.names, machine), machine)
     tf = report.witness
     # the witness's chain edges as forces, in the order their targets turn black
     forces = sorted(tf.chains.successor.items(), key=lambda force: tf.times[force[1]])
     _, intervals = _schedule_writer(doc.names, machine, tf.gamma)(0, forces)
-    if machine:
-        payload = {
-            "command": "robustness",
-            "mode": args.mode,
-            "seed": args.seed,
-            "count": report.cardinality,
-            "bound": report.bound,
-            "edges": pairs,
-            "intervals": iter([intervals]),
-        }
-        if outcome is not None:
-            payload["verification"] = {
-                "passed": outcome.passed,
-                "exhaustive": outcome.exhaustive,
-                "subsets_tested": outcome.subsets_tested,
-            }
-        _write(_json(payload))
-        return code
-    _write([
-        f"critical {'additive' if args.mode == 'add' else 'subtractive'} edge-set\n"
-        f"seed: {args.seed}\n"
-        f"count: {report.cardinality} (bound {report.bound})\n"
-        f"intervals: {intervals}\n"
-        "edges:\n"
-    ])
-    _write(pairs)
-    if outcome is not None:
-        _write([
-            f"verification: {'pass' if outcome.passed else 'FAIL'} "
-            f"({'exhaustive' if outcome.exhaustive else 'sampled'}, "
-            f"{outcome.subsets_tested} subsets)\n"
-        ])
-    return code
+    fields = [
+        ("mode", args.mode,
+         f"critical {'additive' if args.mode == 'add' else 'subtractive'} edge-set\n"),
+        ("seed", args.seed, f"seed: {args.seed}\n"),
+        ("count", report.cardinality, f"count: {report.cardinality} (bound {report.bound})\n"),
+        ("bound", report.bound, None),
+        ("intervals", iter([intervals]), ("intervals: ", intervals, "\n")),
+        ("edges", pairs, chain(["edges:\n"], pairs)),
+    ]
+    if args.no_verify:
+        return EXIT_OK, fields
+    outcome = verify_edge_set(g, z, report, budget=args.budget, seed=args.seed)
+    passed, tested = outcome.passed, outcome.subsets_tested
+    fields.append((
+        "verification",
+        {"passed": passed, "exhaustive": outcome.exhaustive, "subsets_tested": tested},
+        f"verification: {'pass' if passed else 'FAIL'} "
+        f"({'exhaustive' if outcome.exhaustive else 'sampled'}, {tested} subsets)\n",
+    ))
+    return (EXIT_OK if passed else EXIT_INTERNAL), fields
 
 
 # -- combine -----------------------------------------------------------------
@@ -400,11 +416,17 @@ def _parse_sequence(spec: str | None, counts: list[int], mode: str) -> tuple[int
     return tuple(entries)
 
 
+def _sequence_field(seq: Sequence[int]) -> Field:
+    """A layout as 1-based document numbers, or ``-`` for the empty one."""
+    return ("sequence", lambda: [i + 1 for i in seq],
+            lambda: f"sequence: {','.join(str(i + 1) for i in seq) or '-'}\n")
+
+
 def _combined_names(docs: Sequence[NetworkDocument]) -> list[str]:
     return [f"{i}.{name}" for i, doc in enumerate(docs, start=1) for name in doc.names]
 
 
-def cmd_combine(args) -> int:
+def cmd_combine(args) -> Result:
     docs = [_load_document(p) for p in args.documents]
     if args.mode == "dag":
         if args.inter_edges:
@@ -412,10 +434,10 @@ def cmd_combine(args) -> int:
         return _combine_dag(args, docs)
     blocks = []
     for path, doc in zip(args.documents, docs):
-        tf = doc.time_function()
+        tf = doc.time_function
         if tf is None:
             raise DocumentError(f"{path}: general combination needs CHAINS and TIMES")
-        blocks.append((doc.graph(), tf))
+        blocks.append((doc.network, tf))
     counts = [g.n - tf.m for g, tf in blocks]
     seq = _parse_sequence(args.sequence, counts, "general")
     inter = set()  # a repeated line is installed, and counted, once
@@ -428,13 +450,10 @@ def cmd_combine(args) -> int:
     try:
         combined = combine_networks(blocks, seq, inter)
     except RejectedEdgeError as exc:
-        u, v = exc.edge
-        print(
-            f"rejected: edge ({names[u - 1]}, {names[v - 1]}): "
-            f"T_max({names[u - 1]})={exc.tmax_u} < T({names[v - 1]})={exc.t_v}",
-            file=sys.stderr,
-        )
-        return EXIT_NEGATIVE
+        u, v = (names[w - 1] for w in exc.edge)
+        raise _Negative(
+            f"rejected: edge ({u}, {v}): T_max({u})={exc.tmax_u} < T({v})={exc.t_v}"
+        ) from None
     report = max_inter_edges(combined)
     machine = args.format == "machine"
     written = _written_names(names, machine)
@@ -444,44 +463,31 @@ def cmd_combine(args) -> int:
         written, machine, combined.graph.rows, sorted(combined.sources),
         tf.chains.chains, sorted(tf.times.items()),
     )
-    if machine:
-        _write(_json({
-            "command": "combine",
-            "mode": "general",
-            "sequence": [i + 1 for i in seq],
-            "accepted": True,
-            "installed_inter_edges": len(inter),
-            "max_inter_count": report.cardinality,
-            "max_inter_bound": report.bound,
-            "max_inter": pairs,
-            "document": document,
-        }))
-        return EXIT_OK
-    _write([
-        f"sequence: {','.join(str(i + 1) for i in seq) or '-'}\n"
-        f"installed inter edges: {len(inter)}\n"
-        f"largest admissible inter edge-set: {report.cardinality} (bound {report.bound})\n"
-    ])
-    _write(pairs)
-    _write(["combined document:\n"])
-    _write(document)
-    return EXIT_OK
+    return EXIT_OK, [
+        ("mode", "general", None),
+        _sequence_field(seq),
+        ("accepted", True, None),
+        ("installed_inter_edges", len(inter), f"installed inter edges: {len(inter)}\n"),
+        ("max_inter_count", report.cardinality,
+         f"largest admissible inter edge-set: {report.cardinality} (bound {report.bound})\n"),
+        ("max_inter_bound", report.bound, None),
+        ("max_inter", pairs, pairs),
+        ("document", document, chain(["combined document:\n"], document)),
+    ]
 
 
-def _combine_dag(args, docs: Sequence[NetworkDocument]) -> int:
-    dags = [doc.graph() for doc in docs]
+def _combine_dag(args, docs: Sequence[NetworkDocument]) -> Result:
+    dags = [doc.network for doc in docs]
     counts = [g.n for g in dags]
     seq = _parse_sequence(args.sequence, counts, "dag")
     try:
         combo = combine_dags(dags, seq)
     except CyclicError as exc:
         named = [docs[exc.block].name_of(v) for v in exc.cycle]
-        print(
+        raise _Negative(
             f"infeasible: {args.documents[exc.block]}: "
-            f"graph has a directed cycle through nodes {named}",
-            file=sys.stderr,
-        )
-        return EXIT_NEGATIVE
+            f"graph has a directed cycle through nodes {named}"
+        ) from None
     # combined node ids are topological positions; name them after each
     # block's topological order
     names = [
@@ -494,70 +500,46 @@ def _combine_dag(args, docs: Sequence[NetworkDocument]) -> int:
         _written_names(names, machine), machine, combo.graph.rows, [combo.control],
         [combo.spine], sorted(combo.times.items()),
     )
-    if machine:
-        _write(_json({
-            "command": "combine",
-            "mode": "dag",
-            "sequence": [i + 1 for i in seq],
-            "control": names[combo.control - 1],
-            "document": document,
-        }))
-        return EXIT_OK
-    _write([
-        f"sequence: {','.join(str(i + 1) for i in seq)}\n"
-        f"control node: {names[combo.control - 1]}\n"
-        "combined document:\n"
-    ])
-    _write(document)
-    return EXIT_OK
+    control = names[combo.control - 1]
+    return EXIT_OK, [
+        ("mode", "dag", None),
+        _sequence_field(seq),
+        ("control", control, f"control node: {control}\n"),
+        ("document", document, chain(["combined document:\n"], document)),
+    ]
 
 
 # -- oracle ------------------------------------------------------------------
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args) -> Result:
     if args.schedule is not None and not args.ltv:
         raise DocumentError("--schedule needs --ltv")
     if args.trials is not None and args.ltv:
         raise DocumentError("--trials needs the LTI oracle, not --ltv")
     doc = _load_document(args.document)
-    g = doc.graph()
+    g = doc.network
     z = _require_controls(doc)
     if args.ltv:
         return _oracle_ltv(args, doc, z)
     report = verify_ssc_numeric(g, z, trials=args.trials or DEFAULT_TRIALS, seed=args.seed)
-    code = EXIT_OK if report.consistent else EXIT_INTERNAL
-    if args.format == "machine":
-        _write(_json({
-            "command": "oracle",
-            "seed": args.seed,
-            "zfs": report.expected_zfs,
-            "trials": report.trials,
-            "full_rank": report.full_rank,
-            "consistent": report.consistent,
-            "stalled_white": [doc.name_of(v) for v in sorted(report.stalled_white)],
-            "witness_rank": report.witness_rank,
-        }))
-        return code
-    lines = [
-        f"seed: {args.seed}",
-        f"combinatorial verdict: {'ZFS' if report.expected_zfs else 'not a ZFS'}",
-        f"full-rank samples: {report.full_rank}/{report.trials}",
-        f"consistent: {'yes' if report.consistent else 'NO'}",
+    zfs = report.expected_zfs
+    stalled = [doc.name_of(v) for v in sorted(report.stalled_white)]
+    return (EXIT_OK if report.consistent else EXIT_INTERNAL), [
+        ("seed", args.seed, f"seed: {args.seed}\n"),
+        ("zfs", zfs, f"combinatorial verdict: {'ZFS' if zfs else 'not a ZFS'}\n"),
+        ("trials", report.trials, None),
+        ("full_rank", report.full_rank, f"full-rank samples: {report.full_rank}/{report.trials}\n"),
+        ("consistent", report.consistent, f"consistent: {'yes' if report.consistent else 'NO'}\n"),
+        ("stalled_white", stalled,
+         None if zfs else lambda: f"stalled white set = {{{' '.join(stalled)}}}\n"),
+        ("witness_rank", report.witness_rank,
+         None if zfs else f"rank-deficient witness found (rank {report.witness_rank})\n"),
     ]
-    if not report.expected_zfs:
-        lines.append(
-            "stalled white set = {"
-            + " ".join(doc.name_of(v) for v in sorted(report.stalled_white))
-            + "}"
-        )
-        lines.append(f"rank-deficient witness found (rank {report.witness_rank})")
-    _write(line + "\n" for line in lines)
-    return code
 
 
-def _oracle_ltv(args, doc: NetworkDocument, z: frozenset[int]) -> int:
-    tf = doc.time_function()
+def _oracle_ltv(args, doc: NetworkDocument, z: frozenset[int]) -> Result:
+    tf = doc.time_function
     if tf is None:
         raise DocumentError("LTV mode needs CHAINS and TIMES in the document")
     if not args.schedule:
@@ -576,53 +558,38 @@ def _oracle_ltv(args, doc: NetworkDocument, z: frozenset[int]) -> int:
     # sources-covering controls are guaranteed full rank; anything else is
     # schedule-specific, so only report it
     consistent = rank == n or not covers
-    if args.format == "machine":
-        _write(_json({
-            "command": "oracle",
-            "ltv": True,
-            "seed": args.seed,
-            "gramian_rank": rank,
-            "nodes": n,
-            "controls_cover_sources": covers,
-            "consistent": consistent,
-        }))
-    else:
-        _write([
-            f"seed: {args.seed}\n"
-            f"gramian rank: {rank}/{n}\n"
-            f"controls cover the chain sources: {'yes' if covers else 'no'}\n"
-            f"consistent: {'yes' if consistent else 'NO'}\n"
-        ])
-    return EXIT_OK if consistent else EXIT_INTERNAL
+    return (EXIT_OK if consistent else EXIT_INTERNAL), [
+        ("ltv", True, None),
+        ("seed", args.seed, f"seed: {args.seed}\n"),
+        ("gramian_rank", rank, f"gramian rank: {rank}/{n}\n"),
+        ("nodes", n, None),
+        ("controls_cover_sources", covers,
+         f"controls cover the chain sources: {'yes' if covers else 'no'}\n"),
+        ("consistent", consistent, f"consistent: {'yes' if consistent else 'NO'}\n"),
+    ]
 
 
 # -- schedules ---------------------------------------------------------------
 
 
-def cmd_schedules(args) -> int:
+def cmd_schedules(args) -> Result:
     docs = [_load_document(p) for p in args.documents]
     if len(docs) == 1:
         doc = docs[0]
-        g = doc.graph()
+        g = doc.network
         z = _require_controls(doc)
         # The count is written first, so the schedules are walked before any
         # is written; each keeps only its forces after those it shares.
         leaves = islice(schedule_leaves(g, z), args.limit)
         tails = [(shared, tuple(forces[shared:])) for shared, forces in leaves]
-        machine = args.format == "machine"
-        write = _schedule_writer(doc.names, machine, schedule_gamma(g, z))
+        write = _schedule_writer(doc.names, args.format == "machine", schedule_gamma(g, z))
         texts = (write(*tail) for tail in tails)
-        if machine:
-            _write(_json({
-                "command": "schedules",
-                "kind": "forcing",
-                "count": len(tails),
-                "schedules": _json_list('{"forces": %s, "intervals": %s}' % t for t in texts),
-            }))
-            return EXIT_OK
-        _write([f"forcing schedules: {len(tails)}\n"])
-        _write("  %s  |  %s\n" % t for t in texts)
-        return EXIT_OK
+        return EXIT_OK, [
+            ("kind", "forcing", None),
+            ("count", len(tails), f"forcing schedules: {len(tails)}\n"),
+            ("schedules", _json_list('{"forces": %s, "intervals": %s}' % t for t in texts),
+             ("  %s  |  %s\n" % t for t in texts)),
+        ]
     if args.mode == "dag":
         counts = [len(doc.names) for doc in docs]
     else:
@@ -635,18 +602,13 @@ def cmd_schedules(args) -> int:
                 )
             counts.append(len(doc.names) - m)
     seqs = enumerate_sequences(counts, mode=args.mode, limit=args.limit)
-    if args.format == "machine":
-        _write(_json({
-            "command": "schedules",
-            "kind": "sequences",
-            "mode": args.mode,
-            "count": len(seqs),
-            "sequences": [[i + 1 for i in s] for s in seqs],
-        }))
-        return EXIT_OK
-    _write([f"sequences: {len(seqs)}\n"])
-    _write("  " + ",".join(str(i + 1) for i in s) + "\n" for s in seqs)
-    return EXIT_OK
+    return EXIT_OK, [
+        ("kind", "sequences", None),
+        ("mode", args.mode, None),
+        ("count", len(seqs), f"sequences: {len(seqs)}\n"),
+        ("sequences", lambda: [[i + 1 for i in s] for s in seqs],
+         ("  " + ",".join(str(i + 1) for i in s) + "\n" for s in seqs)),
+    ]
 
 
 # -- wiring ------------------------------------------------------------------
@@ -710,7 +672,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code, fields = args.func(args)
+        _emit(args.format == "machine", [("command", args.command, None), *fields])
+        return code
+    except _Negative as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_NEGATIVE
     except DocumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

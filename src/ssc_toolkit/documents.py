@@ -86,16 +86,13 @@ class NetworkDocument:
         return self.names[node - 1]
 
     def graph(self) -> DiGraph:
-        """The network as a :class:`DiGraph`."""
+        """``network``; kept because ``perfbench/spans.py`` traces it by name."""
         return self.network
 
+    @cached_property
     def time_function(self) -> TimeFunction | None:
         """The chains and times as one :class:`TimeFunction`, or None without
         both sections.  It is built, and so checked, once: on first use."""
-        return self._time_function
-
-    @cached_property
-    def _time_function(self) -> TimeFunction | None:
         if self.chains is None or self.times is None:
             return None
         return TimeFunction(self.chains, self.times)
@@ -334,13 +331,13 @@ def _validate_annotations(doc: NetworkDocument) -> None:
     if cs.node_count != len(doc.names):
         missing = sorted(set(doc.names) - {doc.name_of(v) for v in cs.nodes})
         raise DocumentError(f"chains must cover every node; missing {missing}")
-    g = doc.graph()
+    g = doc.network
     stray = [(u, v) for u, v in cs.chain_edges if not g.has_edge(u, v)]
     if stray:
         named = sorted((doc.name_of(u), doc.name_of(v)) for u, v in stray)
         raise DocumentError(f"chain edges {named} are not edges of the network")
     try:
-        doc.time_function()
+        doc.time_function
     except ValueError as exc:
         raise DocumentError(str(exc).replace("invalid time function", "invalid times", 1)) from None
 

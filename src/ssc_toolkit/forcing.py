@@ -55,6 +55,19 @@ class NotZfsError(ValueError):
         self.stalled_white = stalled_white
 
 
+class ForceListError(ValueError):
+    """An explicit force list that the forcing rule does not allow: ``force``,
+    listed for ``step`` (1 for the first), is not possible then, or is None
+    when the list ends at ``step`` while forces are still possible."""
+
+    def __init__(self, force: Edge | None, step: int):
+        self.force, self.step = force, step
+        super().__init__(
+            f"force {force} is not possible at step {step}" if force is not None
+            else "explicit force list ends while forces are still possible"
+        )
+
+
 def _mask_of(nodes: Iterable[int]) -> int:
     m = 0
     for v in nodes:
@@ -232,20 +245,20 @@ def forcing_schedule(
 
     Raises:
         NotZfsError: the process stalls with white nodes remaining.
-        ValueError: an explicit force list is invalid.
+        ForceListError: an explicit force list is invalid.
     """
     z = control_set(controls, g.n)
     state = _Frontier(g, z)
     forces: list[Edge] = []
 
     if isinstance(policy, ExplicitForces):
-        for step, force in enumerate(policy.forces):
+        for step, force in enumerate(policy.forces, 1):
             if not state.is_applicable(force):
-                raise ValueError(f"force {force} is not possible at step {step + 1}")
+                raise ForceListError(force, step)
             state.apply(force)
             forces.append(force)
         if state.ready:
-            raise ValueError("explicit force list ends while forces are still possible")
+            raise ForceListError(None, len(forces) + 1)
     elif policy in (LOWEST_FORCER, LOWEST_FORCED):
         while state.ready:
             if policy == LOWEST_FORCED:

@@ -91,6 +91,15 @@ CASES.update({
         "--policy", "explicit:{samples}/ring6_chord_forces.txt",
     ],
     "check-ring6_chord-unknown-policy": ["check", "{samples}/ring6_chord.net", "--policy", "bogus"],
+    # the first listed force is not possible: reported by file and in names
+    "check-ring6_chord-impossible-force": [
+        "check", "{samples}/ring6_chord.net",
+        "--policy", "explicit:{samples}/ring6_chord_bad_forces.txt",
+    ],
+    "robustness-add-ring6_chord-impossible-force": [
+        "robustness", "{samples}/ring6_chord.net", "--mode", "add",
+        "--policy", "explicit:{samples}/ring6_chord_bad_forces.txt",
+    ],
 })
 named = "{samples}/named12.net"
 CASES.update({
@@ -119,6 +128,11 @@ CASES.update({
         "combine", chain3, chain3, "--mode", "dag", "--sequence", "1,1,2,2,1,2",
     ],
     "combine-dag-bad-counts": ["combine", chain3, chain3, "--mode", "dag", "--sequence", "1,2,1,2"],
+    # T_max(1.v1)=2 < T(2.u3)=5: the whole report is the stderr line
+    "combine-general-rejected": [
+        "combine", path3, ring4, "--sequence", "2,1,1,2",
+        "--inter-edges", "{samples}/inter_rejected.txt",
+    ],
     "schedules-sequences-three": ["schedules", path3, ring4, chain3, "--limit", "3"],
 })
 # The same calls in text format, where the rows are written as lines.
@@ -135,6 +149,7 @@ for name in (
     "combine-dag-explicit", "combine-dag-cyclic", "combine-general-named12",
     "combine-general-named12-path3", "combine-dag-named12", "combine-dag-named12-chain3",
     "check-ring6_chord-explicit", "check-ring6_stalled-unknown-policy",
+    "robustness-add-ring6_chord-sampled", "combine-general-rejected",
     *(f"schedules-{net}" for net in NETS),
     "schedules-named12", "schedules-ring6_stalled", "schedules-sequences-general",
     "schedules-sequences-dag", "combine-general-three", "combine-general-bad-counts",

@@ -100,6 +100,27 @@ class TestCheck:
         assert data["chains"] == [["v1", "v6"], ["v2", "v3", "v4", "v5"]]
 
 
+class TestImpossibleForceList:
+    """An explicit force list the forcing rule does not allow is an input
+    error that names the file and the force as written in the document."""
+
+    @pytest.mark.parametrize("command", [["check"], ["robustness", "--mode", "add"]])
+    @pytest.mark.parametrize("forces, message", [
+        # v5 has four white out-neighbours at step 1 and still has at step 2
+        ('v5 v"\\\xe4\n', 'force v5 -> v"\\\xe4 is not possible at step 1'),
+        ('v11 v10\nv5 v"\\\xe4\n', 'force v5 -> v"\\\xe4 is not possible at step 2'),
+        ("v11 v10\n", "explicit force list ends while forces are still possible"),
+    ])
+    def test_named_error_exits_3(self, capsys, tmp_path, command, forces, message):
+        listed = tmp_path / "forces.txt"
+        listed.write_text(forces)
+        doc = str(SAMPLES / "named12.net")
+        rc = main([command[0], doc, *command[1:], "--policy", f"explicit:{listed}"])
+        captured = capsys.readouterr()
+        assert rc == 3 and captured.out == ""
+        assert captured.err == f"error: {listed}: {message}\n"
+
+
 class TestRobustness:
     def test_additive_with_verification(self, capsys):
         rc, out = run(
@@ -194,8 +215,8 @@ class TestCombine:
             assert "installed inter edges: 1\n" in out
             combined = parse_document(out.split("combined document:\n")[1])
         ids = combined.node_ids
-        assert combined.graph().has_edge(ids["1.v1"], ids["2.u1"])
-        assert combined.graph().edge_count == 4 + 10 + 1
+        assert combined.network.has_edge(ids["1.v1"], ids["2.u1"])
+        assert combined.network.edge_count == 4 + 10 + 1
 
     def test_rejected_edge_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "inter.txt"

@@ -69,14 +69,14 @@ class TestParse:
     def test_ring_document(self):
         doc = parse_document(RING)
         assert doc.names == ("v1", "v2", "v3", "v4", "v5", "v6")
-        g = doc.graph()
+        g = doc.network
         assert g.n == 6 and g.edge_count == 14
         assert doc.controls == {1, 2}
         assert doc.chains is None and doc.times is None
 
     def test_annotated_document(self):
         doc = parse_document(ANNOTATED)
-        tf = doc.time_function()
+        tf = doc.time_function
         assert tf is not None
         assert tf.times == {1: 1, 2: 2, 3: 3}
         assert tf.chains.chains == ((1, 2, 3),)
@@ -180,8 +180,8 @@ class TestParsedGraph:
         doc = parse_document(text)
         ids = {name: i for i, name in enumerate(names, start=1)}
         assert doc.names == tuple(names)
-        assert doc.graph() == DiGraph(len(names), [(ids[a], ids[b]) for a, b in edges])
-        assert doc.graph().edges == {(ids[a], ids[b]) for a, b in edges}
+        assert doc.network == DiGraph(len(names), [(ids[a], ids[b]) for a, b in edges])
+        assert doc.network.edges == {(ids[a], ids[b]) for a, b in edges}
 
 
 # Line breaks as ``str.splitlines`` sees them, and whitespace that stays
@@ -287,7 +287,7 @@ class TestBulkParse:
         assume(edges)
         doc = parse_document(text)
         controls = data.draw(st.sets(st.integers(1, len(names))))
-        doc = NetworkDocument.from_graph(doc.graph(), doc.names, controls)
+        doc = NetworkDocument.from_graph(doc.network, doc.names, controls)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(documents_module, "_read_edges", _line_reader_called)
             assert parse_document(emit_document(doc)) == doc
@@ -314,7 +314,7 @@ def _assert_reads_as_the_reference(text):
         return
     doc = parse_document(text)
     assert doc.names == names
-    assert doc.graph() == DiGraph(len(names), ids)
+    assert doc.network == DiGraph(len(names), ids)
 
 
 def _line_reader_called(*args):
@@ -350,7 +350,7 @@ class TestRoundTrip:
     def test_from_graph_round_trip(self):
         doc = parse_document(ANNOTATED)
         rebuilt = NetworkDocument.from_graph(
-            doc.graph(), doc.names, doc.controls, doc.time_function()
+            doc.network, doc.names, doc.controls, doc.time_function
         )
         assert rebuilt == doc
         assert emit_document(rebuilt) == emit_document(doc)

@@ -10,6 +10,7 @@ from ssc_toolkit.forcing import (
     LOWEST_FORCED,
     LOWEST_FORCER,
     ExplicitForces,
+    ForceListError,
     NotZfsError,
     _Frontier,
     derived_set,
@@ -174,12 +175,17 @@ class TestForcingSchedule:
         assert sorted(rec.chains.chains) == [(1, 6, 5, 4), (2, 3)]
 
     def test_explicit_rejects_impossible_force(self, ring6):
-        with pytest.raises(ValueError, match="not possible"):
+        with pytest.raises(ForceListError, match="not possible") as err:
             forcing_schedule(ring6, {1, 2}, ExplicitForces(((2, 3),)))
+        assert (err.value.force, err.value.step) == ((2, 3), 1)
+        with pytest.raises(ForceListError, match="not possible at step 4") as err:
+            forcing_schedule(ring6, {1, 2}, ExplicitForces(((1, 6), (2, 3), (6, 5), (2, 3))))
+        assert (err.value.force, err.value.step) == ((2, 3), 4)
 
     def test_explicit_rejects_short_list(self, ring6):
-        with pytest.raises(ValueError, match="still possible"):
+        with pytest.raises(ForceListError, match="still possible") as err:
             forcing_schedule(ring6, {1, 2}, ExplicitForces(((1, 6),)))
+        assert (err.value.force, err.value.step) == (None, 2)
 
     def test_stall_reports_white_set(self, path3):
         with pytest.raises(NotZfsError) as err:

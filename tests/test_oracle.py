@@ -255,7 +255,7 @@ def chain3_varying_schedule() -> LtvSchedule:
     breakpoints, per_interval = parse_schedule_file(
         (SAMPLES / "chain3_varying.sched").read_text(), doc
     )
-    return schedule_from_edges(doc.time_function(), breakpoints, per_interval, seed=0)
+    return schedule_from_edges(doc.time_function, breakpoints, per_interval, seed=0)
 
 
 def skeleton_schedule(tf: TimeFunction, breakpoints, seed: int) -> LtvSchedule:
