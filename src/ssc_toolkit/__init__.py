@@ -21,8 +21,8 @@ from .forcing import (
     LOWEST_FORCER,
     ExplicitForces,
     ForceListError,
-    ForcingRecord,
     NotZfsError,
+    TimeFunction,
     derived_set,
     enumerate_forcing_schedules,
     forcing_schedule,
@@ -32,7 +32,6 @@ from .forcing import (
     stalled_white_set,
 )
 from .synthesis import (
-    TimeFunction,
     is_ct_constructed,
     is_perfect,
     optional_edges,

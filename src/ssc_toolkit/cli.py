@@ -126,11 +126,17 @@ def _load_document(path: str) -> NetworkDocument:
         raise DocumentError(f"{path}: {exc}") from None
 
 
-def _policy(spec: str, doc: NetworkDocument):
+def _policy(spec: str, doc: NetworkDocument, z: frozenset[int]):
+    """The tie-break policy ``spec`` names.  A policy other than the two
+    built-in ones is read only once the controls ``z`` are known to force
+    everything, so a stall raises :class:`NotZfsError` first."""
     if spec == "lowest-forcer":
         return LOWEST_FORCER
     if spec == "lowest-forced":
         return LOWEST_FORCED
+    stalled = stalled_white_set(doc.network, z)
+    if stalled:
+        raise NotZfsError(f"forcing stalled with white nodes {sorted(stalled)}", stalled)
     if spec.startswith("explicit:"):
         return parse_force_list(_read(spec[len("explicit:") :]), doc)
     raise DocumentError(
@@ -155,6 +161,12 @@ def _require_controls(doc: NetworkDocument) -> frozenset[int]:
 class _Negative(Exception):
     """A negative verdict whose whole report is its message on standard
     error (exit 2)."""
+
+
+def _not_zfs(path: str, doc: NetworkDocument, stalled: frozenset[int]) -> _Negative:
+    """The report of the document at ``path`` whose controls leave ``stalled`` white."""
+    names = " ".join(doc.name_of(v) for v in sorted(stalled))
+    return _Negative(f"not a zero forcing set: {path}: stalled white set = {{{names}}}")
 
 
 def _write(chunks: Iterable[str]) -> None:
@@ -315,22 +327,15 @@ def cmd_check(args) -> Result:
     doc = _load_document(args.document)
     g = doc.network
     z = _require_controls(doc)
-    policy = args.policy
     try:
-        if policy not in (LOWEST_FORCER, LOWEST_FORCED):
-            # another policy is read only once the controls force everything
-            stalled = stalled_white_set(g, z)
-            if stalled:
-                return _check_stalled(doc, stalled)
-            policy = _policy(policy, doc)
-        record = forcing_schedule(g, z, policy)
+        tf = forcing_schedule(g, z, _policy(args.policy, doc, z))
     except NotZfsError as exc:
         return _check_stalled(doc, exc.stalled_white)
     except ForceListError as exc:
         raise _named_force_error(exc, args.policy, doc) from None
     machine = args.format == "machine"
-    forces, intervals = _schedule_writer(doc.names, machine, record.gamma)(0, record.forces)
-    chains = [[doc.name_of(v) for v in c] for c in record.chains.chains]
+    forces, intervals = _schedule_writer(doc.names, machine, tf.gamma)(0, tf.forces)
+    chains = [[doc.name_of(v) for v in c] for c in tf.chains.chains]
     return EXIT_OK, [
         ("zfs", True, "ZFS: yes\n"),
         ("derived", doc.names, lambda: f"derived set: {' '.join(doc.names)}\n"),
@@ -358,18 +363,17 @@ def cmd_robustness(args) -> Result:
     doc = _load_document(args.document)
     g = doc.network
     z = _require_controls(doc)
-    policy = _policy(args.policy, doc)
     critical_set = critical_additive_set if args.mode == "add" else critical_subtractive_set
     try:
-        report = critical_set(g, z, policy)
+        report = critical_set(g, z, _policy(args.policy, doc, z))
+    except NotZfsError as exc:
+        raise _not_zfs(args.document, doc, exc.stalled_white) from None
     except ForceListError as exc:
         raise _named_force_error(exc, args.policy, doc) from None
     machine = args.format == "machine"
     pairs = _sorted_pairs(report.graph, doc.names, _written_names(doc.names, machine), machine)
     tf = report.witness
-    # the witness's chain edges as forces, in the order their targets turn black
-    forces = sorted(tf.chains.successor.items(), key=lambda force: tf.times[force[1]])
-    _, intervals = _schedule_writer(doc.names, machine, tf.gamma)(0, forces)
+    _, intervals = _schedule_writer(doc.names, machine, tf.gamma)(0, tf.forces)
     fields = [
         ("mode", args.mode,
          f"critical {'additive' if args.mode == 'add' else 'subtractive'} edge-set\n"),
@@ -581,7 +585,10 @@ def cmd_schedules(args) -> Result:
         # The count is written first, so the schedules are walked before any
         # is written; each keeps only its forces after those it shares.
         leaves = islice(schedule_leaves(g, z), args.limit)
-        tails = [(shared, tuple(forces[shared:])) for shared, forces in leaves]
+        try:
+            tails = [(shared, tuple(forces[shared:])) for shared, forces in leaves]
+        except NotZfsError as exc:
+            raise _not_zfs(args.documents[0], doc, exc.stalled_white) from None
         write = _schedule_writer(doc.names, args.format == "machine", schedule_gamma(g, z))
         texts = (write(*tail) for tail in tails)
         return EXIT_OK, [
@@ -681,9 +688,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except DocumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except NotZfsError as exc:
-        print(f"not a zero forcing set: {exc}", file=sys.stderr)
-        return EXIT_NEGATIVE
     except InfeasibleSequenceError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE

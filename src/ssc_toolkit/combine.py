@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .forcing import TimeFunction
 from .graphs import (
     ChainSet,
     ConsistencyError,
@@ -22,7 +23,7 @@ from .graphs import (
     topological_order,
 )
 from .robustness import INTER_NETWORK, EdgeSetReport
-from .synthesis import TimeFunction, is_ct_constructed, perfect_edge_count
+from .synthesis import is_ct_constructed, perfect_edge_count
 
 Block = tuple[DiGraph, TimeFunction]
 

@@ -48,9 +48,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .forcing import ExplicitForces
+from .forcing import ExplicitForces, TimeFunction
 from .graphs import ChainSet, DiGraph, Edge, row_nodes
-from .synthesis import TimeFunction
 
 SECTIONS = ("NODES", "EDGES", "CONTROLS", "CHAINS", "TIMES")
 

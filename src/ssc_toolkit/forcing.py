@@ -5,6 +5,11 @@ black.  A control set whose repeated forcing blackens the whole graph
 certifies strong structural controllability of the network, so the
 functions here are the combinatorial SSC test.
 
+A complete schedule is one :class:`TimeFunction`: its forcing chains and
+the step at which each node turns black, which also give its force list.
+The perfect graph, both critical edge-sets and the network-of-networks
+layouts are all built from it.
+
 One worklist engine, :class:`_Frontier`, backs every single-graph
 verdict: derived sets and the ZFS test drain it in any order, schedules
 pick from it by policy, and the enumeration walks it depth first with
@@ -26,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 from .graphs import ChainSet, DiGraph, Edge, control_set, mask_nodes
 
@@ -79,40 +84,129 @@ def _nodes_of(mask: int) -> frozenset[int]:
     return frozenset(mask_nodes(mask))
 
 
-@dataclass(frozen=True)
-class ForcingRecord:
-    """One complete run of the one-force-per-step schedule.
+@dataclass(frozen=True, eq=False)
+class TimeFunction:
+    """Per-node forcing times bound to a chain partition: a forcing schedule.
 
-    A record holds only its chronological ``forces``, the ``controls`` and
-    ``gamma``; its times and chains are derived from them on first use.
-    ``times`` maps each node to the step at which it turned black
-    (controls at step 1, force ``k`` colors its target at step ``k+1``).
-    ``chains`` are the maximal forcing chains: node-disjoint paths, one
-    per control node, jointly covering the graph.  Controls that never
-    force yield one-node chains.
+    ``times`` maps every chain node to an integer in ``[1, gamma]`` with
+    ``gamma = n - m + 1``.  The latest step at which a node is still the
+    frontier of its chain (``tmax``) is always derived, never stored:
+    sinks get ``gamma``, every other node gets its successor's time minus
+    one.
+
+    A complete force list and its time function determine each other: the
+    node with time k + 1 is the k-th node forced, by its chain predecessor.
+    So :attr:`forces` is the chain edges in the order their targets turn
+    black, and a schedule keeps the list it ran.  Equal time functions give
+    every node the same time and chain successor; chain order is not compared.
+
+    Construction checks that the chain nodes are exactly ``1..n`` (the
+    :class:`ChainSet` is disjoint already), the times cover exactly the
+    chain nodes, sources sit at time 1, non-source times are pairwise
+    distinct within ``[2, gamma]``, and times strictly increase along
+    every chain.
+
+    Raises:
+        ValueError: the pair is not a valid time function; the message
+            lists every problem found.
     """
 
-    forces: tuple[Edge, ...]
-    controls: frozenset[int]
-    gamma: int
+    chains: ChainSet
+    times: Mapping[int, int]
+
+    def __post_init__(self):
+        object.__setattr__(self, "times", dict(self.times))
+        problems = self._problems()
+        if problems:
+            raise ValueError("invalid time function: " + "; ".join(problems))
+
+    def __eq__(self, other):
+        if not isinstance(other, TimeFunction):
+            return NotImplemented
+        return self.times == other.times and self.chains.successor == other.chains.successor
+
+    def _problems(self) -> list[str]:
+        cs, times = self.chains, self.times
+        if cs.nodes != frozenset(range(1, self.n + 1)):
+            return [f"chain nodes must be exactly 1..{self.n}"]
+        if times.keys() != cs.nodes:
+            return ["times must be defined on exactly the chain nodes"]
+        problems: list[str] = []
+        for s in sorted(cs.sources):
+            if times[s] != 1:
+                problems.append(f"source {s} has time {times[s]}, expected 1")
+        gamma = self.gamma
+        seen: dict[int, int] = {}
+        for v in sorted(cs.nodes - cs.sources):
+            t = times[v]
+            if not 2 <= t <= gamma:
+                problems.append(f"non-source {v} has time {t} outside [2, {gamma}]")
+            elif t in seen:
+                problems.append(f"nodes {seen[t]} and {v} share non-source time {t}")
+            else:
+                seen[t] = v
+        for u, v in cs.successor.items():
+            if times[u] >= times[v]:
+                problems.append(
+                    f"chain times must increase: t({u})={times[u]} >= t({v})={times[v]}"
+                )
+        return problems
+
+    @property
+    def n(self) -> int:
+        return self.chains.node_count
+
+    @property
+    def m(self) -> int:
+        return self.chains.m
+
+    @property
+    def gamma(self) -> int:
+        return self.n - self.m + 1
 
     @cached_property
-    def times(self) -> dict[int, int]:
-        times = dict.fromkeys(self.controls, 1)
-        for k, (_, u) in enumerate(self.forces, 2):
-            times[u] = k
-        return times
+    def forces(self) -> tuple[Edge, ...]:
+        """The chain edges in the order their targets turn black."""
+        t = self.times
+        return tuple(sorted(self.chains.successor.items(), key=lambda force: t[force[1]]))
 
     @cached_property
-    def chains(self) -> ChainSet:
-        successor = dict(self.forces)
-        chains = []
-        for s in sorted(self.controls):
-            nodes = [s]
-            while nodes[-1] in successor:
-                nodes.append(successor[nodes[-1]])
-            chains.append(nodes)
-        return ChainSet(tuple(chains))
+    def tmax(self) -> dict[int, int]:
+        nxt = self.chains.successor
+        out = {}
+        for v in self.times:
+            out[v] = self.times[nxt[v]] - 1 if v in nxt else self.gamma
+        return out
+
+    @cached_property
+    def skeleton(self) -> DiGraph:
+        """The chain edges as a graph on ``1..n``: the family's smallest member."""
+        return DiGraph(self.n, self.chains.successor.items())
+
+    @cached_property
+    def admissible_rows(self) -> tuple[int, ...]:
+        """Row ``u`` holds the nodes ``v`` with ``tmax(u) >= t(v)`` as a
+        bitmask, as :attr:`DiGraph.rows` hold out-neighbors.
+
+        In time order those targets are a prefix of the nodes, so one pass
+        over the time order builds every row.  The time function is valid,
+        so every ``tmax`` value is some node's time.
+        """
+        t = self.times
+        upto: dict[int, int] = {}  # time T -> the nodes with t(v) <= T
+        mask = 0
+        for v in sorted(t, key=t.__getitem__):
+            mask |= 1 << (v - 1)
+            upto[t[v]] = mask
+        rows = [0] * (self.n + 1)
+        for u, T in self.tmax.items():
+            rows[u] = upto[T]
+        return tuple(rows)
+
+    @cached_property
+    def member_rows(self) -> tuple[int, ...]:
+        """Rows of the maximal member: every admissible pair plus the chain edges."""
+        return tuple(a | s for a, s in zip(self.admissible_rows, self.skeleton.rows))
 
 
 class _Frontier:
@@ -228,14 +322,30 @@ def schedule_gamma(g: DiGraph, z: frozenset[int]) -> int:
     return g.n - len(z) + 1
 
 
-def _build_record(g: DiGraph, z: frozenset[int], forces: list[Edge]) -> ForcingRecord:
-    return ForcingRecord(tuple(forces), z, schedule_gamma(g, z))
+def _time_function(z: frozenset[int], forces: Iterable[Edge]) -> TimeFunction:
+    """The time function of the complete force list ``forces`` from ``z``,
+    keeping the list: force k (from 1) blackens its target at step k + 1."""
+    forces = tuple(forces)
+    times = dict.fromkeys(z, 1)
+    for k, (_, u) in enumerate(forces, 2):
+        times[u] = k
+    successor = dict(forces)
+    chains = []
+    for s in sorted(z):
+        nodes = [s]
+        while nodes[-1] in successor:
+            nodes.append(successor[nodes[-1]])
+        chains.append(nodes)
+    tf = TimeFunction(ChainSet(tuple(chains)), times)
+    object.__setattr__(tf, "forces", forces)
+    return tf
 
 
 def forcing_schedule(
     g: DiGraph, controls: Iterable[int], policy: TieBreakPolicy = LOWEST_FORCER
-) -> ForcingRecord:
-    """Run the one-force-per-step schedule under ``policy``.
+) -> TimeFunction:
+    """Run the one-force-per-step schedule under ``policy``; its time
+    function keeps the forces it ran.
 
     Built-in policies pick, among the currently possible forces, the one
     with the lowest forcer id (ties on the forced id) or the lowest
@@ -272,7 +382,7 @@ def forcing_schedule(
         raise ValueError(f"unknown tie-break policy {policy!r}")
 
     _require_all_black(g, state.black)
-    return _build_record(g, z, forces)
+    return _time_function(z, forces)
 
 
 def schedule_leaves(
@@ -333,12 +443,13 @@ def schedule_leaves(
 
 def enumerate_forcing_schedules(
     g: DiGraph, controls: Iterable[int], limit: int | None = None
-) -> list[ForcingRecord]:
-    """Depth-first enumeration of every distinct chronological force list.
+) -> list[TimeFunction]:
+    """Depth-first enumeration of every distinct chronological force list,
+    each as its time function.
 
-    Distinct lists may induce identical chains and times; callers filter
-    when they care about (chains, times) pairs only.  With ``limit`` the
-    search stops after that many records.
+    A force list and its time function determine each other, so distinct
+    lists give distinct time functions.  With ``limit`` the search stops
+    after that many.
 
     Raises:
         NotZfsError: ``controls`` is not a zero forcing set.
@@ -346,4 +457,4 @@ def enumerate_forcing_schedules(
     if limit is not None and limit < 1:
         raise ValueError("limit must be at least 1")
     z = control_set(controls, g.n)
-    return [_build_record(g, z, forces) for _, forces in islice(schedule_leaves(g, z), limit)]
+    return [_time_function(z, forces) for _, forces in islice(schedule_leaves(g, z), limit)]

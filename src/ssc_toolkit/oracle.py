@@ -32,9 +32,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .forcing import stalled_white_set
+from .forcing import TimeFunction, stalled_white_set
 from .graphs import DiGraph, Edge, _unpack, control_set, row_nodes
-from .synthesis import TimeFunction
 
 DIAG_ZERO = "zero"
 DIAG_NONZERO = "nonzero"

@@ -18,13 +18,14 @@ import numpy as np
 from .forcing import (
     LOWEST_FORCER,
     TieBreakPolicy,
+    TimeFunction,
     _drain,
     _mask_of,
     _require_all_black,
     forcing_schedule,
 )
 from .graphs import ConsistencyError, DiGraph, Edge, control_set, mask_nodes, row_nodes
-from .synthesis import TimeFunction, perfect_edge_count, perfect_graph
+from .synthesis import perfect_edge_count, perfect_graph
 
 ADDITIVE = "additive"
 SUBTRACTIVE = "subtractive"
@@ -95,8 +96,7 @@ def critical_additive_set(
     Different tie-break policies may return different, equally sized sets.
     """
     z = control_set(controls, g.n)
-    record = forcing_schedule(g, z, policy)
-    tf = TimeFunction.from_record(record)
+    tf = forcing_schedule(g, z, policy)
     perf = perfect_graph(tf)
     if any(row & ~p for row, p in zip(g.rows, perf.rows)):
         raise ConsistencyError("graph is not contained in its own maximal member")
@@ -112,8 +112,7 @@ def critical_subtractive_set(
 ) -> EdgeSetReport:
     """A critical subtractive edge-set: everything outside one chain skeleton."""
     z = control_set(controls, g.n)
-    record = forcing_schedule(g, z, policy)
-    tf = TimeFunction.from_record(record)
+    tf = forcing_schedule(g, z, policy)
     removed = DiGraph.from_rows(g.n, [row & ~c for row, c in zip(g.rows, tf.skeleton.rows)])
     bound = g.edge_count - g.n + len(z)
     if removed.edge_count != bound:

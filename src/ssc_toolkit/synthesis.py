@@ -7,139 +7,26 @@ stops being its chain's frontier node before v turns black, i.e. with
 contains every admissible edge, including all self-loops, and its edge
 count depends only on the graph size and the number of chains.
 
-A time function is checked once, when it is built: a
-:class:`TimeFunction` that exists is valid and its chains cover exactly
-the nodes ``1..n``, so nothing downstream checks it again.
+A family is given by a :class:`~.forcing.TimeFunction`, the type every
+forcing schedule returns.  It is checked once, when it is built: one that
+exists is valid and its chains cover exactly the nodes ``1..n``, so
+nothing downstream checks it again.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
 from .graphs import ChainSet, ConsistencyError, DiGraph, Edge, control_set, row_nodes
 from .forcing import (
     LOWEST_FORCER,
-    ForcingRecord,
     TieBreakPolicy,
+    TimeFunction,
     _drain,
     _require_all_black,
     forcing_schedule,
 )
-
-
-@dataclass(frozen=True)
-class TimeFunction:
-    """Per-node forcing times bound to a chain partition.
-
-    ``times`` maps every chain node to an integer in ``[1, gamma]`` with
-    ``gamma = n - m + 1``.  The latest step at which a node is still the
-    frontier of its chain (``tmax``) is always derived, never stored:
-    sinks get ``gamma``, every other node gets its successor's time minus
-    one.
-
-    Construction checks that the chain nodes are exactly ``1..n`` (the
-    :class:`ChainSet` is disjoint already), the times cover exactly the
-    chain nodes, sources sit at time 1, non-source times are pairwise
-    distinct within ``[2, gamma]``, and times strictly increase along
-    every chain.
-
-    Raises:
-        ValueError: the pair is not a valid time function; the message
-            lists every problem found.
-    """
-
-    chains: ChainSet
-    times: Mapping[int, int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "times", dict(self.times))
-        problems = self._problems()
-        if problems:
-            raise ValueError("invalid time function: " + "; ".join(problems))
-
-    def _problems(self) -> list[str]:
-        cs, times = self.chains, self.times
-        if cs.nodes != frozenset(range(1, self.n + 1)):
-            return [f"chain nodes must be exactly 1..{self.n}"]
-        if times.keys() != cs.nodes:
-            return ["times must be defined on exactly the chain nodes"]
-        problems: list[str] = []
-        for s in sorted(cs.sources):
-            if times[s] != 1:
-                problems.append(f"source {s} has time {times[s]}, expected 1")
-        gamma = self.gamma
-        seen: dict[int, int] = {}
-        for v in sorted(cs.nodes - cs.sources):
-            t = times[v]
-            if not 2 <= t <= gamma:
-                problems.append(f"non-source {v} has time {t} outside [2, {gamma}]")
-            elif t in seen:
-                problems.append(f"nodes {seen[t]} and {v} share non-source time {t}")
-            else:
-                seen[t] = v
-        for u, v in cs.successor.items():
-            if times[u] >= times[v]:
-                problems.append(
-                    f"chain times must increase: t({u})={times[u]} >= t({v})={times[v]}"
-                )
-        return problems
-
-    @property
-    def n(self) -> int:
-        return self.chains.node_count
-
-    @property
-    def m(self) -> int:
-        return self.chains.m
-
-    @property
-    def gamma(self) -> int:
-        return self.n - self.m + 1
-
-    @cached_property
-    def tmax(self) -> dict[int, int]:
-        nxt = self.chains.successor
-        out = {}
-        for v in self.times:
-            out[v] = self.times[nxt[v]] - 1 if v in nxt else self.gamma
-        return out
-
-    @cached_property
-    def skeleton(self) -> DiGraph:
-        """The chain edges as a graph on ``1..n``: the family's smallest member."""
-        return DiGraph(self.n, self.chains.successor.items())
-
-    @cached_property
-    def admissible_rows(self) -> tuple[int, ...]:
-        """Row ``u`` holds the nodes ``v`` with ``tmax(u) >= t(v)`` as a
-        bitmask, as :attr:`DiGraph.rows` hold out-neighbors.
-
-        In time order those targets are a prefix of the nodes, so one pass
-        over the time order builds every row.  The time function is valid,
-        so every ``tmax`` value is some node's time.
-        """
-        t = self.times
-        upto: dict[int, int] = {}  # time T -> the nodes with t(v) <= T
-        mask = 0
-        for v in sorted(t, key=t.__getitem__):
-            mask |= 1 << (v - 1)
-            upto[t[v]] = mask
-        rows = [0] * (self.n + 1)
-        for u, T in self.tmax.items():
-            rows[u] = upto[T]
-        return tuple(rows)
-
-    @cached_property
-    def member_rows(self) -> tuple[int, ...]:
-        """Rows of the maximal member: every admissible pair plus the chain edges."""
-        return tuple(a | s for a, s in zip(self.admissible_rows, self.skeleton.rows))
-
-    @classmethod
-    def from_record(cls, record: ForcingRecord) -> "TimeFunction":
-        return cls(record.chains, record.times)
 
 
 def optional_edges(tf: TimeFunction) -> frozenset[Edge]:
@@ -204,11 +91,10 @@ def is_perfect(
     _require_all_black(g, _drain(g, z), z)
     if g.edge_count != perfect_edge_count(g.n, len(z)):
         return None
-    record = forcing_schedule(g, z, policy)
-    tf = TimeFunction.from_record(record)
+    tf = forcing_schedule(g, z, policy)
     if perfect_graph(tf) != g:
         return None
-    return record.chains, tf
+    return tf.chains, tf
 
 
 # -- sampling -----------------------------------------------------------

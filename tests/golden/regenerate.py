@@ -90,6 +90,10 @@ CASES.update({
         "check", "{samples}/ring6_stalled.net",
         "--policy", "explicit:{samples}/ring6_chord_forces.txt",
     ],
+    "robustness-add-ring6_stalled-explicit": [
+        "robustness", "{samples}/ring6_stalled.net", "--mode", "add",
+        "--policy", "explicit:{samples}/ring6_chord_forces.txt",
+    ],
     "check-ring6_chord-unknown-policy": ["check", "{samples}/ring6_chord.net", "--policy", "bogus"],
     # the first listed force is not possible: reported by file and in names
     "check-ring6_chord-impossible-force": [

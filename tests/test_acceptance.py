@@ -291,7 +291,7 @@ def test_criterion_9_property_suite_fixed_seeds():
                 for w in tf.times:
                     assert (tf.times[w] <= tf.times[v]) == (remapped[w] <= remapped[v])
 
-        # forcing records always partition the graph into source-led chains
+        # forcing schedules always partition the graph into source-led chains
         for _ in range(60):
             n = int(rng.integers(1, 8))
             m = int(rng.integers(1, n + 1))
@@ -301,4 +301,4 @@ def test_criterion_9_property_suite_fixed_seeds():
             assert rec.chains.nodes == frozenset(g.nodes)
             assert rec.chains.sources == tf.chains.sources
             assert rec.chains.chain_edges <= g.edges
-            assert st.is_ct_constructed(g, st.TimeFunction.from_record(rec))
+            assert st.is_ct_constructed(g, rec)

@@ -75,9 +75,11 @@ def test_traced_cli_calls_feed_the_counters(spans):
                 assert cli.main(argv) == 0
     finally:
         tracer.uninstall()
-    for counter in ("documents.parse_bytes", "forcing.forces_applied",
-                    "robustness.verify_calls", "combine.inter_edges"):
+    for counter in ("documents.parse_bytes", "robustness.verify_calls", "combine.inter_edges"):
         assert tracer.counters[counter] > 0, counter
+    # one schedule of ring6_chord's 6 nodes from 2 controls in each of
+    # check and robustness: 4 forces each
+    assert tracer.counters["forcing.forces_applied"] == 2 * 4
     buckets = tracer.busy()
     assert buckets["documents.parse_s"] > 0 and buckets["cli.self_s"] > 0
     for bucket in ("combine.networks_s", "combine.max_inter_s", "combine.dags_s",

@@ -121,6 +121,75 @@ class TestImpossibleForceList:
         assert captured.err == f"error: {listed}: {message}\n"
 
 
+class TestStalledControls:
+    """A control set that stalls is a negative verdict (exit 2) whichever
+    command meets it: ``robustness`` and ``schedules`` name the document and
+    the stalled white set in the document's names, in id order, as ``check``
+    lists it.  A policy other than the built-in two is not read at all."""
+
+    # named12's node 6 is named with a quote, a backslash and a non-ASCII letter
+    STALLED = ["v1", "v2", "v3", "v4", 'v"\\\xe4', "v7", "v8", "v10", "v11", "v12"]
+
+    @pytest.fixture
+    def stalled12(self, tmp_path) -> str:
+        """named12 controlled from v5 and v9 only, without its chains and times."""
+        text = (SAMPLES / "named12.net").read_text().split("CHAINS")[0]
+        doc = tmp_path / "stalled12.net"
+        doc.write_text(text.replace("v5 v9 v11", "v5 v9"))
+        return str(doc)
+
+    @pytest.mark.parametrize("fmt", ["machine", "text"])
+    @pytest.mark.parametrize("command", [
+        ["robustness", "--mode", "add"],
+        ["robustness", "--mode", "sub", "--no-verify"],
+        ["robustness", "--mode", "add", "--policy", "lowest-forced"],
+        ["robustness", "--mode", "sub", "--policy", "explicit:{forces}"],
+        ["robustness", "--mode", "add", "--policy", "explicit:{missing}"],
+        ["robustness", "--mode", "add", "--policy", "bogus"],
+        ["schedules"],
+        ["schedules", "--limit", "1"],
+    ])
+    def test_negative_verdict_names_the_stalled_set(
+        self, capsys, tmp_path, stalled12, command, fmt
+    ):
+        forces = tmp_path / "forces.txt"
+        forces.write_text('v5 v"\\\xe4\n')  # not possible: v5 has four white out-neighbours
+        paths = {"forces": forces, "missing": tmp_path / "missing.txt"}
+        args = [a.format(**paths) for a in command[1:]]
+        rc = main([command[0], stalled12, *args, "--format", fmt])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == (
+            f"not a zero forcing set: {stalled12}: stalled white set = {{{' '.join(self.STALLED)}}}\n"
+        )
+
+    def test_check_lists_the_same_set(self, capsys, stalled12):
+        rc, out = run(capsys, "check", stalled12, "--format", "machine")
+        assert rc == 2 and json.loads(out)["stalled_white"] == self.STALLED
+
+
+# the bundled samples whose controls are a zero forcing set
+ZFS_SAMPLES = ("chain3", "path3_bidir", "ring4_chord", "ring6_chord", "named12")
+
+
+@pytest.mark.parametrize("net", ZFS_SAMPLES)
+@pytest.mark.parametrize("fmt", ["machine", "text"])
+def test_robustness_writes_the_intervals_check_writes(capsys, net, fmt):
+    """``check`` writes its schedule's intervals from the forces it ran, and
+    ``robustness`` from its witness; both are one time function."""
+    doc = str(SAMPLES / f"{net}.net")
+    intervals = []
+    for argv in (["check", doc], ["robustness", doc, "--mode", "add", "--no-verify"]):
+        rc, out = run(capsys, *argv, "--format", fmt)
+        assert rc == 0
+        if fmt == "machine":
+            intervals.append(json.loads(out)["intervals"])
+        else:
+            (line,) = [s for s in out.splitlines() if s.startswith("intervals: ")]
+            intervals.append(line)
+    assert intervals[0] == intervals[1]
+
+
 class TestRobustness:
     def test_additive_with_verification(self, capsys):
         rc, out = run(
@@ -642,7 +711,7 @@ class TestSchedules:
 
 class TestScheduleWriter:
     """Forces and intervals written from the force list match what the
-    record's time function gives, as ``json.dumps`` or the text format
+    schedule's time function gives, as ``json.dumps`` or the text format
     writes it; one writer fed each list's forces after the ones it shares
     with the list before writes what a fresh writer per list does."""
 
@@ -653,16 +722,15 @@ class TestScheduleWriter:
         names = data.draw(st.lists(self.NAME, min_size=g.n, max_size=g.n, unique=True))
         z = data.draw(st.frozensets(st.sampled_from(range(1, g.n + 1)), min_size=1))
         assume(is_zfs(g, z))
-        for record in enumerate_forcing_schedules(g, z, limit=10):
-            tf = TimeFunction.from_record(record)
-            named = [[names[u - 1], names[v - 1]] for u, v in record.forces]
+        for tf in enumerate_forcing_schedules(g, z, limit=10):
+            named = [[names[u - 1], names[v - 1]] for u, v in tf.forces]
             by_name = {names[v - 1]: [tf.times[v], tf.tmax[v]] for v in tf.times}
-            write = cli._schedule_writer(names, True, record.gamma)
-            assert write(0, record.forces) == (
+            write = cli._schedule_writer(names, True, tf.gamma)
+            assert write(0, tf.forces) == (
                 json.dumps(named), json.dumps(by_name, sort_keys=True)
             )
-            write = cli._schedule_writer(names, False, record.gamma)
-            assert write(0, record.forces) == (
+            write = cli._schedule_writer(names, False, tf.gamma)
+            assert write(0, tf.forces) == (
                 " ".join(f"{a}>{b}" for a, b in named),
                 " ".join(f"{names[v - 1]}:[{t},{tf.tmax[v]}]" for v, t in sorted(tf.times.items())),
             )

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from ssc_toolkit.forcing import (
     ExplicitForces,
     ForceListError,
     NotZfsError,
+    TimeFunction,
     _Frontier,
     derived_set,
     enumerate_forcing_schedules,
@@ -20,11 +22,11 @@ from ssc_toolkit.forcing import (
     schedule_leaves,
     stalled_white_set,
 )
-from ssc_toolkit.graphs import DiGraph
+from ssc_toolkit.graphs import ChainSet, DiGraph
 from ssc_toolkit.robustness import critical_additive_number, critical_subtractive_number
-from ssc_toolkit.synthesis import TimeFunction, is_ct_constructed, is_perfect
+from ssc_toolkit.synthesis import is_ct_constructed, is_perfect, sample_member
 
-from conftest import digraphs
+from conftest import digraphs, timed_partitions
 from reference import (
     all_digraphs,
     minimum_forcing_size,
@@ -166,8 +168,7 @@ class TestForcingSchedule:
         rec = forcing_schedule(ring6, {1, 2}, ring6_policy)
         assert rec.times == {1: 1, 2: 1, 6: 2, 3: 3, 4: 4, 5: 5}
         assert sorted(rec.chains.chains) == [(1, 6), (2, 3, 4, 5)]
-        tf = TimeFunction.from_record(rec)
-        assert tf.tmax == {1: 1, 2: 2, 6: 5, 3: 3, 4: 4, 5: 5}
+        assert rec.tmax == {1: 1, 2: 2, 6: 5, 3: 3, 4: 4, 5: 5}
 
     def test_ring_explicit_second_variant(self, ring6):
         rec = forcing_schedule(ring6, {1, 2}, ExplicitForces(((1, 6), (2, 3), (6, 5), (5, 4))))
@@ -239,8 +240,8 @@ class TestForcingSchedule:
         for c in rec.chains.chains:
             times = [rec.times[v] for v in c]
             assert times == sorted(times) and len(set(times)) == len(times)
-        # every successful record certifies membership in its own family
-        assert is_ct_constructed(g, TimeFunction.from_record(rec))
+        # every successful schedule certifies membership in its own family
+        assert is_ct_constructed(g, rec)
 
 
 class TestEnumerateSchedules:
@@ -249,16 +250,16 @@ class TestEnumerateSchedules:
 
     def test_edgeless_pair_single_empty_schedule(self):
         g = DiGraph(2)
-        records = enumerate_forcing_schedules(g, {1, 2}, limit=10)
-        assert len(records) == 1
-        assert records[0].forces == ()
-        assert sorted(records[0].chains.chains) == [(1,), (2,)]
+        tfs = enumerate_forcing_schedules(g, {1, 2}, limit=10)
+        assert len(tfs) == 1
+        assert tfs[0].forces == ()
+        assert sorted(tfs[0].chains.chains) == [(1,), (2,)]
 
     def test_ring_has_at_least_the_four_variants(self, ring6):
-        records = enumerate_forcing_schedules(ring6, {1, 2})
+        tfs = enumerate_forcing_schedules(ring6, {1, 2})
         pairs = {
-            (tuple(sorted(r.chains.chains)), tuple(sorted(r.times.items())))
-            for r in records
+            (tuple(sorted(tf.chains.chains)), tuple(sorted(tf.times.items())))
+            for tf in tfs
         }
         assert len(pairs) >= 4
         chain_shapes = {p[0] for p in pairs}
@@ -389,30 +390,50 @@ class TestLeaves:
         assert str(raised.value) == f"controls {sorted(controls)} are not a zero forcing set"
 
 
-class TestRecords:
-    """A record holds its forces, controls and gamma; its times and chains
-    are derived from the forces on first use."""
+class TestScheduleTimeFunctions:
+    """A schedule returns its time function, which keeps the force list the
+    schedule ran; the list and the time function determine each other."""
 
     @given(digraphs(max_n=7), st.data())
-    def test_every_record_matches_the_walked_force_list(self, g: DiGraph, data):
+    def test_every_schedule_matches_the_walked_force_list(self, g: DiGraph, data):
         z = frozenset(
             data.draw(st.frozensets(st.sampled_from(range(1, g.n + 1)), min_size=1))
         )
         assume(is_zfs(g, z))
-        records = enumerate_forcing_schedules(g, z, limit=data.draw(st.integers(1, 40)))
-        assert all(vars(rec).keys() == {"forces", "controls", "gamma"} for rec in records)
-        records += [forcing_schedule(g, z, policy) for policy in (LOWEST_FORCER, LOWEST_FORCED)]
-        for rec in records:
-            times, chains, gamma = walked_record(g.n, z, rec.forces)
-            assert rec.times == times
-            assert rec.chains.chains == chains
-            assert rec.gamma == gamma
-            assert rec.controls == z == rec.chains.sources
-            replay = forcing_schedule(g, z, ExplicitForces(rec.forces))
-            assert replay == rec and hash(replay) == hash(rec)
+        tfs = enumerate_forcing_schedules(g, z, limit=data.draw(st.integers(1, 40)))
+        tfs += [forcing_schedule(g, z, policy) for policy in (LOWEST_FORCER, LOWEST_FORCED)]
+        for tf in tfs:
+            assert isinstance(tf, TimeFunction)
+            times, chains, gamma = walked_record(g.n, z, tf.forces)
+            assert tf.times == times
+            assert tf.chains.chains == chains
+            assert tf.gamma == gamma
+            assert tf.chains.sources == z
+            # the kept list is the one the chains and times give
+            assert tf.forces == TimeFunction(tf.chains, tf.times).forces
+            assert forcing_schedule(g, z, ExplicitForces(tf.forces)) == tf
 
-    def test_records_differ_with_their_forces(self, ring6):
+    @given(digraphs(max_n=7), st.data())
+    def test_enumerated_time_functions_are_distinct(self, g: DiGraph, data):
+        z = frozenset(
+            data.draw(st.frozensets(st.sampled_from(range(1, g.n + 1)), min_size=1))
+        )
+        assume(is_zfs(g, z))
+        tfs = enumerate_forcing_schedules(g, z, limit=data.draw(st.integers(1, 40)))
+        assert not [(a, b) for a, b in combinations(tfs, 2) if a == b]
+
+    def test_schedules_differ_with_their_forces(self, ring6):
         first, second = enumerate_forcing_schedules(ring6, {1, 2}, limit=2)
-        assert first != second and first.controls == second.controls
+        assert first != second and first.chains.sources == second.chains.sources
         replay = forcing_schedule(ring6, {1, 2}, ExplicitForces(first.forces))
-        assert len({first, second, replay}) == 2
+        assert replay == first and replay != second
+
+    def test_chain_order_is_not_compared(self, ring6):
+        tf = forcing_schedule(ring6, {1, 2})
+        flipped = TimeFunction(ChainSet(tf.chains.chains[::-1]), tf.times)
+        assert flipped == tf and flipped.chains != tf.chains
+
+    @given(timed_partitions(max_n=8), st.integers(0, 2**32 - 1))
+    def test_a_family_replays_its_own_forces_on_every_member(self, tf: TimeFunction, seed: int):
+        member = sample_member(tf, np.random.default_rng(seed))
+        assert forcing_schedule(member, tf.chains.sources, ExplicitForces(tf.forces)) == tf

@@ -483,7 +483,7 @@ class TestTightBoundsByBruteForce:
                 for z in nonempty_subsets(g.nodes):
                     if not naive_is_zfs(g, z):
                         continue
-                    tfs = [TimeFunction.from_record(r) for r in enumerate_forcing_schedules(g, z)]
+                    tfs = enumerate_forcing_schedules(g, z)
                     best, sets = brute_force_additive(g, z)
                     assert critical_additive_number(g, z) == best, (g, z)
                     assert set(sets) == {perfect_graph(tf).edges - g.edges for tf in tfs}, (g, z)

@@ -133,7 +133,7 @@ class TestPerfectGraph:
         from ssc_toolkit.forcing import forcing_schedule
 
         rec = forcing_schedule(ring6, {1, 2}, ring6_policy)
-        perf = perfect_graph(TimeFunction.from_record(rec))
+        perf = perfect_graph(rec)
         listed = {
             (3, 6), (6, 3), (4, 6), (6, 4), (1, 1), (2, 2), (3, 3), (4, 4),
             (5, 5), (6, 6), (3, 1), (4, 1), (5, 1), (4, 2), (5, 2), (5, 3),
@@ -237,7 +237,7 @@ class TestIsPerfect:
         from ssc_toolkit.forcing import forcing_schedule
 
         rec = forcing_schedule(ring6, {1, 2}, ring6_policy)
-        g = perfect_graph(TimeFunction.from_record(rec))
+        g = perfect_graph(rec)
         witness = is_perfect(g, {1, 2})
         assert witness is not None
         # maximal graphs admit exactly one times map, whatever the schedule
@@ -309,7 +309,7 @@ class TestProducersBuildValidTimeFunctions:
     def test_forcing_records(self, g: DiGraph, data):
         z = data.draw(st.frozensets(st.sampled_from(range(1, g.n + 1)), min_size=1))
         assume(is_zfs(g, z))
-        TimeFunction.from_record(forcing_schedule(g, z))
+        forcing_schedule(g, z)
 
     @given(st.lists(timed_partitions(max_n=5), min_size=1, max_size=3), st.data())
     def test_combined_networks(self, tfs: list[TimeFunction], data):
