@@ -25,6 +25,7 @@ import argparse
 import json
 import sys
 from collections.abc import Callable, Iterable, Iterator
+from functools import partial
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -126,30 +127,46 @@ def _load_document(path: str) -> NetworkDocument:
         raise DocumentError(f"{path}: {exc}") from None
 
 
-def _policy(spec: str, doc: NetworkDocument, z: frozenset[int]):
-    """The tie-break policy ``spec`` names.  A policy other than the two
-    built-in ones is read only once the controls ``z`` are known to force
-    everything, so a stall raises :class:`NotZfsError` first."""
+def _under_policy(spec: str, doc: NetworkDocument, z: frozenset[int], run: Callable):
+    """``run(policy)`` for the tie-break policy ``spec`` names.
+
+    An ``explicit:`` list is read and replayed at once, since a replay that
+    completes proves that the controls ``z`` force everything.  Only when
+    the list cannot be read or replayed, or ``spec`` names no policy, are
+    the controls tested for a stall, so that a stall is reported first, as
+    a :class:`NotZfsError`.  Otherwise the error is raised as a
+    :class:`DocumentError`; a force that is not possible is named after
+    the file, in the user's names.
+    """
     if spec == "lowest-forcer":
-        return LOWEST_FORCER
+        return run(LOWEST_FORCER)
     if spec == "lowest-forced":
-        return LOWEST_FORCED
-    stalled = stalled_white_set(doc.network, z)
-    if stalled:
-        raise NotZfsError(f"forcing stalled with white nodes {sorted(stalled)}", stalled)
-    if spec.startswith("explicit:"):
-        return parse_force_list(_read(spec[len("explicit:") :]), doc)
-    raise DocumentError(
-        f"unknown policy {spec!r}; use lowest-forcer, lowest-forced, or explicit:FILE"
-    )
+        return run(LOWEST_FORCED)
+    try:
+        if not spec.startswith("explicit:"):
+            raise DocumentError(
+                f"unknown policy {spec!r}; use lowest-forcer, lowest-forced, or explicit:FILE"
+            )
+        path = spec[len("explicit:") :]
+        forces = parse_force_list(_read(path), doc)
+        try:
+            return run(forces)
+        except ForceListError as exc:
+            raise _named_force_error(exc, path, doc) from None
+    except DocumentError:
+        stalled = stalled_white_set(doc.network, z)
+        if stalled:
+            message = f"forcing stalled with white nodes {sorted(stalled)}"
+            raise NotZfsError(message, stalled) from None
+        raise
 
 
-def _named_force_error(exc: ForceListError, spec: str, doc: NetworkDocument) -> DocumentError:
-    """``exc`` in the user's names, after the force list file it came from."""
+def _named_force_error(exc: ForceListError, path: str, doc: NetworkDocument) -> DocumentError:
+    """``exc`` in the user's names, after the force list file at ``path``."""
     if exc.force is not None:
         u, v = map(doc.name_of, exc.force)
         exc = f"force {u} -> {v} is not possible at step {exc.step}"
-    return DocumentError(f"{spec[len('explicit:') :]}: {exc}")
+    return DocumentError(f"{path}: {exc}")
 
 
 def _require_controls(doc: NetworkDocument) -> frozenset[int]:
@@ -328,11 +345,9 @@ def cmd_check(args) -> Result:
     g = doc.network
     z = _require_controls(doc)
     try:
-        tf = forcing_schedule(g, z, _policy(args.policy, doc, z))
+        tf = _under_policy(args.policy, doc, z, partial(forcing_schedule, g, z))
     except NotZfsError as exc:
         return _check_stalled(doc, exc.stalled_white)
-    except ForceListError as exc:
-        raise _named_force_error(exc, args.policy, doc) from None
     machine = args.format == "machine"
     forces, intervals = _schedule_writer(doc.names, machine, tf.gamma)(0, tf.forces)
     chains = [[doc.name_of(v) for v in c] for c in tf.chains.chains]
@@ -365,11 +380,9 @@ def cmd_robustness(args) -> Result:
     z = _require_controls(doc)
     critical_set = critical_additive_set if args.mode == "add" else critical_subtractive_set
     try:
-        report = critical_set(g, z, _policy(args.policy, doc, z))
+        report = _under_policy(args.policy, doc, z, partial(critical_set, g, z))
     except NotZfsError as exc:
         raise _not_zfs(args.document, doc, exc.stalled_white) from None
-    except ForceListError as exc:
-        raise _named_force_error(exc, args.policy, doc) from None
     machine = args.format == "machine"
     pairs = _sorted_pairs(report.graph, doc.names, _written_names(doc.names, machine), machine)
     tf = report.witness
@@ -529,11 +542,16 @@ def cmd_oracle(args) -> Result:
     report = verify_ssc_numeric(g, z, trials=args.trials or DEFAULT_TRIALS, seed=args.seed)
     zfs = report.expected_zfs
     stalled = [doc.name_of(v) for v in sorted(report.stalled_white)]
+    unreachable = [doc.name_of(v) for v in sorted(report.unreachable)]
     return (EXIT_OK if report.consistent else EXIT_INTERNAL), [
         ("seed", args.seed, f"seed: {args.seed}\n"),
         ("zfs", zfs, f"combinatorial verdict: {'ZFS' if zfs else 'not a ZFS'}\n"),
         ("trials", report.trials, None),
         ("full_rank", report.full_rank, f"full-rank samples: {report.full_rank}/{report.trials}\n"),
+        # a proved count, not a sampled one: no trial was drawn
+        ("unreachable", unreachable,
+         f"unreachable from the controls = {{{' '.join(unreachable)}}}: "
+         "no sample can reach full rank, none was ranked\n" if unreachable else None),
         ("consistent", report.consistent, f"consistent: {'yes' if report.consistent else 'NO'}\n"),
         ("stalled_white", stalled,
          None if zfs else lambda: f"stalled white set = {{{' '.join(stalled)}}}\n"),

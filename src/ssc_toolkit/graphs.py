@@ -290,6 +290,22 @@ def control_set(nodes: Iterable[int], n: int) -> frozenset[int]:
     return out
 
 
+def reachable_mask(g: DiGraph, nodes: Iterable[int]) -> int:
+    """The nodes that ``nodes`` reach along edges, ``nodes`` included, as a
+    bitmask (bit ``v-1`` for node ``v``): one closure over ``g.rows``."""
+    rows = g.rows
+    seen = frontier = sum(1 << (v - 1) for v in set(nodes))
+    while frontier:
+        out = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            out |= rows[low.bit_length()]
+        frontier = out & ~seen
+        seen |= frontier
+    return seen
+
+
 @dataclass(frozen=True)
 class ChainSet:
     """A node-disjoint collection of chains.

@@ -21,6 +21,19 @@ predicts: a forcing control set gives full rank for *every* draw, while
 a stalled one only guarantees that *some* member of the class is
 rank-deficient, so the negative direction is checked on a member built
 to be uncontrollable.
+
+Controls that do not reach every node along edges (input accessibility)
+are the one case where the graph settles every draw: entry (i, j) is
+nonzero only on an edge (j, i) or the diagonal, so the coordinates of
+the reachable nodes span a subspace that holds B and that every member
+maps into itself, and every Krylov rank is at most the number of
+reachable nodes.  The staircase only adds and scales exact zeros outside
+it, so that bound holds in floating point too.  ``verify_ssc_numeric``
+then reports no full-rank trial without drawing or ranking any, and
+names the missed nodes in ``OracleReport.unreachable``; those nodes are
+stalled white as well, so the report's verdict and witness are as for
+any stalled set.  Controls that reach every node, zero forcing sets and
+stalled ones alike, have all their trials drawn and ranked.
 """
 from __future__ import annotations
 
@@ -33,7 +46,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .forcing import TimeFunction, stalled_white_set
-from .graphs import DiGraph, Edge, _unpack, control_set, row_nodes
+from .graphs import DiGraph, Edge, _unpack, control_set, mask_nodes, reachable_mask, row_nodes
 
 DIAG_ZERO = "zero"
 DIAG_NONZERO = "nonzero"
@@ -232,9 +245,12 @@ class OracleReport:
 
     For a stalled control set the report carries the stalled white nodes
     and a member of the class built to be rank-deficient, with its rank.
-    ``consistent`` is False only in the impossible cases: the controls
-    force the whole graph yet some draw came out rank-deficient, or they
-    stall yet the built member came out at full rank.
+    ``unreachable`` holds the nodes the controls do not reach along edges;
+    when it is nonempty no trial was drawn, and ``full_rank`` is the
+    proved 0 rather than a count of ranked draws.  ``consistent`` is False
+    only in the impossible cases: the controls force the whole graph yet
+    some draw came out rank-deficient, or they stall yet the built member
+    came out at full rank.
     """
 
     expected_zfs: bool
@@ -244,6 +260,7 @@ class OracleReport:
     stalled_white: frozenset[int]
     witness: np.ndarray | None
     witness_rank: int | None
+    unreachable: frozenset[int]
 
 
 def _uncontrollable_witness(g: DiGraph, white: frozenset[int]) -> np.ndarray:
@@ -288,18 +305,22 @@ def verify_ssc_numeric(
 
     Draws cycle through the three diagonal modes by trial index and all
     come, in trial order, from one random stream seeded with ``seed``.
+    When the controls miss a node along edges, every draw's rank is at
+    most the number of nodes they reach (module docstring), so none is
+    drawn and ``full_rank`` is 0.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     z = control_set(controls, g.n)
     b = input_matrix(g.n, z)
-    full = int(np.count_nonzero(_trial_ranks(g, b, trials, seed) == g.n))
+    unreachable = frozenset(mask_nodes(g.full_mask & ~reachable_mask(g, z)))
+    full = 0 if unreachable else int(np.count_nonzero(_trial_ranks(g, b, trials, seed) == g.n))
     stalled = stalled_white_set(g, z)
     if not stalled:
-        return OracleReport(True, trials, full, full == trials, stalled, None, None)
+        return OracleReport(True, trials, full, full == trials, stalled, None, None, unreachable)
     witness = _uncontrollable_witness(g, stalled)
     rank = len(_reachable_basis(witness, b))
-    return OracleReport(False, trials, full, rank < g.n, stalled, witness, rank)
+    return OracleReport(False, trials, full, rank < g.n, stalled, witness, rank, unreachable)
 
 
 # -- time-varying schedules ----------------------------------------------

@@ -82,6 +82,8 @@ CASES.update({
     "oracle-ring6_stalled": [
         "oracle", "{samples}/ring6_stalled.net", "--trials", "50", "--seed", "2",
     ],
+    # controls that reach one node of three: no trial is drawn
+    "oracle-chain3_sink": ["oracle", "{samples}/chain3_sink.net", "--trials", "50", "--seed", "2"],
     # the policy is read only once the controls are known to force everything
     "check-ring6_stalled-unknown-policy": [
         "check", "{samples}/ring6_stalled.net", "--policy", "bogus",
@@ -158,7 +160,7 @@ for name in (
     "schedules-named12", "schedules-ring6_stalled", "schedules-sequences-general",
     "schedules-sequences-dag", "combine-general-three", "combine-general-bad-counts",
     "combine-dag-adjacent", "combine-dag-bad-counts", "schedules-sequences-three",
-    "oracle-ring6_chord", "oracle-ring6_stalled", "oracle-chain3-ltv",
+    "oracle-ring6_chord", "oracle-ring6_stalled", "oracle-chain3_sink", "oracle-chain3-ltv",
 ):
     CASES[f"{name}-text"] = [*CASES[name], *TEXT]
 

@@ -34,6 +34,19 @@ def naive_is_zfs(g: DiGraph, start) -> bool:
     return naive_derived_set(g, start) == set(g.nodes)
 
 
+def naive_reachable(g: DiGraph, start) -> set[int]:
+    """The nodes reached from ``start`` along edges, by breadth-first search."""
+    seen = set(start)
+    queue = list(seen)
+    while queue:
+        u = queue.pop(0)
+        for x, v in sorted(g.edges):
+            if x == u and v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return seen
+
+
 def swept_derived_set(n: int, edges, start) -> set[int]:
     """Fixed point of the color-change rule on nodes ``1..n`` with the raw
     edge set ``edges``: sweep the nodes in id order, letting every black

@@ -125,7 +125,8 @@ class TestStalledControls:
     """A control set that stalls is a negative verdict (exit 2) whichever
     command meets it: ``robustness`` and ``schedules`` name the document and
     the stalled white set in the document's names, in id order, as ``check``
-    lists it.  A policy other than the built-in two is not read at all."""
+    lists it.  A stall is reported before any error in reading or replaying
+    a policy other than the built-in two."""
 
     # named12's node 6 is named with a quote, a backslash and a non-ASCII letter
     STALLED = ["v1", "v2", "v3", "v4", 'v"\\\xe4', "v7", "v8", "v10", "v11", "v12"]
@@ -404,6 +405,7 @@ class TestOracle:
         assert rc == 0
         data = json.loads(out)
         assert data["zfs"] is False and data["stalled_white"] == ["v1", "v2"]
+        assert data["unreachable"] == ["v1", "v2"] and data["full_rank"] == 0
         assert data["consistent"] is True and data["witness_rank"] < 3
 
     def test_ltv_schedule(self, capsys):
@@ -768,14 +770,16 @@ class TestRepeatedCalls:
 
 
 class TestOneClosure:
-    """``check`` runs one forcing closure under a built-in policy; any other
-    policy is read only after a first closure has found the controls forcing."""
+    """``check`` runs one forcing closure under a built-in policy or an
+    explicit list that replays; the stall test's closure runs only when a
+    list fails to replay or the policy is unknown."""
 
     @pytest.mark.parametrize("doc, policy, closures", [
         ("ring6_chord.net", "lowest-forcer", 1),
         ("ring6_chord.net", "lowest-forced", 1),
         ("ring6_stalled.net", "lowest-forcer", 1),
-        ("ring6_chord.net", f"explicit:{SAMPLES / 'ring6_chord_forces.txt'}", 2),
+        ("ring6_chord.net", f"explicit:{SAMPLES / 'ring6_chord_forces.txt'}", 1),
+        ("ring6_stalled.net", f"explicit:{SAMPLES / 'ring6_chord_forces.txt'}", 2),
         ("ring6_stalled.net", "bogus", 1),
     ])
     def test_closures_per_check(self, capsys, monkeypatch, doc, policy, closures):
@@ -790,6 +794,17 @@ class TestOneClosure:
         capsys.readouterr()
         assert rc == (0 if doc == "ring6_chord.net" else 2)
         assert len(built) == closures
+
+    @pytest.mark.parametrize("command", [["check"], ["robustness", "--mode", "add"]])
+    def test_a_replayed_list_runs_no_stall_test(self, capsys, monkeypatch, command):
+        def stall_test(*args):
+            raise AssertionError("stall test run")
+
+        monkeypatch.setattr(cli, "stalled_white_set", stall_test)
+        policy = f"explicit:{SAMPLES / 'ring6_chord_forces.txt'}"
+        rc = main([command[0], str(SAMPLES / "ring6_chord.net"), *command[1:], "--policy", policy])
+        capsys.readouterr()
+        assert rc == 0
 
 
 class TestOneTimeFunctionCheck:

@@ -14,13 +14,14 @@ from ssc_toolkit.graphs import (
     DiGraph,
     control_set,
     mask_nodes,
+    reachable_mask,
     row_nodes,
     topological_order,
 )
 from ssc_toolkit.synthesis import TimeFunction, is_ct_constructed
 
 from conftest import digraphs
-from reference import all_digraphs, has_cycle
+from reference import all_digraphs, has_cycle, naive_reachable
 
 
 class TestDiGraph:
@@ -288,6 +289,18 @@ class TestControlSet:
         with pytest.raises(ValueError):
             control_set([4], 3)
         assert control_set([2, 1], 3) == frozenset({1, 2})
+
+
+class TestReachableMask:
+    def test_follows_edges_forward_only(self):
+        g = DiGraph(4, {(1, 2), (2, 3), (4, 3)})
+        assert mask_nodes(reachable_mask(g, {2})) == [2, 3]
+        assert mask_nodes(reachable_mask(g, {1, 4})) == [1, 2, 3, 4]
+
+    @given(digraphs(max_n=10), st.data())
+    def test_matches_breadth_first_search(self, g: DiGraph, data):
+        start = data.draw(st.frozensets(st.sampled_from(range(1, g.n + 1))))
+        assert set(mask_nodes(reachable_mask(g, start))) == naive_reachable(g, start)
 
 
 class TestChains:

@@ -37,7 +37,7 @@ from ssc_toolkit.synthesis import (
 )
 
 from conftest import digraphs, timed_partitions
-from reference import rk4_transition
+from reference import naive_reachable, rk4_transition
 
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -243,6 +243,28 @@ class TestVerifySscNumeric:
         else:
             assert report.stalled_white
         assert report.consistent
+
+    @given(digraphs(max_n=10), st.data())
+    @settings(max_examples=60)
+    def test_unreachable_nodes_bound_every_rank(self, g: DiGraph, data):
+        """Controls that miss a node along edges get no full-rank trial, and
+        no draw of the same stream ranks above the nodes they reach."""
+        z = data.draw(st.frozensets(st.sampled_from(range(1, g.n + 1)), min_size=1))
+        report = verify_ssc_numeric(g, z, trials=6, seed=5)
+        missed = set(g.nodes) - naive_reachable(g, z)
+        assert report.unreachable == missed
+        if is_zfs(g, z):
+            assert not missed
+        if missed:
+            assert report.full_rank == 0 and missed <= report.stalled_white
+            ranks = _trial_ranks(g, input_matrix(g.n, z), 6, 5)
+            assert ranks.max() <= g.n - len(missed)
+
+    def test_unreachable_controls_draw_nothing(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_trial_ranks", None)  # any draw would fail
+        report = verify_ssc_numeric(FORK, {2}, trials=30, seed=0)
+        assert report.unreachable == {1, 3} and report.full_rank == 0
+        assert report.consistent and report.witness_rank < 3
 
 
 CHAIN3 = TimeFunction(ChainSet(((1, 2, 3),)), {1: 1, 2: 2, 3: 3})
