@@ -656,8 +656,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("document")
     p.add_argument("--mode", choices=("add", "sub"), required=True)
     p.add_argument("--policy", default="lowest-forcer")
-    p.add_argument("--budget", type=_at_least(0), default=DEFAULT_BUDGET)
-    p.add_argument("--seed", type=_at_least(0), default=DEFAULT_SEED)
+    p.add_argument("--budget", type=_at_least(0), default=DEFAULT_BUDGET, help=(
+        "test every subset if at most this many, else the singletons, the full set "
+        "and 10,000 random subsets"))
+    p.add_argument("--seed", type=_at_least(0), default=DEFAULT_SEED,
+                   help="picks the random subsets")
     p.add_argument("--no-verify", action="store_true")
     common(p)
     p.set_defaults(func=cmd_robustness)

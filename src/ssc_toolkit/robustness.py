@@ -37,8 +37,6 @@ SAMPLED_SUBSETS = 10_000
 # Subsets are verified this many at a time, one bit lane each of the ints
 # a shared closure works on: O((n + k) * _LANES / 8) bytes for k toggles.
 _LANES = 1 << 14
-# The sampled scan draws at most about this many uniforms at once.
-_DRAW = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -242,37 +240,32 @@ def _gray_blocks(k: int):
         yield width, columns
 
 
-def _draw_columns(rng: np.random.Generator, rows: int, k: int) -> list[int]:
-    """The next ``rows`` random subsets of k toggles as k packed columns:
-    bit ``r`` of column ``pos`` says whether subset ``r`` keeps ``pos``.
-
-    Row chunks of the ``(rows, k)`` draw consume the generator's stream
-    exactly as one draw does, and hold at most about ``_DRAW`` uniforms.
-    """
-    packed = np.zeros((k, (rows + 7) // 8), np.uint8)
-    step = max(8, _DRAW // k // 8 * 8)
-    for r in range(0, rows, step):
-        keep = rng.random((min(step, rows - r), k)) < 0.5
-        packed[:, r // 8 : (r + len(keep) + 7) // 8] = np.packbits(
-            keep.T, axis=1, bitorder="little"
-        )
-    return [int.from_bytes(c.tobytes(), "little") for c in packed]
+def _draw_columns(rng: np.random.Generator, k: int) -> list[int]:
+    """``SAMPLED_SUBSETS`` random subsets of k toggles as k packed columns:
+    column ``pos`` is the ``pos``-th run of ``ceil(SAMPLED_SUBSETS / 8)``
+    raw generator bytes, read little-endian, and its bit ``r``, a fair coin,
+    says whether subset ``r`` keeps ``pos``."""
+    size = (SAMPLED_SUBSETS + 7) // 8
+    raw = rng.bytes(k * size)
+    return [int.from_bytes(raw[i : i + size], "little") for i in range(0, k * size, size)]
 
 
 def _sampled_blocks(k: int, rng: np.random.Generator):
     """The k singletons, the full set, then ``SAMPLED_SUBSETS`` seeded random
-    subsets, as ``(width, columns)`` blocks of consecutive lanes."""
+    subsets, as ``(width, columns)`` blocks of consecutive lanes.  The random
+    subsets are drawn once, so they do not depend on the block width, and a
+    block's columns are built in one pass, one list of them at a time."""
     total = k + 1 + SAMPLED_SUBSETS
+    drawn = _draw_columns(rng, k)
     for lo in range(0, total, _LANES):
         hi = min(lo + _LANES, total)
-        columns = [1 << (t - lo) if lo <= t < hi else 0 for t in range(k)]
-        if lo <= k < hi:
-            columns = [c | 1 << (k - lo) for c in columns]
-        first = max(lo, k + 1)
-        if first < hi:
-            drawn = _draw_columns(rng, hi - first, k)
-            columns = [c | d << (first - lo) for c, d in zip(columns, drawn)]
-        yield hi - lo, columns
+        full = 1 << (k - lo) if lo <= k < hi else 0
+        first = max(lo, k + 1)  # the block's first random lane, if any
+        r, lanes = first - k - 1, (1 << max(0, hi - first)) - 1
+        yield hi - lo, [
+            (1 << (t - lo) if lo <= t < hi else 0) | full | (d >> r & lanes) << (first - lo)
+            for t, d in enumerate(drawn)
+        ]
 
 
 def _scan(g: DiGraph, order, z_mask: int, toggles, blocks) -> tuple[int, list[int] | None]:
@@ -312,13 +305,17 @@ def verify_edge_set(
     Additive and inter-network subsets are added to ``g``, subtractive
     subsets removed.  Exhaustive when ``2**len(edges) <= budget``, in gray
     order; otherwise the singletons, the full set, and 10,000 seeded random
-    subsets are tested.  Self-loop toggles never affect forcing, so they
-    are counted but cost nothing.  Every subset gets its own lane of a
-    closure shared by a block of subsets, so each subset's verdict is that
-    of its own full closure; the report's witness sets only the number of
-    sweeps the closure takes.  The report is read as rows: present and
-    missing edges are row ANDs, and the toggles run in (u, v) order
-    straight from the rows.
+    subsets are tested.  Random subset ``r`` keeps toggle ``pos`` (edges in
+    (u, v) order) iff bit ``r`` of the ``pos``-th 1,250-byte run of
+    ``default_rng(seed).bytes``, read little-endian, is set.  Earlier
+    versions drew one float64 per bit, so for a given seed a failing set's
+    counterexample may differ from theirs.  Self-loop toggles never affect
+    forcing, so they are counted but cost nothing.  Every subset gets its
+    own lane of a closure shared by a block of subsets, so each subset's
+    verdict is that of its own full closure; the report's witness sets only
+    the number of sweeps the closure takes.  The report is read as rows:
+    present and missing edges are row ANDs, and the toggles run in (u, v)
+    order straight from the rows.
 
     Raises:
         ValueError: the report's set is on another node count than ``g``,
