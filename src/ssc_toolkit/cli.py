@@ -114,10 +114,13 @@ def _at_least(low: int) -> Callable[[str], int]:
 
 
 def _read(path: str) -> str:
+    """The file's text, decoded as UTF-8 whatever the locale; its line
+    breaks are left as they are for the parsers to rejoin."""
     try:
-        return Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc.strerror}") from None
+    return data.decode()
 
 
 def _load_document(path: str) -> NetworkDocument:

@@ -99,6 +99,18 @@ class TestCheck:
         assert data["intervals"]["v6"] == [2, 5]
         assert data["chains"] == [["v1", "v6"], ["v2", "v3", "v4", "v5"]]
 
+    @pytest.mark.parametrize("fmt", ["text", "machine"])
+    def test_crlf_breaks_and_a_non_ascii_name_read_as_the_lf_copy(self, capsys, tmp_path, fmt):
+        text = (SAMPLES / "ring6_chord.net").read_bytes().decode().replace("v6", "vé")
+        outs = []
+        for name, brk in (("lf.net", "\n"), ("crlf.net", "\r\n")):
+            path = tmp_path / name
+            path.write_bytes(text.replace("\n", brk).encode())
+            outs.append(run(capsys, "check", str(path), "--format", fmt))
+        assert outs[0] == outs[1]
+        rc, out = outs[0]
+        assert rc == 0 and ("vé" if fmt == "text" else "v\\u00e9") in out
+
 
 class TestImpossibleForceList:
     """An explicit force list the forcing rule does not allow is an input

@@ -30,6 +30,8 @@ from ssc_toolkit.synthesis import (
     sample_member,
 )
 
+from reference import _largest_safe_sets, naive_is_zfs
+
 SEQ = (1, 0, 0, 1)  # ring4, path3, path3, ring4
 
 
@@ -185,6 +187,39 @@ class TestMaxInterEdges:
         combined = combine_networks(blocks, seq, subset)
         assert is_ct_constructed(combined.graph, combined.times)
         assert is_zfs(combined.graph, combined.sources)
+
+
+class TestInterEdgesByBruteForce:
+    def test_seeded_pairs_of_small_blocks_in_every_layout(self):
+        """The closed form against brute force: over all cross-block edges of
+        a merged layout, the largest set every subset of which keeps the
+        merged sources a ZFS has ``max_inter_edges``' count, and the reported
+        set is one of the largest.  Blocks of sizes up to (2, 3) give at most
+        12 cross-block edges, 4096 subsets (two 3-node blocks would give
+        2**18); six seeded pairs per size pair, in every layout, run in
+        1-3 s on a 2-core VM."""
+        rng = np.random.default_rng(9)
+
+        def block(n):
+            tf = random_time_function(random_chain_set(n, int(rng.integers(1, n + 1)), rng), rng)
+            return sample_member(tf, rng), tf
+
+        layouts = 0
+        for sizes in ((1, 1), (1, 2), (2, 2), (1, 3), (2, 3)):
+            for _ in range(6):
+                blocks = [block(n) for n in sizes]
+                for seq in enumerate_sequences([g.n - tf.m for g, tf in blocks]):
+                    merged = combine_networks(blocks, seq, ())
+                    g, z = merged.graph, merged.sources
+                    cross = [(u, v) for u in g.nodes for v in g.nodes
+                             if merged.block_of(u) != merged.block_of(v)]
+                    best, sets = _largest_safe_sets(
+                        cross, lambda extra: naive_is_zfs(g.add_edges(extra), z))
+                    report = max_inter_edges(merged)
+                    assert report.cardinality == best, (blocks, seq)
+                    assert report.edges in sets, (blocks, seq)
+                    layouts += 1
+        assert layouts >= 30
 
 
 class TestOneMerge:

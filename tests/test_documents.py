@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -300,6 +302,7 @@ class TestBulkParse:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(documents_module, "_read_edges", _line_reader_called)
             assert parse_document(emit_document(doc)) == doc
+            assert _reader_of(emit_document(doc)) == "bulk"
 
 
 def _assert_reads_as_the_reference(text):
@@ -319,6 +322,85 @@ def _assert_reads_as_the_reference(text):
 
 def _line_reader_called(*args):
     raise AssertionError("the EDGES block of a written document went to the line reader")
+
+
+def _reader_of(text):
+    """The reader that gives the EDGES rows of ``text``: ``"bulk"``, the
+    per-edge ``"loop"`` or the line reader, ``"lines"``."""
+    used = []
+    bulk, lines = documents_module._bulk_rows, documents_module._read_edges
+
+    def bulk_spy(*args):
+        rows = bulk(*args)
+        used.append("bulk" if rows is not None else "bulk declined")
+        return rows
+
+    def lines_spy(*args, **kwargs):
+        used.append("lines")
+        return lines(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(documents_module, "_bulk_rows", bulk_spy)
+        patch.setattr(documents_module, "_read_edges", lines_spy)
+        try:
+            parse_document(text)
+        except DocumentError:
+            pass
+    return used[-1] if used else "loop"
+
+
+@pytest.fixture(scope="class")
+def bulk_from_the_first_edge():
+    """Every canonical body over the size threshold of the bulk read."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(documents_module, "_BULK_EDGES", 0)
+        patch.setattr(documents_module, "_BULK_PER_NODE", 0)
+        yield
+
+
+def _edges_text(n, count, rng):
+    """A canonical document on nodes ``v1..vn`` with ``count`` random edges."""
+    flat = np.sort(rng.choice(n * n, count, replace=False)).tolist()
+    return ("NODES\n" + " ".join(f"v{v}" for v in range(1, n + 1)) + "\nEDGES\n"
+            + "".join(f"v{f // n + 1} v{f % n + 1}\n" for f in flat))
+
+
+class TestBulkThreshold:
+    @pytest.mark.parametrize("n", [64, 400])
+    @pytest.mark.parametrize("under, reader", [(1, "loop"), (0, "bulk")], ids=["under", "at"])
+    def test_bodies_one_edge_under_and_at_the_threshold(self, n, under, reader):
+        threshold = max(documents_module._BULK_EDGES, documents_module._BULK_PER_NODE * n)
+        text = _edges_text(n, threshold - under, np.random.default_rng(n))
+        assert _reader_of(text) == reader
+        _assert_reads_as_the_reference(text)
+
+    def test_a_written_member_with_8_byte_names_takes_the_per_edge_loop(self):
+        rng = np.random.default_rng(400)
+        tf = random_time_function(random_chain_set(400, 5, rng), rng)
+        g = sample_member(tf, rng)
+        doc = NetworkDocument.from_graph(g, [f"v{v:07d}" for v in g.nodes], tf.chains.sources, tf)
+        text = emit_document(doc)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(documents_module, "_read_edges", _line_reader_called)
+            assert parse_document(text) == doc
+            assert _reader_of(text) == "loop"
+
+    def test_a_large_body_holds_bounded_arrays(self):
+        """10^4 nodes with 10 edges each: the n x n matrix alone would take
+        100 MB, a chunk of it at most 64 kB."""
+        n, count = 10**4, 10**5
+        text = _edges_text(n, count, np.random.default_rng(10))
+        body = text.split("EDGES\n")[1].rstrip("\n")
+        ids = {f"v{v}": v for v in range(1, n + 1)}
+        bits = {name: 1 << (v - 1) for name, v in ids.items()}
+        tracemalloc.start()
+        try:
+            rows = documents_module._canonical_edges(body, ids, bits)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rows is not None and sum(map(int.bit_count, rows)) == count
+        assert peak - current < 10 * 2**20  # everything but the rows themselves
 
 
 class TestRoundTrip:
@@ -443,13 +525,7 @@ class TestScheduleFile:
     @settings(max_examples=200)
     @given(schedules())
     def test_canonical_and_free_layouts_read_alike(self, case):
-        doc, breakpoints, pieces, canonical, written = case
-        n = len(doc.names)
-        expected = (tuple(breakpoints), [DiGraph(n, piece) for piece in pieces])
-        assert parse_schedule_file(written, doc) == expected
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(documents_module, "_read_edges", _line_reader_called)
-            assert parse_schedule_file(canonical, doc) == expected
+        _assert_schedule_reads_alike(case)
 
     # Every way a schedule can be malformed, with the message and line the
     # line-by-line reading gives: the first bad line wins, and lines are
@@ -491,3 +567,56 @@ class TestScheduleFile:
         assert str(got.value) == message
         line = message.split(":")[0]
         assert got.value.line == (int(line[5:]) if line.startswith("line ") else None)
+
+
+def _assert_schedule_reads_alike(case):
+    """Both texts of a :func:`schedules` case give its pieces, and the
+    canonical one never goes to the line reader."""
+    doc, breakpoints, pieces, canonical, written = case
+    n = len(doc.names)
+    expected = (tuple(breakpoints), [DiGraph(n, piece) for piece in pieces])
+    assert parse_schedule_file(written, doc) == expected
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(documents_module, "_read_edges", _line_reader_called)
+        assert parse_schedule_file(canonical, doc) == expected
+
+
+@pytest.mark.usefixtures("bulk_from_the_first_edge")
+class TestBulkRead:
+    """The readers' agreement tests again, with every canonical EDGES or
+    INTERVAL body whose node names have at most 7 bytes read in bulk."""
+
+    @settings(max_examples=400)
+    @given(raw_documents())
+    def test_agrees_with_a_line_by_line_reading(self, text):
+        _assert_reads_as_the_reference(text)
+
+    test_a_failed_bulk_check_names_the_first_bad_line = (
+        TestBulkParse.test_a_failed_bulk_check_names_the_first_bad_line)
+    test_near_canonical_bodies_read_as_lines = (
+        TestBulkParse.test_near_canonical_bodies_read_as_lines)
+
+    @settings(max_examples=100)
+    @given(schedules())
+    def test_canonical_and_free_schedules_read_alike(self, case):
+        _assert_schedule_reads_alike(case)
+
+    test_malformed_schedules = TestScheduleFile.test_malformed_schedules
+
+    @pytest.mark.parametrize("nodes, edges, reader", [
+        ("a a\x00", "a a\x00\na\x00 a\na a", "bulk"),
+        ("abcdefg b", "abcdefg b\nb abcdefg", "bulk"),
+        ("abcdefgh b", "abcdefgh b\nb abcdefgh", "loop"),
+        ("\xe9 a", "a a", "bulk"),
+        ("\xe9 a", "\xe9 a\na \xe9", "lines"),
+        ("a b", "a b\nabc b", "lines"),
+        ("a b", "a b\nabcdefghij b", "lines"),
+        ("a b", "a b\nb zz", "lines"),
+        ("a b", "a b\nb a\na b", "lines"),
+    ], ids=["nul-suffix", "7-byte-names", "8-byte-names", "non-ascii-unused",
+            "non-ascii-edge", "token-longer-than-every-name", "token-over-7-bytes",
+            "unknown-name", "duplicate-edge"])
+    def test_named_bodies(self, nodes, edges, reader):
+        text = f"NODES\n{nodes}\nEDGES\n{edges}\n"
+        assert _reader_of(text) == reader
+        _assert_reads_as_the_reference(text)
