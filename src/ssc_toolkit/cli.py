@@ -598,6 +598,8 @@ def _oracle_ltv(args, doc: NetworkDocument, z: frozenset[int]) -> Result:
 
 
 def cmd_schedules(args) -> Result:
+    if args.mode is not None and len(args.documents) == 1:
+        raise DocumentError("--mode applies to layout sequences of several documents")
     docs = [_load_document(p) for p in args.documents]
     if len(docs) == 1:
         doc = docs[0]
@@ -618,7 +620,8 @@ def cmd_schedules(args) -> Result:
             ("schedules", _json_list('{"forces": %s, "intervals": %s}' % t for t in texts),
              ("  %s  |  %s\n" % t for t in texts)),
         ]
-    if args.mode == "dag":
+    mode = args.mode or "general"
+    if mode == "dag":
         counts = [len(doc.names) for doc in docs]
     else:
         counts = []
@@ -629,10 +632,10 @@ def cmd_schedules(args) -> Result:
                     f"{path}: needs CHAINS or CONTROLS to size the sequence"
                 )
             counts.append(len(doc.names) - m)
-    seqs = enumerate_sequences(counts, mode=args.mode, limit=args.limit)
+    seqs = enumerate_sequences(counts, mode=mode, limit=args.limit)
     return EXIT_OK, [
         ("kind", "sequences", None),
-        ("mode", args.mode, None),
+        ("mode", mode, None),
         ("count", len(seqs), f"sequences: {len(seqs)}\n"),
         ("sequences", lambda: [[i + 1 for i in s] for s in seqs],
          ("  " + ",".join(str(i + 1) for i in s) + "\n" for s in seqs)),
@@ -687,7 +690,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("schedules", help="forcing schedules or layout sequences")
     p.add_argument("documents", nargs="+")
-    p.add_argument("--mode", choices=("general", "dag"), default="general")
+    p.add_argument("--mode", choices=("general", "dag"), default=None,
+                   help="layout sequences only (default general)")
     p.add_argument("--limit", type=_at_least(1), default=100)
     common(p)
     p.set_defaults(func=cmd_schedules)

@@ -18,9 +18,12 @@ node, so a whole closure costs about one bit operation per edge.
 
 The depth-first walk is one stream of leaves, each the walk's one force
 list with the count of leading forces it shares with the leaf before,
-so a writer need only rewrite the rest.  Once one white node is left,
-each ready forcer forces it and completes a list: that last force is
-listed but never applied.
+so a writer need only rewrite the rest.  The walk moves the frontier
+only while more than ``_TAIL`` nodes are white.  Below that, a state is
+its white set W, and the forcers there, the black nodes with exactly one
+out-neighbor in W, are built once per W from W's in-neighbors and kept
+for the rest of the walk: the last levels of a walk pass through few
+distinct white sets, and at most ``_TAIL`` per list are new.
 
 Self-loops never participate: a node is not its own out-neighbor for
 forcing purposes, which keeps every verdict invariant under adding or
@@ -37,6 +40,10 @@ from .graphs import ChainSet, DiGraph, Edge, control_set, mask_nodes
 
 LOWEST_FORCER = "lowest-forcer"
 LOWEST_FORCED = "lowest-forced"
+
+# The schedule walk keys a state by its white set once at most this many
+# nodes are white: the value where a measured sweep flattened out.
+_TAIL = 5
 
 
 @dataclass(frozen=True)
@@ -240,6 +247,20 @@ class _Frontier:
         """The force of the ready forcer ``w``."""
         return (w, self.white[w].bit_length())
 
+    def forcers(self, white: int) -> int:
+        """The ready forcers of the state whose white set is ``white``, as a
+        mask, whatever this frontier's own state: the nodes outside ``white``
+        that are in exactly one of its nodes' in-neighbor masks, so that have
+        exactly one out-neighbor in it.  A few bit operations per white node."""
+        once = twice = 0  # in at least one, and in at least two, of the masks
+        rest = white
+        while rest:
+            into = self._in[(rest & -rest).bit_length()]
+            twice |= once & into
+            once |= into
+            rest &= rest - 1
+        return once & ~twice & ~white
+
     def is_applicable(self, force: Edge) -> bool:
         w, u = force
         if not (1 <= w and 1 <= u and self.ready >> (w - 1) & 1):
@@ -400,9 +421,14 @@ def schedule_leaves(
     interpreter's recursion limit.  Derived sets do not depend on the order
     of the forces, so every list ends on the same black set: the first
     stall raises, and otherwise every list forces all ``n - |controls|`` white
-    nodes.  Once one white node is left, each ready forcer, lowest first,
-    forces it and so completes a list; that last force is listed but never
-    applied.
+    nodes.
+
+    Only the forces that leave more than ``_TAIL`` nodes white are applied
+    to the frontier.  Below them a state is its white set W: forcer p forces
+    its one out-neighbor in W, and the mask of W's forcers is built once
+    (:meth:`_Frontier.forcers`) and kept in a dict for the rest of the walk.
+    That dict gains at most ``_TAIL`` entries per list walked, and a walk
+    that stops after its first list builds at most ``_TAIL`` masks.
 
     Raises:
         NotZfsError: ``controls`` is not a zero forcing set.
@@ -415,7 +441,10 @@ def schedule_leaves(
         yield 0, forces
         return
     need = g.n - len(z)  # the length of every complete list
-    apply, undo, force_of = state.apply, state.undo, state.force_of
+    cut = need - _TAIL - 1  # how many forces leave more than _TAIL nodes white
+    apply, undo, force_of, forcers = state.apply, state.undo, state.force_of, state.forcers
+    out, full = g.force_masks, g.full_mask
+    memo: dict[int, int] = {}  # white set -> the mask of its forcers
     pending = [state.ready]  # per depth, the mask of the forcers still to try
     shared = 0
     while pending:
@@ -428,17 +457,38 @@ def schedule_leaves(
             continue
         low = rest & -rest
         pending[-1] = rest ^ low
-        force = force_of(low.bit_length())
-        forces.append(force)
-        if len(forces) == need:  # it forces the last white node
-            yield shared, forces
-            forces.pop()
-            shared = need - 1
+        if len(forces) < cut:
+            force = force_of(low.bit_length())
+            forces.append(force)
+            apply(force)
+            if not state.ready:  # a stall with white nodes left: this raises
+                _require_all_black(g, state.black, z)
+            pending.append(state.ready)
             continue
-        apply(force)
-        if not state.ready:  # a stall with white nodes left: this raises
-            _require_all_black(g, state.black, z)
-        pending.append(state.ready)
+        # From this force down, a state is its white set: the frontier stays.
+        white = full ^ state.black
+        below = [low]  # as ``pending``, from this depth on
+        while below:
+            rest = below[-1]
+            if not rest:
+                below.pop()
+                if below:
+                    white |= 1 << (forces.pop()[1] - 1)
+                    shared = len(forces)
+                continue
+            below[-1] = rest & (rest - 1)
+            p = (rest & -rest).bit_length()
+            u = (out[p] & white).bit_length()  # p's one white out-neighbor
+            forces.append((p, u))
+            white ^= 1 << (u - 1)
+            if not white:  # the force blackened the last white node
+                yield shared, forces
+                ready = 0
+            elif (ready := memo.get(white)) is None:
+                ready = memo[white] = forcers(white)
+                if not ready:  # a stall with white nodes left: this raises
+                    _require_all_black(g, full ^ white, z)
+            below.append(ready)
 
 
 def enumerate_forcing_schedules(

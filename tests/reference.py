@@ -69,6 +69,36 @@ def swept_derived_set(n: int, edges, start) -> set[int]:
     return black
 
 
+def naive_forces(g: DiGraph, black) -> list[tuple[int, int]]:
+    """Every currently possible force, by a rescan of the edge set, sorted."""
+    out = []
+    for w in sorted(black):
+        whites = sorted(v for u, v in g.edges if u == w and v != w and v not in black)
+        if len(whites) == 1:
+            out.append((w, whites[0]))
+    return out
+
+
+def recursive_enumeration(
+    g: DiGraph, z, limit: int | None = None
+) -> list[tuple[tuple[int, int], ...]]:
+    """Depth-first force lists from ``z``, by plain recursion over rescans:
+    the first ``limit`` of them (all when None).  A list that stalls is
+    kept too, so on a control set that is not a zero forcing set every
+    list is shorter than ``g.n - len(z)``."""
+    out: list[tuple[tuple[int, int], ...]] = []
+
+    def dfs(black: set[int], forces: list) -> bool:
+        apps = naive_forces(g, black)
+        if not apps:
+            out.append(tuple(forces))
+            return limit is not None and len(out) >= limit
+        return any(dfs(black | {f[1]}, forces + [f]) for f in apps)
+
+    dfs(set(z), [])
+    return out
+
+
 def walked_record(n: int, controls, forces):
     """Times, chains and gamma of the schedule that performs ``forces`` in
     order from ``controls`` on ``n`` nodes, walked out of the force list:
@@ -87,6 +117,19 @@ def walked_record(n: int, controls, forces):
             nodes.append(successor[nodes[-1]])
         chains.append(tuple(nodes))
     return times, tuple(chains), n - len(controls) + 1
+
+
+def walked_intervals(n: int, controls, forces) -> dict[int, tuple[int, int]]:
+    """Each node's frontier interval ``(t, tmax)`` in the schedule that
+    performs ``forces`` in order from ``controls``: its time from
+    :func:`walked_record`, and the step before its chain successor turns
+    black, or gamma for the last node of a chain."""
+    times, chains, gamma = walked_record(n, controls, forces)
+    return {
+        v: (times[v], times[after] - 1 if after else gamma)
+        for chain in chains
+        for v, after in zip(chain, chain[1:] + (0,))
+    }
 
 
 def has_cycle(g: DiGraph) -> bool:

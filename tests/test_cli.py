@@ -7,7 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from ssc_toolkit import cli, graphs
 from ssc_toolkit.cli import main
-from ssc_toolkit.documents import parse_document
+from ssc_toolkit.documents import NetworkDocument, emit_document, parse_document
 from ssc_toolkit.forcing import (
     enumerate_forcing_schedules,
     is_zfs,
@@ -28,6 +28,15 @@ from ssc_toolkit.graphs import ConsistencyError, DiGraph
 from ssc_toolkit.synthesis import TimeFunction
 
 from conftest import digraphs
+from reference import (
+    all_digraphs,
+    brute_force_additive,
+    brute_force_subtractive,
+    naive_is_zfs,
+    nonempty_subsets,
+    recursive_enumeration,
+    walked_intervals,
+)
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -698,8 +707,15 @@ class TestSchedules:
         )
         assert rc == 0
         data = json.loads(out)
-        assert data["count"] == 6
+        assert data["count"] == 6 and data["mode"] == "general"
         assert [2, 1, 1, 2] in data["sequences"]
+
+    @pytest.mark.parametrize("mode", ["general", "dag"])
+    def test_mode_needs_several_documents(self, capsys, mode):
+        rc = main(["schedules", str(SAMPLES / "chain3.net"), "--mode", mode])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (3, "")
+        assert err == "error: --mode applies to layout sequences of several documents\n"
 
     def test_forcing_schedules_non_zfs_exits_2(self, capsys, tmp_path):
         doc = tmp_path / "doc.net"
@@ -721,6 +737,52 @@ class TestSchedules:
     def test_unknown_command_exits_3(self, capsys):
         assert main(["frobnicate"]) == 3
         capsys.readouterr()
+
+
+class TestPrintedAnswersByBruteForce:
+    """What ``--format machine`` prints for every digraph on at most 3 nodes
+    (self-loops included) and every control set, against brute force."""
+
+    def test_every_digraph_up_to_3_nodes(self, capsys, tmp_path):
+        doc = tmp_path / "g.net"
+
+        def call(*argv):
+            code = main([argv[0], str(doc), *argv[1:], "--format", "machine"])
+            return code, json.loads(capsys.readouterr().out or "null")
+
+        cases = 0
+        for g in chain.from_iterable(all_digraphs(n) for n in (1, 2, 3)):
+            for z in nonempty_subsets(g.nodes):
+                named = NetworkDocument.from_graph(g, [f"v{v}" for v in g.nodes], z)
+                doc.write_text(emit_document(named))
+                zfs = naive_is_zfs(g, z)
+                code, out = call("check")
+                assert (code, out["zfs"]) == ((0, True) if zfs else (2, False)), (g, z)
+                if not zfs:
+                    continue
+                for mode, brute_force in (
+                    ("add", brute_force_additive), ("sub", brute_force_subtractive)
+                ):
+                    best, sets = brute_force(g, z)
+                    code, out = call("robustness", "--mode", mode)
+                    printed = frozenset((int(u[1:]), int(v[1:])) for u, v in out["edges"])
+                    assert (code, out["count"]) == (0, best), (g, z, mode)
+                    assert printed in sets, (g, z, mode)
+                    assert out["verification"]["passed"], (g, z, mode)
+                code, out = call("schedules", "--limit", "1000")
+                assert code == 0, (g, z)
+                assert out["schedules"] == [
+                    {
+                        "forces": [[f"v{w}", f"v{u}"] for w, u in forces],
+                        "intervals": {
+                            f"v{v}": list(interval)
+                            for v, interval in walked_intervals(g.n, z, forces).items()
+                        },
+                    }
+                    for forces in recursive_enumeration(g, z)
+                ], (g, z)
+                cases += 1
+        assert cases == 2082
 
 
 class TestScheduleWriter:

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from ssc_toolkit import forcing
 from ssc_toolkit.forcing import (
     LOWEST_FORCED,
     LOWEST_FORCER,
@@ -24,27 +25,25 @@ from ssc_toolkit.forcing import (
 )
 from ssc_toolkit.graphs import ChainSet, DiGraph
 from ssc_toolkit.robustness import critical_additive_number, critical_subtractive_number
-from ssc_toolkit.synthesis import is_ct_constructed, is_perfect, sample_member
+from ssc_toolkit.synthesis import (
+    is_ct_constructed,
+    is_perfect,
+    random_chain_set,
+    random_time_function,
+    sample_member,
+)
 
 from conftest import digraphs, timed_partitions
 from reference import (
     all_digraphs,
     minimum_forcing_size,
     naive_derived_set,
+    naive_forces,
     naive_is_zfs,
     nonempty_subsets,
+    recursive_enumeration,
     walked_record,
 )
-
-
-def naive_forces(g: DiGraph, black: set[int]) -> list[tuple[int, int]]:
-    """Every currently possible force, by a rescan of the edge set, sorted."""
-    out = []
-    for w in sorted(black):
-        whites = sorted(v for u, v in g.edges if u == w and v != w and v not in black)
-        if len(whites) == 1:
-            out.append((w, whites[0]))
-    return out
 
 
 def naive_schedule(g: DiGraph, z, policy: str) -> list[tuple[int, int]]:
@@ -54,21 +53,6 @@ def naive_schedule(g: DiGraph, z, policy: str) -> list[tuple[int, int]]:
         black.add(force[1])
         forces.append(force)
     return forces
-
-
-def recursive_enumeration(g: DiGraph, z, limit: int) -> list[tuple[tuple[int, int], ...]]:
-    """Depth-first force lists, by plain recursion over rescans."""
-    out: list[tuple[tuple[int, int], ...]] = []
-
-    def dfs(black: set[int], forces: list) -> bool:
-        apps = naive_forces(g, black)
-        if not apps:
-            out.append(tuple(forces))
-            return len(out) >= limit
-        return any(dfs(black | {f[1]}, forces + [f]) for f in apps)
-
-    dfs(set(z), [])
-    return out
 
 
 class TestDerivedSet:
@@ -369,25 +353,130 @@ class TestLeaves:
         assert self.copied(g, {1, 2, 3, 4}) == [(0, ((u, 5),)) for u in range(1, 5)]
         assert applied == []
 
-    def test_last_force_is_listed_but_not_applied(self, monkeypatch, path3):
+    def test_last_force_is_listed_but_not_applied(self, monkeypatch):
+        # Only the forces that leave more than _TAIL nodes white move the
+        # frontier; on a path of _TAIL + 3 nodes that is the first force.
+        n = forcing._TAIL + 3
+        path = DiGraph(n, [(v, v + 1) for v in range(1, n)])
+        forces = tuple((v, v + 1) for v in range(1, n))
         applied = []
         apply = _Frontier.apply
         monkeypatch.setattr(
             _Frontier, "apply", lambda self, force: applied.append(force) or apply(self, force)
         )
-        assert self.copied(path3, {1}) == [(0, ((1, 2), (2, 3)))]
+        assert self.copied(path, {1}) == [(0, forces)]
+        assert applied == [f for k, f in enumerate(forces, 1) if n - 1 - k > forcing._TAIL]
         assert applied == [(1, 2)]
 
+    @pytest.mark.parametrize("tail", [0, 1, 2, 5, 8])
     @pytest.mark.parametrize("edges, controls, stalled", [
         ([(1, 2), (2, 3)], {3}, {1, 2}),  # nothing to force from the root
         ([(1, 2), (2, 3), (3, 4), (3, 5)], {1}, {4, 5}),  # a stall after two forces
+        # a stall after three forces with seven nodes white
+        ([(1, 2), (2, 3), (3, 4), (4, 5), (4, 6), (5, 7), (7, 8), (8, 9), (6, 10), (10, 11)],
+         {1}, {5, 6, 7, 8, 9, 10, 11}),
     ])
-    def test_a_stalled_control_set_raises_at_the_first_leaf(self, edges, controls, stalled):
+    def test_a_stalled_control_set_raises_at_the_first_leaf(
+        self, monkeypatch, tail, edges, controls, stalled
+    ):
+        # the stall is found by the frontier when more than _TAIL nodes stay
+        # white, and from a white set otherwise
+        monkeypatch.setattr(forcing, "_TAIL", tail)
         g = DiGraph(max(map(max, edges)), edges)
         with pytest.raises(NotZfsError) as raised:
             next(schedule_leaves(g, controls))
         assert raised.value.stalled_white == stalled
         assert str(raised.value) == f"controls {sorted(controls)} are not a zero forcing set"
+
+
+class TestWhiteSetTail:
+    """Below ``_TAIL`` white nodes the walk keys a state by its white set; the
+    stream must not change wherever that hand-off falls."""
+
+    @staticmethod
+    def expected(g: DiGraph, z) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
+        """Every force list by recursion, with the count of leading forces
+        each shares with the list before."""
+        out, before = [], None
+        for forces in recursive_enumeration(g, z):
+            shared = 0
+            if before is not None:
+                while forces[shared] == before[shared]:
+                    shared += 1
+            out.append((shared, forces))
+            before = forces
+        return out
+
+    @staticmethod
+    def walked(g: DiGraph, z, tail: int) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(forcing, "_TAIL", tail)
+            return [(shared, tuple(forces)) for shared, forces in schedule_leaves(g, z)]
+
+    def check_every_hand_off(self, g: DiGraph, z) -> None:
+        tails = (0, 1, 2, 3, g.n + 1)
+        if not naive_is_zfs(g, z):
+            stalled = set(g.nodes) - naive_derived_set(g, z)
+            for tail in tails:
+                with pytest.raises(NotZfsError) as raised:
+                    self.walked(g, z, tail)
+                assert raised.value.stalled_white == stalled
+            return
+        expected = self.expected(g, z)
+        for tail in tails:
+            assert self.walked(g, z, tail) == expected, tail
+
+    @given(digraphs(max_n=8), st.data())
+    def test_every_hand_off_on_digraphs(self, g: DiGraph, data):
+        z = frozenset(
+            data.draw(st.frozensets(st.sampled_from(range(1, g.n + 1)), min_size=1))
+        )
+        self.check_every_hand_off(g, z)
+
+    @given(timed_partitions(max_n=8), st.integers(0, 2**32 - 1))
+    def test_every_hand_off_on_family_members(self, tf: TimeFunction, seed: int):
+        # the chain sources force a member, and most members keep self-loops
+        member = sample_member(tf, np.random.default_rng(seed))
+        self.check_every_hand_off(member, tf.chains.sources)
+
+    def test_a_two_way_path_driven_from_both_ends_at_every_hand_off(self):
+        path = DiGraph(12, [(v, v + 1) for v in range(1, 12)] + [(v + 1, v) for v in range(1, 12)])
+        expected = self.expected(path, {1, 12})
+        assert len(expected) == 2**10  # either front forces each of the 10 white nodes
+        for tail in range(12):
+            assert self.walked(path, {1, 12}, tail) == expected, tail
+
+    def test_each_white_set_builds_its_forcers_once(self, monkeypatch):
+        path = DiGraph(12, [(v, v + 1) for v in range(1, 12)] + [(v + 1, v) for v in range(1, 12)])
+        built = []
+        forcers = _Frontier.forcers
+        monkeypatch.setattr(
+            _Frontier, "forcers", lambda self, white: built.append(white) or forcers(self, white)
+        )
+        assert sum(1 for _ in schedule_leaves(path, {1, 12})) == 2**10
+        # the white sets are the runs of 1.._TAIL nodes among 2..11
+        runs = {
+            sum(1 << (v - 1) for v in range(a, a + k))
+            for k in range(1, forcing._TAIL + 1) for a in range(2, 13 - k)
+        }
+        assert sorted(built) == sorted(runs)
+
+    def test_a_first_list_on_a_dense_400_node_member_builds_at_most_tail_masks(
+        self, monkeypatch
+    ):
+        rng = np.random.default_rng(400)
+        tf = random_time_function(random_chain_set(400, 5, rng), rng)
+        g = sample_member(tf, rng)
+        assert g.edge_count > 400 * 399 // 4
+        built = []
+        forcers = _Frontier.forcers
+        monkeypatch.setattr(
+            _Frontier, "forcers", lambda self, white: built.append(white) or forcers(self, white)
+        )
+        ((shared, forces),) = islice(schedule_leaves(g, tf.chains.sources), 1)
+        assert len(forces) == 395 and shared == 0
+        assert len(built) == forcing._TAIL
+        assert [w.bit_count() for w in built] == list(range(forcing._TAIL, 0, -1))
 
 
 class TestScheduleTimeFunctions:
