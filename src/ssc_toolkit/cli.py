@@ -247,6 +247,22 @@ def _json_list(items: Iterable[str]) -> Iterator[str]:
     yield "]"
 
 
+def _schedule_objects(texts: Iterable[tuple[str, str]]) -> Iterator[str]:
+    """The JSON list of one ``{"forces": ..., "intervals": ...}`` object per
+    pair of texts from :func:`_schedule_writer`.  Each object is written as
+    five chunks, so no object is copied whole before it is written."""
+    yield "["
+    head = '{"forces": '
+    for forces, intervals in texts:
+        yield head
+        yield forces
+        yield ', "intervals": '
+        yield intervals
+        yield "}"
+        head = ', {"forces": '
+    yield "]"
+
+
 def _written_names(names: Sequence[str], machine: bool) -> tuple[str, ...]:
     """``("", *names)`` as written: JSON-encoded, once each, in machine
     format.  Index v holds node v's name."""
@@ -617,7 +633,7 @@ def cmd_schedules(args) -> Result:
         return EXIT_OK, [
             ("kind", "forcing", None),
             ("count", len(tails), f"forcing schedules: {len(tails)}\n"),
-            ("schedules", _json_list('{"forces": %s, "intervals": %s}' % t for t in texts),
+            ("schedules", _schedule_objects(texts),
              ("  %s  |  %s\n" % t for t in texts)),
         ]
     mode = args.mode or "general"

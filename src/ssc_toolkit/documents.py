@@ -448,8 +448,8 @@ def _validate_annotations(doc: NetworkDocument) -> None:
     if cs.node_count != len(doc.names):
         missing = sorted(set(doc.names) - {doc.name_of(v) for v in cs.nodes})
         raise DocumentError(f"chains must cover every node; missing {missing}")
-    g = doc.network
-    stray = [(u, v) for u, v in cs.chain_edges if not g.has_edge(u, v)]
+    rows = doc.network.rows  # row u holds u's out-neighbors, node v as bit v - 1
+    stray = [(u, v) for u, v in cs.successor.items() if not rows[u] >> (v - 1) & 1]
     if stray:
         named = sorted((doc.name_of(u), doc.name_of(v)) for u, v in stray)
         raise DocumentError(f"chain edges {named} are not edges of the network")

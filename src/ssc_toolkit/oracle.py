@@ -8,7 +8,8 @@ deflation (the orthogonal staircase of Van Dooren), so no power of a
 system matrix is ever formed.  ``verify_ssc_numeric`` checks LTI
 controllability, the dimension of Krylov(A, B), on many draws: up to
 ``_STACK_MAX_N`` nodes the draws of a block step through the staircase
-together (``_krylov_ranks``), above it one at a time
+together (``_krylov_ranks``), sharing one basis size until some keep a
+candidate that others deflate, above it one at a time
 (``_reachable_basis``).  ``ltv_gramian_rank`` checks a piecewise-constant
 time-varying schedule, its breakpoints and one matrix per piece, which
 ``schedule_from_edges`` draws: it is controllable over its span when its
@@ -194,31 +195,66 @@ def _krylov_ranks(stack: np.ndarray, b: np.ndarray) -> np.ndarray:
     per-matrix tolerance.  A matrix whose basis is full, or whose
     candidates have run out (its candidate is then zero), keeps nothing
     more; the steps end when no matrix has a candidate left.
+
+    While every matrix keeps each candidate, or every one deflates it,
+    the block shares one basis size ``k``, a plain int: a kept candidate
+    goes to row ``k`` of every basis, and no mask is formed.  At the first
+    step where some matrices keep the candidate and others deflate it,
+    ``k`` becomes one size per matrix and the steps go on as above.  Both
+    phases run the same operations on the same rows, so the ranks do not
+    depend on where, or whether, a block splits.
+
+    The columns of ``b`` must be distinct identity columns, as
+    ``input_matrix`` builds them.
     """
     t, n, _ = stack.shape
     m = b.shape[1]
     tol = _SQRT_EPS * np.maximum(1.0, np.abs(stack).sum(axis=1).max(axis=1))
     basis = np.zeros((t, n, n))
-    k = np.zeros(t, dtype=np.intp)
-    for i in range(m + n):
-        live = (k < n) & (k > i - m)
-        if not live.any():
+    k = 0
+    # Candidate i < m is an identity column, and the rows before it are
+    # other identity columns: both passes subtract exact zeros and its
+    # norm is exactly 1, so every matrix keeps it unchanged when tol < 1.
+    # That holds for every sampled class (weights <= 2, so ||A||_1 <= 2n),
+    # and the first m steps would store b's columns as they are.
+    if m and (tol < 1.0).all():
+        basis[:, :m] = b.T
+        k = m
+    split = False  # whether ``k`` holds one basis size per matrix
+    for i in range(k, m + n):
+        if split:
+            live = (k < n) & (k > i - m)
+            if not live.any():
+                break
+            top = k.max()
+        elif i - m < k < n:
+            top = k
+        else:
             break
         if i < m:
             c = np.repeat(b[None, :, i], t, axis=0)
         else:
             c = (stack @ basis[:, i - m, :, None])[..., 0]
-        top = k.max()
         if top:
             q = basis[:, :top]
             qt = q.transpose(0, 2, 1)
             c -= (qt @ (q @ c[..., None]))[..., 0]
             c -= (qt @ (q @ c[..., None]))[..., 0]
         r = np.sqrt(np.einsum("ij,ij->i", c, c))
-        kept = np.flatnonzero(live & (r > tol))
+        kept = r > tol
+        if not split:
+            keeping = np.count_nonzero(kept)
+            if keeping == t:
+                basis[:, k] = c / r[:, None]
+                k += 1
+                continue
+            if not keeping:
+                continue
+            k, live, split = np.full(t, k, dtype=np.intp), True, True
+        kept = np.flatnonzero(live & kept)
         basis[kept, k[kept]] = c[kept] / r[kept, None]
         k[kept] += 1
-    return k
+    return k if split else np.full(t, k, dtype=np.intp)
 
 
 def _trial_ranks(g: DiGraph, b: np.ndarray, trials: int, seed: int) -> np.ndarray:

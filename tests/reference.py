@@ -307,3 +307,36 @@ def line_by_line_document(text: str):
                 raise DocumentError(f"duplicate control node {tok!r}", lineno)
             seen.add(tok)
     return tuple(ids), tuple(edges), {(ids[a], ids[b]) for a, b in edges}
+
+
+def lockstep_krylov_ranks(stack: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Krylov ranks of a stack by the lockstep staircase with a basis size
+    per draw at every step: step i takes candidate i of each draw (column
+    i of ``b``, then ``a @ q`` for its kept row ``q`` number i - m),
+    orthogonalizes it twice against the first ``max(k)`` rows and keeps
+    it when its residual norm is above ``sqrt(eps) * max(1, ||a||_1)``.
+    The library's loop must give these ranks bit for bit."""
+    t, n, _ = stack.shape
+    m = b.shape[1]
+    tol = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(stack).sum(axis=1).max(axis=1))
+    basis = np.zeros((t, n, n))
+    k = np.zeros(t, dtype=np.intp)
+    for i in range(m + n):
+        live = (k < n) & (k > i - m)
+        if not live.any():
+            break
+        if i < m:
+            c = np.repeat(b[None, :, i], t, axis=0)
+        else:
+            c = (stack @ basis[:, i - m, :, None])[..., 0]
+        top = k.max()
+        if top:
+            q = basis[:, :top]
+            qt = q.transpose(0, 2, 1)
+            c -= (qt @ (q @ c[..., None]))[..., 0]
+            c -= (qt @ (q @ c[..., None]))[..., 0]
+        r = np.sqrt(np.einsum("ij,ij->i", c, c))
+        kept = np.flatnonzero(live & (r > tol))
+        basis[kept, k[kept]] = c[kept] / r[kept, None]
+        k[kept] += 1
+    return k

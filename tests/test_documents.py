@@ -125,6 +125,38 @@ class TestParse:
         with pytest.raises(DocumentError, match="not edges"):
             parse_document("NODES\na b\nEDGES\nb a\nCHAINS\na b\n")
 
+    def test_missing_chain_edges_are_listed_sorted_by_name(self):
+        """Node ids run z=1 .. v=5, so id order would list (z, y) first; a
+        reversed edge does not count as the chain edge."""
+        text = "NODES\nz y x w v\nEDGES\ny z\ny x\nCHAINS\nz y x\nw v\n"
+        with pytest.raises(DocumentError) as err:
+            parse_document(text)
+        assert str(err.value) == (
+            "chain edges [('w', 'v'), ('z', 'y')] are not edges of the network"
+        )
+
+    @given(st.data())
+    @settings(max_examples=60)
+    def test_missing_chain_edges_match_a_set_difference(self, data):
+        n = data.draw(st.integers(1, 8))
+        names = data.draw(st.permutations([f"n{v}" for v in range(n)]))
+        order = data.draw(st.permutations(range(n)))
+        cuts = data.draw(st.sets(st.integers(1, n - 1))) if n > 1 else set()
+        bounds = [0, *sorted(cuts), n]
+        chains = [[names[v] for v in order[a:b]] for a, b in zip(bounds, bounds[1:])]
+        pairs = [(u, v) for u in names for v in names]
+        edges = data.draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+        text = "NODES\n" + " ".join(names) + "\nEDGES\n"
+        text += "".join(f"{u} {v}\n" for u, v in sorted(edges))
+        text += "CHAINS\n" + "".join(" ".join(c) + "\n" for c in chains)
+        missing = sorted({(u, v) for c in chains for u, v in zip(c, c[1:])} - edges)
+        if not missing:
+            assert parse_document(text).chains.m == len(chains)
+            return
+        with pytest.raises(DocumentError) as err:
+            parse_document(text)
+        assert str(err.value) == f"chain edges {missing} are not edges of the network"
+
     def test_overlapping_chains_name_the_node_and_both_lines(self):
         text = "NODES\na b\nEDGES\na b\nCHAINS\na b\n# b again\nb\n"
         with pytest.raises(DocumentError) as err:

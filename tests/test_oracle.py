@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import re
 from functools import partial
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from ssc_toolkit.documents import parse_document, parse_schedule_file
 from ssc_toolkit.forcing import is_zfs, stalled_white_set
-from ssc_toolkit.graphs import ChainSet, DiGraph, mask_nodes
+from ssc_toolkit.graphs import ChainSet, DiGraph, mask_nodes, reachable_mask
 from ssc_toolkit import oracle
 from ssc_toolkit.oracle import (
     DIAG_MIXED,
@@ -37,7 +38,7 @@ from ssc_toolkit.synthesis import (
 )
 
 from conftest import digraphs, timed_partitions
-from reference import naive_reachable, rk4_transition
+from reference import lockstep_krylov_ranks, naive_reachable, rk4_transition
 
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -187,6 +188,118 @@ class TestKrylovRanks:
                 stack.insert(data.draw(st.integers(0, len(stack)), label="at"), witness)
         stack = np.stack(stack)
         assert list(_krylov_ranks(stack, b)) == per_draw_ranks(stack, b)
+
+
+def stalled_reaching_controls(n: int, rng: np.random.Generator) -> tuple[DiGraph, list[int]]:
+    """A random graph on ``n`` nodes and controls that reach every node
+    along edges yet stall, so that their draws are ranked and some of
+    them come out deficient."""
+    while True:
+        p = rng.uniform(1.5, 4.0) / n
+        edges = np.argwhere(rng.random((n, n)) < p) + 1
+        g = DiGraph(n, frozenset(map(tuple, edges.tolist())))
+        z = (rng.choice(n, size=int(rng.integers(1, max(2, n // 4))), replace=False) + 1).tolist()
+        if reachable_mask(g, z) == g.full_mask and stalled_white_set(g, z):
+            return g, z
+
+
+def random_blocks(count: int, rng: np.random.Generator):
+    """``count`` blocks of draws on 3 <= n <= 40 nodes, every block with its
+    own mix of diagonal modes, each with its input matrix.  A third of
+    them stall yet reach every node, with the built deficient member put
+    once or twice among their draws, so that those blocks hold draws of
+    different rank; a third are chain skeletons with m >= 2 and their
+    sources as controls, whose draws deflate together where a chain ends;
+    a third are family members with their sources as controls."""
+    for index in range(count):
+        n = int(rng.integers(3, 41))
+        if index % 3 == 0:
+            g, z = stalled_reaching_controls(n, rng)
+        else:
+            tf = random_time_function(random_chain_set(n, int(rng.integers(2, min(n, 8) + 1)), rng), rng)
+            g, z = (tf.skeleton if index % 3 == 1 else sample_member(tf, rng)), tf.chains.sources
+        modes = [MODES[j] for j in rng.integers(0, 3, int(rng.integers(1, 41)))]
+        stack = _sample_stack(g, rng, modes)
+        if index % 3 == 0:  # the built deficient member among generic draws
+            at = rng.integers(0, len(stack) + 1, int(rng.integers(1, 3)))
+            stack = np.insert(stack, at, _uncontrollable_witness(g, stalled_white_set(g, z)), axis=0)
+        yield stack, input_matrix(n, z)
+
+
+def weighted_chains(*lengths: int, diagonal=(0.0,), weights=(1.0,)) -> np.ndarray:
+    """Node-disjoint directed paths of the given lengths, one after the
+    other, as a matrix: edge weights cycle through ``weights`` and
+    diagonal entries through ``diagonal``."""
+    n = sum(lengths)
+    a = np.diag(np.resize(np.asarray(diagonal, dtype=float), n))
+    starts = np.cumsum((0,) + lengths[:-1])
+    below = [j for s, length in zip(starts, lengths) for j in range(s, s + length - 1)]
+    a[[j + 1 for j in below], below] = np.resize(np.asarray(weights, dtype=float), len(below))
+    return a
+
+
+class TestLockstepPhases:
+    """``_krylov_ranks`` against the frozen per-draw loop of
+    ``reference.lockstep_krylov_ranks``, bit for bit: the shared basis
+    size must never change a rank, wherever a block splits."""
+
+    def test_random_blocks_match_the_per_draw_loop(self):
+        mixed = 0
+        for stack, b in random_blocks(300, np.random.default_rng(29)):
+            want = lockstep_krylov_ranks(stack, b)
+            got = _krylov_ranks(stack, b)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            mixed += len(set(want.tolist())) > 1
+        assert mixed >= 50  # blocks that split
+
+    def check(self, stack, b, expected):
+        stack = np.stack(stack)
+        assert list(_krylov_ranks(stack, b)) == expected
+        assert list(lockstep_krylov_ranks(stack, b)) == expected
+
+    def test_every_draw_keeps_every_candidate(self):
+        stack = [weighted_chains(6, diagonal=d, weights=w) for d, w in [((0,), (1,)), ((-1, 2), (3,))]]
+        self.check(stack, input_matrix(6, {1}), [6, 6])
+
+    def test_every_draw_deflates_together_and_the_steps_go_on(self):
+        """Chains 1-2 and 3-4-5 from their sources: every draw deflates the
+        image of node 2, which ends its chain, then keeps node 5."""
+        stack = [weighted_chains(2, 3, diagonal=d, weights=w) for d, w in [((0,), (1,)), ((1, 2), (-0.5, 2))]]
+        self.check(stack, input_matrix(5, {1, 3}), [5, 5])
+
+    def test_split_at_the_first_krylov_candidate(self):
+        """The chain keeps ``a @ e1`` while the diagonal matrix deflates it."""
+        chain, diagonal = weighted_chains(4), np.diag([1.0, 2.0, 3.0, 4.0])
+        self.check([chain, diagonal, chain], input_matrix(4, {1}), [4, 1, 4])
+
+    def test_split_at_the_last_step(self):
+        """On the fork 1 -> 2, 1 -> 3 from node 1, the last candidate is new
+        exactly when the leaves' diagonal entries differ."""
+        a = np.zeros((3, 3))
+        a[1:, 0] = 1.0
+        full = a + np.diag([0.0, 1.0, 2.0])
+        self.check([full, a, full, a + np.eye(3)], input_matrix(3, {1}), [3, 2, 3, 2])
+
+    def test_identity_columns_go_through_the_loop_when_tol_is_not_below_one(self):
+        """A draw with ||a||_1 >= 1 / sqrt(eps) deflates even the unit
+        columns of ``b``, so they cannot be stored ahead of the loop: the
+        other draws keep them and the block splits at the first step."""
+        chain = weighted_chains(5)
+        huge = weighted_chains(5, weights=(1e9,))
+        self.check([chain, huge, chain], input_matrix(5, {1, 4}), [5, 0, 5])
+        self.check([huge, huge], input_matrix(5, {1, 4}), [0, 0])
+
+    def test_identity_columns_stored_ahead_match_the_loop(self):
+        """Below that norm, storing ``b``'s columns ahead of the loop gives
+        the ranks the loop gives, for every control set of a small graph,
+        the empty one included."""
+        rng = np.random.default_rng(3)
+        g = DiGraph(5, frozenset({(1, 2), (2, 3), (3, 1), (3, 4), (4, 5), (5, 4), (2, 5)}))
+        stack = _sample_stack(g, rng, MODES * 4)
+        for size in range(6):
+            for z in map(set, combinations(range(1, 6), size)):
+                b = input_matrix(5, z) if z else np.zeros((5, 0))
+                assert np.array_equal(_krylov_ranks(stack, b), lockstep_krylov_ranks(stack, b))
 
 
 class TestTrialRanks:
