@@ -211,17 +211,19 @@ def _krylov_ranks(stack: np.ndarray, b: np.ndarray) -> np.ndarray:
     m = b.shape[1]
     tol = _SQRT_EPS * np.maximum(1.0, np.abs(stack).sum(axis=1).max(axis=1))
     basis = np.zeros((t, n, n))
-    k = 0
-    # Candidate i < m is an identity column, and the rows before it are
-    # other identity columns: both passes subtract exact zeros and its
-    # norm is exactly 1, so every matrix keeps it unchanged when tol < 1.
-    # That holds for every sampled class (weights <= 2, so ||A||_1 <= 2n),
-    # and the first m steps would store b's columns as they are.
-    if m and (tol < 1.0).all():
-        basis[:, :m] = b.T
-        k = m
-    split = False  # whether ``k`` holds one basis size per matrix
-    for i in range(k, m + n):
+    # The first m steps are set directly.  Candidate i < m is an identity
+    # column, and the rows before it are other identity columns: both
+    # passes subtract exact zeros and its norm is exactly 1, so a matrix
+    # with tol < 1 keeps it as it is.  That holds for every sampled class
+    # (weights <= 2, so ||A||_1 <= 2n).  A matrix with tol >= 1 (or NaN)
+    # deflates every unit column, so it keeps nothing and has rank 0.
+    full = tol < 1.0
+    basis[full, :m] = b.T
+    if full.all():
+        k, split = m, False  # ``split``: ``k`` holds one size per matrix
+    else:
+        k, split = np.where(full, m, 0).astype(np.intp), True
+    for i in range(m, m + n):
         if split:
             live = (k < n) & (k > i - m)
             if not live.any():
@@ -231,10 +233,7 @@ def _krylov_ranks(stack: np.ndarray, b: np.ndarray) -> np.ndarray:
             top = k
         else:
             break
-        if i < m:
-            c = np.repeat(b[None, :, i], t, axis=0)
-        else:
-            c = (stack @ basis[:, i - m, :, None])[..., 0]
+        c = (stack @ basis[:, i - m, :, None])[..., 0]
         if top:
             q = basis[:, :top]
             qt = q.transpose(0, 2, 1)

@@ -280,10 +280,10 @@ class TestLockstepPhases:
         full = a + np.diag([0.0, 1.0, 2.0])
         self.check([full, a, full, a + np.eye(3)], input_matrix(3, {1}), [3, 2, 3, 2])
 
-    def test_identity_columns_go_through_the_loop_when_tol_is_not_below_one(self):
+    def test_a_draw_with_tol_not_below_one_has_rank_zero(self):
         """A draw with ||a||_1 >= 1 / sqrt(eps) deflates even the unit
-        columns of ``b``, so they cannot be stored ahead of the loop: the
-        other draws keep them and the block splits at the first step."""
+        columns of ``b``, so it starts with no rows and the block with one
+        basis size per draw, while the other draws keep ``b``'s columns."""
         chain = weighted_chains(5)
         huge = weighted_chains(5, weights=(1e9,))
         self.check([chain, huge, chain], input_matrix(5, {1, 4}), [5, 0, 5])
