@@ -20,6 +20,7 @@ from .graphs import (
     CyclicError,
     DiGraph,
     Edge,
+    node_mask,
     topological_order,
 )
 from .robustness import INTER_NETWORK, EdgeSetReport
@@ -153,7 +154,7 @@ def max_inter_edges(merged: CombinedNetwork) -> EdgeSetReport:
     """
     tf = merged.times
     admissible = tf.admissible_rows
-    sources = sum(1 << (s - 1) for s in tf.chains.sources)
+    sources = node_mask(tf.chains.sources)
     rows = [0] * (merged.graph.n + 1)
     bound = perfect_edge_count(merged.graph.n, tf.m)
     for off, size in zip(merged.offsets, merged.block_sizes):

@@ -23,7 +23,9 @@ only while more than ``_TAIL`` nodes are white.  Below that, a state is
 its white set W, and the forcers there, the black nodes with exactly one
 out-neighbor in W, are built once per W from W's in-neighbors and kept
 for the rest of the walk: the last levels of a walk pass through few
-distinct white sets, and at most ``_TAIL`` per list are new.
+distinct white sets, and at most ``_TAIL`` per list are new.  So the
+walk goes below each (white set, forcer) pair at the hand-off depth once,
+records the leaves there, and replays the record on every later visit.
 
 Self-loops never participate: a node is not its own out-neighbor for
 forcing purposes, which keeps every verdict invariant under adding or
@@ -36,7 +38,7 @@ from functools import cached_property
 from itertools import islice
 from typing import Iterable, Iterator, Mapping, Union
 
-from .graphs import ChainSet, DiGraph, Edge, control_set, mask_nodes
+from .graphs import ChainSet, DiGraph, Edge, control_set, mask_nodes, node_mask
 
 LOWEST_FORCER = "lowest-forcer"
 LOWEST_FORCED = "lowest-forced"
@@ -78,17 +80,6 @@ class ForceListError(ValueError):
             f"force {force} is not possible at step {step}" if force is not None
             else "explicit force list ends while forces are still possible"
         )
-
-
-def _mask_of(nodes: Iterable[int]) -> int:
-    m = 0
-    for v in nodes:
-        m |= 1 << (v - 1)
-    return m
-
-
-def _nodes_of(mask: int) -> frozenset[int]:
-    return frozenset(mask_nodes(mask))
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,7 +223,7 @@ class _Frontier:
     def __init__(self, g: DiGraph, black: Iterable[int]):
         self._out = g.force_masks
         self._in = g.in_masks
-        self.black = _mask_of(black)
+        self.black = node_mask(black)
         self.white = [0] * (g.n + 1)
         self.ready = 0
         for u in mask_nodes(self.black):
@@ -312,7 +303,7 @@ def _require_all_black(g: DiGraph, black: int, controls: frozenset[int] | None =
     """Raise :class:`NotZfsError` unless ``black`` covers every node of ``g``;
     the message names ``controls`` when given, else the stalled white nodes."""
     if black != g.full_mask:
-        stalled = _nodes_of(g.full_mask & ~black)
+        stalled = frozenset(mask_nodes(g.full_mask & ~black))
         if controls is None:
             raise NotZfsError(f"forcing stalled with white nodes {sorted(stalled)}", stalled)
         raise NotZfsError(f"controls {sorted(controls)} are not a zero forcing set", stalled)
@@ -320,12 +311,12 @@ def _require_all_black(g: DiGraph, black: int, controls: frozenset[int] | None =
 
 def derived_set(g: DiGraph, controls: Iterable[int]) -> frozenset[int]:
     """The final black set reached from ``controls`` under repeated forcing."""
-    return _nodes_of(_drain(g, control_set(controls, g.n)))
+    return frozenset(mask_nodes(_drain(g, control_set(controls, g.n))))
 
 
 def stalled_white_set(g: DiGraph, controls: Iterable[int]) -> frozenset[int]:
     """The white nodes left when forcing from ``controls`` stops."""
-    return _nodes_of(g.full_mask & ~_drain(g, control_set(controls, g.n)))
+    return frozenset(mask_nodes(g.full_mask & ~_drain(g, control_set(controls, g.n))))
 
 
 def is_zfs(g: DiGraph, controls: Iterable[int]) -> bool:
@@ -430,6 +421,14 @@ def schedule_leaves(
     That dict gains at most ``_TAIL`` entries per list walked, and a walk
     that stops after its first list builds at most ``_TAIL`` masks.
 
+    The hand-off depth ``cut`` is the first force that leaves at most
+    ``_TAIL`` nodes white.  The first visit below a (white set, forcer)
+    pair there records each leaf's ``forces[cut:]`` and ``shared`` count;
+    later visits replay the record, so the stream does not change.  The
+    records hold one suffix per list walked, less than a caller that keeps
+    every list.  A walk whose tail starts at the root visits no pair twice
+    and records nothing.
+
     Raises:
         NotZfsError: ``controls`` is not a zero forcing set.
     """
@@ -445,6 +444,9 @@ def schedule_leaves(
     apply, undo, force_of, forcers = state.apply, state.undo, state.force_of, state.forcers
     out, full = g.force_masks, g.full_mask
     memo: dict[int, int] = {}  # white set -> the mask of its forcers
+    # (white set, forcer bit) at depth ``cut`` -> (shared, forces[cut:]) per leaf
+    records: dict[tuple[int, int], list[tuple[int, tuple[Edge, ...]]]] = {}
+    record = None
     pending = [state.ready]  # per depth, the mask of the forcers still to try
     shared = 0
     while pending:
@@ -467,6 +469,16 @@ def schedule_leaves(
             continue
         # From this force down, a state is its white set: the frontier stays.
         white = full ^ state.black
+        if cut > 0:  # a tail below the root: later prefixes may reach it again
+            record = records.get((white, low))
+            if record is not None:
+                for s, tail in record:
+                    forces[cut:] = tail
+                    yield s or shared, forces  # the first leaf shares ``shared``
+                del forces[cut:]
+                shared = cut
+                continue
+            record = records[white, low] = []
         below = [low]  # as ``pending``, from this depth on
         while below:
             rest = below[-1]
@@ -483,6 +495,8 @@ def schedule_leaves(
             white ^= 1 << (u - 1)
             if not white:  # the force blackened the last white node
                 yield shared, forces
+                if record is not None:  # 0 for the record's first leaf
+                    record.append((shared if record else 0, tuple(forces[cut:])))
                 ready = 0
             elif (ready := memo.get(white)) is None:
                 ready = memo[white] = forcers(white)

@@ -6,9 +6,10 @@ layer.  A graph is stored as one out-neighbor bitmask per node (its
 prefix sets of the synthesis layer work on.  A whole graph's nodes, row
 by row, are listed in one walk by :func:`row_nodes`, which unpacks a
 dense graph a bounded chunk at a time; :func:`mask_nodes` lists a single
-mask.  All values are immutable: edits return new values, so the
-perturbation analyses can fan out over many variants without copying
-defensively.  A :class:`ChainSet` is node-disjoint by construction.
+mask and :func:`node_mask` builds one.  All values are immutable: edits
+return new values, so the perturbation analyses can fan out over many
+variants without copying defensively.  A :class:`ChainSet` is
+node-disjoint by construction.
 """
 from __future__ import annotations
 
@@ -62,6 +63,15 @@ def mask_nodes(mask: int) -> list[int]:
         out.append(i + 1)
         i = bits.find("1", i + 1)
     return out
+
+
+def node_mask(nodes: Iterable[int]) -> int:
+    """The mask with bit ``v-1`` set for each node ``v`` of ``nodes``: the
+    inverse of :func:`mask_nodes`."""
+    mask = 0
+    for v in nodes:
+        mask |= 1 << (v - 1)
+    return mask
 
 
 def _unpack(rows: Sequence[int], n: int) -> np.ndarray:
@@ -294,7 +304,7 @@ def reachable_mask(g: DiGraph, nodes: Iterable[int]) -> int:
     """The nodes that ``nodes`` reach along edges, ``nodes`` included, as a
     bitmask (bit ``v-1`` for node ``v``): one closure over ``g.rows``."""
     rows = g.rows
-    seen = frontier = sum(1 << (v - 1) for v in set(nodes))
+    seen = frontier = node_mask(nodes)
     while frontier:
         out = 0
         while frontier:
@@ -382,7 +392,7 @@ def topological_order(g: DiGraph) -> tuple[int, ...]:
     if len(order) < g.n:
         # every node left has an edge to another one left: follow the lowest
         # such edge from the lowest node left until a node repeats
-        left = sum(1 << (v - 1) for v in g.nodes if pending_out[v])
+        left = node_mask(v for v in g.nodes if pending_out[v])
         path: dict[int, int] = {}  # node -> its position on the walk
         v = (left & -left).bit_length()
         while v not in path:

@@ -20,11 +20,10 @@ from .forcing import (
     TieBreakPolicy,
     TimeFunction,
     _drain,
-    _mask_of,
     _require_all_black,
     forcing_schedule,
 )
-from .graphs import ConsistencyError, DiGraph, Edge, control_set, mask_nodes, row_nodes
+from .graphs import ConsistencyError, DiGraph, Edge, control_set, mask_nodes, node_mask, row_nodes
 from .synthesis import perfect_edge_count, perfect_graph
 
 ADDITIVE = "additive"
@@ -327,7 +326,7 @@ def verify_edge_set(
             f"the report's edge set is on {report.graph.n} nodes, the graph has {g.n}"
         )
     z = control_set(controls, g.n)
-    z_mask = _mask_of(z)
+    z_mask = node_mask(z)
     rows = report.graph.rows
     if report.kind in (ADDITIVE, INTER_NETWORK):
         present = _pairs([row & have for row, have in zip(rows, g.rows)])

@@ -118,6 +118,9 @@ CASES.update({
     "schedules-named12": ["schedules", named, "--limit", "20"],
     # all 47 schedules: each 9-force list runs through the walk's white-set part
     "schedules-named12-all": ["schedules", named, "--limit", "1000"],
+    # 16 is the smallest limit whose last schedule the walk replays from a
+    # record of its last six forces, rather than walking them again
+    "schedules-chains24": ["schedules", "{samples}/chains24.net", "--limit", "16"],
     "combine-general-named12": ["combine", named, named],
     "combine-general-named12-path3": ["combine", named, "{samples}/path3_bidir.net"],
     "combine-dag-named12": ["combine", named, named, "--mode", "dag"],
@@ -159,7 +162,8 @@ for name in (
     "check-ring6_chord-explicit", "check-ring6_stalled-unknown-policy",
     "robustness-add-ring6_chord-sampled", "combine-general-rejected",
     *(f"schedules-{net}" for net in NETS),
-    "schedules-named12", "schedules-named12-all", "schedules-ring6_stalled", "schedules-sequences-general",
+    "schedules-named12", "schedules-named12-all", "schedules-chains24", "schedules-ring6_stalled",
+    "schedules-sequences-general",
     "schedules-sequences-dag", "combine-general-three", "combine-general-bad-counts",
     "combine-dag-adjacent", "combine-dag-bad-counts", "schedules-sequences-three",
     "oracle-ring6_chord", "oracle-ring6_stalled", "oracle-chain3_sink", "oracle-chain3-ltv",

@@ -7,6 +7,7 @@ bookkeeping, or closed-form counts.
 from __future__ import annotations
 
 from itertools import combinations
+from typing import Iterator
 
 import numpy as np
 
@@ -97,6 +98,53 @@ def recursive_enumeration(
 
     dfs(set(z), [])
     return out
+
+
+def unreplayed_leaves(g: DiGraph, z) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:
+    """The forcing-schedule walk without replay: every force list from
+    ``z``, depth first with the forcers in ascending order, each with the
+    count of leading forces it shares with the list before (0 for the
+    first).  Every state's forcers are rescanned from its white set, so
+    nothing is looked up, kept or replayed.  Lazy, so a caller can stop at
+    a limit.  The library's walk must give this stream, counts included.
+
+    Raises:
+        ValueError: forcing stalls; the message lists the white nodes left.
+    """
+    out = [0] * (g.n + 1)  # out-neighbor masks without self-loops
+    for u, v in g.edges:
+        if u != v:
+            out[u] |= 1 << (v - 1)
+
+    def forcers(white: int) -> list[int]:
+        """The black nodes with exactly one out-neighbor in ``white``."""
+        black = [p for p in g.nodes if not white >> (p - 1) & 1]
+        found = [p for p in black if (out[p] & white).bit_count() == 1]
+        if white and not found:
+            raise ValueError(f"forcing stalls with white nodes {sorted(set(g.nodes) - set(black))}")
+        return found
+
+    white = sum(1 << (v - 1) for v in g.nodes if v not in z)
+    pending = [forcers(white)]  # per depth, the forcers still to try
+    if not white:
+        yield 0, ()
+        return
+    forces: list[tuple[int, int]] = []
+    shared = 0
+    while pending:
+        if not pending[-1]:
+            pending.pop()
+            if forces:
+                white |= 1 << (forces.pop()[1] - 1)
+                shared = len(forces)
+            continue
+        p = pending[-1].pop(0)
+        u = (out[p] & white).bit_length()  # p's one white out-neighbor
+        forces.append((p, u))
+        white ^= 1 << (u - 1)
+        if not white:
+            yield shared, tuple(forces)
+        pending.append(forcers(white))
 
 
 def walked_record(n: int, controls, forces):

@@ -544,6 +544,9 @@ class TestInputErrors:
     @pytest.mark.parametrize("argv, err", [
         (["check", "{tmp}/missing.net"],
          "error: {tmp}/missing.net: cannot read {tmp}/missing.net: No such file or directory"),
+        (["check", "{tmp}"], "error: {tmp}: cannot read {tmp}: Is a directory"),
+        (["check", "{tmp}/plain.net/"],
+         "error: {tmp}/plain.net/: cannot read {tmp}/plain.net/: Not a directory"),
         (["combine", "chain3.net", "chain3.net", "--mode", "dag",
           "--inter-edges", "inter_path_ring.txt"],
          "error: inter-edge files apply to general mode only"),
@@ -581,7 +584,7 @@ class TestInputErrors:
         (["combine", *PAIR, "{tmp}/same-doc.txt"],
          "error: line 1: inter edge 1.v1 1.v2 joins two nodes of document 1"),
     ], ids=[
-        "missing-document", "dag-inter-edges", "general-without-chains", "ltv-without-chains",
+        "missing-document", "directory", "file-with-trailing-slash", "dag-inter-edges", "general-without-chains", "ltv-without-chains",
         "sequences-without-chains-or-controls", "empty-nodes", "unknown-control",
         "unknown-chain-node", "unknown-timed-node", "empty-chains", "one-token-times-line",
         "node-timed-twice", "times-miss-a-chain-node", "three-name-force-line",

@@ -23,7 +23,7 @@ from ssc_toolkit.forcing import (
     schedule_leaves,
     stalled_white_set,
 )
-from ssc_toolkit.graphs import ChainSet, DiGraph
+from ssc_toolkit.graphs import ChainSet, DiGraph, mask_nodes
 from ssc_toolkit.robustness import critical_additive_number, critical_subtractive_number
 from ssc_toolkit.synthesis import (
     is_ct_constructed,
@@ -42,6 +42,7 @@ from reference import (
     naive_is_zfs,
     nonempty_subsets,
     recursive_enumeration,
+    unreplayed_leaves,
     walked_record,
 )
 
@@ -477,6 +478,93 @@ class TestWhiteSetTail:
         assert len(forces) == 395 and shared == 0
         assert len(built) == forcing._TAIL
         assert [w.bit_count() for w in built] == list(range(forcing._TAIL, 0, -1))
+
+
+def chains_plus_optional_edges(seed: int, n: int, k: int) -> tuple[DiGraph, frozenset[int]]:
+    """A member shaped like the benchmark's schedules inputs: the skeleton of
+    a random partition into n // 8 chains plus k of its optional edges, with
+    the chain sources as controls."""
+    rng = np.random.default_rng(seed)
+    tf = random_time_function(random_chain_set(n, n // 8, rng), rng)
+    optional = [(u, v) for u in range(1, n + 1) for v in mask_nodes(tf.admissible_rows[u])]
+    picked = rng.choice(len(optional), size=k, replace=False)
+    return tf.skeleton.add_edges(optional[i] for i in sorted(picked)), tf.chains.sources
+
+
+class TestTailReplay:
+    """The walk goes below each (white set, forcer) pair at the hand-off
+    depth once, recording the leaves there, and replays that record on every
+    later visit; the stream must stay the one of the walk that replays
+    nothing, lists, order and shared counts alike."""
+
+    @staticmethod
+    def leaves(g: DiGraph, z, limit: int | None = None):
+        return [(shared, tuple(forces)) for shared, forces in islice(schedule_leaves(g, z), limit)]
+
+    @staticmethod
+    def replayed(g: DiGraph, z, leaves) -> list[int]:
+        """The positions of the leaves below a (white set, forcer) pair at the
+        hand-off depth that an earlier visit went below already."""
+        cut = g.n - len(z) - forcing._TAIL - 1  # the hand-off depth
+        if cut <= 0:
+            return []
+        seen, out = set(), []
+        for i, (shared, forces) in enumerate(leaves):
+            if i == 0 or shared <= cut:  # this leaf starts a visit
+                key = (frozenset(g.nodes) - z - {u for _, u in forces[:cut]}, forces[cut][0])
+                again = key in seen
+                seen.add(key)
+            if again:
+                out.append(i)
+        return out
+
+    @pytest.mark.parametrize("n, k, seed", [
+        (18, 14, 0), (18, 14, 7), (24, 13, 0), (24, 13, 5), (32, 12, 0), (32, 12, 2),
+    ])
+    def test_a_thousand_lists_of_benchmark_shaped_members(self, n, k, seed):
+        g, z = chains_plus_optional_edges(seed, n, k)
+        expected = list(islice(unreplayed_leaves(g, z), 1000))
+        assert len(expected) == 1000
+        assert self.leaves(g, z, 1000) == expected
+        assert len(self.replayed(g, z, expected)) >= 500  # most lists come from a record
+
+    def test_a_limit_that_stops_inside_a_first_walk_or_inside_a_replay(self):
+        g, z = chains_plus_optional_edges(7, 24, 13)  # samples/chains24.net
+        expected = list(islice(unreplayed_leaves(g, z), 1000))
+        again = set(self.replayed(g, z, expected))
+        assert min(again) == 15  # the sample's golden snapshot stops at the 16th list
+        cut = g.n - len(z) - forcing._TAIL - 1
+        # the last list kept and the next one are in the same visit
+        inside = [i for i in range(999) if expected[i + 1][0] > cut]
+        for replay in (False, True):
+            stop = next(i for i in inside if (i in again) == replay) + 1
+            walk = schedule_leaves(g, z)
+            head = [(shared, tuple(forces)) for shared, forces in islice(walk, stop)]
+            assert head == self.leaves(g, z, stop) == expected[:stop]
+            rest = [(shared, tuple(forces)) for shared, forces in islice(walk, 1000 - stop)]
+            assert head + rest == expected
+
+    @pytest.mark.parametrize("cut", [-1, 0, 1])
+    def test_a_tail_that_starts_at_or_next_to_the_root(self, cut):
+        # a two-way path driven from both ends, with _TAIL + 1 + cut white
+        # nodes: the walk hands off at the root, with one node fewer than
+        # the hand-off depth leaves or exactly that many, or after one force
+        n = forcing._TAIL + 3 + cut
+        path = DiGraph(n, [(v, v + 1) for v in range(1, n)] + [(v + 1, v) for v in range(1, n)])
+        expected = list(unreplayed_leaves(path, {1, n}))
+        assert len(expected) == 2 ** (n - 2)
+        assert self.leaves(path, frozenset({1, n})) == expected
+
+    def test_a_stall_before_the_hand_off(self):
+        g, sources = chains_plus_optional_edges(7, 24, 13)
+        z = sources - {16}  # the source of the 17-node chain
+        stalled = set(g.nodes) - naive_derived_set(g, z)
+        assert len(stalled) > forcing._TAIL + 1
+        with pytest.raises(ValueError, match="forcing stalls"):
+            next(unreplayed_leaves(g, z))
+        with pytest.raises(NotZfsError) as raised:
+            next(schedule_leaves(g, z))
+        assert raised.value.stalled_white == stalled
 
 
 class TestScheduleTimeFunctions:

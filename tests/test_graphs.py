@@ -14,6 +14,7 @@ from ssc_toolkit.graphs import (
     DiGraph,
     control_set,
     mask_nodes,
+    node_mask,
     reachable_mask,
     row_nodes,
     topological_order,
@@ -208,6 +209,11 @@ class TestRowStorage:
         nodes = mask_nodes(mask)
         assert nodes == sorted(int(b) + 1 for b in bits)
         assert all(type(v) is int for v in nodes)
+        assert node_mask(nodes) == node_mask(reversed(nodes)) == mask
+
+    def test_node_mask_sets_one_bit_per_node_however_often_listed(self):
+        assert node_mask([]) == 0
+        assert node_mask([6, 3, 3, 4, 6]) == 0b101100
 
 
 def row_nodes_reference(rows, table=None):
