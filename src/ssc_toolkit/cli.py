@@ -63,8 +63,8 @@ from .forcing import (
 from .graphs import ConsistencyError, CyclicError, DiGraph, Edge, row_nodes
 from .oracle import (
     InadmissibleEdgesError,
-    ltv_gramian_rank,
-    schedule_from_edges,
+    _gramian_rank,
+    _schedule_draws,
     verify_ssc_numeric,
 )
 from .robustness import (
@@ -590,14 +590,14 @@ def _oracle_ltv(args, doc: NetworkDocument, z: frozenset[int]) -> Result:
         raise DocumentError("LTV mode needs --schedule FILE")
     breakpoints, per_interval = parse_schedule_file(_read(args.schedule), doc)
     try:
-        sched = schedule_from_edges(tf, breakpoints, per_interval, seed=args.seed)
+        matrices = _schedule_draws(tf, breakpoints, per_interval, args.seed)
     except InadmissibleEdgesError as exc:
         named = sorted((doc.name_of(u), doc.name_of(v)) for u, v in exc.edges)
         raise DocumentError(f"edges {named} are not admissible for this family") from None
     except ValueError as exc:
         raise DocumentError(str(exc)) from None
-    rank = ltv_gramian_rank(sched, z)
     n = tf.n
+    rank = _gramian_rank(n, breakpoints, matrices, z)  # draws only the pieces it reaches
     covers = tf.chains.sources <= z
     # sources-covering controls are guaranteed full rank; anything else is
     # schedule-specific, so only report it

@@ -17,11 +17,12 @@ reachable subspace, built exactly piece by piece as
 ``R_k = expm(A_k h_k) R_(k-1) + Krylov(A_k, B)`` (the image of the
 controllability Gramian), is the whole space; ``expm`` runs, and scipy is
 imported, only for a later piece while that subspace is short of full
-rank.  The combinatorial side
-predicts: a forcing control set gives full rank for *every* draw, while
-a stalled one only guarantees that *some* member of the class is
-rank-deficient, so the negative direction is checked on a member built
-to be uncontrollable.
+rank.  ``oracle --ltv`` draws a piece, from the ``schedule_from_edges``
+stream, only once the build reaches it; an overflowed ``expm`` is a
+numerical failure.  The combinatorial side predicts: a forcing control
+set gives full rank for *every* draw, while a stalled one only
+guarantees that *some* member of the class is rank-deficient, so the
+negative direction is checked on a member built to be uncontrollable.
 
 Controls that do not reach every node along edges (input accessibility)
 are the one case where the graph settles every draw: entry (i, j) is
@@ -42,7 +43,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -399,11 +400,35 @@ class LtvSchedule:
         return len(self.matrices[0])
 
 
+def _schedule_draws(
+    tf: TimeFunction, breakpoints: Sequence[float], pieces: Sequence[DiGraph], seed: int
+) -> Iterator[np.ndarray]:
+    """The pieces' matrices, each drawn as it is read, in piece order from one
+    stream seeded with ``seed``; every piece, then the breakpoints, is checked first."""
+    n = tf.n
+    for piece in pieces:
+        if piece.n != n:
+            raise ValueError(f"a piece on {piece.n} nodes does not fit {n} nodes")
+        stray = [row & ~ok for row, ok in zip(piece.rows, tf.member_rows)]
+        if any(stray):
+            raise InadmissibleEdgesError((u, v) for u, nodes in row_nodes(stray) for v in nodes)
+    LtvSchedule(tuple(breakpoints), (np.empty((n, n)),) * len(pieces))  # checks breakpoints only
+    rng = np.random.default_rng(seed)
+
+    def draw(piece: DiGraph) -> np.ndarray:
+        rows = [row | more for row, more in zip(tf.skeleton.rows, piece.rows)]
+        # Self-loops in the interval graph pin the matching diagonal
+        # entries; the others stay zero.  Chain edges are never loops.
+        a = sample_matrix(DiGraph.from_rows(n, rows), rng, DIAG_NONZERO)
+        bare = [not rows[v] >> (v - 1) & 1 for v in range(1, n + 1)]
+        np.copyto(a.reshape(n * n)[:: n + 1], 0.0, where=bare)
+        return a
+
+    return map(draw, pieces)
+
+
 def schedule_from_edges(
-    tf: TimeFunction,
-    breakpoints: Sequence[float],
-    pieces: Sequence[DiGraph],
-    seed: int = 0,
+    tf: TimeFunction, breakpoints: Sequence[float], pieces: Sequence[DiGraph], seed: int = 0
 ) -> LtvSchedule:
     """Schedule built from explicit per-interval optional edges, one graph
     on the family's nodes per interval.
@@ -412,25 +437,7 @@ def schedule_from_edges(
     of which must be admissible for the family, that is edges of its
     maximal member; weights are drawn deterministically from ``seed``.
     """
-    n = tf.n
-    member = tf.member_rows
-    skeleton = tf.skeleton.rows
-    rng = np.random.default_rng(seed)
-    matrices = []
-    for piece in pieces:
-        if piece.n != n:
-            raise ValueError(f"a piece on {piece.n} nodes does not fit {n} nodes")
-        stray = [row & ~ok for row, ok in zip(piece.rows, member)]
-        if any(stray):
-            raise InadmissibleEdgesError((u, v) for u, nodes in row_nodes(stray) for v in nodes)
-        rows = [row | more for row, more in zip(skeleton, piece.rows)]
-        # Self-loops in the interval graph pin the matching diagonal
-        # entries; the others stay zero.  Chain edges are never loops.
-        a = sample_matrix(DiGraph.from_rows(n, rows), rng, DIAG_NONZERO)
-        bare = [not rows[v] >> (v - 1) & 1 for v in range(1, n + 1)]
-        np.copyto(a.reshape(n * n)[:: n + 1], 0.0, where=bare)
-        matrices.append(a)
-    return LtvSchedule(tuple(breakpoints), tuple(matrices))
+    return LtvSchedule(tuple(breakpoints), tuple(_schedule_draws(tf, breakpoints, pieces, seed)))
 
 
 def ltv_gramian_rank(schedule: LtvSchedule, controls: Iterable[int]) -> int:
@@ -441,20 +448,28 @@ def ltv_gramian_rank(schedule: LtvSchedule, controls: Iterable[int]) -> int:
     constant piece of length h_k:
     ``R_k = expm(A_k h_k) R_(k-1) + Krylov(A_k, B)``.  The build stops at
     full rank, so ``expm`` runs only for a later piece that carries a
-    subspace short of it.
+    subspace short of it, and ``oracle --ltv`` draws a piece only then.  A
+    carried column that ``expm`` overflows, or zeroes, is a ``LinAlgError``.
     """
-    n = schedule.n
+    return _gramian_rank(schedule.n, schedule.breakpoints, schedule.matrices, controls)
+
+
+def _gramian_rank(n: int, bp: Sequence[float], matrices: Iterable[np.ndarray], controls) -> int:
+    """``ltv_gramian_rank``, reading ``matrices`` no further than full rank."""
     b = input_matrix(n, controls)
     basis = np.empty((0, n))
-    bp = schedule.breakpoints
-    for a, start, stop in zip(schedule.matrices, bp, bp[1:]):
+    for k, (a, start, stop) in enumerate(zip(matrices, bp, bp[1:]), 1):
         carried = None
         if len(basis):
             # imported here, not at the top: it costs a fresh process about
             # 0.25 s, and a first piece at full rank never needs it
-            from scipy.linalg import expm
+            from scipy.linalg import LinAlgError, expm
 
-            carried = expm(a * (stop - start)) @ basis.T
+            with np.errstate(over="ignore", invalid="ignore"):
+                carried = expm(a * (stop - start)) @ basis.T
+                carried /= np.abs(carried).max(axis=0)  # no norm overflow; 0/0 is NaN
+            if not np.isfinite(carried).all():
+                raise LinAlgError(f"piece {k} on [{start:g}, {stop:g}]: carried basis not finite")
         basis = _reachable_basis(a, b, carried)
         if len(basis) == n:
             break

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from ssc_toolkit import cli, graphs
+from ssc_toolkit import cli, graphs, oracle
 from ssc_toolkit.cli import main
 from ssc_toolkit.documents import NetworkDocument, emit_document, parse_document
 from ssc_toolkit.forcing import (
@@ -513,6 +513,81 @@ class TestOracle:
         named = [('v"\\ä', "v3"), ("v10", "v2"), ("v4", "v12")]
         assert err == f"error: edges {named} are not admissible for this family\n"
         assert "(6, 3)" not in err
+
+    @pytest.fixture
+    def draws(self, monkeypatch) -> list:
+        """One entry per weight matrix an LTV schedule draws."""
+        drawn, sample = [], oracle.sample_matrix
+        monkeypatch.setattr(oracle, "sample_matrix", lambda *a: drawn.append(1) or sample(*a))
+        return drawn
+
+    @pytest.mark.parametrize("control, draws_made, first_rank", [("v1", 1, 3), ("v2", 2, 2)])
+    def test_ltv_draws_only_the_pieces_the_rank_reaches(
+        self, capsys, tmp_path, draws, control, draws_made, first_rank
+    ):
+        """From v1 the first piece of the worked schedule is at full rank.
+        From v2 it reaches rank 2 (its schedule cut to that piece says so),
+        and the second piece adds v1."""
+        doc = chain3_controlled_from(tmp_path, control)
+        rc, out = run(capsys, "oracle", str(doc), "--ltv", "--schedule",
+                      str(SAMPLES / "chain3_varying.sched"), "--format", "machine")
+        assert rc == 0 and json.loads(out)["gramian_rank"] == 3
+        assert len(draws) == draws_made
+        first = tmp_path / "first.sched"
+        first.write_text("BREAKPOINTS\n0 1\nINTERVAL\nv1 v1\nv3 v2\n")
+        rc, out = run(capsys, "oracle", str(doc), "--ltv", "--schedule", str(first),
+                      "--format", "machine")
+        assert rc == 0 and json.loads(out)["gramian_rank"] == first_rank
+
+    @pytest.mark.parametrize("fmt", ["text", "machine"])
+    @pytest.mark.parametrize("breakpoints, last, message", [
+        ("0 1 2", "v1 v3", "edges [('v1', 'v3')] are not admissible for this family"),
+        ("0 2 2", "", "breakpoints must be strictly increasing"),
+        ("0 2 1", "", "breakpoints must be strictly increasing"),
+        ("0 1 inf", "", "breakpoints must be finite"),
+        ("0 2 1", "v1 v3", "edges [('v1', 'v3')] are not admissible for this family"),
+    ], ids=["inadmissible-last-piece", "repeated", "decreasing", "infinite", "both"])
+    def test_ltv_input_errors_past_full_rank(
+        self, capsys, tmp_path, draws, fmt, breakpoints, last, message
+    ):
+        """The first piece is at full rank from v1, and still every piece
+        and then the breakpoints are checked, before any draw."""
+        sched = tmp_path / "bad.sched"
+        sched.write_text(f"BREAKPOINTS\n{breakpoints}\nINTERVAL\nv1 v1\nINTERVAL\n{last}\n")
+        rc = main(["oracle", str(SAMPLES / "chain3.net"), "--ltv", "--schedule", str(sched),
+                   "--format", fmt])
+        assert (rc, *capsys.readouterr()) == (3, "", f"error: {message}\n")
+        assert draws == []
+
+    @pytest.mark.parametrize("fmt", ["text", "machine"])
+    @pytest.mark.parametrize("seed", ["0", "1"])
+    def test_ltv_overflowed_expm_is_a_numerical_failure(self, capsys, tmp_path, fmt, seed):
+        """Over [1, 1e6] the self-loop on v3 overflows expm.  That printed
+        rank 3/3 once, though v1 has no in-edge in either piece; spans of
+        1, 39 and 399 give the true rank 2."""
+        doc = chain3_controlled_from(tmp_path, "v2")
+        sched = tmp_path / "loop.sched"
+        argv = ["oracle", str(doc), "--ltv", "--schedule", str(sched), "--seed", seed,
+                "--format", fmt]
+        sched.write_text("BREAKPOINTS\n0 1 1e6\nINTERVAL\nv3 v3\nINTERVAL\nv3 v3\n")
+        assert (main(argv), *capsys.readouterr()) == (
+            4, "", "numerical failure: piece 2 on [1, 1e+06]: carried basis not finite\n"
+        )
+        for stop in ("2", "40", "400"):
+            sched.write_text(f"BREAKPOINTS\n0 1 {stop}\nINTERVAL\nv3 v3\nINTERVAL\nv3 v3\n")
+            rc, out = run(capsys, *argv)
+            assert rc == 0
+            assert ("gramian rank: 2/3\n" in out) if fmt == "text" else (
+                json.loads(out)["gramian_rank"] == 2
+            )
+
+
+def chain3_controlled_from(tmp_path: Path, control: str) -> Path:
+    """The bundled chain3 document with ``control`` as its one control."""
+    doc = tmp_path / f"chain3_{control}.net"
+    text = (SAMPLES / "chain3.net").read_text()
+    doc.write_text(text.replace("CONTROLS\nv1", f"CONTROLS\n{control}"))
+    return doc
 
 
 # Documents for the input-error table, written to the test's directory.

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import re
 from functools import partial
 from itertools import combinations
@@ -19,8 +20,10 @@ from ssc_toolkit.oracle import (
     DIAG_NONZERO,
     DIAG_ZERO,
     LtvSchedule,
+    _gramian_rank,
     _krylov_ranks,
     _reachable_basis,
+    _schedule_draws,
     _sample_stack,
     _trial_ranks,
     input_matrix,
@@ -39,6 +42,7 @@ from ssc_toolkit.synthesis import (
 
 from conftest import digraphs, timed_partitions
 from reference import lockstep_krylov_ranks, naive_reachable, rk4_transition
+from test_documents import schedules
 
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -545,6 +549,121 @@ class TestGramian:
     def test_breakpoints_must_be_finite(self, breakpoints):
         with pytest.raises(ValueError, match="finite"):
             LtvSchedule(breakpoints, (np.zeros((2, 2)),) * 2)
+
+
+# From node 2 of the chain 1 -> 2 -> 3 with a self-loop on node 3 in both
+# pieces, the reachable subspace is span{e2, e3}: node 1 has no in-edge.
+V3_LOOP = DiGraph(3, {(3, 3)})
+
+
+def lost_carried_case(span: float):
+    """Node 1 reaches node 2 over [0, 1]; the second piece only grows both
+    by e^(1.5 span) and reaches nothing, so the carried e2 is what gives
+    rank 2."""
+    first = np.zeros((3, 3))
+    first[1, 0] = 1.0
+    return LtvSchedule((0.0, 1.0, 1.0 + span), (first, np.diag([1.5, 1.5, 0.0])))
+
+
+class TestNonFiniteCarriedSubspace:
+    """A later piece's ``expm`` can overflow, or underflow to zero, over a
+    long span.  The carried subspace is then lost, which is a numerical
+    failure, not a rank: a NaN row would count as one more direction."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_overflowed_expm_raises(self, chain3_tf, seed):
+        sched = schedule_from_edges(chain3_tf, (0, 1, 1e6), [V3_LOOP, V3_LOOP], seed)
+        message = "piece 2 on [1, 1e+06]: carried basis not finite"
+        with pytest.raises(np.linalg.LinAlgError, match=re.escape(message)):
+            ltv_gramian_rank(sched, {2})
+
+    @pytest.mark.parametrize("stop", [2, 40, 400])
+    def test_short_spans_keep_the_true_rank(self, chain3_tf, stop):
+        for seed in (0, 1):
+            sched = schedule_from_edges(chain3_tf, (0, 1, stop), [V3_LOOP, V3_LOOP], seed)
+            assert ltv_gramian_rank(sched, {2}) == 2
+
+    def test_underflow_to_zero_raises(self):
+        sched = LtvSchedule((0.0, 1.0, 1001.0), (np.zeros((2, 2)), np.diag([-2.0, -2.0])))
+        with pytest.raises(np.linalg.LinAlgError, match=re.escape("piece 2 on [1, 1001]")):
+            ltv_gramian_rank(sched, {1})
+
+    @pytest.mark.parametrize("span", [2.0, 400.0])
+    def test_a_huge_finite_carried_column_is_kept(self, span):
+        """At span 400 the carried e2 is e^600 e2, whose squared norm
+        overflows; unscaled, it normalized to zero and was deflated."""
+        assert ltv_gramian_rank(lost_carried_case(span), {1}) == 2
+
+
+def recorded(matrices, drawn: list):
+    for a in matrices:
+        drawn.append(a)
+        yield a
+
+
+def outcome(rank):
+    """The rank, or the numerical failure, a rank call comes to."""
+    try:
+        return rank()
+    except np.linalg.LinAlgError as exc:
+        return str(exc)
+
+
+class TestLazyDraws:
+    """``oracle --ltv`` reads the draws of ``_schedule_draws`` through
+    ``_gramian_rank``, which stops at full rank: the same rank, and the
+    same matrices, as ranking the whole ``schedule_from_edges``."""
+
+    @settings(max_examples=200)
+    @given(schedules(), st.data())
+    def test_lazy_path_equals_eager(self, case, data):
+        doc, breakpoints, edge_lists = case[:3]
+        tf, n = doc.time_function, doc.network.n
+        pieces = [DiGraph(n, piece) for piece in edge_lists]
+        controls = data.draw(st.sets(st.integers(1, n), min_size=1))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        eager = schedule_from_edges(tf, breakpoints, pieces, seed)
+        drawn = []
+        lazy = recorded(_schedule_draws(tf, breakpoints, pieces, seed), drawn)
+        bp = eager.breakpoints
+        rank = outcome(lambda: _gramian_rank(n, bp, lazy, controls))
+        assert rank == outcome(lambda: ltv_gramian_rank(eager, controls))
+        assert 1 <= len(drawn) <= len(pieces)
+        for a, b in zip(drawn, eager.matrices):
+            assert a.tobytes() == b.tobytes()
+        if isinstance(rank, str):  # a numerical failure on the last piece drawn
+            assert rank.startswith(f"piece {len(drawn)} on ")
+        elif len(drawn) < len(pieces):  # stopped early, so at full rank
+            head = LtvSchedule(bp[: len(drawn) + 1], eager.matrices[: len(drawn)])
+            assert ltv_gramian_rank(head, controls) == n
+
+    def test_pieces_come_from_one_stream_in_piece_order(self, chain3_tf):
+        """Piece k's matrix is the k-th interval graph drawn from one
+        generator seeded with ``seed``, with the diagonal zeroed off the
+        self-loops."""
+        pieces = [DiGraph(3, {(3, 3)}), DiGraph(3), DiGraph(3, {(1, 1), (3, 2)})]
+        rng = np.random.default_rng(7)
+        for a, piece in zip(_schedule_draws(chain3_tf, (0, 1, 2, 3), pieces, 7), pieces):
+            g = DiGraph(3, chain3_tf.skeleton.edges | piece.edges)
+            want = sample_matrix(g, rng, DIAG_NONZERO)
+            loops = [g.has_edge(v, v) for v in (1, 2, 3)]
+            np.fill_diagonal(want, np.where(loops, want.diagonal(), 0.0))
+            assert a.tobytes() == want.tobytes()
+
+    def test_checks_come_before_the_first_draw(self, chain3_tf, monkeypatch):
+        draws = []
+        sample = oracle.sample_matrix
+        monkeypatch.setattr(oracle, "sample_matrix", lambda *a: draws.append(1) or sample(*a))
+        bad = DiGraph(3, {(1, 3)})
+        for breakpoints, pieces, message in [
+            ((0, 2, 1), [DiGraph(3), bad], "not admissible"),
+            ((0, 2, 1), [DiGraph(3), DiGraph(3)], "strictly increasing"),
+            ((0, 1, math.inf), [DiGraph(3), DiGraph(3)], "finite"),
+            ((0, 1, 2), [DiGraph(3)], "one matrix per interval"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                _schedule_draws(chain3_tf, breakpoints, pieces, 0)
+        assert draws == []
 
 
 # Two chains of unequal length, and chains of one node each, where every
