@@ -25,7 +25,7 @@ import argparse
 import json
 import sys
 from collections.abc import Callable, Iterable, Iterator
-from functools import partial
+from functools import partial, reduce
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from typing import Sequence
@@ -60,7 +60,7 @@ from .forcing import (
     schedule_leaves,
     stalled_white_set,
 )
-from .graphs import ConsistencyError, CyclicError, DiGraph, Edge, row_nodes
+from .graphs import ConsistencyError, CyclicError, DiGraph, Edge, mask_nodes, row_nodes
 from .oracle import (
     InadmissibleEdgesError,
     _gramian_rank,
@@ -251,17 +251,11 @@ def _json_list(items: Iterable[str]) -> Iterator[str]:
 
 
 def _schedule_objects(texts: Iterable[tuple[str, str]]) -> Iterator[str]:
-    """The JSON list of one ``{"forces": ..., "intervals": ...}`` object per
-    pair of texts from :func:`_schedule_writer`.  Each object is written as
-    five chunks, so no object is copied whole before it is written."""
+    """The JSON list of a ``{"forces": ..., "intervals": ...}`` chunk per pair of texts."""
     yield "["
     head = '{"forces": '
     for forces, intervals in texts:
-        yield head
-        yield forces
-        yield ', "intervals": '
-        yield intervals
-        yield "}"
+        yield f'{head}{forces}, "intervals": {intervals}}}'
         head = ', {"forces": '
     yield "]"
 
@@ -295,19 +289,25 @@ def _sorted_pairs(
 
 
 def _schedule_writer(
-    names: Sequence[str], machine: bool, gamma: int
-) -> Callable[[int, Sequence[Edge]], tuple[str, str]]:
-    """One function that writes complete schedules with this ``gamma``, one
-    after another, as a pair of texts: the forces, and their ``[t, tmax]``
-    intervals.  It writes JSON values, the intervals keyed in name order as
-    ``sort_keys`` orders them, or text, ``u>v`` forces and
-    ``name:[t,tmax]`` in id order.
+    names: Sequence[str], machine: bool, gamma: int, in_masks: Sequence[int],
+    leaves: Iterable[tuple[int, Sequence[Edge], tuple[Edge, ...]]],
+) -> Iterator[tuple[str, str]]:
+    """Write complete schedules with this ``gamma``, one after another, each
+    as a pair of texts: the forces, and their ``[t, tmax]`` intervals.  It
+    writes JSON values, the intervals keyed in name order as ``sort_keys``
+    orders them, or text, ``u>v`` forces and ``name:[t,tmax]`` in id order.
 
-    A call passes ``shared``, how many leading forces its list has in common
-    with the list of the call before (0 on the first call), and ``tail``,
-    the forces after those.  The writer keeps the interval pieces and the
-    force texts of the last list, so it rewrites only the entries of the
-    forces after ``shared``.
+    ``leaves`` gives each list as ``(shared, prefix, tail)``: how many leading
+    forces it shares with the list before, its forces after those up to the
+    cut, and the :func:`schedule_leaves` tail from the cut on.  The cut,
+    ``len(forces) - len(tail)``, is the same for every list, so a list with
+    ``shared`` at least the cut keeps the last prefix; a one-list caller
+    passes ``(0, (), forces)``, a cut of 0.  The tail blackens the white set
+    W at the cut: it sets the ``t`` of W and the ``tmax`` of W's in-neighbors
+    (``in_masks``), the holes, as a node that forced before the cut has no
+    out-neighbor in W.  So the runs between the holes are joined once per
+    prefix, and each tail object's hole values and force text are kept (one
+    entry per record leaf, or per list with no cut): a replay costs two joins.
 
     Controls turn black at step 1.  Force k (counted from 0) ``(w, u)``
     blackens u at step k + 2 and ends w's time as its chain's frontier at
@@ -318,35 +318,60 @@ def _schedule_writer(
     # the force (w, u) is written forcer[w] + forced[u]
     if machine:
         order = sorted(range(1, n + 1), key=lambda v: names[v - 1])
-        colon, mid, sep = ": [", ", ", ", "
+        colon, mid, sep, opening, closing = ": [", ", ", ", ", "[", "]"
         forcer, forced = [f"[{w}, " for w in written], [f"{u}]" for u in written]
     else:
-        order, colon, mid, sep = range(1, n + 1), ":[", ",", " "
+        order, colon, mid, sep, opening, closing = range(1, n + 1), ":[", ",", " ", "", ""
         forcer, forced = [f"{w}>" for w in written], written
     digits = [str(k) for k in range(gamma + 1)]
+    top = digits[gamma]
     pieces, at = [], [0] * (n + 1)  # node v's t is pieces[at[v]], its tmax pieces[at[v] + 2]
     for v in order:
         at[v] = len(pieces) + 1
-        pieces += (written[v] + colon, "1", mid, digits[gamma], "]" + sep)
+        pieces += (written[v] + colon, "1", mid, top, "]" + sep)
     pieces[-1] = "]"
     if machine:
         pieces[0], pieces[-1] = "{" + pieces[0], "]}"
-    forces: list[Edge] = []  # the last list, and its force texts
-    listed: list[str] = []
+    forces, listed = [], []  # the last prefix, and its force texts
+    runs: list[str] = []  # the runs of the last prefix, a hole value between each two
+    kept = {}  # id(tail) -> (tail, its hole values, its force text)
+    for shared, prefix, tail in leaves:
+        cut = gamma - 1 - len(tail)
+        if shared < cut or not runs:  # a new prefix
+            for w, u in forces[shared:]:
+                pieces[at[w] + 2] = top
+                pieces[at[u]] = "1"
+            for k, (w, u) in enumerate(prefix, shared + 1):
+                pieces[at[w] + 2] = digits[k]
+                pieces[at[u]] = digits[k + 1]
+            forces[shared:] = prefix
+            listed[shared:] = [forcer[w] + forced[u] for w, u in prefix]
+            head = opening + sep.join(listed) + (sep if listed else "")
+            into = reduce(int.__or__, [in_masks[u] for _, u in tail], 0)
+            holes = sorted([at[u] for _, u in tail] + [at[w] + 2 for w in mask_nodes(into)])
+            runs = _runs(pieces, holes)
+        entry = kept.get(id(tail))
+        if entry is None:  # the entry keeps the tail, so no other object takes its id
+            text = sep.join([forcer[w] + forced[u] for w, u in tail]) + closing
+            entry = kept[id(tail)] = tail, _hole_values(pieces, at, holes, tail, cut, digits), text
+        runs[1::2] = entry[1]
+        yield head + entry[2], "".join(runs)
 
-    def write(shared: int, tail: Sequence[Edge]) -> tuple[str, str]:
-        for w, u in forces[shared:]:
-            pieces[at[w] + 2] = digits[gamma]
-            pieces[at[u]] = "1"
-        for k, (w, u) in enumerate(tail, shared + 1):
-            pieces[at[w] + 2] = digits[k]
-            pieces[at[u]] = digits[k + 1]
-        forces[shared:] = tail
-        listed[shared:] = [forcer[w] + forced[u] for w, u in tail]
-        joined = sep.join(listed)
-        return f"[{joined}]" if machine else joined, "".join(pieces)
 
-    return write
+def _runs(pieces: Sequence[str], holes: Sequence[int]) -> list[str]:
+    """The pieces between each two of the sorted ``holes`` joined, a slot for each hole's value."""
+    runs = [""] * (2 * len(holes) + 1)
+    runs[::2] = ["".join(pieces[a + 1:b]) for a, b in zip([-1, *holes], [*holes, len(pieces)])]
+    return runs
+
+
+def _hole_values(pieces: Sequence[str], at, holes, tail, cut: int, digits) -> list[str]:
+    """The values of ``holes`` once ``tail`` runs from force ``cut`` (from 0)."""
+    pieces = list(pieces)
+    for k, (w, u) in enumerate(tail, cut + 1):
+        pieces[at[w] + 2] = digits[k]
+        pieces[at[u]] = digits[k + 1]
+    return [pieces[pos] for pos in holes]
 
 
 def _document(written: Sequence[str], machine: bool, *parts) -> Iterator[str]:
@@ -371,7 +396,8 @@ def cmd_check(args) -> Result:
     except NotZfsError as exc:
         return _check_stalled(doc, exc.stalled_white)
     machine = args.format == "machine"
-    forces, intervals = _schedule_writer(doc.names, machine, tf.gamma)(0, tf.forces)
+    leaf = [(0, (), tf.forces)]
+    forces, intervals = next(_schedule_writer(doc.names, machine, tf.gamma, g.in_masks, leaf))
     chains = [[doc.name_of(v) for v in c] for c in tf.chains.chains]
     return EXIT_OK, [
         ("zfs", True, "ZFS: yes\n"),
@@ -408,7 +434,8 @@ def cmd_robustness(args) -> Result:
     machine = args.format == "machine"
     pairs = _sorted_pairs(report.graph, doc.names, _written_names(doc.names, machine), machine)
     tf = report.witness
-    _, intervals = _schedule_writer(doc.names, machine, tf.gamma)(0, tf.forces)
+    leaf = [(0, (), tf.forces)]
+    _, intervals = next(_schedule_writer(doc.names, machine, tf.gamma, g.in_masks, leaf))
     fields = [
         ("mode", args.mode,
          f"critical {'additive' if args.mode == 'add' else 'subtractive'} edge-set\n"),
@@ -624,18 +651,18 @@ def cmd_schedules(args) -> Result:
         doc = docs[0]
         g = doc.network
         z = _require_controls(doc)
-        # The count is written first, so the schedules are walked before any
-        # is written; each keeps only its forces after those it shares.
+        # The count is written first, so the walk ends before any list is
+        # written; each keeps its forces from ``shared`` to the cut, and its tail.
         leaves = islice(schedule_leaves(g, z), args.limit)
         try:
-            tails = [(shared, tuple(forces[shared:])) for shared, forces in leaves]
+            kept = [(s, f[s:-len(t)] if s < len(f) - len(t) else (), t) for s, f, t in leaves]
         except NotZfsError as exc:
             raise _not_zfs(args.documents[0], doc, exc.stalled_white) from None
-        write = _schedule_writer(doc.names, args.format == "machine", schedule_gamma(g, z))
-        texts = (write(*tail) for tail in tails)
+        machine = args.format == "machine"
+        texts = _schedule_writer(doc.names, machine, schedule_gamma(g, z), g.in_masks, kept)
         return EXIT_OK, [
             ("kind", "forcing", None),
-            ("count", len(tails), f"forcing schedules: {len(tails)}\n"),
+            ("count", len(kept), f"forcing schedules: {len(kept)}\n"),
             ("schedules", _schedule_objects(texts),
              ("  %s  |  %s\n" % t for t in texts)),
         ]

@@ -17,8 +17,8 @@ undo.  A force costs about one bit operation per in-edge of the forced
 node, so a whole closure costs about one bit operation per edge.
 
 The depth-first walk is one stream of leaves, each the walk's one force
-list with the count of leading forces it shares with the leaf before,
-so a writer need only rewrite the rest.  The walk moves the frontier
+list with the count of leading forces it shares with the leaf before and
+its tail, so a writer need only rewrite the rest.  The walk moves the frontier
 only while more than ``_TAIL`` nodes are white.  Below that, a state is
 its white set W, and the forcers there, the black nodes with exactly one
 out-neighbor in W, are built once per W from W's in-neighbors and kept
@@ -399,13 +399,14 @@ def forcing_schedule(
 
 def schedule_leaves(
     g: DiGraph, controls: Iterable[int]
-) -> Iterator[tuple[int, list[Edge]]]:
+) -> Iterator[tuple[int, list[Edge], tuple[Edge, ...]]]:
     """Depth-first walk of every distinct chronological force list from
     ``controls``, the stream :func:`enumerate_forcing_schedules` collects.
 
-    Yields ``(shared, forces)`` per complete list, where the first ``shared``
-    forces equal the previous list's (0 for the first).  ``forces`` is one
-    list that the walk edits in place, so a caller copies what it keeps.
+    Yields ``(shared, forces, tail)`` per complete list: the first ``shared``
+    forces equal the previous list's (0 for the first), ``forces`` is one list
+    that the walk edits in place, so a caller copies what it keeps, and
+    ``tail`` is the tuple ``forces[cut:]`` (below), the same object per replay.
 
     The walk keeps an explicit stack of the forcers still to try at each
     depth, so its depth (one level per force) is not bounded by the
@@ -426,8 +427,8 @@ def schedule_leaves(
     pair there records each leaf's ``forces[cut:]`` and ``shared`` count;
     later visits replay the record, so the stream does not change.  The
     records hold one suffix per list walked, less than a caller that keeps
-    every list.  A walk whose tail starts at the root visits no pair twice
-    and records nothing.
+    every list.  A walk whose tail starts at the root (``cut`` 0) visits no
+    pair twice and records nothing.
 
     Raises:
         NotZfsError: ``controls`` is not a zero forcing set.
@@ -437,14 +438,14 @@ def schedule_leaves(
     forces: list[Edge] = []
     if not state.ready:  # the controls force nothing
         _require_all_black(g, state.black, z)
-        yield 0, forces
+        yield 0, forces, ()
         return
     need = g.n - len(z)  # the length of every complete list
-    cut = need - _TAIL - 1  # how many forces leave more than _TAIL nodes white
+    cut = max(need - _TAIL - 1, 0)  # how many forces leave more than _TAIL nodes white
     apply, undo, force_of, forcers = state.apply, state.undo, state.force_of, state.forcers
     out, full = g.force_masks, g.full_mask
     memo: dict[int, int] = {}  # white set -> the mask of its forcers
-    # (white set, forcer bit) at depth ``cut`` -> (shared, forces[cut:]) per leaf
+    # (white set, forcer bit) at depth ``cut`` -> (shared, tail) per leaf
     records: dict[tuple[int, int], list[tuple[int, tuple[Edge, ...]]]] = {}
     record = None
     pending = [state.ready]  # per depth, the mask of the forcers still to try
@@ -474,7 +475,7 @@ def schedule_leaves(
             if record is not None:
                 for s, tail in record:
                     forces[cut:] = tail
-                    yield s or shared, forces  # the first leaf shares ``shared``
+                    yield s or shared, forces, tail  # the first leaf shares ``shared``
                 del forces[cut:]
                 shared = cut
                 continue
@@ -494,9 +495,9 @@ def schedule_leaves(
             forces.append((p, u))
             white ^= 1 << (u - 1)
             if not white:  # the force blackened the last white node
-                yield shared, forces
+                yield shared, forces, (tail := tuple(forces[cut:]))
                 if record is not None:  # 0 for the record's first leaf
-                    record.append((shared if record else 0, tuple(forces[cut:])))
+                    record.append((shared if record else 0, tail))
                 ready = 0
             elif (ready := memo.get(white)) is None:
                 ready = memo[white] = forcers(white)
@@ -521,4 +522,4 @@ def enumerate_forcing_schedules(
     if limit is not None and limit < 1:
         raise ValueError("limit must be at least 1")
     z = control_set(controls, g.n)
-    return [_time_function(z, forces) for _, forces in islice(schedule_leaves(g, z), limit)]
+    return [_time_function(z, forces) for _, forces, _ in islice(schedule_leaves(g, z), limit)]

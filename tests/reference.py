@@ -7,6 +7,7 @@ bookkeeping, or closed-form counts.
 from __future__ import annotations
 
 from itertools import combinations
+from json.encoder import encode_basestring_ascii
 from typing import Iterator
 
 import numpy as np
@@ -178,6 +179,49 @@ def walked_intervals(n: int, controls, forces) -> dict[int, tuple[int, int]]:
         for chain in chains
         for v, after in zip(chain, chain[1:] + (0,))
     }
+
+
+def incremental_schedule_writer(names, machine: bool, gamma: int):
+    """The schedule writer that rewrote each list's forces after the ones it
+    shares with the list before, and rejoined every interval piece: one
+    function of ``(shared, forces[shared:])`` per list, in walk order, to
+    the list's ``(forces, intervals)`` texts in ``--format machine`` (JSON
+    values) or text.  Kept as the writer was before the interval texts were
+    cut at the entries a tail can change, so that writer's output can be
+    checked list for list against this one."""
+    n = len(names)
+    written = ("", *map(encode_basestring_ascii, names)) if machine else ("", *names)
+    if machine:
+        order = sorted(range(1, n + 1), key=lambda v: names[v - 1])
+        colon, mid, sep = ": [", ", ", ", "
+        forcer, forced = [f"[{w}, " for w in written], [f"{u}]" for u in written]
+    else:
+        order, colon, mid, sep = range(1, n + 1), ":[", ",", " "
+        forcer, forced = [f"{w}>" for w in written], written
+    digits = [str(k) for k in range(gamma + 1)]
+    pieces, at = [], [0] * (n + 1)  # node v's t is pieces[at[v]], its tmax pieces[at[v] + 2]
+    for v in order:
+        at[v] = len(pieces) + 1
+        pieces += (written[v] + colon, "1", mid, digits[gamma], "]" + sep)
+    pieces[-1] = "]"
+    if machine:
+        pieces[0], pieces[-1] = "{" + pieces[0], "]}"
+    forces: list[tuple[int, int]] = []  # the last list, and its force texts
+    listed: list[str] = []
+
+    def write(shared: int, tail) -> tuple[str, str]:
+        for w, u in forces[shared:]:
+            pieces[at[w] + 2] = digits[gamma]
+            pieces[at[u]] = "1"
+        for k, (w, u) in enumerate(tail, shared + 1):
+            pieces[at[w] + 2] = digits[k]
+            pieces[at[u]] = digits[k + 1]
+        forces[shared:] = tail
+        listed[shared:] = [forcer[w] + forced[u] for w, u in tail]
+        joined = sep.join(listed)
+        return f"[{joined}]" if machine else joined, "".join(pieces)
+
+    return write
 
 
 def has_cycle(g: DiGraph) -> bool:

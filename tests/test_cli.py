@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import io
 import json
 import os
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from ssc_toolkit import cli, graphs, oracle
+from ssc_toolkit import cli, forcing, graphs, oracle
 from ssc_toolkit.cli import main
 from ssc_toolkit.documents import NetworkDocument, emit_document, parse_document
 from ssc_toolkit.forcing import (
@@ -24,19 +26,22 @@ from ssc_toolkit.forcing import (
     schedule_gamma,
     schedule_leaves,
 )
-from ssc_toolkit.graphs import ConsistencyError, DiGraph
+from ssc_toolkit.graphs import ConsistencyError, DiGraph, mask_nodes
 from ssc_toolkit.synthesis import TimeFunction
 
-from conftest import digraphs
+from conftest import digraphs, timed_partitions
 from reference import (
     all_digraphs,
     brute_force_additive,
     brute_force_subtractive,
+    incremental_schedule_writer,
     naive_is_zfs,
     nonempty_subsets,
     recursive_enumeration,
+    unreplayed_leaves,
     walked_intervals,
 )
+from test_forcing import chains_plus_optional_edges
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -879,12 +884,12 @@ class TestScheduleWriter:
         for tf in enumerate_forcing_schedules(g, z, limit=10):
             named = [[names[u - 1], names[v - 1]] for u, v in tf.forces]
             by_name = {names[v - 1]: [tf.times[v], tf.tmax[v]] for v in tf.times}
-            write = cli._schedule_writer(names, True, tf.gamma)
-            assert write(0, tf.forces) == (
+            write = cli._schedule_writer(names, True, tf.gamma, g.in_masks, [(0, (), tf.forces)])
+            assert next(write) == (
                 json.dumps(named), json.dumps(by_name, sort_keys=True)
             )
-            write = cli._schedule_writer(names, False, tf.gamma)
-            assert write(0, tf.forces) == (
+            write = cli._schedule_writer(names, False, tf.gamma, g.in_masks, [(0, (), tf.forces)])
+            assert next(write) == (
                 " ".join(f"{a}>{b}" for a, b in named),
                 " ".join(f"{names[v - 1]}:[{t},{tf.tmax[v]}]" for v, t in sorted(tf.times.items())),
             )
@@ -896,10 +901,136 @@ class TestScheduleWriter:
         assume(is_zfs(g, z))
         gamma = schedule_gamma(g, z)
         for machine in (True, False):
-            write = cli._schedule_writer(names, machine, gamma)
-            for shared, forces in islice(schedule_leaves(g, z), 60):
-                fresh = cli._schedule_writer(names, machine, gamma)
-                assert write(shared, tuple(forces[shared:])) == fresh(0, tuple(forces))
+            leaves = [
+                (shared, forces[shared:-len(tail)], tail, tuple(forces))
+                for shared, forces, tail in islice(schedule_leaves(g, z), 60)
+            ]
+            kept = [leaf[:3] for leaf in leaves]
+            write = cli._schedule_writer(names, machine, gamma, g.in_masks, kept)
+            for texts, (_, _, _, forces) in zip(write, leaves, strict=True):
+                fresh = cli._schedule_writer(names, machine, gamma, g.in_masks, [(0, (), forces)])
+                assert texts == next(fresh)
+
+
+# the first 1000 schedules of samples/chains24.net, 845 of them replayed from a record
+CHAINS24_DIGESTS = {
+    "machine": "88bbd3352eb3fe02465c3c520834ca02282443253f34efe2de5ac62858017a86",
+    "text": "a6bc2d50b1ff36e4054739d090da97939c760a75c5756deafbcd189b33b13db8",
+}
+NAME_POOL = ["b1", "a", "Z", "\xe9", "x", "m2", "c", "\xfc", "y9"]
+
+
+class TestTailTexts:
+    """``schedules`` writes a list from the runs of its prefix and the kept
+    hole values of its tail; what it prints must be what the frozen
+    incremental writer gives on the walk that replays nothing, list for
+    list, in both formats."""
+
+    @staticmethod
+    def check(tmp: Path, g: DiGraph, z, limit: int = 1000, names=None) -> None:
+        names = names or [f"v{v}" for v in g.nodes]
+        doc = tmp / "doc.net"
+        doc.write_text(emit_document(NetworkDocument.from_graph(g, names, z)))
+        gamma = schedule_gamma(g, frozenset(z))
+        leaves = list(islice(unreplayed_leaves(g, z), limit))
+        for fmt in ("machine", "text"):
+            write = incremental_schedule_writer(names, fmt == "machine", gamma)
+            expected = [write(shared, forces[shared:]) for shared, forces in leaves]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["schedules", str(doc), "--limit", str(limit), "--format", fmt]) == 0
+            out = out.getvalue()
+            if fmt == "machine":
+                listed = [(json.dumps(s["forces"]), json.dumps(s["intervals"], sort_keys=True))
+                          for s in json.loads(out)["schedules"]]
+                objects = ", ".join('{"forces": %s, "intervals": %s}' % t for t in expected)
+                whole = ('{"command": "schedules", "count": %d, "kind": "forcing", '
+                         '"schedules": [%s]}\n' % (len(expected), objects))
+            else:
+                listed = [tuple(line[2:].split("  |  ")) for line in out.splitlines()[1:]]
+                whole = f"forcing schedules: {len(expected)}\n" + "".join(
+                    "  %s  |  %s\n" % t for t in expected
+                )
+            assert listed == expected, fmt
+            assert out == whole, fmt
+
+    @pytest.mark.parametrize("n, k, seed", [
+        (18, 14, 0), (18, 14, 7), (24, 13, 0), (24, 13, 5), (32, 12, 0), (32, 12, 2),
+    ])
+    def test_a_thousand_lists_of_benchmark_shaped_members(self, tmp_path, n, k, seed):
+        self.check(tmp_path, *chains_plus_optional_edges(seed, n, k))
+
+    def check_every_hand_off(self, tmp: Path, g: DiGraph, z, names) -> None:
+        for tail in (0, 1, 2, 3, forcing._TAIL):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(forcing, "_TAIL", tail)
+                self.check(tmp, g, z, limit=300, names=names[: g.n])
+
+    @given(digraphs(max_n=9), st.data())
+    def test_small_digraphs_at_every_hand_off(self, tmp_path_factory, g: DiGraph, data):
+        z = data.draw(st.frozensets(st.sampled_from(range(1, g.n + 1)), min_size=1))
+        assume(naive_is_zfs(g, z))
+        names = data.draw(st.permutations(NAME_POOL))
+        self.check_every_hand_off(tmp_path_factory.mktemp("tails"), g, z, names)
+
+    @given(timed_partitions(max_n=9), st.data())
+    def test_small_family_members_at_every_hand_off(self, tmp_path_factory, tf, data):
+        # the chain skeleton plus some admissible edges: its sources force
+        # it, often along many lists, so that walks replay
+        optional = [(u, v) for u in range(1, tf.n + 1) for v in mask_nodes(tf.admissible_rows[u])]
+        extra = data.draw(st.frozensets(st.sampled_from(optional))) if optional else ()
+        names = data.draw(st.permutations(NAME_POOL))
+        g = tf.skeleton.add_edges(extra)
+        self.check_every_hand_off(tmp_path_factory.mktemp("tails"), g, tf.chains.sources, names)
+
+    def test_limits_that_stop_inside_a_first_visit_and_inside_a_replay(self, tmp_path):
+        g, z = chains_plus_optional_edges(7, 24, 13)  # samples/chains24.net
+        leaves = [(shared, tail) for shared, _, tail in islice(schedule_leaves(g, z), 1000)]
+        cut = g.n - len(z) - len(leaves[0][1])
+        seen, replayed = set(), []
+        for _, tail in leaves:
+            replayed.append(id(tail) in seen)
+            seen.add(id(tail))
+        # the list kept last and the one after it are in the same visit
+        inside = [i for i in range(999) if leaves[i + 1][0] > cut]
+        for replay in (False, True):
+            self.check(tmp_path, g, z, limit=next(i for i in inside if replayed[i] == replay) + 1)
+
+    @pytest.mark.parametrize("cut", [-1, 0, 1])
+    def test_a_tail_that_starts_at_or_next_to_the_root(self, tmp_path, cut):
+        # a two-way path driven from both ends, as in test_forcing.TestTailReplay
+        n = forcing._TAIL + 3 + cut
+        path = DiGraph(n, [(v, v + 1) for v in range(1, n)] + [(v + 1, v) for v in range(1, n)])
+        self.check(tmp_path, path, {1, n})
+
+    def test_runs_join_once_per_prefix_and_values_once_per_record_leaf(
+        self, capsys, monkeypatch
+    ):
+        doc = parse_document((SAMPLES / "chains24.net").read_text())
+        leaves = [(s, t) for s, _, t in islice(schedule_leaves(doc.network, doc.controls), 1000)]
+        cut = doc.network.n - len(doc.controls) - len(leaves[0][1])
+        prefixes = sum(1 for shared, _ in leaves if shared < cut)
+        records = len({id(tail) for _, tail in leaves})
+        assert (prefixes, records) == (76, 155)  # 845 lists are replays
+        built = []
+        for name in ("_runs", "_hole_values"):
+            real = getattr(cli, name)
+            monkeypatch.setattr(
+                cli, name, lambda *a, real=real, name=name: built.append(name) or real(*a)
+            )
+        for fmt in ("machine", "text"):
+            built.clear()
+            rc, _ = run(capsys, "schedules", str(SAMPLES / "chains24.net"), "--limit", "1000",
+                        "--format", fmt)
+            assert rc == 0
+            assert (built.count("_runs"), built.count("_hole_values")) == (prefixes, records)
+
+    @pytest.mark.parametrize("fmt", ["machine", "text"])
+    def test_chains24s_first_thousand_schedules_keep_their_bytes(self, capsys, fmt):
+        rc, out = run(capsys, "schedules", str(SAMPLES / "chains24.net"), "--limit", "1000",
+                      "--format", fmt)
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == CHAINS24_DIGESTS[fmt]
 
 
 class TestRepeatedCalls:

@@ -315,7 +315,7 @@ class TestLeaves:
 
     @staticmethod
     def copied(g: DiGraph, z) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
-        return [(shared, tuple(forces)) for shared, forces in schedule_leaves(g, z)]
+        return [(shared, tuple(forces)) for shared, forces, _ in schedule_leaves(g, z)]
 
     def check_shared_forces(self, g: DiGraph, z) -> None:
         leaves = self.copied(g, z)
@@ -412,7 +412,7 @@ class TestWhiteSetTail:
     def walked(g: DiGraph, z, tail: int) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(forcing, "_TAIL", tail)
-            return [(shared, tuple(forces)) for shared, forces in schedule_leaves(g, z)]
+            return [(shared, tuple(forces)) for shared, forces, _ in schedule_leaves(g, z)]
 
     def check_every_hand_off(self, g: DiGraph, z) -> None:
         tails = (0, 1, 2, 3, g.n + 1)
@@ -474,7 +474,7 @@ class TestWhiteSetTail:
         monkeypatch.setattr(
             _Frontier, "forcers", lambda self, white: built.append(white) or forcers(self, white)
         )
-        ((shared, forces),) = islice(schedule_leaves(g, tf.chains.sources), 1)
+        ((shared, forces, _),) = islice(schedule_leaves(g, tf.chains.sources), 1)
         assert len(forces) == 395 and shared == 0
         assert len(built) == forcing._TAIL
         assert [w.bit_count() for w in built] == list(range(forcing._TAIL, 0, -1))
@@ -499,7 +499,7 @@ class TestTailReplay:
 
     @staticmethod
     def leaves(g: DiGraph, z, limit: int | None = None):
-        return [(shared, tuple(forces)) for shared, forces in islice(schedule_leaves(g, z), limit)]
+        return [(shared, tuple(forces)) for shared, forces, _ in islice(schedule_leaves(g, z), limit)]
 
     @staticmethod
     def replayed(g: DiGraph, z, leaves) -> list[int]:
@@ -539,10 +539,25 @@ class TestTailReplay:
         for replay in (False, True):
             stop = next(i for i in inside if (i in again) == replay) + 1
             walk = schedule_leaves(g, z)
-            head = [(shared, tuple(forces)) for shared, forces in islice(walk, stop)]
+            head = [(shared, tuple(forces)) for shared, forces, _ in islice(walk, stop)]
             assert head == self.leaves(g, z, stop) == expected[:stop]
-            rest = [(shared, tuple(forces)) for shared, forces in islice(walk, 1000 - stop)]
+            rest = [(shared, tuple(forces)) for shared, forces, _ in islice(walk, 1000 - stop)]
             assert head + rest == expected
+
+    @pytest.mark.parametrize("n, k, seed", [(24, 13, 7), (32, 12, 0)])
+    def test_a_leafs_tail_is_its_records_own_tuple(self, n, k, seed):
+        # every leaf yields forces[cut:] as a tuple, and the same object again
+        # exactly at the leaves that a record replays
+        g, z = chains_plus_optional_edges(seed, n, k)
+        cut = g.n - len(z) - forcing._TAIL - 1
+        tails, seen, again = [], set(), []
+        for i, (_, forces, tail) in enumerate(islice(schedule_leaves(g, z), 1000)):
+            assert type(tail) is tuple and tail == tuple(forces[cut:])
+            tails.append(tail)  # alive, so no later tuple takes its id
+            if id(tail) in seen:
+                again.append(i)
+            seen.add(id(tail))
+        assert again == self.replayed(g, z, list(islice(unreplayed_leaves(g, z), 1000)))
 
     @pytest.mark.parametrize("cut", [-1, 0, 1])
     def test_a_tail_that_starts_at_or_next_to_the_root(self, cut):

@@ -500,6 +500,20 @@ class TestGramian:
         assert ltv_gramian_rank(sched, {3}) < 3
         assert ltv_gramian_rank(sched, {1}) == 3
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 4: expm of the second piece stretches the carried columns "
+        "apart by about e^(2.57 h), and the staircase deflates one of them as "
+        "dependent, so the rank falls from 4 to 3 for h >= 10"
+    ))
+    def test_a_later_piece_never_lowers_the_rank(self):
+        """The reachable subspace only grows with the span (``expm`` is
+        invertible), so the rank over both pieces is at least the first's."""
+        tf = TimeFunction(ChainSet(((1, 2, 3), (4, 5))), {1: 1, 2: 2, 3: 4, 4: 1, 5: 3})
+        pieces = [DiGraph(5, {(3, 4)}), DiGraph(5, {(4, 4), (5, 5)})]
+        assert ltv_gramian_rank(schedule_from_edges(tf, (0, 1), pieces[:1]), {2}) == 4
+        for h in (1, 10, 20, 39):
+            assert ltv_gramian_rank(schedule_from_edges(tf, (0, 1, 1 + h), pieces), {2}) >= 4, h
+
     @given(timed_partitions(max_n=6), st.data())
     def test_matrices_have_exactly_their_interval_graph_support(self, tf, data):
         """Edge (u, v) of the skeleton plus the piece is present exactly when
